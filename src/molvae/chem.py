@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
 
@@ -68,6 +68,14 @@ _BOND_WEIGHTS = {
     BondType.AROMATIC: 1.5,
 }
 
+# SMILES bond symbols; fingerprint keys spell bonds with the same characters.
+BOND_CHAR = {
+    BondType.SINGLE: "-",
+    BondType.DOUBLE: "=",
+    BondType.TRIPLE: "#",
+    BondType.AROMATIC: ":",
+}
+
 N_BOND_TYPES = 4
 
 
@@ -121,6 +129,24 @@ def allowed_valences(element: str, formal_charge: int) -> tuple[int, ...]:
     if element in ("N", "O") and -2 <= formal_charge <= 2:
         return tuple(v + formal_charge for v in base if v + formal_charge > 0)
     return ()
+
+
+def fill_implicit_h(element: str, charge: int, bond_order: float) -> int | None:
+    """Smallest H count (0-4) that reaches an allowed valence; None if none does."""
+    rounded = math.ceil(bond_order - 1e-9)
+    for h in range(5):
+        if rounded + h in allowed_valences(element, charge):
+            return h
+    return None
+
+
+def aromatic_atoms(mol: MolGraph) -> set[int]:
+    """Indices of the atoms that carry at least one aromatic bond."""
+    out = set()
+    for i, j, t in mol.bonds:
+        if t == BondType.AROMATIC:
+            out.update((i, j))
+    return out
 
 
 def build(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]) -> MolGraph:
@@ -267,13 +293,3 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
         return False
 
     return backtrack(0)
-
-
-def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:
-    """Relabel nodes: new index perm[i] holds old atom i. Test helper."""
-    n = mol.n_atoms
-    atoms = [None] * n
-    for i, a in enumerate(mol.atoms):
-        atoms[perm[i]] = a
-    bonds = [(perm[i], perm[j], t) for i, j, t in mol.bonds]
-    return build(atoms, bonds)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import chem, dataio, fingerprint as fp, train as tr, vaemodel
 from .chem import ChemError
-from .encoder import LATENT_DIM
+from .corpus import random_molecule
 from .numkernel import NumericError, grad_check
 from .smiles import SmilesError, parse_smiles, write_smiles
 
@@ -20,6 +20,10 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
+
+
+class _BadFlag(ValueError):
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,20 +40,17 @@ def _emit(args, payload: dict, plain: str) -> None:
         print(plain)
 
 
-def _load_params(path: str):
-    params, config = dataio.load_checkpoint(path)
-    return params, config
+def _config(cls, **fields):
+    """A config built from flag values; a value it rejects is a usage error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _BadFlag(str(exc)) from None
 
 
 def cmd_train(args) -> int:
-    dataset = dataio.load_csv(args.data, max_atoms=args.max_atoms)
-    if args.property not in dataset.property_names():
-        print(
-            f"error: property {args.property!r} not in {dataset.property_names()}",
-            file=sys.stderr,
-        )
-        return EXIT_DOMAIN
-    config = tr.TrainConfig(
+    config = _config(
+        tr.TrainConfig,
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
@@ -58,6 +59,13 @@ def cmd_train(args) -> int:
         seed=args.seed,
         max_atoms=args.max_atoms,
     )
+    dataset = dataio.load_csv(args.data, max_atoms=args.max_atoms)
+    if args.property not in dataset.property_names():
+        print(
+            f"error: property {args.property!r} not in {dataset.property_names()}",
+            file=sys.stderr,
+        )
+        return EXIT_DOMAIN
     params, history = tr.train(dataset, args.property, config)
     dataio.save_checkpoint(params, config, args.out)
     history_path = Path(args.out).with_suffix(Path(args.out).suffix + ".history.csv")
@@ -83,9 +91,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    params, _ = _load_params(args.ckpt)
+    params, _ = dataio.load_checkpoint(args.ckpt)
     mol = parse_smiles(args.smiles)
-    g = fp.pooled_vector(mol, params)
+    g = vaemodel.pooled_vector(mol, params)
     if args.json:
         print(json.dumps({"pooled": [float(v) for v in g]}))
     else:
@@ -95,10 +103,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    params, _ = _load_params(args.ckpt)
+    params, _ = dataio.load_checkpoint(args.ckpt)
     mol = parse_smiles(args.smiles)
-    out, report = vaemodel.reconstruct(mol, params, args.threshold)
     probs = vaemodel.decode_probs(mol, params)
+    out, report = vaemodel.reconstruct_from_probs(mol, probs, args.threshold)
     try:
         smi = write_smiles(out)
     except SmilesError:
@@ -123,13 +131,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params, _ = _load_params(args.ckpt)
-    mol = parse_smiles(args.smiles)
-    mt = vaemodel.MolTensors.from_mol(mol)
-    from . import encoder as enc
-
-    mu, _ = enc.encode(mt.features, mt.adjacency, params, mt.mean_mats)
-    pred = vaemodel.side_predict(enc.pool(mu, params), params).item()
+    params, _ = dataio.load_checkpoint(args.ckpt)
+    pred = vaemodel.predict(parse_smiles(args.smiles), params)
     _emit(args, {"prediction": pred}, f"{pred:.17g}")
     return 0
 
@@ -143,7 +146,7 @@ def cmd_similar(args) -> int:
         if not args.ckpt:
             print("error: --metric latent requires --ckpt", file=sys.stderr)
             return EXIT_USAGE
-        params, _ = _load_params(args.ckpt)
+        params, _ = dataio.load_checkpoint(args.ckpt)
         value = fp.latent_similarity(a, b, params)
     else:
         cfg = fp.FpConfig()
@@ -157,7 +160,8 @@ def cmd_similar(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     mol = parse_smiles(args.smiles)
-    cfg = fp.FpConfig(
+    cfg = _config(
+        fp.FpConfig,
         min_path=args.min_path,
         max_path=args.max_path,
         bits_per_hash=args.bits_per_hash,
@@ -183,9 +187,9 @@ def cmd_validate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
-    mol = dataio_random_molecule(rng)
+    mol = random_molecule(rng, int(rng.integers(4, 11)))
     params = vaemodel.init_model_params(args.seed)
-    noise = rng.standard_normal((mol.n_atoms, LATENT_DIM))
+    noise = rng.standard_normal((mol.n_atoms, vaemodel.LATENT_DIM))
     label = float(rng.normal())
 
     def f(store):
@@ -195,12 +199,6 @@ def cmd_gradcheck(args) -> int:
     err = grad_check(f, params, eps=1e-5, seed=args.seed)
     _emit(args, {"max_rel_error": err, "atoms": mol.n_atoms}, f"{err:.3e}")
     return 0 if err < 1e-5 else EXIT_NUMERIC
-
-
-def dataio_random_molecule(rng):
-    from .corpus import random_molecule
-
-    return random_molecule(rng, int(rng.integers(4, 11)))
 
 
 def build_parser() -> _Parser:
@@ -268,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except _BadFlag as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FileNotFoundError, dataio.DataError, dataio.CheckpointError, SmilesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chem import Atom, BondType, MolGraph, build
-from .smiles import _fill_implicit_h
+from .chem import Atom, BondType, MolGraph, build, fill_implicit_h
+from .smiles import parse_smiles, write_smiles
 
 # Element draw pool with the single valence used for capacity accounting.
 _POOL = (
@@ -88,7 +88,7 @@ def random_molecule(rng: np.random.Generator, n_atoms: int) -> MolGraph:
         order_sum[i] += t.weight
         order_sum[j] += t.weight
     atoms = [
-        Atom(elements[i], 0, _fill_implicit_h(elements[i], 0, order_sum[i]))
+        Atom(elements[i], 0, fill_implicit_h(elements[i], 0, order_sum[i]) or 0)
         for i in range(n)
     ]
     return build(atoms, bonds)
@@ -100,8 +100,6 @@ def generate_corpus(n: int = 500, seed: int = 20240817, max_atoms: int = 9):
     Sizes are drawn uniformly from 2..max_atoms; the default 9 matches the
     heavy-atom ceiling of the QM9 small-molecule collection.
     """
-    from .smiles import parse_smiles, write_smiles
-
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(n):

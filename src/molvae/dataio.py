@@ -1,4 +1,4 @@
-"""Dataset ingestion (CSV / .smi), checkpoint persistence, bundled corpus."""
+"""Dataset ingestion (CSV), checkpoint persistence, bundled corpus."""
 
 from __future__ import annotations
 
@@ -120,32 +120,6 @@ def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
     return Dataset(records=records, skipped=skipped, source=str(path))
 
 
-def load_smi(path: str | Path, max_atoms: int = 20) -> Dataset:
-    """Read a one-SMILES-per-line list (optional trailing name, no properties)."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    skipped: dict[str, int] = {}
-    records: list[Record] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        smi = line.split()[0]
-        try:
-            mol = parse_smiles(smi)
-        except SmilesError:
-            skipped["parse_error"] = skipped.get("parse_error", 0) + 1
-            continue
-        if mol.n_atoms > max_atoms:
-            skipped["oversize"] = skipped.get("oversize", 0) + 1
-            continue
-        records.append(Record(smiles=smi, mol=mol, properties={}))
-    if not records:
-        raise EmptyAfterFiltering(f"{path}: no usable rows")
-    return Dataset(records=records, skipped=skipped, source=str(path))
-
-
 def bundled_corpus_path() -> Path:
     """Path of the packaged desk-scale corpus CSV."""
     return Path(resources.files("molvae").joinpath("data/corpus.csv"))
@@ -199,7 +173,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
         raise VersionMismatch(
             f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
         )
-    config = TrainConfig(**doc["config"])
+    try:
+        config = TrainConfig(**doc.get("config"))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad training config ({exc})") from exc
     params = ParamStore()
     for name, obj in doc["tensors"].items():
         params.add(name, _decode_tensor(name, obj))

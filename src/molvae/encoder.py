@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numkernel as nk
@@ -77,19 +75,17 @@ def rgcn_layer(
 
 def encode(
     features: np.ndarray,
-    adjacency: np.ndarray,
+    mean_mats: list[tuple[int, np.ndarray]],
     store: ParamStore,
-    mean_mats: list[tuple[int, np.ndarray]] | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Run the three-layer encoder; returns per-node mean and log-std.
 
-    Layers 1 and 2 are shared between the two heads and ELU-activated;
-    each head applies its own linear third layer.
+    `mean_mats` comes from `neighbor_mean_mats`. Layers 1 and 2 are shared
+    between the two heads and ELU-activated; each head applies its own
+    linear third layer.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.ShapeMismatch(f"feature width {features.shape[1]} != {FEATURE_DIM}")
-    if mean_mats is None:
-        mean_mats = neighbor_mean_mats(adjacency)
     h = nk.constant(features, "H")
     h = rgcn_layer(h, mean_mats, store, "enc.l1", activate=True)
     h = rgcn_layer(h, mean_mats, store, "enc.l2", activate=True)

@@ -7,17 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoder
-from .chem import BondType, MolGraph
+from .chem import BOND_CHAR, MolGraph, aromatic_atoms
 from .numkernel import ParamStore
-
-_BOND_CHAR = {
-    BondType.SINGLE: "-",
-    BondType.DOUBLE: "=",
-    BondType.TRIPLE: "#",
-    BondType.AROMATIC: ":",
-}
-
+from .vaemodel import pooled_vector
 
 # Shortest length density folding may reach (RDKit's minSize).
 _MIN_FOLD_BITS = 64
@@ -36,6 +28,18 @@ class FpConfig:
     # Fold the nbits-bit fingerprint in halves while its density is below
     # this, down to no fewer than 64 bits; 0.0 keeps exactly nbits.
     target_density: float = 0.3
+
+    def __post_init__(self):
+        if self.nbits <= 0 or self.nbits % 8:
+            raise ValueError(f"nbits must be a positive multiple of 8, got {self.nbits}")
+        if not 1 <= self.min_path <= self.max_path:
+            raise ValueError(
+                f"need 1 <= min_path <= max_path, got {self.min_path} and {self.max_path}"
+            )
+        if self.bits_per_hash < 1:
+            raise ValueError(f"bits_per_hash must be at least 1, got {self.bits_per_hash}")
+        if not 0.0 <= self.target_density <= 1.0:
+            raise ValueError(f"target_density must lie in [0, 1], got {self.target_density}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,6 @@ class Fingerprint:
         for b in self.bits:
             buf[b // 8] |= 0x80 >> (b % 8)
         return buf.hex()
-
-
-# A bond path: (atom0, bond0, atom1, bond1, ..., atomK) as index tuples.
-BondPath = tuple[int, ...]
 
 
 def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tuple]:
@@ -104,35 +104,6 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
     return found
 
 
-def _aromatic_atoms(mol: MolGraph) -> set[int]:
-    out = set()
-    for i, j, t in mol.bonds:
-        if t == BondType.AROMATIC:
-            out.update((i, j))
-    return out
-
-
-def canonical_path_key(mol: MolGraph, path: tuple) -> str:
-    """Alternating element/bond rendering, lexicographic min over direction.
-
-    Atoms carrying an aromatic bond are rendered lower-case.
-    """
-    aromatic = _aromatic_atoms(mol)
-    bond_list = list(mol.bonds)
-
-    def render(seq: tuple) -> str:
-        parts = []
-        for pos, idx in enumerate(seq):
-            if pos % 2 == 0:
-                sym = mol.atoms[idx].element
-                parts.append(sym.lower() if idx in aromatic else sym)
-            else:
-                parts.append(_BOND_CHAR[bond_list[idx][2]])
-        return "".join(parts)
-
-    return min(render(path), render(tuple(reversed(path))))
-
-
 def enumerate_subgraphs(
     mol: MolGraph, min_len: int = 1, max_len: int = 7
 ) -> set[frozenset[int]]:
@@ -173,7 +144,7 @@ def canonical_subgraph_key(mol: MolGraph, subgraph: frozenset[int]) -> str:
     by its degree inside the subgraph. The lexicographically smaller of the
     two atom orders is used, so the key does not depend on atom numbering.
     """
-    aromatic = _aromatic_atoms(mol)
+    aromatic = aromatic_atoms(mol)
     bond_list = list(mol.bonds)
     degree = Counter()
     for slot in subgraph:
@@ -188,7 +159,7 @@ def canonical_subgraph_key(mol: MolGraph, subgraph: frozenset[int]) -> str:
     descs = []
     for slot in subgraph:
         i, j, t = bond_list[slot]
-        ch = _BOND_CHAR[t]
+        ch = BOND_CHAR[t]
         descs.append(min(atom(i) + ch + atom(j), atom(j) + ch + atom(i)))
     return "|".join(sorted(descs))
 
@@ -284,15 +255,6 @@ def cosine(a: Fingerprint, b: Fingerprint) -> float:
 
 class ZeroVector(ArithmeticError):
     pass
-
-
-def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
-    """Deterministic pooled molecule vector (softmax pooling over Mu)."""
-    from .vaemodel import MolTensors  # local import avoids a module cycle
-
-    mt = MolTensors.from_mol(mol)
-    mu, _ = encoder.encode(mt.features, mt.adjacency, store, mt.mean_mats)
-    return encoder.pool(mu, store).data
 
 
 def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -23,17 +23,13 @@ class NonFiniteValue(NumericError):
     pass
 
 
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"non-finite value produced by {op}")
-    return arr
-
-
 class Tensor:
     """A node in the computation tape.
 
     Holds a float64 ndarray; operations record their inputs and a local
     gradient rule so `backward` can accumulate exact reverse-mode gradients.
+    Creating a tensor with a NaN or infinite entry raises NonFiniteValue,
+    naming the op that produced it.
     """
 
     __slots__ = ("data", "grad", "_parents", "_grad_fn", "name")
@@ -46,7 +42,8 @@ class Tensor:
         name: str | None = None,
     ):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, name or "tensor creation")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteValue(f"non-finite value produced by {name or 'tensor creation'}")
         self.data = arr
         self.grad: np.ndarray | None = None
         self._parents = parents
@@ -111,12 +108,11 @@ def _require_2d(t: Tensor, op: str) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul shapes {a.shape} x {b.shape}")
-    out_data = _check_finite(a.data @ b.data, "matmul")
 
     def grad_fn(g):
         return (g @ b.data.T, a.data.T @ g)
 
-    return Tensor(out_data, (a, b), grad_fn, "matmul")
+    return Tensor(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -149,22 +145,6 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(a.data.T, (a,), lambda g: (g.T,), "transpose")
 
 
-def concat_rows(tensors: Iterable[Tensor]) -> Tensor:
-    ts = list(tensors)
-    if not ts:
-        raise ShapeMismatch("concat_rows of nothing")
-    widths = {t.shape[1] for t in ts if t.data.ndim == 2}
-    if any(t.data.ndim != 2 for t in ts) or len(widths) != 1:
-        raise ShapeMismatch("concat_rows needs 2-D tensors of equal width")
-    out_data = np.concatenate([t.data for t in ts], axis=0)
-    offsets = np.cumsum([0] + [t.shape[0] for t in ts])
-
-    def grad_fn(g):
-        return tuple(g[offsets[k] : offsets[k + 1]] for k in range(len(ts)))
-
-    return Tensor(out_data, tuple(ts), grad_fn, "concat_rows")
-
-
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is None:
         out_data = a.data.sum()
@@ -188,13 +168,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out_data = _check_finite(np.exp(a.data), "exp")
+    out_data = np.exp(a.data)
     return Tensor(out_data, (a,), lambda g: (g * out_data,), "exp")
 
 
 def log(a: Tensor) -> Tensor:
-    out_data = _check_finite(np.log(a.data), "log")
-    return Tensor(out_data, (a,), lambda g: (g / a.data,), "log")
+    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
 def square(a: Tensor) -> Tensor:

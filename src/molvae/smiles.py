@@ -2,34 +2,24 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chem import (
+    BOND_CHAR,
     Atom,
     BondType,
     ChemError,
     MolGraph,
-    allowed_valences,
+    aromatic_atoms,
     build,
+    fill_implicit_h,
 )
 
 ORGANIC_SUBSET = ("Cl", "Br", "C", "N", "O", "F", "P", "S", "I")
 AROMATIC_SYMBOLS = {"c": "C", "n": "N", "o": "O", "s": "S", "p": "P"}
 BRACKET_SYMBOLS = ("Cl", "Br", "H", "C", "N", "O", "F", "P", "S", "I")
 
-_BOND_CHARS = {
-    "-": BondType.SINGLE,
-    "=": BondType.DOUBLE,
-    "#": BondType.TRIPLE,
-    ":": BondType.AROMATIC,
-}
-_BOND_CHAR_OF = {
-    BondType.SINGLE: "-",
-    BondType.DOUBLE: "=",
-    BondType.TRIPLE: "#",
-    BondType.AROMATIC: ":",
-}
+_BOND_CHARS = {ch: t for t, ch in BOND_CHAR.items()}
 
 
 def _is_ascii_digit(c: str) -> bool:
@@ -84,15 +74,6 @@ class _PendingAtom:
 class ParseResult:
     mol: MolGraph
     stripped: int = 0  # stereo / isotope annotations discarded
-
-
-def _fill_implicit_h(element: str, charge: int, bond_order: float) -> int:
-    """Smallest H count reaching an allowed valence; 0 if already hypervalent."""
-    rounded = math.ceil(bond_order - 1e-9)
-    for h in range(5):
-        if rounded + h in allowed_valences(element, charge):
-            return h
-    return 0
 
 
 def parse_smiles_ex(text: str) -> ParseResult:
@@ -161,8 +142,6 @@ def parse_smiles_ex(text: str) -> ParseResult:
         c = s[i]
         if c == ".":
             raise DisconnectedInput("dot-disconnected (multi-fragment) input", i)
-        if c in "([":
-            pass  # handled below
         if c == "(":
             if prev is None:
                 raise UnbalancedParenthesis("branch opens before any atom", i)
@@ -235,7 +214,7 @@ def parse_smiles_ex(text: str) -> ParseResult:
         if pa.explicit_h is not None:
             h = pa.explicit_h
         else:
-            h = _fill_implicit_h(pa.element, pa.charge, order[idx])
+            h = fill_implicit_h(pa.element, pa.charge, order[idx]) or 0
         final_atoms.append(
             Atom(element=pa.element, formal_charge=pa.charge, implicit_h=h)
         )
@@ -310,22 +289,13 @@ def parse_smiles(text: str) -> MolGraph:
     return parse_smiles_ex(text).mol
 
 
-def _aromatic_atoms(mol: MolGraph) -> set[int]:
-    out = set()
-    for i, j, t in mol.bonds:
-        if t == BondType.AROMATIC:
-            out.add(i)
-            out.add(j)
-    return out
-
-
 def _atom_token(mol: MolGraph, i: int, aromatic: set[int]) -> str:
     atom = mol.atoms[i]
     sym = atom.element
     is_arom = i in aromatic
     if is_arom:
         sym = sym.lower()
-    default_h = _fill_implicit_h(atom.element, 0, mol.bond_order_sum(i))
+    default_h = fill_implicit_h(atom.element, 0, mol.bond_order_sum(i)) or 0
     plain_ok = (
         atom.formal_charge == 0
         and atom.element != "H"
@@ -352,7 +322,7 @@ def _bond_token(t: BondType, i: int, j: int, aromatic: set[int]) -> str:
         return "-" if both_arom else ""
     if t == BondType.AROMATIC:
         return "" if both_arom else ":"
-    return _BOND_CHAR_OF[t]
+    return BOND_CHAR[t]
 
 
 def write_smiles(mol: MolGraph) -> str:
@@ -405,7 +375,7 @@ def write_smiles(mol: MolGraph) -> str:
     if not all(visited):
         raise Disconnected("graph has more than one connected component")
 
-    aromatic = _aromatic_atoms(mol)
+    aromatic = aromatic_atoms(mol)
 
     def ring_digit(num: int) -> str:
         return str(num) if num <= 9 else f"%{num:02d}"

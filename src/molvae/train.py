@@ -8,9 +8,8 @@ import numpy as np
 
 from . import vaemodel
 from .encoder import LATENT_DIM
-from .fingerprint import pooled_vector
 from .numkernel import NonFiniteValue, ParamStore, ShapeMismatch, backward
-from .vaemodel import LossBreakdown, MolTensors, init_model_params, joint_loss
+from .vaemodel import LossBreakdown, MolTensors, init_model_params, joint_loss, pooled_vector
 
 
 class TrainError(ValueError):
@@ -35,6 +34,10 @@ class TrainConfig:
     seed: int = 0
     max_atoms: int = 20
     threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 @dataclass

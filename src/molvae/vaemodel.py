@@ -1,14 +1,14 @@
-"""Latent sampling, inner-product decoder, side predictor, and the joint loss."""
+"""Latent sampling, inner-product decoder, side predictor, the joint loss, and
+inference with a trained model: pooled vector, side prediction, reconstruction."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chem, encoder, numkernel as nk
-from .chem import Atom, BondType, MolGraph, ValidityReport, allowed_valences
+from .chem import Atom, BondType, MolGraph, ValidityReport
 from .encoder import HIDDEN_DIM, LATENT_DIM, POOL_DIM
 from .numkernel import ParamStore, Tensor
 
@@ -154,7 +154,7 @@ def joint_loss(
 ) -> tuple[Tensor, LossBreakdown]:
     """Full forward pass; returns the scalar loss node and its breakdown."""
     mt = cache if cache is not None else MolTensors.from_mol(mol)
-    mu, log_std = encoder.encode(mt.features, mt.adjacency, store, mt.mean_mats)
+    mu, log_std = encoder.encode(mt.features, mt.mean_mats, store)
     z = sample_latent(mu, log_std, noise)
     recon = recon_bce_logits(nk.matmul(z, nk.transpose(z)), mt.adjacency)
     kl = kl_term(mu, log_std)
@@ -169,32 +169,48 @@ def joint_loss(
     return total, breakdown
 
 
+def _posterior_mean(
+    mol: MolGraph, store: ParamStore, cache: MolTensors | None = None
+) -> Tensor:
+    """Mu of the encoder, the deterministic latent code used for inference."""
+    mt = cache if cache is not None else MolTensors.from_mol(mol)
+    mu, _ = encoder.encode(mt.features, mt.mean_mats, store)
+    return mu
+
+
 def decode_probs(mol: MolGraph, store: ParamStore, cache: MolTensors | None = None) -> np.ndarray:
     """Deterministic edge probabilities (Z = Mu, no sampling)."""
-    mt = cache if cache is not None else MolTensors.from_mol(mol)
-    mu, _ = encoder.encode(mt.features, mt.adjacency, store, mt.mean_mats)
-    return decode_adjacency(mu).data
+    return decode_adjacency(_posterior_mean(mol, store, cache)).data
 
 
-def _refit_implicit_h(element: str, charge: int, bond_order: float) -> int | None:
-    rounded = math.ceil(bond_order - 1e-9)
-    for h in range(5):
-        if rounded + h in allowed_valences(element, charge):
-            return h
-    return None
+def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
+    """Deterministic pooled molecule vector (softmax pooling over Mu)."""
+    return encoder.pool(_posterior_mean(mol, store), store).data
+
+
+def predict(mol: MolGraph, store: ParamStore) -> float:
+    """Side-predictor output for a molecule, from its pooled Mu."""
+    g = encoder.pool(_posterior_mean(mol, store), store)
+    return side_predict(g, store).item()
 
 
 def reconstruct(
     mol: MolGraph, store: ParamStore, threshold: float = 0.5
 ) -> tuple[MolGraph, ValidityReport]:
-    """Deterministic reconstruction of a molecule's bond structure.
+    """Deterministic reconstruction of a molecule's bond structure."""
+    return reconstruct_from_probs(mol, decode_probs(mol, store), threshold)
+
+
+def reconstruct_from_probs(
+    mol: MolGraph, probs: np.ndarray, threshold: float = 0.5
+) -> tuple[MolGraph, ValidityReport]:
+    """Rebuild `mol`'s bonds from decoded edge probabilities.
 
     Edges are pairs whose decoded probability exceeds the threshold; the bond
     type is copied from the input where the pair was bonded there, otherwise
     Single. Implicit hydrogens are refit to the lowest valid count per atom;
     atoms with no valid count are reported as offending.
     """
-    probs = decode_probs(mol, store)
     n = mol.n_atoms
     input_types = {}
     for i, j, t in mol.bonds:
@@ -211,7 +227,7 @@ def reconstruct(
     atoms = []
     offending = []
     for i, atom in enumerate(mol.atoms):
-        h = _refit_implicit_h(atom.element, atom.formal_charge, order[i])
+        h = chem.fill_implicit_h(atom.element, atom.formal_charge, order[i])
         if h is None:
             offending.append(i)
             h = 0

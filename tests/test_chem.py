@@ -20,8 +20,9 @@ from molvae.chem import (
     check_valence,
     is_isomorphic,
     node_features,
-    permute,
 )
+
+from helpers import permute
 
 
 def ethanol():

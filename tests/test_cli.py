@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from molvae import encoder
 from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
 
 
@@ -115,6 +116,19 @@ def test_reconstruct_json(ckpt, capsys):
     assert len(payload["edge_probabilities"]) == 3
 
 
+def test_reconstruct_encodes_once(ckpt, monkeypatch, capsys):
+    calls = []
+    real = encoder.encode
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(encoder, "encode", counting)
+    assert main(["reconstruct", "--ckpt", str(ckpt["ckpt"]), "--smiles", "CCO"]) == 0
+    assert len(calls) == 1
+
+
 def test_predict_json(ckpt, capsys):
     rc, payload = run_json(
         capsys, ["predict", "--ckpt", str(ckpt["ckpt"]), "--smiles", "CC"]
@@ -189,3 +203,59 @@ def test_gradcheck_passes(capsys):
     rc, payload = run_json(capsys, ["gradcheck", "--seed", "0"])
     assert rc == 0
     assert payload["max_rel_error"] < 1e-5
+
+
+# -- bad flag values and bad checkpoints ----------------------------------
+
+
+def _edited_ckpt(ckpt, tmp_path, **config):
+    doc = json.loads(ckpt["ckpt"].read_text())
+    doc["config"].update(config)
+    path = tmp_path / "edited.ckpt"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _fingerprint(*flags):
+    return lambda ckpt, tmp_path: ["fingerprint", "--smiles", "CCO", *flags]
+
+
+def _train(*flags):
+    return lambda ckpt, tmp_path: [
+        "train",
+        "--data", str(ckpt["data"]),
+        "--property", "heavy_atoms",
+        "--epochs", "1",
+        "--out", str(tmp_path / "out.ckpt"),
+        *flags,
+    ]
+
+
+def _encode_with(**config):
+    return lambda ckpt, tmp_path: [
+        "encode", "--ckpt", _edited_ckpt(ckpt, tmp_path, **config), "--smiles", "CCO"
+    ]
+
+
+BAD_INPUTS = {
+    "nbits-not-multiple-of-8": (_fingerprint("--nbits", "12"), EXIT_USAGE),
+    "nbits-zero": (_fingerprint("--nbits", "0"), EXIT_USAGE),
+    "min-path-above-max-path": (_fingerprint("--min-path", "5", "--max-path", "2"), EXIT_USAGE),
+    "min-path-zero": (_fingerprint("--min-path", "0"), EXIT_USAGE),
+    "bits-per-hash-zero": (_fingerprint("--bits-per-hash", "0"), EXIT_USAGE),
+    "batch-zero": (_train("--batch", "0"), EXIT_USAGE),
+    "checkpoint-extra-config-key": (_encode_with(colour="blue"), EXIT_IO),
+    "checkpoint-batch-zero": (_encode_with(batch_size=0), EXIT_IO),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(name, ckpt, tmp_path, capsys):
+    make_argv, code = BAD_INPUTS[name]
+    rc = main(make_argv(ckpt, tmp_path))
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out.ckpt").exists()

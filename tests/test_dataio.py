@@ -1,4 +1,4 @@
-"""Tests for CSV/.smi ingestion, the bundled corpus, and checkpoint files."""
+"""Tests for CSV ingestion, the bundled corpus, and checkpoint files."""
 
 import json
 
@@ -14,7 +14,6 @@ from molvae.dataio import (
     load_bundled_corpus,
     load_checkpoint,
     load_csv,
-    load_smi,
     save_checkpoint,
 )
 from molvae.numkernel import ParamStore
@@ -71,15 +70,6 @@ def test_load_csv_empty_after_filtering(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv")
-
-
-def test_load_smi(tmp_path):
-    p = tmp_path / "d.smi"
-    p.write_text("CCO ethanol\nC methane\nbogus(( junk\n\n")
-    ds = load_smi(p)
-    assert [r.smiles for r in ds.records] == ["CCO", "C"]
-    assert ds.skipped == {"parse_error": 1}
-    assert ds.records[0].properties == {}
 
 
 # -- dataset split -------------------------------------------------------

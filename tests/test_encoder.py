@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from molvae import encoder, numkernel as nk
-from molvae.chem import adjacency_tensor, node_features, permute
+from molvae.chem import adjacency_tensor, node_features
 from molvae.corpus import random_molecule
 from molvae.encoder import (
     ENCODER_PARAM_SHAPES,
@@ -18,12 +18,14 @@ from molvae.encoder import (
     pool,
 )
 from molvae.smiles import parse_smiles
-from molvae.vaemodel import init_model_params
+from molvae.vaemodel import MolTensors, init_model_params
+
+from helpers import permute
 
 
 def encode_mol(mol, store):
-    a = adjacency_tensor(mol)
-    return encode(node_features(mol), a, store)
+    mt = MolTensors.from_mol(mol)
+    return encode(mt.features, mt.mean_mats, store)
 
 
 # -- parameter inventory -------------------------------------------------
@@ -87,7 +89,7 @@ def test_encode_output_shapes():
 def test_encode_rejects_bad_feature_width():
     store = init_model_params(seed=0)
     with pytest.raises(nk.ShapeMismatch):
-        encode(np.zeros((3, 7)), np.zeros((3, 3, 4)), store)
+        encode(np.zeros((3, 7)), [], store)
 
 
 def test_heads_share_the_first_two_layers():
@@ -124,13 +126,19 @@ def test_encoder_is_permutation_equivariant(seed):
 
 
 def test_encode_accepts_precomputed_mean_mats():
+    # Leaving out a relation with no bonds, as neighbor_mean_mats does, gives
+    # the same encoding as passing its all-zero mean matrix.
     store = init_model_params(seed=0)
-    mol = parse_smiles("CCO")
+    mol = parse_smiles("CC=O")
     a = adjacency_tensor(mol)
     h = node_features(mol)
-    mu1, _ = encode(h, a, store)
-    mu2, _ = encode(h, a, store, neighbor_mean_mats(a))
-    assert np.array_equal(mu1.data, mu2.data)
+    skipped = neighbor_mean_mats(a)
+    assert [r for r, _ in skipped] == [0, 1]
+    full = skipped + [(r, np.zeros((3, 3))) for r in (2, 3)]
+    mu1, ls1 = encode(h, skipped, store)
+    mu2, ls2 = encode(h, full, store)
+    assert np.allclose(mu1.data, mu2.data, rtol=0, atol=1e-15)
+    assert np.allclose(ls1.data, ls2.data, rtol=0, atol=1e-15)
 
 
 # -- pooling -------------------------------------------------------------

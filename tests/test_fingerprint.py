@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from molvae.chem import BondType, permute
+from molvae.chem import BondType
 from molvae.corpus import random_molecule
 from molvae.fingerprint import (
     Fingerprint,
     FpConfig,
     LengthMismatch,
     ZeroVector,
-    canonical_path_key,
     canonical_subgraph_key,
     cosine,
     dice,
@@ -29,6 +28,8 @@ from molvae.fingerprint import (
 )
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import init_model_params
+
+from helpers import permute
 
 
 def fp_of(bits, nbits=2048):
@@ -156,30 +157,6 @@ def test_subgraph_key_aromatic_and_bond_symbols():
     mol = parse_smiles("c1ccccc1C#N")
     keys = {canonical_subgraph_key(mol, sg) for sg in enumerate_subgraphs(mol, 1, 1)}
     assert keys == {"c1:c1", "C1-c1", "C1#N1"}
-
-
-# -- canonical keys ------------------------------------------------------
-
-
-def test_canonical_key_direction_independent():
-    mol = parse_smiles("NC=O")
-    (path,) = enumerate_paths(mol, 2, 2)
-    key = canonical_path_key(mol, path)
-    rev = canonical_path_key(mol, tuple(reversed(path)))
-    assert key == rev
-    assert key == min("N-C=O", "O=C-N")
-
-
-def test_canonical_key_marks_aromatic_atoms_lowercase():
-    mol = parse_smiles("c1ccccc1")
-    keys = {canonical_path_key(mol, p) for p in enumerate_paths(mol, 1, 1)}
-    assert keys == {"c:c"}
-
-
-def test_canonical_key_bond_symbols():
-    mol = parse_smiles("C#N")
-    (path,) = enumerate_paths(mol, 1, 1)
-    assert canonical_path_key(mol, path) == "C#N"
 
 
 # -- hashing -------------------------------------------------------------

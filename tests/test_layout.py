@@ -1,0 +1,73 @@
+"""Layout rules for the package sources, checked on their syntax trees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "molvae"
+MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def internal_imports(tree: ast.Module) -> set[str]:
+    """Names of the molvae modules that a module imports, at any depth."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "molvae":
+                continue
+            parts = (node.module or "").split(".")
+            mod = parts[1] if node.level == 0 and len(parts) > 1 else parts[0]
+            if mod:
+                out.add(mod)
+            else:  # `from . import a, b` names modules
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "molvae" and len(parts) > 1:
+                    out.add(parts[1])
+    return out & set(MODULES)
+
+
+def test_sources_found():
+    assert {"cli", "encoder", "vaemodel", "fingerprint"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_import_inside_a_function(name):
+    local = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(MODULES[name])
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local == []
+
+
+def test_internal_import_graph_is_acyclic():
+    graph = {name: internal_imports(tree) - {name} for name, tree in MODULES.items()}
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> None:
+        if name in path:
+            cycle = path[path.index(name):] + [name]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        for dep in sorted(graph[name]):
+            visit(dep, path + [name])
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, [])
+
+
+def test_cli_does_not_import_encoder():
+    assert "encoder" not in internal_imports(MODULES["cli"])
+
+
+def test_inference_runs_only_through_vaemodel():
+    assert "fingerprint" not in internal_imports(MODULES["train"])
+    assert "fingerprint" not in internal_imports(MODULES["vaemodel"])

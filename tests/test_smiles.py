@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from molvae.chem import Atom, BondType, build, check_valence, is_isomorphic, permute
+from molvae.chem import Atom, BondType, build, check_valence, is_isomorphic
 from molvae.smiles import (
     Disconnected,
     DisconnectedInput,
@@ -16,6 +16,8 @@ from molvae.smiles import (
     parse_smiles_ex,
     write_smiles,
 )
+
+from helpers import permute
 
 
 # -- basic parsing -------------------------------------------------------

@@ -20,9 +20,12 @@ from molvae.vaemodel import (
     joint_loss,
     kl_term,
     pair_mask,
+    pooled_vector,
+    predict,
     recon_bce,
     recon_bce_logits,
     reconstruct,
+    reconstruct_from_probs,
     sample_latent,
     side_predict,
 )
@@ -278,6 +281,39 @@ def test_reconstruct_threshold_extremes():
     # each), which refits but stays valid only if 3+h in {4}.
     out2, _ = reconstruct(mol, store, threshold=-0.1)
     assert len(out2.bonds) == 6
+
+
+def test_reconstruct_from_probs_thresholds_the_given_matrix():
+    # A 4-ring from a chain: the decoded 0-3 pair is new and becomes Single,
+    # the input's double bond keeps its type, and the 0-2 pair at exactly
+    # the threshold stays unbonded.
+    mol = parse_smiles("C=CCC")
+    probs = np.full((4, 4), 0.1)
+    for i, j, p in ((0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.7), (0, 3, 0.6), (0, 2, 0.5)):
+        probs[i, j] = probs[j, i] = p
+    out, report = reconstruct_from_probs(mol, probs, threshold=0.5)
+    assert out.bonds == (
+        (0, 1, BondType.DOUBLE),
+        (0, 3, BondType.SINGLE),
+        (1, 2, BondType.SINGLE),
+        (2, 3, BondType.SINGLE),
+    )
+    assert [a.implicit_h for a in out.atoms] == [1, 1, 2, 2]
+    assert report.valid
+
+
+def test_reconstruct_is_reconstruct_from_decoded_probs():
+    mol = parse_smiles("CC(=O)Oc1ccccc1C(=O)O")
+    store = init_model_params(seed=1)
+    probs = vaemodel.decode_probs(mol, store)
+    assert reconstruct(mol, store, 0.4) == reconstruct_from_probs(mol, probs, 0.4)
+
+
+def test_predict_is_the_side_predictor_on_the_pooled_vector():
+    mol = parse_smiles("CCO")
+    store = init_model_params(seed=0)
+    expected = side_predict(constant(pooled_vector(mol, store)), store).item()
+    assert predict(mol, store) == expected
 
 
 def test_reconstruct_marks_unfixable_atoms_offending():
