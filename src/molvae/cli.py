@@ -103,6 +103,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise _BadFlag(f"--threshold must be a number in [0, 1], got {args.threshold}")
     params, _ = dataio.load_checkpoint(args.ckpt)
     mol = parse_smiles(args.smiles)
     probs = vaemodel.decode_probs(mol, params)
@@ -196,7 +198,7 @@ def cmd_gradcheck(args) -> int:
         total, _ = vaemodel.joint_loss(mol, label, store, noise)
         return total
 
-    err = grad_check(f, params, eps=1e-5, seed=args.seed)
+    err = grad_check(f, params, eps=1e-5)
     _emit(args, {"max_rel_error": err, "atoms": mol.n_atoms}, f"{err:.3e}")
     return 0 if err < 1e-5 else EXIT_NUMERIC
 

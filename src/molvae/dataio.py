@@ -12,11 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from .chem import MolGraph
+from .encoder import ENCODER_PARAM_SHAPES, POOL_PARAM_SHAPES
 from .numkernel import ParamStore
 from .smiles import SmilesError, parse_smiles
 from .train import TrainConfig
+from .vaemodel import SIDE_PARAM_SHAPES
 
 CHECKPOINT_VERSION = 1
+PARAM_SHAPES = {**ENCODER_PARAM_SHAPES, **POOL_PARAM_SHAPES, **SIDE_PARAM_SHAPES}
 
 
 class DataError(ValueError):
@@ -141,8 +144,11 @@ def _encode_tensor(arr: np.ndarray) -> dict:
 
 
 def _decode_tensor(name: str, obj: dict) -> np.ndarray:
-    shape = tuple(int(s) for s in obj["shape"])
-    raw = base64.b64decode(obj["data"])
+    try:
+        shape = tuple(int(s) for s in obj["shape"])
+        raw = base64.b64decode(obj["data"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptTensor(f"tensor {name!r}: unreadable ({exc!r})") from exc
     expected = int(np.prod(shape)) * 8 if shape else 8
     if len(raw) != expected:
         raise CorruptTensor(
@@ -168,6 +174,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: top level is not a JSON object")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(
@@ -177,7 +185,21 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
         config = TrainConfig(**doc.get("config"))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad training config ({exc})") from exc
+    tensors = doc.get("tensors")
+    if not isinstance(tensors, dict):
+        raise CheckpointError(f"{path}: no 'tensors' object")
+    arrays = {name: _decode_tensor(name, obj) for name, obj in tensors.items()}
+    missing = sorted(PARAM_SHAPES.keys() - arrays.keys())
+    extra = sorted(arrays.keys() - PARAM_SHAPES.keys())
+    if missing or extra:
+        raise CheckpointError(f"{path}: tensors missing {missing}, unexpected {extra}")
     params = ParamStore()
-    for name, obj in doc["tensors"].items():
-        params.add(name, _decode_tensor(name, obj))
+    for name, arr in arrays.items():
+        if arr.shape != PARAM_SHAPES[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {arr.shape}, expected {PARAM_SHAPES[name]}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+        params.add(name, arr)
     return params, config

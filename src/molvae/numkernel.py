@@ -27,12 +27,13 @@ class Tensor:
     """A node in the computation tape.
 
     Holds a float64 ndarray; operations record their inputs and a local
-    gradient rule so `backward` can accumulate exact reverse-mode gradients.
+    gradient rule, which `backward` runs to accumulate exact reverse-mode
+    gradients. A tensor holds no gradient itself.
     Creating a tensor with a NaN or infinite entry raises NonFiniteValue,
     naming the op that produced it.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_grad_fn", "name")
+    __slots__ = ("data", "_parents", "_grad_fn", "name")
 
     def __init__(
         self,
@@ -45,7 +46,6 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue(f"non-finite value produced by {name or 'tensor creation'}")
         self.data = arr
-        self.grad: np.ndarray | None = None
         self._parents = parents
         self._grad_fn = grad_fn
         self.name = name
@@ -59,38 +59,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, name={self.name!r})"
-
-    # -- autodiff --------------------------------------------------------
-
-    def backward(self) -> None:
-        """Accumulate gradients of this scalar into every tape ancestor."""
-        if self.data.size != 1:
-            raise NotScalar(f"backward requires a scalar, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        for node in topo:
-            node.grad = np.zeros_like(node.data)
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._grad_fn is None:
-                continue
-            grads = node._grad_fn(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is not None:
-                    parent.grad = parent.grad + g
 
 
 def constant(data, name: str | None = None) -> Tensor:
@@ -261,14 +229,41 @@ class ParamStore:
 
 
 def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
-    """Run reverse mode from `loss`; parameters off the tape get zero gradients."""
-    for _, p in params.items():
-        p.grad = None
-    loss.backward()
-    out = {}
-    for name, p in params.items():
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return out
+    """Gradients of the scalar `loss` by parameter name.
+
+    One reverse sweep over the tape in topological order. Gradients live in a
+    dict local to the call; an entry is dropped once its node's rule has run,
+    so the tape is left unchanged. Parameters off the tape get zeros.
+    """
+    if loss.data.size != 1:
+        raise NotScalar(f"backward requires a scalar, got shape {loss.shape}")
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        if node._grad_fn is None or id(node) not in grads:
+            continue
+        for parent, g in zip(node._parents, node._grad_fn(grads.pop(id(node)))):
+            if g is not None:
+                key = id(parent)
+                grads[key] = grads[key] + g if key in grads else g
+    return {
+        name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
+        for name, p in params.items()
+    }
 
 
 def grad_check(
@@ -276,7 +271,6 @@ def grad_check(
     params: ParamStore,
     eps: float = 1e-5,
     max_coords: int = 200,
-    seed: int = 0,
 ) -> float:
     """Normwise relative error of reverse-mode gradients vs central differences.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .chem import (
@@ -344,11 +345,13 @@ def write_smiles(mol: MolGraph) -> str:
 
     visited = [False] * n
     tree_children: list[list[tuple[int, BondType]]] = [[] for _ in range(n)]
+    # Per atom, its ring bonds in discovery order: (partner, type, closes here).
+    # The DFS finds a ring bond at its later atom in output order, which
+    # closes it and carries the bond character.
     ring_at: list[list[tuple[int, BondType, bool]]] = [[] for _ in range(n)]
     ring_seen: set[tuple[int, int]] = set()
-    next_ring = 1
 
-    # Iterative DFS building the spanning tree and numbering ring-closure edges.
+    # Iterative DFS building the spanning tree and finding ring-closure edges.
     visited[0] = True
     stack = [(0, iter(adj[0]))]
     while stack:
@@ -365,10 +368,8 @@ def write_smiles(mol: MolGraph) -> str:
                 break
             if key not in ring_seen:
                 ring_seen.add(key)
-                num = next_ring
-                next_ring += 1
-                ring_at[u].append((num, t, True))  # opened here (emit bond char here)
-                ring_at[v].append((num, t, False))
+                ring_at[u].append((v, t, True))
+                ring_at[v].append((u, t, False))
         if not advanced:
             stack.pop()
 
@@ -381,19 +382,35 @@ def write_smiles(mol: MolGraph) -> str:
         return str(num) if num <= 9 else f"%{num:02d}"
 
     out: list[str] = []
+    # Labels are assigned as they are written: a new ring bond takes the
+    # lowest free label, and a closed label is free again after its atom.
+    open_labels: dict[tuple[int, int], int] = {}  # (opening, closing atom) -> label
+    free_labels: list[int] = []  # a min-heap of released labels below next_label
+    next_label = 1
 
     def emit(u: int, parent: int, bond_from_parent: BondType | None) -> None:
+        nonlocal next_label
         if bond_from_parent is not None:
             out.append(_bond_token(bond_from_parent, parent, u, aromatic))
         out.append(_atom_token(mol, u, aromatic))
-        for num, t, opened_here in ring_at[u]:
-            if opened_here:
-                # Find the partner atom for default-bond comparison.
-                partner = next(
-                    v for v in range(n) if any(m == num for m, _, _ in ring_at[v]) and v != u
-                )
+        closed = []
+        for partner, t, closes_here in ring_at[u]:
+            if closes_here:
+                num = open_labels.pop((partner, u))
+                closed.append(num)
                 out.append(_bond_token(t, u, partner, aromatic))
+            else:
+                if free_labels:
+                    num = heapq.heappop(free_labels)
+                else:
+                    num = next_label
+                    next_label += 1
+                if num > 99:
+                    raise SmilesError("needs more than 99 ring-closure labels at once")
+                open_labels[(u, partner)] = num
             out.append(ring_digit(num))
+        for num in closed:
+            heapq.heappush(free_labels, num)
         kids = tree_children[u]
         for idx, (v, t) in enumerate(kids):
             last = idx == len(kids) - 1

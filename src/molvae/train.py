@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import vaemodel
+from . import numkernel as nk, vaemodel
 from .encoder import LATENT_DIM
-from .numkernel import NonFiniteValue, ParamStore, ShapeMismatch, backward
+from .numkernel import ParamStore, ShapeMismatch, backward
 from .vaemodel import LossBreakdown, MolTensors, init_model_params, joint_loss, pooled_vector
 
 
@@ -78,8 +78,10 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     """Train on every record's molecule and side-property value.
 
     Deterministic given the config seed: shuffling, initialization, and
-    per-molecule noise all come from one seeded generator; batch gradients
-    are averaged in fixed iteration order.
+    per-molecule noise all come from one seeded generator. Each minibatch's
+    per-molecule losses are summed on one tape in batch order, one
+    `backward` sweep gives the summed gradients, and they are scaled by
+    1/batch size before the Adam step.
     """
     records = list(dataset.records)
     if not records:
@@ -102,9 +104,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
         sums = np.zeros(4)
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            batch_grads: dict[str, np.ndarray] = {
-                name: np.zeros_like(p.data) for name, p in params.items()
-            }
+            batch_loss = None
             for idx in batch:
                 rec = records[idx]
                 noise = rng.standard_normal((rec.mol.n_atoms, LATENT_DIM))
@@ -117,16 +117,11 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
                     lam=config.lam,
                     cache=caches[idx],
                 )
-                if not np.isfinite(bd.total):
-                    raise NonFiniteValue(f"non-finite loss on molecule {rec.smiles}")
-                grads = backward(total, params)
-                for name in batch_grads:
-                    batch_grads[name] += grads[name]
+                batch_loss = total if batch_loss is None else nk.add(batch_loss, total)
                 sums += (bd.recon, bd.kl, bd.side_mse, bd.total)
             scale = 1.0 / len(batch)
-            for name in batch_grads:
-                batch_grads[name] *= scale
-            adam_step(params, batch_grads, state, config.learning_rate)
+            grads = {name: g * scale for name, g in backward(batch_loss, params).items()}
+            adam_step(params, grads, state, config.learning_rate)
         means = sums / len(records)
         history.append(LossBreakdown(*means))
 

@@ -1,7 +1,9 @@
 """Tests for the command-line interface: commands, JSON output, exit codes."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from molvae import encoder
@@ -208,12 +210,30 @@ def test_gradcheck_passes(capsys):
 # -- bad flag values and bad checkpoints ----------------------------------
 
 
-def _edited_ckpt(ckpt, tmp_path, **config):
-    doc = json.loads(ckpt["ckpt"].read_text())
-    doc["config"].update(config)
-    path = tmp_path / "edited.ckpt"
-    path.write_text(json.dumps(doc))
-    return str(path)
+def _encode_edited(edit):
+    """`encode` with a copy of the shared checkpoint whose document `edit` returns."""
+
+    def make_argv(ckpt, tmp_path):
+        doc = edit(json.loads(ckpt["ckpt"].read_text()))
+        path = tmp_path / "edited.ckpt"
+        path.write_text(json.dumps(doc))
+        return ["encode", "--ckpt", str(path), "--smiles", "CCO"]
+
+    return make_argv
+
+
+def _edit_tensors(edit):
+    def apply(doc):
+        edit(doc["tensors"])
+        return doc
+
+    return _encode_edited(apply)
+
+
+def _with_nan(tensor):
+    arr = np.frombuffer(base64.b64decode(tensor["data"]), dtype="<f8").copy()
+    arr[0] = np.nan
+    return {**tensor, "data": base64.b64encode(arr.tobytes()).decode("ascii")}
 
 
 def _fingerprint(*flags):
@@ -232,8 +252,12 @@ def _train(*flags):
 
 
 def _encode_with(**config):
+    return _encode_edited(lambda doc: {**doc, "config": {**doc["config"], **config}})
+
+
+def _reconstruct(*flags, ckpt_path=None):
     return lambda ckpt, tmp_path: [
-        "encode", "--ckpt", _edited_ckpt(ckpt, tmp_path, **config), "--smiles", "CCO"
+        "reconstruct", "--ckpt", ckpt_path or str(ckpt["ckpt"]), "--smiles", "CCO", *flags
     ]
 
 
@@ -246,6 +270,29 @@ BAD_INPUTS = {
     "batch-zero": (_train("--batch", "0"), EXIT_USAGE),
     "checkpoint-extra-config-key": (_encode_with(colour="blue"), EXIT_IO),
     "checkpoint-batch-zero": (_encode_with(batch_size=0), EXIT_IO),
+    "checkpoint-top-level-list": (_encode_edited(lambda doc: [1, 2]), EXIT_IO),
+    "checkpoint-no-tensors": (
+        _encode_edited(lambda doc: {k: v for k, v in doc.items() if k != "tensors"}),
+        EXIT_IO,
+    ),
+    "checkpoint-tensors-not-object": (_encode_edited(lambda doc: {**doc, "tensors": []}), EXIT_IO),
+    "checkpoint-missing-tensor": (_edit_tensors(lambda ts: ts.pop("pool.wp")), EXIT_IO),
+    "checkpoint-extra-tensor": (_edit_tensors(lambda ts: ts.update(extra=ts["side.b2"])), EXIT_IO),
+    "checkpoint-tensor-not-object": (_edit_tensors(lambda ts: ts.update({"pool.wp": [1]})), EXIT_IO),
+    "checkpoint-wrong-shape": (
+        _edit_tensors(lambda ts: ts["pool.wp"].update(shape=[64, 16])),
+        EXIT_IO,
+    ),
+    "checkpoint-non-finite": (
+        _edit_tensors(lambda ts: ts.update({"side.m1": _with_nan(ts["side.m1"])})),
+        EXIT_IO,
+    ),
+    "threshold-nan": (_reconstruct("--threshold", "nan"), EXIT_USAGE),
+    "threshold-above-one": (_reconstruct("--threshold", "1.5"), EXIT_USAGE),
+    "threshold-checked-before-checkpoint": (
+        _reconstruct("--threshold", "nan", ckpt_path="/nonexistent.ckpt"),
+        EXIT_USAGE,
+    ),
 }
 
 

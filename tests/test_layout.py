@@ -71,3 +71,15 @@ def test_cli_does_not_import_encoder():
 def test_inference_runs_only_through_vaemodel():
     assert "fingerprint" not in internal_imports(MODULES["train"])
     assert "fingerprint" not in internal_imports(MODULES["vaemodel"])
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_gradients_live_only_inside_backward(name):
+    """No tensor carries a gradient, and only numkernel walks the tape."""
+    tape_attrs = {"grad"} | (set() if name == "numkernel" else {"_parents", "_grad_fn"})
+    found = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(MODULES[name])
+        if isinstance(node, ast.Attribute) and node.attr in tape_attrs
+    ]
+    assert found == []

@@ -216,6 +216,37 @@ def test_writer_single_bond_between_aromatic_atoms_kept_explicit():
     assert n_arom == 12
 
 
+def complete_graph(n):
+    atoms = [Atom("C", 0, 0) for _ in range(n)]
+    return build(atoms, [(i, j, BondType.SINGLE) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_writer_reuses_ring_labels():
+    # 105 ring closures: without reuse the writer would need labels past %99.
+    mol = complete_graph(16)
+    assert is_isomorphic(parse_smiles(write_smiles(mol)), mol)
+    # A closed label is taken again by the next ring bond.
+    assert write_smiles(parse_smiles("C1CC1CC1CC1")) == "C1CC1CC1CC1"
+
+
+def test_writer_rejects_more_than_99_open_ring_labels():
+    with pytest.raises(SmilesError, match="99"):
+        write_smiles(complete_graph(22))
+
+
+@pytest.mark.parametrize(
+    "smi, written",
+    [
+        ("c1ccccc1", "c1ccccc1"),
+        ("OC(=O)c1ccccc1OC(C)=O", "OC(=O)c1ccccc1OC(C)=O"),
+        ("C1CC(N)CC1Cl", "C1CC(N)CC1Cl"),
+        ("CC(C)(C)C1=CC(=O)N1", "CC(C)(C)C1=CC(=O)N1"),
+    ],
+)
+def test_writer_output_with_one_ring_closure_is_fixed(smi, written):
+    assert write_smiles(parse_smiles(smi)) == written
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_round_trip_random_molecules(seed, n_atoms):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from molvae import dataio
-from molvae.numkernel import ParamStore
+from molvae import dataio, numkernel as nk
+from molvae.encoder import LATENT_DIM
+from molvae.numkernel import NonFiniteValue, ParamStore, backward
 from molvae.smiles import parse_smiles
 from molvae.train import (
     AdamState,
@@ -18,6 +19,7 @@ from molvae.train import (
     train,
     _midranks,
 )
+from molvae.vaemodel import init_model_params, joint_loss
 
 
 def tiny_dataset(smis=("C", "CC", "CCO", "CCC", "CC(C)O", "C=C")):
@@ -130,6 +132,36 @@ def test_train_seed_changes_outcome():
     p1, _ = train(ds, "heavy_atoms", TrainConfig(epochs=2, seed=0))
     p2, _ = train(ds, "heavy_atoms", TrainConfig(epochs=2, seed=1))
     assert any(not np.array_equal(t.data, p2[name].data) for name, t in p1.items())
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 16])
+def test_one_sweep_over_a_minibatch_equals_the_mean_of_per_molecule_gradients(batch_size):
+    corpus = dataio.load_bundled_corpus()
+    rng = np.random.default_rng(batch_size)
+    picks = rng.choice(len(corpus), size=batch_size, replace=False)
+    params = init_model_params(seed=0)
+    losses = []
+    for k in picks:
+        rec = corpus.records[int(k)]
+        noise = rng.standard_normal((rec.mol.n_atoms, LATENT_DIM))
+        total, _ = joint_loss(rec.mol, rec.properties["heavy_atoms"], params, noise, beta=0.001)
+        losses.append(total)
+    batch_loss = losses[0]
+    for loss in losses[1:]:
+        batch_loss = nk.add(batch_loss, loss)
+    swept = backward(batch_loss, params)
+    per_molecule = [backward(loss, params) for loss in losses]
+    for name in params.names():
+        mean = sum(g[name] for g in per_molecule) / batch_size
+        assert np.max(np.abs(swept[name] * (1.0 / batch_size) - mean)) <= 1e-12, name
+
+
+def test_train_overflowing_label_names_the_op():
+    ds = tiny_dataset()
+    ds.records[2].properties["heavy_atoms"] = 1e200
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValue, match="square"):
+            train(ds, "heavy_atoms", TrainConfig(epochs=1, seed=0))
 
 
 # -- evaluation ----------------------------------------------------------
