@@ -190,13 +190,14 @@ def node_features(mol: MolGraph) -> np.ndarray:
     implicit H 0..4 (5) | heavy-atom degree 0..4 clamped (5) | zero pad to 32.
     """
     n = mol.n_atoms
+    degree = np.bincount(np.array([b[:2] for b in mol.bonds], dtype=np.int64).reshape(-1), minlength=n)
     h = np.zeros((n, FEATURE_DIM))
     for i, atom in enumerate(mol.atoms):
         h[i, ELEMENT_INDEX[atom.element]] = 1.0
         charge = max(-1, min(1, atom.formal_charge))
         h[i, 10 + charge + 1] = 1.0
         h[i, 13 + min(atom.implicit_h, 4)] = 1.0
-        h[i, 18 + min(mol.degree(i), 4)] = 1.0
+        h[i, 18 + min(degree[i], 4)] = 1.0
     return h
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -83,7 +84,8 @@ class Dataset:
 
 
 def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
-    """Read a `smiles,<prop>...` CSV, skipping unparseable or oversize rows."""
+    """Read a `smiles,<prop>...` CSV, skipping rows that do not parse, are
+    oversize, or have a property value that is missing or not finite."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -114,6 +116,8 @@ def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
                 props = {
                     name: float(row[k + 1]) for k, name in enumerate(prop_names)
                 }
+                if not all(map(math.isfinite, props.values())):
+                    raise ValueError("non-finite property value")
             except (IndexError, ValueError):
                 skipped["bad_property"] = skipped.get("bad_property", 0) + 1
                 continue
@@ -149,6 +153,8 @@ def _decode_tensor(name: str, obj: dict) -> np.ndarray:
         raw = base64.b64decode(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptTensor(f"tensor {name!r}: unreadable ({exc!r})") from exc
+    if any(s < 0 for s in shape):
+        raise CorruptTensor(f"tensor {name!r}: negative dimension in shape {shape}")
     expected = int(np.prod(shape)) * 8 if shape else 8
     if len(raw) != expected:
         raise CorruptTensor(
@@ -185,6 +191,9 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
         config = TrainConfig(**doc.get("config"))
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad training config ({exc})") from exc
+    missing = sorted(asdict(config).keys() - doc["config"].keys())
+    if missing:
+        raise CheckpointError(f"{path}: training config lacks {missing}")
     tensors = doc.get("tensors")
     if not isinstance(tensors, dict):
         raise CheckpointError(f"{path}: no 'tensors' object")

@@ -30,6 +30,8 @@ for _head in ("mu", "sigma"):
 
 POOL_PARAM_SHAPES = {"pool.wp": (LATENT_DIM, POOL_DIM)}
 
+Relations = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # see `encode`
+
 
 def init_encoder_params(store: ParamStore, rng: np.random.Generator) -> None:
     for name, (fi, fo) in ENCODER_PARAM_SHAPES.items():
@@ -41,64 +43,53 @@ def init_pool_params(store: ParamStore, rng: np.random.Generator) -> None:
         store.add(name, glorot_uniform(rng, fi, fo))
 
 
-def neighbor_mean_mats(adjacency: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Per relation, the N x N mean-aggregation matrix; empty relations omitted.
-
-    Row i of the matrix for relation r averages over N_r(i); rows with no
-    neighbors of that type are zero.
-    """
-    out = []
-    for r in range(adjacency.shape[2]):
-        a = adjacency[:, :, r]
-        counts = a.sum(axis=1, keepdims=True)
-        if counts.sum() == 0:
-            continue
-        m = np.divide(a, counts, out=np.zeros_like(a), where=counts > 0)
-        out.append((r, m))
-    return out
-
-
 def rgcn_layer(
     h: Tensor,
-    mean_mats: list[tuple[int, np.ndarray]],
+    relations: Relations,
     store: ParamStore,
     prefix: str,
     activate: bool,
 ) -> Tensor:
     """One relational update: mean-aggregated neighbor terms plus a self term."""
     out = nk.matmul(h, store[f"{prefix}.self"])
-    for r, m in mean_mats:
-        agg = nk.matmul(nk.constant(m), h)
-        out = nk.add(out, nk.matmul(agg, store[f"{prefix}.rel{r}"]))
+    for r, (dst, src, w) in enumerate(relations):
+        if dst.size:
+            agg = nk.seg_agg(h, dst, src, w)
+            out = nk.add(out, nk.matmul(agg, store[f"{prefix}.rel{r}"]))
     return nk.elu(out) if activate else out
 
 
 def encode(
     features: np.ndarray,
-    mean_mats: list[tuple[int, np.ndarray]],
+    relations: Relations,
     store: ParamStore,
 ) -> tuple[Tensor, Tensor]:
     """Run the three-layer encoder; returns per-node mean and log-std.
 
-    `mean_mats` comes from `neighbor_mean_mats`. Layers 1 and 2 are shared
-    between the two heads and ELU-activated; each head applies its own
-    linear third layer.
+    `relations[r]` lists bond type r's directed edges as arrays (dst, src, w)
+    with w = 1/deg_r(dst), so that each node averages over its r-neighbors;
+    a relation with no edges, or missing from the end, adds nothing. Layers 1
+    and 2 are shared between the two heads and ELU-activated; each head
+    applies its own linear third layer.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.ShapeMismatch(f"feature width {features.shape[1]} != {FEATURE_DIM}")
     h = nk.constant(features, "H")
-    h = rgcn_layer(h, mean_mats, store, "enc.l1", activate=True)
-    h = rgcn_layer(h, mean_mats, store, "enc.l2", activate=True)
-    mu = rgcn_layer(h, mean_mats, store, "enc.mu", activate=False)
-    log_std = rgcn_layer(h, mean_mats, store, "enc.sigma", activate=False)
+    h = rgcn_layer(h, relations, store, "enc.l1", activate=True)
+    h = rgcn_layer(h, relations, store, "enc.l2", activate=True)
+    mu = rgcn_layer(h, relations, store, "enc.mu", activate=False)
+    log_std = rgcn_layer(h, relations, store, "enc.sigma", activate=False)
     return mu, log_std
 
 
-def pool(node_vectors: Tensor, store: ParamStore) -> Tensor:
+def pool(node_vectors: Tensor, store: ParamStore, mol_index: np.ndarray | None = None) -> Tensor:
     """Order-invariant molecule vector: sum of per-node softmax rows.
 
     Each node contributes a probability vector over 64 slots, so the entries
-    of the result sum to the atom count.
+    of the result sum to the atom count. Given `mol_index`, the molecule of
+    each node in a disjoint union, the result has one such row per molecule.
     """
-    scores = nk.matmul(node_vectors, store["pool.wp"])
-    return nk.reduce_sum(nk.row_softmax(scores), axis=0)
+    soft = nk.row_softmax(nk.matmul(node_vectors, store["pool.wp"]))
+    if mol_index is None:
+        return nk.reduce_sum(soft, axis=0)
+    return nk.seg_sum(soft, mol_index, int(mol_index[-1]) + 1)

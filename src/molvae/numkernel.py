@@ -43,7 +43,7 @@ class Tensor:
         name: str | None = None,
     ):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue(f"non-finite value produced by {name or 'tensor creation'}")
         self.data = arr
         self._parents = parents
@@ -194,6 +194,43 @@ def row_softmax(a: Tensor) -> Tensor:
         return (out_data * (g - dot),)
 
     return Tensor(out_data, (a,), grad_fn, "row_softmax")
+
+
+# -- index operations over a disjoint union of graphs --------------------
+
+
+def _scatter_rows(vals: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """out[rows[k]] += vals[k] for every k, as an (n, width) array."""
+    width = vals.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=vals.ravel(), minlength=n * width).reshape(n, width)
+
+
+def seg_agg(h: Tensor, dst: np.ndarray, src: np.ndarray, w: np.ndarray) -> Tensor:
+    """Weighted sum over an edge list: out[dst[k]] += w[k] * h[src[k]]."""
+    _require_2d(h, "seg_agg")
+    n = h.shape[0]
+    wcol = w[:, None]
+    out_data = _scatter_rows(wcol * h.data[src], dst, n)
+    return Tensor(out_data, (h,), lambda g: (_scatter_rows(wcol * g[dst], src, n),), "seg_agg")
+
+
+def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
+    """Row sums per segment: row s of the result sums the rows i with seg[i] == s."""
+    _require_2d(a, "seg_sum")
+    return Tensor(_scatter_rows(a.data, seg, n_seg), (a,), lambda g: (g[seg],), "seg_sum")
+
+
+def pair_dot(z: Tensor, i: np.ndarray, j: np.ndarray) -> Tensor:
+    """Inner products z[i[k]] . z[j[k]], one per listed row pair."""
+    _require_2d(z, "pair_dot")
+    n = z.shape[0]
+
+    def grad_fn(g):
+        gc = g[:, None]
+        return (_scatter_rows(gc * z.data[j], i, n) + _scatter_rows(gc * z.data[i], j, n),)
+
+    return Tensor(np.einsum("kd,kd->k", z.data[i], z.data[j]), (z,), grad_fn, "pair_dot")
 
 
 # -- parameter store and gradient checking -------------------------------

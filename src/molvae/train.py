@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numkernel as nk, vaemodel
+from . import vaemodel
 from .encoder import LATENT_DIM
 from .numkernel import ParamStore, ShapeMismatch, backward
-from .vaemodel import LossBreakdown, MolTensors, init_model_params, joint_loss, pooled_vector
+from .vaemodel import LossBreakdown, MolTensors, init_model_params, pooled_vector
 
 
 class TrainError(ValueError):
@@ -36,6 +36,9 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, (int, float)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
@@ -78,10 +81,10 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     """Train on every record's molecule and side-property value.
 
     Deterministic given the config seed: shuffling, initialization, and
-    per-molecule noise all come from one seeded generator. Each minibatch's
-    per-molecule losses are summed on one tape in batch order, one
-    `backward` sweep gives the summed gradients, and they are scaled by
-    1/batch size before the Adam step.
+    per-atom noise all come from one seeded generator. Each minibatch is one
+    disjoint-union graph: one `joint_loss` call builds its summed loss on one
+    tape, one `backward` sweep gives the summed gradients, and they are scaled
+    by 1/batch size before the Adam step.
     """
     records = list(dataset.records)
     if not records:
@@ -91,7 +94,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
             raise MoleculeTooLarge(
                 f"{rec.smiles}: {rec.mol.n_atoms} atoms > max {config.max_atoms}"
             )
-    labels = [float(rec.properties[property_name]) for rec in records]
+    labels = np.array([float(rec.properties[property_name]) for rec in records])
     caches = [MolTensors.from_mol(rec.mol) for rec in records]
 
     params = init_model_params(config.seed)
@@ -104,23 +107,15 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
         sums = np.zeros(4)
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            batch_loss = None
-            for idx in batch:
-                rec = records[idx]
-                noise = rng.standard_normal((rec.mol.n_atoms, LATENT_DIM))
-                total, bd = joint_loss(
-                    rec.mol,
-                    labels[idx],
-                    params,
-                    noise,
-                    beta=config.beta,
-                    lam=config.lam,
-                    cache=caches[idx],
-                )
-                batch_loss = total if batch_loss is None else nk.add(batch_loss, total)
-                sums += (bd.recon, bd.kl, bd.side_mse, bd.total)
+            mt = MolTensors.union([caches[idx] for idx in batch])
+            noise = rng.standard_normal((len(mt.features), LATENT_DIM))
+            total, bd = vaemodel.joint_loss(
+                mt, labels[batch], params, noise, beta=config.beta, lam=config.lam
+            )
+            sums += (bd.recon, bd.kl, bd.side_mse, bd.total)
             scale = 1.0 / len(batch)
-            grads = {name: g * scale for name, g in backward(batch_loss, params).items()}
+            grads = {name: g * scale for name, g in backward(total, params).items()}
+            del total  # frees this batch's tape before the next one is built
             adam_step(params, grads, state, config.learning_rate)
         means = sums / len(records)
         history.append(LossBreakdown(*means))
@@ -146,12 +141,8 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
     labels = []
     for rec in dataset.records:
         mt = MolTensors.from_mol(rec.mol)
-        probs = vaemodel.decode_probs(rec.mol, params, mt)
-        target = mt.adjacency.sum(axis=2) > 0
-        n = rec.mol.n_atoms
-        iu = np.triu_indices(n, k=1)
-        scores.append(probs[iu])
-        labels.append(target[iu])
+        scores.append(vaemodel.decode_probs(rec.mol, params, mt)[mt.pairs])
+        labels.append(mt.pair_target > 0)
     s = np.concatenate(scores)
     y = np.concatenate(labels)
     n_pos = int(y.sum())

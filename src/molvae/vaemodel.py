@@ -3,6 +3,7 @@ inference with a trained model: pooled vector, side prediction, reconstruction."
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,6 @@ def kl_term(mu: Tensor, log_std: Tensor) -> Tensor:
     return nk.scale(nk.add(total, nk.constant(np.array(-float(n)))), 0.5)
 
 
-def pair_mask(n: int) -> np.ndarray:
-    """Strict upper-triangle indicator, the unordered off-diagonal pairs."""
-    return np.triu(np.ones((n, n)), k=1)
-
-
 def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over unordered atom pairs.
 
@@ -87,7 +83,7 @@ def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
     n = adjacency.shape[0]
     if p.shape != (n, n):
         raise nk.ShapeMismatch(f"probability shape {p.shape} vs {n} atoms")
-    mask = pair_mask(n)
+    mask = np.triu(np.ones((n, n)), k=1)
     npairs = mask.sum()
     if npairs == 0:
         return nk.constant(np.array(0.0))
@@ -101,67 +97,121 @@ def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
     return nk.scale(nk.reduce_sum(per_pair), -1.0 / npairs)
 
 
-def recon_bce_logits(logits: Tensor, adjacency: np.ndarray) -> Tensor:
-    """recon_bce computed from decoder logits via softplus; no probability clamp.
-
-    Mathematically identical to recon_bce(logistic(logits), A) but smooth and
-    exact in the saturated regime, which keeps gradient checks sharp.
-    """
-    n = adjacency.shape[0]
-    mask = pair_mask(n)
-    npairs = mask.sum()
-    if npairs == 0:
-        return nk.constant(np.array(0.0))
-    target = (adjacency.sum(axis=2) > 0).astype(float)
-    per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(target), logits))
-    masked = nk.hadamard(nk.constant(mask), per_pair)
-    return nk.scale(nk.reduce_sum(masked), 1.0 / npairs)
-
-
 def side_predict(g: Tensor, store: ParamStore) -> Tensor:
-    """Two-layer MLP (ELU hidden, linear output) from the pooled vector."""
-    row = nk.reshape(g, (1, POOL_DIM)) if g.data.ndim == 1 else g
-    hidden = nk.elu(nk.add(nk.matmul(row, store["side.m1"]), store["side.b1"]))
-    return nk.reshape(nk.add(nk.matmul(hidden, store["side.m2"]), store["side.b2"]), ())
+    """Two-layer MLP (ELU hidden, linear output): a pooled vector gives a
+    scalar, a (B, 64) stack of them gives B outputs."""
+    rows = nk.reshape(g, (1, POOL_DIM)) if g.data.ndim == 1 else g
+    ones = nk.constant(np.ones((rows.shape[0], 1)))
+    hidden = nk.elu(nk.add(nk.matmul(rows, store["side.m1"]), nk.matmul(ones, store["side.b1"])))
+    out = nk.add(nk.matmul(hidden, store["side.m2"]), nk.matmul(ones, store["side.b2"]))
+    return nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],))
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """Strict upper-triangle (row, column) indices, read-only: molecules share them."""
+    pairs = np.triu_indices(n, k=1)
+    for ix in pairs:
+        ix.setflags(write=False)
+    return pairs
 
 
 @dataclass
 class MolTensors:
-    """Cached per-molecule constants for repeated training passes."""
+    """Encoder and loss constants of one molecule, or of a minibatch taken as
+    one disjoint-union graph (`MolTensors.union`).
 
-    adjacency: np.ndarray
+    Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
+    `relations` holds every bond type's directed edges (see `encoder.encode`).
+    `pairs` lists each molecule's own atom pairs i < j, `pair_target` marks
+    the bonded ones, and `pair_weight`, 1/npairs of the pair's molecule, makes
+    the reconstruction term a per-molecule mean.
+    """
+
     features: np.ndarray
-    mean_mats: list
+    relations: encoder.Relations
+    pairs: tuple[np.ndarray, np.ndarray]
+    pair_target: np.ndarray
+    pair_weight: np.ndarray
+    sizes: np.ndarray
 
     @classmethod
     def from_mol(cls, mol: MolGraph) -> "MolTensors":
-        a = chem.adjacency_tensor(mol)
+        n = mol.n_atoms
+        ends = [([], []) for _ in range(chem.N_BOND_TYPES)]
+        for i, j, t in mol.bonds:
+            dst, src = ends[t]
+            dst += (i, j)
+            src += (j, i)
+        relations = []
+        bonded = np.zeros((n, n))
+        for dst, src in ends:
+            dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
+            relations.append((dst, src, 1.0 / np.bincount(dst, minlength=n)[dst]))
+            bonded[dst, src] = 1.0
+        i, j = _upper_pairs(n)
         return cls(
-            adjacency=a,
             features=chem.node_features(mol),
-            mean_mats=encoder.neighbor_mean_mats(a),
+            relations=tuple(relations),
+            pairs=(i, j),
+            pair_target=bonded[i, j],
+            pair_weight=np.full(i.size, 1.0 / max(i.size, 1)),
+            sizes=np.array([n]),
+        )
+
+    @classmethod
+    def union(cls, parts: list["MolTensors"]) -> "MolTensors":
+        """The disjoint union: each part's atom indices shift past the atoms before it."""
+        offsets = np.cumsum([0] + [len(p.features) for p in parts[:-1]])
+
+        def cat(arrays, shift=False):
+            arrays = list(arrays)
+            out = np.concatenate(arrays)
+            if shift:
+                out += np.repeat(offsets, [a.size for a in arrays])
+            return out
+
+        return cls(
+            features=cat(p.features for p in parts),
+            # per relation, the parts' (dst, src, w) arrays regrouped as (dsts, srcs, ws)
+            relations=tuple(
+                (cat(d, shift=True), cat(s, shift=True), cat(w))
+                for d, s, w in (zip(*rel) for rel in zip(*(p.relations for p in parts)))
+            ),
+            pairs=tuple(cat(ix, shift=True) for ix in zip(*(p.pairs for p in parts))),
+            pair_target=cat(p.pair_target for p in parts),
+            pair_weight=cat(p.pair_weight for p in parts),
+            sizes=cat(p.sizes for p in parts),
         )
 
 
 def joint_loss(
-    mol: MolGraph,
-    label: float,
+    mol: MolGraph | MolTensors,
+    label,
     store: ParamStore,
     noise: np.ndarray,
     beta: float = 1.0,
     lam: float = 1.0,
-    cache: MolTensors | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Full forward pass; returns the scalar loss node and its breakdown."""
-    mt = cache if cache is not None else MolTensors.from_mol(mol)
-    mu, log_std = encoder.encode(mt.features, mt.mean_mats, store)
+    """Full forward pass; returns the scalar loss node and its breakdown.
+
+    `mol` is one molecule, or the MolTensors of one molecule or of a union, with
+    one `label` per molecule and one `noise` row per atom. A union's loss and
+    breakdown are the sums over its molecules, built on one tape.
+    """
+    mt = mol if isinstance(mol, MolTensors) else MolTensors.from_mol(mol)
+    labels = np.asarray(label, dtype=np.float64).reshape(-1)
+    if labels.shape != mt.sizes.shape:
+        raise nk.ShapeMismatch(f"{labels.size} labels for {mt.sizes.size} molecules")
+    mu, log_std = encoder.encode(mt.features, mt.relations, store)
     z = sample_latent(mu, log_std, noise)
-    recon = recon_bce_logits(nk.matmul(z, nk.transpose(z)), mt.adjacency)
+    logits = nk.pair_dot(z, *mt.pairs)  # BCE via softplus: no clamp, exact when saturated
+    per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
+    recon = nk.reduce_sum(nk.hadamard(nk.constant(mt.pair_weight), per_pair))
     kl = kl_term(mu, log_std)
-    g = encoder.pool(mu, store)
-    pred = side_predict(g, store)
-    err = nk.sub(pred, nk.constant(np.array(float(label))))
-    side = nk.square(err)
+    g = encoder.pool(mu, store, np.repeat(np.arange(mt.sizes.size), mt.sizes))
+    err = nk.sub(side_predict(g, store), nk.constant(labels))
+    side = nk.reduce_sum(nk.square(err))
     total = nk.add(recon, nk.add(nk.scale(kl, beta), nk.scale(side, lam)))
     breakdown = LossBreakdown(
         recon=recon.item(), kl=kl.item(), side_mse=side.item(), total=total.item()
@@ -174,7 +224,7 @@ def _posterior_mean(
 ) -> Tensor:
     """Mu of the encoder, the deterministic latent code used for inference."""
     mt = cache if cache is not None else MolTensors.from_mol(mol)
-    mu, _ = encoder.encode(mt.features, mt.mean_mats, store)
+    mu, _ = encoder.encode(mt.features, mt.relations, store)
     return mu
 
 

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from molvae import encoder
 from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
@@ -72,6 +73,15 @@ def test_train_missing_data_file():
         ]
     )
     assert rc == EXIT_IO
+
+
+def test_train_skips_a_non_finite_label(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("smiles,heavy_atoms\nCCO,3\nCCN,nan\nCC,2\n")
+    argv = ["train", "--data", str(data), "--property", "heavy_atoms", "--epochs", "1"]
+    rc, payload = run_json(capsys, argv + ["--out", str(tmp_path / "m.ckpt")])
+    assert rc == 0
+    assert payload["skipped"] == {"bad_property": 1}
 
 
 # -- usage errors --------------------------------------------------------
@@ -251,6 +261,15 @@ def _train(*flags):
     ]
 
 
+def _train_on(csv_text):
+    def make_argv(ckpt, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_text(csv_text)
+        return _train()(dict(ckpt, data=data), tmp_path)
+
+    return make_argv
+
+
 def _encode_with(**config):
     return _encode_edited(lambda doc: {**doc, "config": {**doc["config"], **config}})
 
@@ -268,7 +287,17 @@ BAD_INPUTS = {
     "min-path-zero": (_fingerprint("--min-path", "0"), EXIT_USAGE),
     "bits-per-hash-zero": (_fingerprint("--bits-per-hash", "0"), EXIT_USAGE),
     "batch-zero": (_train("--batch", "0"), EXIT_USAGE),
+    "csv-only-non-finite-labels": (_train_on("smiles,heavy_atoms\nCC,nan\nCCO,inf\nC,-inf\n"), EXIT_IO),
     "checkpoint-extra-config-key": (_encode_with(colour="blue"), EXIT_IO),
+    "checkpoint-missing-config-key": (
+        _encode_edited(lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items() if k != "seed"}}),
+        EXIT_IO,
+    ),
+    "checkpoint-nan-config-value": (_encode_with(learning_rate=float("nan")), EXIT_IO),
+    "checkpoint-negative-dimensions": (
+        _edit_tensors(lambda ts: ts["side.b2"].update(shape=[-1, -1])),
+        EXIT_IO,
+    ),
     "checkpoint-batch-zero": (_encode_with(batch_size=0), EXIT_IO),
     "checkpoint-top-level-list": (_encode_edited(lambda doc: [1, 2]), EXIT_IO),
     "checkpoint-no-tensors": (
@@ -306,3 +335,49 @@ def test_bad_input_exit_code(name, ckpt, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out.ckpt").exists()
+
+
+def _mutate(doc, draw):
+    """`doc`, a valid checkpoint document, with one key dropped or renamed, a
+    shape changed, base64 data cut short, a value set to NaN, or the top
+    level replaced; `draw` makes the choices."""
+    kind = draw(st.sampled_from(["drop", "rename", "shape", "truncate", "nan", "top"]))
+    if kind == "top":
+        return draw(st.sampled_from([[], [1], "checkpoint", 1, None, float("nan")]))
+    tensor = doc["tensors"][draw(st.sampled_from(sorted(doc["tensors"])))]
+    if kind == "shape":
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2))
+        flipped = [s * d for s, d in zip(signs, tensor["shape"])]
+        shape = draw(st.one_of(
+            st.just(flipped), st.just(tensor["shape"][::-1]), st.lists(st.integers(-3, 80), max_size=3)
+        ))
+        assume(shape != tensor["shape"])
+        tensor["shape"] = shape
+    elif kind == "truncate":
+        tensor["data"] = tensor["data"][: draw(st.integers(0, len(tensor["data"]) - 1))]
+    else:
+        where = draw(st.sampled_from(["top", "config", "tensors", "tensor"]))
+        target = {"top": doc, "config": doc["config"], "tensors": doc["tensors"], "tensor": tensor}[where]
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[key]
+        elif kind == "rename":
+            target[key + draw(st.sampled_from(["_", "x", " "]))] = target.pop(key)
+        else:
+            target[key] = float("nan")
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_checkpoint_exits_io_with_one_error_line(data, ckpt, tmp_path, capsys):
+    doc = _mutate(json.loads(ckpt["ckpt"].read_text()), data.draw)
+    path = tmp_path / "mutated.ckpt"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["encode", "--ckpt", str(path), "--smiles", "CCO"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_IO
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

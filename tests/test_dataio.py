@@ -50,6 +50,14 @@ def test_load_csv_skips_bad_rows(tmp_path):
     assert ds.skipped == {"parse_error": 1, "bad_property": 2, "oversize": 1}
 
 
+def test_load_csv_non_finite_property_is_bad_property(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("smiles,x,y\nCCO,3,1\nCCN,nan,1\nCC,2,inf\nCO,-inf,1\nCN,1e400,1\nC,1,2\n")
+    ds = load_csv(p)
+    assert [r.smiles for r in ds.records] == ["CCO", "C"]
+    assert ds.skipped == {"bad_property": 4}
+
+
 def test_load_csv_bad_header(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("name,value\nfoo,1\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from molvae import encoder, numkernel as nk
-from molvae.chem import adjacency_tensor, node_features
+from molvae.chem import adjacency_tensor
 from molvae.corpus import random_molecule
 from molvae.encoder import (
     ENCODER_PARAM_SHAPES,
@@ -14,7 +14,6 @@ from molvae.encoder import (
     POOL_DIM,
     POOL_PARAM_SHAPES,
     encode,
-    neighbor_mean_mats,
     pool,
 )
 from molvae.smiles import parse_smiles
@@ -25,7 +24,7 @@ from helpers import permute
 
 def encode_mol(mol, store):
     mt = MolTensors.from_mol(mol)
-    return encode(mt.features, mt.mean_mats, store)
+    return encode(mt.features, mt.relations, store)
 
 
 # -- parameter inventory -------------------------------------------------
@@ -52,27 +51,47 @@ def test_glorot_bound():
     assert np.all(np.abs(w) <= s)
 
 
-# -- neighbor mean matrices ----------------------------------------------
+# -- relation edge lists ------------------------------------------------
+
+
+def neighbor_means(mol, r):
+    """Relation r's neighbor-mean operator applied to the identity, as a dense matrix."""
+    dst, src, w = MolTensors.from_mol(mol).relations[r]
+    return nk.seg_agg(nk.constant(np.eye(mol.n_atoms)), dst, src, w).data
 
 
 def test_mean_mats_rows_average_neighbors():
     mol = parse_smiles("CCO")
-    mats = neighbor_mean_mats(adjacency_tensor(mol))
-    assert [r for r, _ in mats] == [0]  # single bonds only
-    m = mats[0][1]
+    m = neighbor_means(mol, 0)  # single bonds only
     assert np.allclose(m[1], [0.5, 0.0, 0.5])  # middle atom averages both ends
     assert np.allclose(m[0], [0.0, 1.0, 0.0])
 
 
 def test_mean_mats_skip_empty_relations():
+    # Bond types the molecule lacks have no edges, so the encoder skips them.
     mol = parse_smiles("C=C")
-    mats = neighbor_mean_mats(adjacency_tensor(mol))
-    assert [r for r, _ in mats] == [1]
+    sizes = [dst.size for dst, _, _ in MolTensors.from_mol(mol).relations]
+    assert sizes == [0, 2, 0, 0]
 
 
 def test_mean_mats_isolated_node_row_is_zero():
     mol = parse_smiles("C")
-    assert neighbor_mean_mats(adjacency_tensor(mol)) == []
+    assert all(dst.size == 0 for dst, _, _ in MolTensors.from_mol(mol).relations)
+    assert np.array_equal(neighbor_means(mol, 0), [[0.0]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_relations_are_the_dense_neighbor_means(seed):
+    # Row i of relation r averages over the r-neighbors of i; rows without
+    # such neighbors are zero.
+    rng = np.random.default_rng(seed)
+    mol = random_molecule(rng, int(rng.integers(1, 12)))
+    a = adjacency_tensor(mol)
+    for r in range(a.shape[2]):
+        counts = a[:, :, r].sum(axis=1, keepdims=True)
+        dense = np.divide(a[:, :, r], counts, out=np.zeros_like(a[:, :, r]), where=counts > 0)
+        assert np.allclose(neighbor_means(mol, r), dense, rtol=0, atol=1e-15)
 
 
 # -- encoder -------------------------------------------------------------
@@ -126,19 +145,16 @@ def test_encoder_is_permutation_equivariant(seed):
 
 
 def test_encode_accepts_precomputed_mean_mats():
-    # Leaving out a relation with no bonds, as neighbor_mean_mats does, gives
-    # the same encoding as passing its all-zero mean matrix.
+    # Precomputed edge lists: a relation with no edges, or left off the end,
+    # adds nothing.
     store = init_model_params(seed=0)
     mol = parse_smiles("CC=O")
-    a = adjacency_tensor(mol)
-    h = node_features(mol)
-    skipped = neighbor_mean_mats(a)
-    assert [r for r, _ in skipped] == [0, 1]
-    full = skipped + [(r, np.zeros((3, 3))) for r in (2, 3)]
-    mu1, ls1 = encode(h, skipped, store)
-    mu2, ls2 = encode(h, full, store)
-    assert np.allclose(mu1.data, mu2.data, rtol=0, atol=1e-15)
-    assert np.allclose(ls1.data, ls2.data, rtol=0, atol=1e-15)
+    mt = MolTensors.from_mol(mol)
+    assert [dst.size for dst, _, _ in mt.relations] == [2, 2, 0, 0]
+    mu1, ls1 = encode(mt.features, mt.relations, store)
+    mu2, ls2 = encode(mt.features, mt.relations[:2], store)
+    assert np.array_equal(mu1.data, mu2.data)
+    assert np.array_equal(ls1.data, ls2.data)
 
 
 # -- pooling -------------------------------------------------------------

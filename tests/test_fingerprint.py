@@ -16,7 +16,6 @@ from molvae.fingerprint import (
     canonical_subgraph_key,
     cosine,
     dice,
-    enumerate_paths,
     enumerate_subgraphs,
     fnv1a64,
     fold,
@@ -29,7 +28,7 @@ from molvae.fingerprint import (
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import init_model_params
 
-from helpers import permute
+from helpers import enumerate_paths, permute
 
 
 def fp_of(bits, nbits=2048):

@@ -1,6 +1,8 @@
 """Layout rules for the package sources, checked on their syntax trees."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,23 @@ def test_gradients_live_only_inside_backward(name):
         if isinstance(node, ast.Attribute) and node.attr in tape_attrs
     ]
     assert found == []
+
+
+def test_every_benchmark_span_resolves_against_the_library():
+    """molbench's tracer wraps SPANS by name; a refactor must not strand one."""
+    path = SRC.parents[1] / "molbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("molbench_tracing_spans", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    stranded = []
+    for module, attr, _name, _value in tracing.SPANS:
+        mod = importlib.import_module(f"molvae.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            ok = isinstance(vars(getattr(mod, cls_name, object)).get(meth), classmethod)
+        else:
+            ok = callable(getattr(mod, attr, None))
+        if not ok:
+            stranded.append(f"{module}.{attr}")
+    assert len(tracing.SPANS) > 20
+    assert stranded == []

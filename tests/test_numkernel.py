@@ -139,6 +139,40 @@ def test_reshape_and_transpose():
     assert nk.reshape(a, (6,)).shape == (6,)
 
 
+def test_index_op_values():
+    h = constant(np.arange(8.0).reshape(4, 2))
+    # out[dst] += w * h[src]; row 1 receives two edges, rows 2 and 3 none.
+    agg = nk.seg_agg(h, np.array([0, 1, 1]), np.array([1, 0, 3]), np.array([2.0, 0.5, 1.0]))
+    assert np.array_equal(agg.data, [[4.0, 6.0], [6.0, 7.5], [0.0, 0.0], [0.0, 0.0]])
+    seg = nk.seg_sum(h, np.array([0, 0, 0, 1]), 2)
+    assert np.array_equal(seg.data, [[6.0, 9.0], [6.0, 7.0]])
+    dots = nk.pair_dot(h, np.array([0, 1]), np.array([1, 3]))
+    assert np.array_equal(dots.data, [0.0 * 2.0 + 1.0 * 3.0, 2.0 * 6.0 + 3.0 * 7.0])
+    empty = np.array([], dtype=np.int64)
+    assert nk.pair_dot(h, empty, empty).shape == (0,)
+    assert np.array_equal(nk.seg_agg(h, empty, empty, np.array([])).data, np.zeros((4, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_index_op_gradients_match_finite_differences(seed):
+    # Random edges may repeat a row on both ends and hit it many times.
+    rng = np.random.default_rng(seed)
+    n, e = int(rng.integers(1, 7)), int(rng.integers(0, 12))
+    store = ParamStore()
+    store.add("h", rng.normal(size=(n, 3)))
+    dst, src = rng.integers(0, n, e), rng.integers(0, n, e)
+    w = rng.uniform(0.1, 1.0, e)
+    seg = np.sort(rng.integers(0, 3, n))
+
+    def f(s):
+        agg = nk.seg_agg(s["h"], dst, src, w)
+        pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
+        return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.pair_dot(agg, src, dst)))
+
+    assert grad_check(f, store) < 1e-7
+
+
 # -- backward pass -------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from molvae import dataio, numkernel as nk
+from molvae import dataio, numkernel as nk, vaemodel
+from molvae.corpus import DRUG_SMILES
 from molvae.encoder import LATENT_DIM
 from molvae.numkernel import NonFiniteValue, ParamStore, backward
 from molvae.smiles import parse_smiles
@@ -19,7 +20,7 @@ from molvae.train import (
     train,
     _midranks,
 )
-from molvae.vaemodel import init_model_params, joint_loss
+from molvae.vaemodel import MolTensors, init_model_params, joint_loss
 
 
 def tiny_dataset(smis=("C", "CC", "CCO", "CCC", "CC(C)O", "C=C")):
@@ -154,6 +155,61 @@ def test_one_sweep_over_a_minibatch_equals_the_mean_of_per_molecule_gradients(ba
     for name in params.names():
         mean = sum(g[name] for g in per_molecule) / batch_size
         assert np.max(np.abs(swept[name] * (1.0 / batch_size) - mean)) <= 1e-12, name
+
+
+def test_union_loss_equals_the_sum_of_per_molecule_losses():
+    # A single atom (no pairs, no edges), molecules lacking bond types that
+    # others in the batch have, and an aromatic drug.
+    smis = ("C", "CCO", "C=C", DRUG_SMILES["aspirin"], "C#N", "c1ccccc1O")
+    mols = [parse_smiles(s) for s in smis]
+    labels = [float(m.n_atoms) for m in mols]
+    params = init_model_params(seed=0)
+    rng = np.random.default_rng(0)
+    noises = [rng.standard_normal((m.n_atoms, LATENT_DIM)) for m in mols]
+    per = [joint_loss(m, y, params, z, beta=0.01, lam=0.5) for m, y, z in zip(mols, labels, noises)]
+    mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
+    union, bd = joint_loss(mt, labels, params, np.concatenate(noises), beta=0.01, lam=0.5)
+    assert union.item() == pytest.approx(sum(t.item() for t, _ in per), rel=0, abs=1e-12)
+    for field in ("recon", "kl", "side_mse", "total"):
+        want = sum(getattr(b, field) for _, b in per)
+        assert getattr(bd, field) == pytest.approx(want, rel=0, abs=1e-12), field
+    swept = backward(union, params)
+    per_molecule = [backward(t, params) for t, _ in per]
+    for name in params.names():
+        want = sum(g[name] for g in per_molecule) / len(mols)
+        assert np.max(np.abs(swept[name] / len(mols) - want)) <= 1e-12, name
+
+
+def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
+    corpus = dataio.load_bundled_corpus()
+    recs = corpus.records[:16]
+    mt = MolTensors.union([MolTensors.from_mol(r.mol) for r in recs])
+    n = len(mt.features)
+    noise = np.random.default_rng(0).standard_normal((n, LATENT_DIM))
+    total, _ = joint_loss(mt, [r.properties["heavy_atoms"] for r in recs], init_model_params(0), noise)
+    seen, stack = set(), [total]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        assert node.data.size < n * n, (node.name, node.shape, n)
+        stack.extend(node._parents)
+    assert len(seen) > 50
+
+
+def test_train_calls_joint_loss_once_per_minibatch(monkeypatch):
+    calls = []
+    real = vaemodel.joint_loss
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vaemodel, "joint_loss", counting)
+    train(tiny_dataset(), "heavy_atoms", TrainConfig(epochs=2, seed=0, batch_size=4))
+    assert len(calls) == 4  # 6 molecules: batches of 4 and 2, twice
+    assert sorted(mt.sizes.size for mt in calls) == [2, 2, 4, 4]
 
 
 def test_train_overflowing_label_names_the_op():

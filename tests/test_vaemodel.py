@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from molvae import numkernel as nk, vaemodel
+from molvae import encoder, numkernel as nk, vaemodel
 from molvae.chem import BondType, adjacency_tensor, check_valence, is_isomorphic
 from molvae.corpus import random_molecule
 from molvae.encoder import LATENT_DIM
@@ -19,11 +19,9 @@ from molvae.vaemodel import (
     init_model_params,
     joint_loss,
     kl_term,
-    pair_mask,
     pooled_vector,
     predict,
     recon_bce,
-    recon_bce_logits,
     reconstruct,
     reconstruct_from_probs,
     sample_latent,
@@ -140,9 +138,15 @@ def test_kl_shape_mismatch():
 
 
 def test_pair_mask_counts():
-    m = pair_mask(4)
-    assert m.sum() == 6
-    assert np.all(np.tril(m) == 0)
+    # The decoder's pair list: the strict upper triangle, bonded pairs marked.
+    mt = MolTensors.from_mol(parse_smiles("CC(=O)O"))
+    i, j = mt.pairs
+    assert i.size == 6
+    assert np.all(i < j)
+    assert len(set(zip(i, j))) == 6
+    a = adjacency_tensor(parse_smiles("CC(=O)O")).sum(axis=2)
+    assert np.array_equal(mt.pair_target, a[i, j])
+    assert np.allclose(mt.pair_weight, 1.0 / 6.0)
 
 
 def test_recon_bce_at_half_is_ln2():
@@ -167,14 +171,17 @@ def test_recon_bce_single_atom_is_zero():
 
 
 def test_recon_bce_logits_matches_probability_form():
-    rng = np.random.default_rng(0)
+    # joint_loss's reconstruction term, taken from pair logits, equals
+    # recon_bce on the decoded probabilities for the same latent draw.
     mol = parse_smiles("CC(=O)O")
-    a = adjacency_tensor(mol)
-    logits = rng.normal(size=(4, 4), scale=3.0)
-    logits = (logits + logits.T) / 2
-    via_logits = recon_bce_logits(constant(logits), a).item()
-    via_probs = recon_bce(nk.logistic(constant(logits)), a).item()
-    assert via_logits == pytest.approx(via_probs, rel=1e-12)
+    store = init_model_params(seed=0)
+    store["enc.sigma.self"].data[...] -= 1.0  # keep the logits out of the clamp
+    noise = np.random.default_rng(0).standard_normal((4, LATENT_DIM))
+    _, bd = joint_loss(mol, 4.0, store, noise)
+    mt = MolTensors.from_mol(mol)
+    mu, log_std = encoder.encode(mt.features, mt.relations, store)
+    probs = decode_adjacency(sample_latent(mu, log_std, noise))
+    assert bd.recon == pytest.approx(recon_bce(probs, adjacency_tensor(mol)).item(), rel=1e-12)
 
 
 def test_recon_bce_shape_mismatch():
@@ -233,7 +240,7 @@ def test_joint_loss_cache_gives_identical_result():
     store = init_model_params(seed=0)
     noise = np.random.default_rng(1).standard_normal((mol.n_atoms, LATENT_DIM))
     t1, _ = joint_loss(mol, 4.0, store, noise)
-    t2, _ = joint_loss(mol, 4.0, store, noise, cache=MolTensors.from_mol(mol))
+    t2, _ = joint_loss(MolTensors.from_mol(mol), 4.0, store, noise)
     assert t1.item() == t2.item()
 
 
