@@ -80,6 +80,7 @@ def cmd_train(args) -> int:
         "epochs": len(history),
         "final_total": history[-1].total if history else None,
         "skipped": dataset.skipped,
+        "stripped": dataset.stripped,
     }
     _emit(
         args,

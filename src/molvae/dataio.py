@@ -15,7 +15,7 @@ import numpy as np
 from .chem import MolGraph
 from .encoder import ENCODER_PARAM_SHAPES, POOL_PARAM_SHAPES
 from .numkernel import ParamStore
-from .smiles import SmilesError, parse_smiles
+from .smiles import SmilesError, parse_smiles_ex
 from .train import TrainConfig
 from .vaemodel import SIDE_PARAM_SHAPES
 
@@ -59,6 +59,9 @@ class Dataset:
     records: list[Record]
     skipped: dict[str, int] = field(default_factory=dict)
     source: str = ""
+    # Stereo and isotope characters the parser dropped from the loaded rows'
+    # SMILES; such a row is still loaded, so this is not part of `skipped`.
+    stripped: int = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -91,6 +94,7 @@ def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
         raise FileNotFoundError(path)
     skipped: dict[str, int] = {}
     records: list[Record] = []
+    stripped = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -105,10 +109,11 @@ def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
                 continue
             smi = row[0].strip()
             try:
-                mol = parse_smiles(smi)
+                parsed = parse_smiles_ex(smi)
             except SmilesError:
                 skipped["parse_error"] = skipped.get("parse_error", 0) + 1
                 continue
+            mol = parsed.mol
             if mol.n_atoms > max_atoms:
                 skipped["oversize"] = skipped.get("oversize", 0) + 1
                 continue
@@ -122,9 +127,10 @@ def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
                 skipped["bad_property"] = skipped.get("bad_property", 0) + 1
                 continue
             records.append(Record(smiles=smi, mol=mol, properties=props))
+            stripped += parsed.stripped
     if not records:
         raise EmptyAfterFiltering(f"{path}: no usable rows")
-    return Dataset(records=records, skipped=skipped, source=str(path))
+    return Dataset(records=records, skipped=skipped, source=str(path), stripped=stripped)
 
 
 def bundled_corpus_path() -> Path:

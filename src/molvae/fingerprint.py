@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,14 +43,37 @@ class FpConfig:
             raise ValueError(f"target_density must lie in [0, 1], got {self.target_density}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fingerprint:
-    bits: frozenset[int]
+    """An nbits-long bit vector held in one int: bit b is `word >> b & 1`."""
+
+    word: int
     nbits: int
+
+    def __init__(self, bits: Iterable[int], nbits: int):
+        word = 0
+        for b in bits:
+            word |= 1 << b
+        if word >> nbits:
+            raise ValueError(f"a bit position lies outside {nbits} bits")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "nbits", nbits)
+
+    @classmethod
+    def from_word(cls, word: int, nbits: int) -> Fingerprint:
+        f = cls.__new__(cls)
+        object.__setattr__(f, "word", word)
+        object.__setattr__(f, "nbits", nbits)
+        return f
+
+    @property
+    def bits(self) -> frozenset[int]:
+        """The on-bit positions."""
+        return frozenset(b for b, digit in enumerate(f"{self.word:b}"[::-1]) if digit == "1")
 
     @property
     def on_count(self) -> int:
-        return len(self.bits)
+        return self.word.bit_count()
 
     @property
     def density(self) -> float:
@@ -57,10 +81,11 @@ class Fingerprint:
 
     def to_hex(self) -> str:
         """Hex string, nbits/4 chars; bit 0 is the high bit of the first digit."""
-        buf = bytearray(self.nbits // 8)
-        for b in self.bits:
-            buf[b // 8] |= 0x80 >> (b % 8)
-        return buf.hex()
+        return self.word.to_bytes(self.nbits // 8, "little").translate(_BIT_REVERSED).hex()
+
+
+# Byte b with its bit order reversed, so that bit 0 becomes the high bit.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def enumerate_subgraphs(
@@ -95,32 +120,52 @@ def enumerate_subgraphs(
     return found
 
 
-def canonical_subgraph_key(mol: MolGraph, subgraph: frozenset[int]) -> str:
-    """Sorted bond descriptors of a bond subgraph, joined by "|".
+class KeyTable(NamedTuple):
+    """One molecule's bond descriptors, for every in-subgraph degree of the bond's ends."""
 
-    A descriptor is both end atoms and the bond character, e.g. "C1-c2"; an
-    atom is its element (lower-case if it carries an aromatic bond) followed
-    by its degree inside the subgraph. The lexicographically smaller of the
-    two atom orders is used, so the key does not depend on atom numbering.
+    ends: list[tuple[int, int]]  # bond slot -> its two atoms
+    # bond slot -> [in-subgraph degree of end 0, less 1][degree of end 1, less 1] -> descriptor
+    descs: list[list[list[str]]]
+    n_atoms: int
+
+
+def key_table(mol: MolGraph) -> KeyTable:
+    """Descriptors such as "C1-c2" for every bond and every pair of end degrees.
+
+    An atom is its element (lower-case if it carries an aromatic bond)
+    followed by its degree inside the subgraph; a descriptor is the
+    lexicographically smaller of the two atom orders around the bond
+    character, so it does not depend on atom numbering.
     """
     aromatic = aromatic_atoms(mol)
-    bond_list = list(mol.bonds)
-    degree = Counter()
-    for slot in subgraph:
-        i, j, _ = bond_list[slot]
+    sym = [a.element.lower() if k in aromatic else a.element for k, a in enumerate(mol.atoms)]
+    degree = [0] * mol.n_atoms
+    for i, j, _ in mol.bonds:
         degree[i] += 1
         degree[j] += 1
-
-    def atom(idx: int) -> str:
-        sym = mol.atoms[idx].element
-        return f"{sym.lower() if idx in aromatic else sym}{degree[idx]}"
-
-    descs = []
-    for slot in subgraph:
-        i, j, t = bond_list[slot]
+    ends, descs = [], []
+    for i, j, t in mol.bonds:
         ch = BOND_CHAR[t]
-        descs.append(min(atom(i) + ch + atom(j), atom(j) + ch + atom(i)))
-    return "|".join(sorted(descs))
+        ends.append((i, j))
+        descs.append([
+            [
+                min(f"{sym[i]}{di}{ch}{sym[j]}{dj}", f"{sym[j]}{dj}{ch}{sym[i]}{di}")
+                for dj in range(1, degree[j] + 1)
+            ]
+            for di in range(1, degree[i] + 1)
+        ])
+    return KeyTable(ends, descs, mol.n_atoms)
+
+
+def canonical_subgraph_key(table: KeyTable, subgraph: frozenset[int]) -> str:
+    """Sorted bond descriptors of a bond subgraph of `table`'s molecule, joined by "|"."""
+    ends, descs, n_atoms = table
+    degree = [-1] * n_atoms  # in-subgraph degree less 1: the index into descs
+    for slot in subgraph:
+        i, j = ends[slot]
+        degree[i] += 1
+        degree[j] += 1
+    return "|".join(sorted([descs[s][degree[ends[s][0]]][degree[ends[s][1]]] for s in subgraph]))
 
 
 def fnv1a64(data: bytes) -> int:
@@ -146,16 +191,36 @@ def path_fingerprint(mol: MolGraph, cfg: FpConfig = FpConfig()) -> Fingerprint:
     """Branched-subgraph fingerprint, folded towards `cfg.target_density`.
 
     Every connected bond subgraph of min_path..max_path bonds is keyed by
-    `canonical_subgraph_key`; each key seeds splitmix64 with its FNV-1a hash
-    and sets bits_per_hash of nbits bits.
+    `canonical_subgraph_key`; each distinct key seeds splitmix64 with its
+    FNV-1a hash and sets bits_per_hash of nbits bits.
     """
-    bits: set[int] = set()
-    for subgraph in enumerate_subgraphs(mol, cfg.min_path, cfg.max_path):
-        key = canonical_subgraph_key(mol, subgraph)
+    table = key_table(mol)
+    keys = {
+        canonical_subgraph_key(table, subgraph)
+        for subgraph in enumerate_subgraphs(mol, cfg.min_path, cfg.max_path)
+    }
+    word = 0
+    for key in keys:
         gen = splitmix64(fnv1a64(key.encode("ascii")))
         for _ in range(cfg.bits_per_hash):
-            bits.add(next(gen) % cfg.nbits)
-    return fold_to_density(Fingerprint(frozenset(bits), cfg.nbits), cfg.target_density)
+            word |= 1 << (next(gen) % cfg.nbits)
+    return fold_to_density(Fingerprint.from_word(word, cfg.nbits), cfg.target_density)
+
+
+def _fold_word(word: int, nbits: int, n: int) -> int:
+    """`word` of nbits bits with bit b moved to b mod n, by ORing halves together.
+
+    Raises LengthMismatch unless nbits is a power-of-two multiple of n.
+    """
+    if nbits == n:
+        return word
+    ratio, rest = divmod(nbits, n)
+    if rest or ratio & (ratio - 1):
+        raise LengthMismatch(f"fingerprint lengths {nbits} vs {n}")
+    while nbits > n:
+        nbits //= 2
+        word = (word >> nbits) | (word & ((1 << nbits) - 1))
+    return word
 
 
 def fold(f: Fingerprint, nbits: int) -> Fingerprint:
@@ -165,24 +230,22 @@ def fold(f: Fingerprint, nbits: int) -> Fingerprint:
     """
     if f.nbits == nbits:
         return f
-    ratio, rest = divmod(f.nbits, nbits)
-    if rest or ratio & (ratio - 1):
-        raise LengthMismatch(f"fingerprint lengths {f.nbits} vs {nbits}")
-    return Fingerprint(frozenset(b % nbits for b in f.bits), nbits)
+    return Fingerprint.from_word(_fold_word(f.word, f.nbits, nbits), nbits)
 
 
 def fold_to_density(f: Fingerprint, target: float) -> Fingerprint:
     """Fold in halves while density < target and the result keeps >= 64 bits."""
-    while f.density < target and f.nbits % 2 == 0 and f.nbits // 2 >= _MIN_FOLD_BITS:
-        f = fold(f, f.nbits // 2)
-    return f
+    word, nbits = f.word, f.nbits
+    while word.bit_count() / nbits < target and nbits % 2 == 0 and nbits // 2 >= _MIN_FOLD_BITS:
+        word, nbits = _fold_word(word, nbits, nbits // 2), nbits // 2
+    return f if nbits == f.nbits else Fingerprint.from_word(word, nbits)
 
 
 def _counts(a: Fingerprint, b: Fingerprint) -> tuple[int, int, int]:
     """Common/own on-bit counts, after folding the longer fingerprint down."""
     n = min(a.nbits, b.nbits)
-    a, b = fold(a, n), fold(b, n)
-    return len(a.bits & b.bits), len(a.bits), len(b.bits)
+    x, y = _fold_word(a.word, a.nbits, n), _fold_word(b.word, b.nbits, n)
+    return (x & y).bit_count(), x.bit_count(), y.bit_count()
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

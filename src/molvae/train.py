@@ -68,13 +68,17 @@ def adam_step(
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.data.shape}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore, list[LossBreakdown]]:

@@ -1,8 +1,12 @@
-"""Shared test helpers."""
+"""Shared test helpers, and straightforward oracles for the fingerprint module."""
 
+from collections import Counter
 from typing import Sequence
 
-from molvae.chem import MolGraph, build
+import numpy as np
+
+from molvae.chem import BOND_CHAR, MolGraph, aromatic_atoms, build
+from molvae.fingerprint import FpConfig, LengthMismatch, enumerate_subgraphs, fnv1a64, splitmix64
 
 
 def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:
@@ -54,3 +58,71 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
     for start in range(mol.n_atoms):
         extend([start], set(), 0)
     return found
+
+
+# -- fingerprint oracles: positions as sets, keys rebuilt from the molecule ---
+
+
+def oracle_subgraph_key(mol: MolGraph, subgraph: frozenset[int]) -> str:
+    """Sorted bond descriptors such as "C1-c2" of a bond subgraph, joined by "|"."""
+    aromatic = aromatic_atoms(mol)
+    bond_list = list(mol.bonds)
+    degree = Counter()
+    for slot in subgraph:
+        i, j, _ = bond_list[slot]
+        degree[i] += 1
+        degree[j] += 1
+
+    def atom(idx: int) -> str:
+        sym = mol.atoms[idx].element
+        return f"{sym.lower() if idx in aromatic else sym}{degree[idx]}"
+
+    descs = []
+    for slot in subgraph:
+        i, j, t = bond_list[slot]
+        ch = BOND_CHAR[t]
+        descs.append(min(atom(i) + ch + atom(j), atom(j) + ch + atom(i)))
+    return "|".join(sorted(descs))
+
+
+def oracle_fold(bits: frozenset[int], nbits: int, n: int) -> frozenset[int]:
+    """Bit b -> b mod n, for nbits a power-of-two multiple of n."""
+    ratio, rest = divmod(nbits, n)
+    if rest or ratio & (ratio - 1):
+        raise LengthMismatch(f"fingerprint lengths {nbits} vs {n}")
+    return frozenset(b % n for b in bits)
+
+
+def oracle_hex(bits: frozenset[int], nbits: int) -> str:
+    """nbits/4 hex digits; bit 0 is the high bit of the first digit."""
+    buf = bytearray(nbits // 8)
+    for b in bits:
+        buf[b // 8] |= 0x80 >> (b % 8)
+    return buf.hex()
+
+
+def oracle_fingerprint(mol: MolGraph, cfg: FpConfig = FpConfig()) -> tuple[frozenset[int], int]:
+    """On-bit positions and length of `path_fingerprint(mol, cfg)`."""
+    bits: set[int] = set()
+    for subgraph in enumerate_subgraphs(mol, cfg.min_path, cfg.max_path):
+        gen = splitmix64(fnv1a64(oracle_subgraph_key(mol, subgraph).encode("ascii")))
+        for _ in range(cfg.bits_per_hash):
+            bits.add(next(gen) % cfg.nbits)
+    out, nbits = frozenset(bits), cfg.nbits
+    while len(out) / nbits < cfg.target_density and nbits % 2 == 0 and nbits // 2 >= 64:
+        out, nbits = oracle_fold(out, nbits, nbits // 2), nbits // 2
+    return out, nbits
+
+
+def oracle_similarities(
+    a: tuple[frozenset[int], int], b: tuple[frozenset[int], int]
+) -> dict[str, float]:
+    """Tanimoto, Dice and cosine of two (positions, nbits) fingerprints, as set formulas."""
+    n = min(a[1], b[1])
+    sa, sb = oracle_fold(a[0], a[1], n), oracle_fold(b[0], b[1], n)
+    c, na, nb = len(sa & sb), len(sa), len(sb)
+    if na == 0 and nb == 0:
+        return {"tanimoto": 1.0, "dice": 1.0, "cosine": 1.0}
+    if na == 0 or nb == 0:
+        return {"tanimoto": 0.0, "dice": 0.0, "cosine": 0.0}
+    return {"tanimoto": c / (na + nb - c), "dice": 2.0 * c / (na + nb), "cosine": c / np.sqrt(na * nb)}

@@ -84,6 +84,15 @@ def test_train_skips_a_non_finite_label(tmp_path, capsys):
     assert payload["skipped"] == {"bad_property": 1}
 
 
+def test_train_reports_stripped_annotations_next_to_skipped_rows(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("smiles,heavy_atoms\n[13CH4],1\nF/C=C/F,4\nCCO,3\n")
+    argv = ["train", "--data", str(data), "--property", "heavy_atoms", "--epochs", "1"]
+    rc, payload = run_json(capsys, argv + ["--out", str(tmp_path / "m.ckpt")])
+    assert rc == 0
+    assert (payload["skipped"], payload["stripped"]) == ({}, 4)
+
+
 # -- usage errors --------------------------------------------------------
 
 

@@ -58,6 +58,19 @@ def test_load_csv_non_finite_property_is_bad_property(tmp_path):
     assert ds.skipped == {"bad_property": 4}
 
 
+def test_load_csv_counts_stripped_annotations_apart_from_skipped_rows(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("smiles,x\n[13CH4],1\nF/C=C/F,4\nCCO,3\n")
+    ds = load_csv(p)
+    assert len(ds) == 3
+    assert ds.stripped == 4  # two isotope digits, two stereo bond markers
+    assert ds.skipped == {} and ds.skipped_count == 0
+    # A row that is skipped adds nothing to the total.
+    p.write_text("smiles,x\n[13CH4],1\nF/C=C/F,nan\n")
+    ds = load_csv(p)
+    assert (len(ds), ds.stripped, ds.skipped) == (1, 2, {"bad_property": 1})
+
+
 def test_load_csv_bad_header(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("name,value\nfoo,1\n")

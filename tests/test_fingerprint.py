@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from molvae.chem import BondType
-from molvae.corpus import random_molecule
+from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.fingerprint import (
     Fingerprint,
     FpConfig,
@@ -19,6 +19,7 @@ from molvae.fingerprint import (
     enumerate_subgraphs,
     fnv1a64,
     fold,
+    key_table,
     latent_similarity,
     path_fingerprint,
     pooled_vector,
@@ -28,7 +29,14 @@ from molvae.fingerprint import (
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import init_model_params
 
-from helpers import enumerate_paths, permute
+from helpers import (
+    enumerate_paths,
+    oracle_fingerprint,
+    oracle_hex,
+    oracle_similarities,
+    oracle_subgraph_key,
+    permute,
+)
 
 
 def fp_of(bits, nbits=2048):
@@ -148,13 +156,14 @@ def test_subgraph_key_separates_branch_from_chain():
     chain = parse_smiles("CCCC")
     (s,) = enumerate_subgraphs(star, 3, 3)
     (c,) = enumerate_subgraphs(chain, 3, 3)
-    assert canonical_subgraph_key(star, s) == "C1-C3|C1-C3|C1-C3"
-    assert canonical_subgraph_key(chain, c) == "C1-C2|C1-C2|C2-C2"
+    assert canonical_subgraph_key(key_table(star), s) == "C1-C3|C1-C3|C1-C3"
+    assert canonical_subgraph_key(key_table(chain), c) == "C1-C2|C1-C2|C2-C2"
 
 
 def test_subgraph_key_aromatic_and_bond_symbols():
     mol = parse_smiles("c1ccccc1C#N")
-    keys = {canonical_subgraph_key(mol, sg) for sg in enumerate_subgraphs(mol, 1, 1)}
+    table = key_table(mol)
+    keys = {canonical_subgraph_key(table, sg) for sg in enumerate_subgraphs(mol, 1, 1)}
     assert keys == {"c1:c1", "C1-c1", "C1#N1"}
 
 
@@ -255,6 +264,70 @@ def test_to_hex_layout():
     # Bit 0 is the high bit of the first digit; bit 15 the low bit of the last.
     assert f.to_hex() == "8001"
     assert fp_of(set(), nbits=16).to_hex() == "0000"
+
+
+def test_fingerprint_holds_positions_as_one_int():
+    f = fp_of({0, 3, 2047})
+    assert f.word == 1 | 8 | 1 << 2047
+    assert f.bits == {0, 3, 2047}
+    assert f.on_count == 3
+    assert f == fp_of([2047, 3, 0, 3])
+    with pytest.raises(ValueError):
+        fp_of({64}, nbits=64)
+
+
+# -- bit-identity against the set-based oracles in tests/helpers.py ------
+
+
+@pytest.fixture(scope="module")
+def oracle_mols():
+    rng = np.random.default_rng(17)
+    mols = [random_molecule(rng, int(rng.integers(2, 17))) for _ in range(24)]
+    return mols + [parse_smiles(smi) for smi in DRUG_SMILES.values()]
+
+
+def test_subgraph_keys_equal_the_oracle(oracle_mols):
+    for mol in oracle_mols:
+        table = key_table(mol)
+        for subgraph in enumerate_subgraphs(mol, 1, 7):
+            assert canonical_subgraph_key(table, subgraph) == oracle_subgraph_key(mol, subgraph)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FpConfig(),
+        FpConfig(target_density=0.0),
+        FpConfig(bits_per_hash=1),
+        FpConfig(bits_per_hash=2),
+        FpConfig(bits_per_hash=3),
+    ],
+    ids=["default", "unfolded", "bits_per_hash=1", "bits_per_hash=2", "bits_per_hash=3"],
+)
+def test_path_fingerprint_bits_equal_the_oracle(cfg, oracle_mols):
+    for mol in oracle_mols:
+        f = path_fingerprint(mol, cfg)
+        bits, nbits = oracle_fingerprint(mol, cfg)
+        assert (f.bits, f.nbits) == (bits, nbits)
+        assert f.to_hex() == oracle_hex(bits, nbits)
+
+
+def random_positions(rng, nbits):
+    size = int(rng.integers(0, nbits // 2 + 1)) if rng.random() < 0.8 else int(rng.integers(0, 4))
+    return frozenset(map(int, rng.choice(nbits, size=size, replace=False)))
+
+
+def test_metrics_equal_the_set_formulas_on_mixed_lengths():
+    rng = np.random.default_rng(23)
+    for _ in range(3000):
+        lengths = [64 << int(k) for k in rng.integers(0, 6, size=2)]
+        pair = [(random_positions(rng, n), n) for n in lengths]
+        a, b = (Fingerprint(bits, nbits) for bits, nbits in pair)
+        want = oracle_similarities(*pair)
+        assert tanimoto(a, b) == want["tanimoto"]
+        assert dice(a, b) == want["dice"]
+        assert cosine(a, b) == want["cosine"]
+        assert a.to_hex() == oracle_hex(*pair[0])
 
 
 # -- similarity metrics --------------------------------------------------

@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from molvae import cli, fingerprint
+from molvae.corpus import DRUG_SMILES
+from molvae.smiles import parse_smiles
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "molvae"
 MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
@@ -105,3 +109,24 @@ def test_every_benchmark_span_resolves_against_the_library():
             stranded.append(f"{module}.{attr}")
     assert len(tracing.SPANS) > 20
     assert stranded == []
+
+
+def test_fingerprint_spans_see_every_call(monkeypatch):
+    """The benchmark's `fingerprint.key` and `fingerprint.compare` spans wrap module
+    attributes; the library must reach both through them, once per subgraph and
+    once per comparison."""
+    calls = {"canonical_subgraph_key": 0, "tanimoto": 0}
+    for name in calls:
+        orig = getattr(fingerprint, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(fingerprint, name, counted)
+    smiles = [DRUG_SMILES["aspirin"], DRUG_SMILES["caffeine"]]
+    subgraphs = [len(fingerprint.enumerate_subgraphs(parse_smiles(s))) for s in smiles]
+    fingerprint.path_fingerprint(parse_smiles(smiles[0]))
+    assert calls == {"canonical_subgraph_key": subgraphs[0], "tanimoto": 0}
+    assert cli.main(["similar", "--metric", "tanimoto", "--smiles", smiles[0], "--smiles", smiles[1]]) == 0
+    assert calls == {"canonical_subgraph_key": 2 * subgraphs[0] + subgraphs[1], "tanimoto": 1}
