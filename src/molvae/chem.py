@@ -98,19 +98,13 @@ class MolGraph:
         return len(self.atoms)
 
     def neighbors(self, i: int) -> list[tuple[int, BondType]]:
-        out = []
-        for a, b, t in self.bonds:
-            if a == i:
-                out.append((b, t))
-            elif b == i:
-                out.append((a, t))
-        return out
+        return adjacency(self)[i]
 
     def degree(self, i: int) -> int:
-        return sum(1 for a, b, _ in self.bonds if i in (a, b))
+        return len(adjacency(self)[i])
 
     def bond_order_sum(self, i: int) -> float:
-        return sum(t.weight for a, b, t in self.bonds if i in (a, b))
+        return bond_order_sums(self.n_atoms, self.bonds)[i]
 
 
 @dataclass(frozen=True)
@@ -138,6 +132,26 @@ def fill_implicit_h(element: str, charge: int, bond_order: float) -> int | None:
         if rounded + h in allowed_valences(element, charge):
             return h
     return None
+
+
+def adjacency(mol: MolGraph) -> list[list[tuple[int, BondType]]]:
+    """Per atom, its (neighbour, bond type) pairs in ascending neighbour order."""
+    adj: list[list[tuple[int, BondType]]] = [[] for _ in range(mol.n_atoms)]
+    for i, j, t in mol.bonds:
+        adj[i].append((j, t))
+        adj[j].append((i, t))
+    for lst in adj:
+        lst.sort()
+    return adj
+
+
+def bond_order_sums(n: int, bonds: Iterable[tuple[int, int, BondType]]) -> list[float]:
+    """Per atom of n, the summed `BondType.weight` of its bonds, in bond order."""
+    out = [0.0] * n
+    for i, j, t in bonds:
+        out[i] += t.weight
+        out[j] += t.weight
+    return out
 
 
 def aromatic_atoms(mol: MolGraph) -> set[int]:
@@ -189,15 +203,13 @@ def node_features(mol: MolGraph) -> np.ndarray:
     Layout: element one-hot (10) | charge in {-1,0,+1} clamped (3) |
     implicit H 0..4 (5) | heavy-atom degree 0..4 clamped (5) | zero pad to 32.
     """
-    n = mol.n_atoms
-    degree = np.bincount(np.array([b[:2] for b in mol.bonds], dtype=np.int64).reshape(-1), minlength=n)
-    h = np.zeros((n, FEATURE_DIM))
-    for i, atom in enumerate(mol.atoms):
+    h = np.zeros((mol.n_atoms, FEATURE_DIM))
+    for i, (atom, nbrs) in enumerate(zip(mol.atoms, adjacency(mol))):
         h[i, ELEMENT_INDEX[atom.element]] = 1.0
         charge = max(-1, min(1, atom.formal_charge))
         h[i, 10 + charge + 1] = 1.0
         h[i, 13 + min(atom.implicit_h, 4)] = 1.0
-        h[i, 18 + min(degree[i], 4)] = 1.0
+        h[i, 18 + min(len(nbrs), 4)] = 1.0
     return h
 
 
@@ -208,8 +220,9 @@ def check_valence(mol: MolGraph) -> ValidityReport:
     comparison.
     """
     offending = []
+    orders = bond_order_sums(mol.n_atoms, mol.bonds)
     for i, atom in enumerate(mol.atoms):
-        total = mol.bond_order_sum(i) + atom.implicit_h
+        total = orders[i] + atom.implicit_h
         rounded = math.ceil(total - 1e-9)
         if rounded not in allowed_valences(atom.element, atom.formal_charge):
             offending.append(i)
@@ -220,14 +233,6 @@ def _atom_label(a: Atom) -> tuple[str, int, int]:
     return (a.element, a.formal_charge, a.implicit_h)
 
 
-def _bond_map(mol: MolGraph) -> dict[tuple[int, int], BondType]:
-    m = {}
-    for i, j, t in mol.bonds:
-        m[(i, j)] = t
-        m[(j, i)] = t
-    return m
-
-
 def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     """Label-preserving graph isomorphism via backtracking with pruning."""
     if a.n_atoms != b.n_atoms or len(a.bonds) != len(b.bonds):
@@ -236,22 +241,20 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     lb = sorted(_atom_label(x) for x in b.atoms)
     if la != lb:
         return False
-    if sorted(a.degree(i) for i in range(a.n_atoms)) != sorted(
-        b.degree(i) for i in range(b.n_atoms)
-    ):
+    # Per atom, neighbour -> bond type.
+    nb_a = [dict(pairs) for pairs in adjacency(a)]
+    nb_b = [dict(pairs) for pairs in adjacency(b)]
+    if sorted(map(len, nb_a)) != sorted(map(len, nb_b)):
         return False
 
     n = a.n_atoms
-    bm_a = _bond_map(a)
-    bm_b = _bond_map(b)
-    adj_a = [sorted(j for j, _ in a.neighbors(i)) for i in range(n)]
     # Candidate nodes of b per node of a, filtered on label and degree.
     cands = [
         [
             j
             for j in range(n)
             if _atom_label(a.atoms[i]) == _atom_label(b.atoms[j])
-            and a.degree(i) == b.degree(j)
+            and len(nb_a[i]) == len(nb_b[j])
         ]
         for i in range(n)
     ]
@@ -270,19 +273,11 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
         for j in cands[i]:
             if used[j]:
                 continue
-            ok = True
-            for k in adj_a[i]:
-                mk = mapping[k]
-                if mk >= 0 and bm_b.get((j, mk)) != bm_a[(i, k)]:
-                    ok = False
-                    break
-            if not ok:
+            if any(mapping[k] >= 0 and nb_b[j].get(mapping[k]) != t for k, t in nb_a[i].items()):
                 continue
             # Mapped b-neighbors of j must all be matched edges too.
-            deg_mapped = sum(1 for k in adj_a[i] if mapping[k] >= 0)
-            deg_mapped_b = sum(
-                1 for k in range(n) if mapping[k] >= 0 and (j, mapping[k]) in bm_b
-            )
+            deg_mapped = sum(1 for k in nb_a[i] if mapping[k] >= 0)
+            deg_mapped_b = sum(1 for m in nb_b[j] if used[m])
             if deg_mapped != deg_mapped_b:
                 continue
             mapping[i] = j

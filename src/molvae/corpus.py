@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chem import Atom, BondType, MolGraph, build, fill_implicit_h
+from .chem import Atom, BondType, MolGraph, bond_order_sums, build, fill_implicit_h
 from .smiles import parse_smiles, write_smiles
 
 # Element draw pool with the single valence used for capacity accounting.
@@ -83,10 +83,7 @@ def random_molecule(rng: np.random.Generator, n_atoms: int) -> MolGraph:
             capacity[i] -= 1
             capacity[j] -= 1
 
-    order_sum = [0.0] * n
-    for i, j, t in bonds:
-        order_sum[i] += t.weight
-        order_sum[j] += t.weight
+    order_sum = bond_order_sums(n, bonds)
     atoms = [
         Atom(elements[i], 0, fill_implicit_h(elements[i], 0, order_sum[i]) or 0)
         for i in range(n)

@@ -19,7 +19,7 @@ from .smiles import SmilesError, parse_smiles_ex
 from .train import TrainConfig
 from .vaemodel import SIDE_PARAM_SHAPES
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 PARAM_SHAPES = {**ENCODER_PARAM_SHAPES, **POOL_PARAM_SHAPES, **SIDE_PARAM_SHAPES}
 
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chem import BOND_CHAR, MolGraph, aromatic_atoms
+from .chem import BOND_CHAR, MolGraph, adjacency, aromatic_atoms
 from .numkernel import ParamStore
 from .vaemodel import pooled_vector
 
@@ -139,10 +139,7 @@ def key_table(mol: MolGraph) -> KeyTable:
     """
     aromatic = aromatic_atoms(mol)
     sym = [a.element.lower() if k in aromatic else a.element for k, a in enumerate(mol.atoms)]
-    degree = [0] * mol.n_atoms
-    for i, j, _ in mol.bonds:
-        degree[i] += 1
-        degree[j] += 1
+    degree = [len(nbrs) for nbrs in adjacency(mol)]
     ends, descs = [], []
     for i, j, t in mol.bonds:
         ch = BOND_CHAR[t]

@@ -11,7 +11,9 @@ from .chem import (
     BondType,
     ChemError,
     MolGraph,
+    adjacency,
     aromatic_atoms,
+    bond_order_sums,
     build,
     fill_implicit_h,
 )
@@ -84,6 +86,7 @@ def parse_smiles_ex(text: str) -> ParseResult:
     s = text.strip()
     atoms: list[_PendingAtom] = []
     bonds: list[tuple[int, int, BondType]] = []
+    bonded: set[tuple[int, int]] = set()  # (earlier atom, later atom) of every bond
     stack: list[int] = []
     prev: int | None = None
     pending_bond: BondType | None = None
@@ -103,17 +106,13 @@ def parse_smiles_ex(text: str) -> ParseResult:
                     if atoms[prev].aromatic and pa.aromatic
                     else BondType.SINGLE
                 )
-            _add_bond(prev, idx, t, pos)
+            _add_bond(prev, idx, t)
         prev = idx
         pending_bond = None
 
-    def _add_bond(i: int, j: int, t: BondType, pos: int) -> None:
-        if i == j:
-            raise SmilesError("ring bond closes onto its own atom", pos)
-        for a, b, _ in bonds:
-            if {a, b} == {i, j}:
-                raise SmilesError("duplicate bond between the same atoms", pos)
+    def _add_bond(i: int, j: int, t: BondType) -> None:
         bonds.append((i, j, t))
+        bonded.add((i, j))
 
     def close_ring(num: int, pos: int) -> None:
         nonlocal pending_bond
@@ -132,7 +131,12 @@ def parse_smiles_ex(text: str) -> ParseResult:
                     if atoms[other].aromatic and atoms[prev].aromatic
                     else BondType.SINGLE
                 )
-            _add_bond(other, prev, t, pos)
+            # Only a ring closure can bond an atom to itself or repeat a bond.
+            if other == prev:
+                raise SmilesError("ring bond closes onto its own atom", pos)
+            if (other, prev) in bonded:
+                raise SmilesError("duplicate bond between the same atoms", pos)
+            _add_bond(other, prev, t)
         else:
             open_rings[num] = (prev, pending_bond, pos)
             pending_bond = None
@@ -206,10 +210,7 @@ def parse_smiles_ex(text: str) -> ParseResult:
     if pending_bond is not None:
         raise SmilesError("dangling bond symbol at end of input", len(s))
 
-    order = [0.0] * len(atoms)
-    for a, b, t in bonds:
-        order[a] += t.weight
-        order[b] += t.weight
+    order = bond_order_sums(len(atoms), bonds)
     final_atoms = []
     for idx, pa in enumerate(atoms):
         if pa.explicit_h is not None:
@@ -290,13 +291,11 @@ def parse_smiles(text: str) -> MolGraph:
     return parse_smiles_ex(text).mol
 
 
-def _atom_token(mol: MolGraph, i: int, aromatic: set[int]) -> str:
-    atom = mol.atoms[i]
+def _atom_token(atom: Atom, is_arom: bool, bond_order: float) -> str:
     sym = atom.element
-    is_arom = i in aromatic
     if is_arom:
         sym = sym.lower()
-    default_h = fill_implicit_h(atom.element, 0, mol.bond_order_sum(i)) or 0
+    default_h = fill_implicit_h(atom.element, 0, bond_order) or 0
     plain_ok = (
         atom.formal_charge == 0
         and atom.element != "H"
@@ -336,12 +335,7 @@ def write_smiles(mol: MolGraph) -> str:
     n = mol.n_atoms
     if n == 0:
         raise Disconnected("empty graph")
-    adj: list[list[tuple[int, BondType]]] = [[] for _ in range(n)]
-    for i, j, t in mol.bonds:
-        adj[i].append((j, t))
-        adj[j].append((i, t))
-    for lst in adj:
-        lst.sort()
+    adj = adjacency(mol)
 
     visited = [False] * n
     tree_children: list[list[tuple[int, BondType]]] = [[] for _ in range(n)]
@@ -377,6 +371,7 @@ def write_smiles(mol: MolGraph) -> str:
         raise Disconnected("graph has more than one connected component")
 
     aromatic = aromatic_atoms(mol)
+    orders = bond_order_sums(n, mol.bonds)
 
     def ring_digit(num: int) -> str:
         return str(num) if num <= 9 else f"%{num:02d}"
@@ -388,11 +383,19 @@ def write_smiles(mol: MolGraph) -> str:
     free_labels: list[int] = []  # a min-heap of released labels below next_label
     next_label = 1
 
-    def emit(u: int, parent: int, bond_from_parent: BondType | None) -> None:
-        nonlocal next_label
+    # Preorder walk of the spanning tree. The stack holds atoms still to
+    # write, each with its parent and bond, and the branch parentheses
+    # between them.
+    todo: list[tuple[int, int, BondType | None] | str] = [(0, -1, None)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, parent, bond_from_parent = item
         if bond_from_parent is not None:
             out.append(_bond_token(bond_from_parent, parent, u, aromatic))
-        out.append(_atom_token(mol, u, aromatic))
+        out.append(_atom_token(mol.atoms[u], u in aromatic, orders[u]))
         closed = []
         for partner, t, closes_here in ring_at[u]:
             if closes_here:
@@ -411,14 +414,9 @@ def write_smiles(mol: MolGraph) -> str:
             out.append(ring_digit(num))
         for num in closed:
             heapq.heappush(free_labels, num)
-        kids = tree_children[u]
-        for idx, (v, t) in enumerate(kids):
-            last = idx == len(kids) - 1
-            if not last:
-                out.append("(")
-            emit(v, u, t)
-            if not last:
-                out.append(")")
-
-    emit(0, -1, None)
+        # Pushed in reverse: every child but the last is a parenthesised branch.
+        kids = [(v, u, t) for v, t in tree_children[u]]
+        todo += kids[-1:]
+        for kid in reversed(kids[:-1]):
+            todo += [")", kid, "("]
     return "".join(out)

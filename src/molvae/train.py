@@ -33,7 +33,6 @@ class TrainConfig:
     lam: float = 1.0
     seed: int = 0
     max_atoms: int = 20
-    threshold: float = 0.5
 
     def __post_init__(self):
         for name, value in vars(self).items():

@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 
-from molvae.chem import BOND_CHAR, MolGraph, aromatic_atoms, build
+from molvae.chem import BOND_CHAR, BondType, MolGraph, aromatic_atoms, build
 from molvae.fingerprint import FpConfig, LengthMismatch, enumerate_subgraphs, fnv1a64, splitmix64
 
 
@@ -58,6 +58,27 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
     for start in range(mol.n_atoms):
         extend([start], set(), 0)
     return found
+
+
+# -- structure oracles: one scan over every bond per atom --------------------
+
+
+def oracle_neighbors(mol: MolGraph, i: int) -> list[tuple[int, BondType]]:
+    out = []
+    for a, b, t in mol.bonds:
+        if a == i:
+            out.append((b, t))
+        elif b == i:
+            out.append((a, t))
+    return out
+
+
+def oracle_degree(mol: MolGraph, i: int) -> int:
+    return sum(1 for a, b, _ in mol.bonds if i in (a, b))
+
+
+def oracle_bond_order_sum(mol: MolGraph, i: int) -> float:
+    return sum(t.weight for a, b, t in mol.bonds if i in (a, b))
 
 
 # -- fingerprint oracles: positions as sets, keys rebuilt from the molecule ---

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from molvae.chem import (
     Atom,
@@ -12,17 +12,24 @@ from molvae.chem import (
     ELEMENTS,
     FEATURE_DIM,
     IndexOutOfRange,
+    MolGraph,
     SelfLoop,
     UnknownElement,
+    adjacency,
     adjacency_tensor,
     allowed_valences,
+    bond_order_sums,
     build,
     check_valence,
     is_isomorphic,
     node_features,
 )
 
-from helpers import permute
+from molvae.corpus import DRUG_SMILES, random_molecule
+from molvae.smiles import parse_smiles
+from molvae.vaemodel import init_model_params, reconstruct, reconstruct_from_probs
+
+from helpers import oracle_bond_order_sum, oracle_degree, oracle_neighbors, permute
 
 
 def ethanol():
@@ -95,6 +102,59 @@ def test_neighbors_and_degree():
     assert m.bond_order_sum(1) == 2.0
 
 
+def assert_structure_matches_bond_scans(mol):
+    adj = adjacency(mol)
+    sums = bond_order_sums(mol.n_atoms, mol.bonds)
+    assert len(adj) == len(sums) == mol.n_atoms
+    for i in range(mol.n_atoms):
+        assert adj[i] == sorted(oracle_neighbors(mol, i)) == mol.neighbors(i)
+        assert len(adj[i]) == oracle_degree(mol, i) == mol.degree(i)
+        assert sums[i] == oracle_bond_order_sum(mol, i) == mol.bond_order_sum(i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 20))
+def test_structure_matches_bond_scans_on_random_molecules(seed, n_atoms):
+    assert_structure_matches_bond_scans(random_molecule(np.random.default_rng(seed), n_atoms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.2, 0.5, 0.8]))
+def test_structure_matches_bond_scans_on_dense_reconstructions(seed, threshold):
+    # Random edge probabilities keep about 1 - threshold of all atom pairs,
+    # with the input's typed bonds among them.
+    rng = np.random.default_rng(seed)
+    mol = random_molecule(rng, int(rng.integers(12, 21)))
+    probs = rng.random((mol.n_atoms, mol.n_atoms))
+    out, _ = reconstruct_from_probs(mol, (probs + probs.T) / 2, threshold)
+    assert_structure_matches_bond_scans(out)
+
+
+def test_structure_matches_bond_scans_on_aromatic_and_edgeless_molecules():
+    for smi in DRUG_SMILES.values():
+        assert_structure_matches_bond_scans(parse_smiles(smi))
+    assert bond_order_sums(6, benzene().bonds) == [3.0] * 6
+    assert_structure_matches_bond_scans(build([Atom("C", 0, 4)] * 3, []))
+
+
+def test_adjacency_sorts_neighbours_of_a_graph_not_made_by_build():
+    mol = MolGraph(
+        atoms=(Atom("C", 0, 3), Atom("C", 0, 2), Atom("O", 0, 0)),
+        bonds=((1, 2, BondType.SINGLE), (0, 2, BondType.DOUBLE)),
+    )
+    assert adjacency(mol)[2] == [(0, BondType.DOUBLE), (1, BondType.SINGLE)]
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 0.3, 0.5, 0.9, 1.1])
+def test_reconstruct_report_is_check_valence_of_its_output(threshold):
+    store = init_model_params(seed=0)
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        mol = random_molecule(rng, int(rng.integers(2, 16)))
+        out, report = reconstruct(mol, store, threshold)
+        assert report == check_valence(out)
+
+
 # -- adjacency tensor ----------------------------------------------------
 
 
@@ -134,6 +194,14 @@ def test_node_features_layout():
     assert row[18 + 1] == 1.0  # heavy degree 1
     assert row[23:].sum() == 0.0  # zero pad
     assert row.sum() == 4.0
+
+
+def test_node_features_degree_clamped():
+    # Central carbon of neopentane has degree 4; SF6's sulfur has 6, clamped to 4.
+    for smi in ("CC(C)(C)C", "S(F)(F)(F)(F)(F)F"):
+        mol = parse_smiles(smi)
+        center = next(i for i in range(mol.n_atoms) if mol.degree(i) >= 4)
+        assert node_features(mol)[center, 18 + 4] == 1.0
 
 
 def test_node_features_charge_clamped():
@@ -259,8 +327,6 @@ def test_isomorphism_hard_case_same_degree_sequence():
 
 @given(st.data())
 def test_isomorphism_invariant_under_random_permutation(data):
-    from molvae.corpus import random_molecule
-
     seed = data.draw(st.integers(0, 10_000))
     rng = np.random.default_rng(seed)
     mol = random_molecule(rng, int(rng.integers(2, 10)))

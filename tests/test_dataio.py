@@ -154,7 +154,7 @@ def test_checkpoint_is_versioned_json(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, TrainConfig(), path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == dataio.CHECKPOINT_VERSION
     assert doc["tensors"]["w"]["shape"] == [2, 2]
 
 
@@ -174,6 +174,19 @@ def test_checkpoint_version_mismatch(tmp_path):
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(VersionMismatch):
+        load_checkpoint(path)
+
+
+def test_version_1_checkpoint_is_a_version_mismatch(tmp_path):
+    # Version 1 files still carry the since-removed `threshold` config field;
+    # they must fail on the version, not on the config.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model_params(seed=0), TrainConfig(), path)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    doc["config"]["threshold"] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(VersionMismatch, match="version 1"):
         load_checkpoint(path)
 
 

@@ -91,6 +91,17 @@ def test_gradients_live_only_inside_backward(name):
     assert found == []
 
 
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"chem"}))
+def test_only_chem_weighs_bonds(name):
+    """Bond weights toward valence are summed in one place: chem.bond_order_sums."""
+    found = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(MODULES[name])
+        if isinstance(node, ast.Attribute) and node.attr == "weight"
+    ]
+    assert found == []
+
+
 def test_every_benchmark_span_resolves_against_the_library():
     """molbench's tracer wraps SPANS by name; a refactor must not strand one."""
     path = SRC.parents[1] / "molbench" / "tracing.py"

@@ -149,6 +149,7 @@ def test_isotope_and_stereo_stripped_and_counted():
         ("(CC)", UnbalancedParenthesis),
         ("C1CC", UnclosedRing),
         ("C11", SmilesError),
+        ("C12CC12", SmilesError),
         ("CC==C", SmilesError),
         ("C=", SmilesError),
         ("Zz", UnknownSymbol),
@@ -167,6 +168,20 @@ def test_errors_report_position():
     with pytest.raises(UnknownSymbol) as ei:
         parse_smiles("CCZz")
     assert ei.value.position == 2
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("C11", "closes onto its own atom", 2),
+        ("C12CC12", "duplicate bond", 6),
+        ("C1C1", "duplicate bond", 3),
+    ],
+)
+def test_ring_closure_errors_report_position(text, message, position):
+    with pytest.raises(SmilesError, match=message) as ei:
+        parse_smiles(text)
+    assert ei.value.position == position
 
 
 # -- writer --------------------------------------------------------------
@@ -229,6 +244,14 @@ def test_writer_reuses_ring_labels():
     assert write_smiles(parse_smiles("C1CC1CC1CC1")) == "C1CC1CC1CC1"
 
 
+def test_writer_round_trips_a_3000_atom_chain():
+    # Deeper than Python's recursion limit: a plain chain, and one with a branch at every atom.
+    chain = "C" * 3000
+    assert write_smiles(parse_smiles(chain)) == chain
+    comb = "C(C)" * 1500 + "C"
+    assert write_smiles(parse_smiles(comb)) == comb
+
+
 def test_writer_rejects_more_than_99_open_ring_labels():
     with pytest.raises(SmilesError, match="99"):
         write_smiles(complete_graph(22))
@@ -241,6 +264,7 @@ def test_writer_rejects_more_than_99_open_ring_labels():
         ("OC(=O)c1ccccc1OC(C)=O", "OC(=O)c1ccccc1OC(C)=O"),
         ("C1CC(N)CC1Cl", "C1CC(N)CC1Cl"),
         ("CC(C)(C)C1=CC(=O)N1", "CC(C)(C)C1=CC(=O)N1"),
+        ("C1CC(N)(O)C1F", "C1CC(N)(O)C1F"),  # branches in child order
     ],
 )
 def test_writer_output_with_one_ring_closure_is_fixed(smi, written):
