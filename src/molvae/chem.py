@@ -182,7 +182,7 @@ def build(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]) -> 
         key = (min(i, j), max(i, j))
         if key in canon:
             raise DuplicateBond(f"duplicate bond between atoms {key[0]} and {key[1]}")
-        canon[key] = BondType(t)
+        canon[key] = t if isinstance(t, BondType) else BondType(t)
     ordered = tuple((i, j, canon[(i, j)]) for i, j in sorted(canon))
     return MolGraph(atoms=tuple(atoms), bonds=ordered)
 
@@ -248,16 +248,13 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
         return False
 
     n = a.n_atoms
-    # Candidate nodes of b per node of a, filtered on label and degree.
-    cands = [
-        [
-            j
-            for j in range(n)
-            if _atom_label(a.atoms[i]) == _atom_label(b.atoms[j])
-            and len(nb_a[i]) == len(nb_b[j])
-        ]
-        for i in range(n)
-    ]
+    # Candidate nodes of b per node of a, ascending: same label and degree.
+    kind_a = [(_atom_label(x), len(nb)) for x, nb in zip(a.atoms, nb_a)]
+    kind_b = [(_atom_label(x), len(nb)) for x, nb in zip(b.atoms, nb_b)]
+    of_kind: dict[tuple, list[int]] = {}
+    for j, kind in enumerate(kind_b):
+        of_kind.setdefault(kind, []).append(j)
+    cands = [of_kind.get(kind, []) for kind in kind_a]
     if any(not c for c in cands):
         return False
 
@@ -266,11 +263,23 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     mapping = [-1] * n
     used = [False] * n
 
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
-        i = order[pos]
-        for j in cands[i]:
+    def remaining(i: int):
+        """cands[i], ascending; once a neighbour of i is mapped, only those
+        next to its image, the only ones the edge check can pass."""
+        for k in nb_a[i]:
+            if mapping[k] >= 0:
+                return (j for j in nb_b[mapping[k]] if kind_b[j] == kind_a[i])
+        return iter(cands[i])
+
+    # trying[pos] iterates the candidates left for order[pos]: an explicit
+    # stack, not recursion, so the depth may reach any atom count.
+    trying = [remaining(order[0])]
+    while trying:
+        i = order[len(trying) - 1]
+        if mapping[i] >= 0:  # back here: release the previous candidate
+            used[mapping[i]] = False
+            mapping[i] = -1
+        for j in trying[-1]:
             if used[j]:
                 continue
             if any(mapping[k] >= 0 and nb_b[j].get(mapping[k]) != t for k, t in nb_a[i].items()):
@@ -282,10 +291,11 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
                 continue
             mapping[i] = j
             used[j] = True
-            if backtrack(pos + 1):
-                return True
-            mapping[i] = -1
-            used[j] = False
-        return False
-
-    return backtrack(0)
+            break
+        else:
+            trying.pop()
+            continue
+        if len(trying) == n:
+            return True
+        trying.append(remaining(order[len(trying)]))
+    return False

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -14,6 +15,13 @@ from .vaemodel import pooled_vector
 
 # Shortest length density folding may reach (RDKit's minSize).
 _MIN_FOLD_BITS = 64
+
+# 0-d uint64 arrays: in-place array arithmetic with them wraps mod 2**64
+# silently, and skips converting a Python int on every call.
+_FNV_PRIME = np.array(0x100000001B3, dtype=np.uint64)
+_GOLDEN_GAMMA = np.array(0x9E3779B97F4A7C15, dtype=np.uint64)
+_MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
+_MIX2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
 
 
 class LengthMismatch(ValueError):
@@ -93,30 +101,37 @@ def enumerate_subgraphs(
 ) -> set[frozenset[int]]:
     """All connected bond subgraphs of min_len..max_len bonds, as bond-slot sets.
 
-    Grown one bond at a time from single bonds; a subgraph reached along
-    several growth orders is kept once.
+    ESU (Wernicke 2006) on the bond line graph grows each subgraph once,
+    from its lowest slot. A subgraph grows only by the slots of its
+    extension list, all above that root; adding a slot passes on the rest of
+    the list plus the slot's neighbours that nothing in the subgraph touched.
     """
-    bond_list = list(mol.bonds)
     at_atom: list[list[int]] = [[] for _ in range(mol.n_atoms)]
-    for slot, (i, j, _) in enumerate(bond_list):
+    for slot, (i, j, _) in enumerate(mol.bonds):
         at_atom[i].append(slot)
         at_atom[j].append(slot)
-    touching = [set(at_atom[i] + at_atom[j]) for i, j, _ in bond_list]
+    # Bond slot -> itself and every slot that shares an atom with it.
+    touching = [set(at_atom[i] + at_atom[j]) for i, j, _ in mol.bonds]
 
     found: set[frozenset[int]] = set()
-    level = {frozenset((slot,)) for slot in range(len(bond_list))}
-    for size in range(1, max_len + 1):
-        if size >= min_len:
-            found |= level
-        if size == max_len:
-            break
-        level = {
-            sub | {nxt}
-            for sub in level
-            for slot in sub
-            for nxt in touching[slot]
-            if nxt not in sub
-        }
+    for root, near in enumerate(touching):
+        start = frozenset((root,))
+        if min_len <= 1 <= max_len:
+            found.add(start)
+        if max_len < 2:
+            continue
+        # (subgraph, it and its neighbour slots, slots it may still grow by)
+        stack = [(start, near, [s for s in near if s > root])]
+        while stack:
+            sub, seen, extension = stack.pop()
+            size = len(sub) + 1
+            for k, slot in enumerate(extension):
+                grown = sub | {slot}
+                if size >= min_len:
+                    found.add(grown)
+                if size < max_len:
+                    fresh = [s for s in touching[slot] if s > root and s not in seen]
+                    stack.append((grown, seen | touching[slot], extension[k + 1 :] + fresh))
     return found
 
 
@@ -165,42 +180,72 @@ def canonical_subgraph_key(table: KeyTable, subgraph: frozenset[int]) -> str:
     return "|".join(sorted([descs[s][degree[ends[s][0]]][degree[ends[s][1]]] for s in subgraph]))
 
 
-def fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+def fnv1a64_array(keys: Sequence[str]) -> np.ndarray:
+    """FNV-1a 64-bit hash of each ASCII key, in key order, as a uint64 array.
+
+    The keys are hashed together one byte column at a time, longest first,
+    so column c touches only the leading rows: the keys longer than c.
+    """
+    lengths = list(map(len, keys))
+    order = sorted(range(len(keys)), key=lengths.__getitem__, reverse=True)
+    pad = max(lengths, default=0) or 1
+    # Row r holds the r-th longest key, padded with zero bytes; column c is its byte c.
+    rows = np.array([keys[k] for k in order], dtype=f"S{pad}").view(np.uint8)
+    columns = np.ascontiguousarray(rows.reshape(len(keys), pad).T, dtype=np.uint64)
+    h = np.full(len(keys), 0xCBF29CE484222325, dtype=np.uint64)
+    start, live = 0, len(keys)
+    for end, count in sorted(Counter(lengths).items()):
+        head = h[:live]  # the keys at least `end` bytes long
+        for column in columns[start:end, :live]:
+            head ^= column
+            head *= _FNV_PRIME
+        start, live = end, live - count
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
-def splitmix64(state: int):
-    """Deterministic 64-bit generator used to place fingerprint bits."""
-    mask = 0xFFFFFFFFFFFFFFFF
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield z ^ (z >> 31)
+def splitmix64_array(states: np.ndarray, rounds: int) -> np.ndarray:
+    """The first `rounds` splitmix64 outputs from each uint64 state, shape (rounds, n)."""
+    state = states.copy()
+    out = np.empty((rounds, len(state)), dtype=np.uint64)
+    for z in out:
+        state += _GOLDEN_GAMMA
+        np.right_shift(state, 30, out=z)
+        z ^= state
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+    return out
+
+
+def hash_keys(keys: Sequence[str], bits_per_hash: int, nbits: int) -> int:
+    """Word with bits_per_hash bits set for each key, in one pass over all keys.
+
+    A key's bits are the first bits_per_hash splitmix64 outputs seeded with
+    its FNV-1a hash, each taken mod nbits. No keys give word 0.
+    """
+    if not keys:
+        return 0
+    on = np.zeros(nbits, dtype=np.uint8)
+    on[splitmix64_array(fnv1a64_array(keys), bits_per_hash) % nbits] = 1
+    return int.from_bytes(np.packbits(on, bitorder="little").tobytes(), "little")
 
 
 def path_fingerprint(mol: MolGraph, cfg: FpConfig = FpConfig()) -> Fingerprint:
     """Branched-subgraph fingerprint, folded towards `cfg.target_density`.
 
     Every connected bond subgraph of min_path..max_path bonds is keyed by
-    `canonical_subgraph_key`; each distinct key seeds splitmix64 with its
-    FNV-1a hash and sets bits_per_hash of nbits bits.
+    `canonical_subgraph_key`; `hash_keys` sets bits_per_hash of nbits bits
+    for each distinct key.
     """
     table = key_table(mol)
     keys = {
         canonical_subgraph_key(table, subgraph)
         for subgraph in enumerate_subgraphs(mol, cfg.min_path, cfg.max_path)
     }
-    word = 0
-    for key in keys:
-        gen = splitmix64(fnv1a64(key.encode("ascii")))
-        for _ in range(cfg.bits_per_hash):
-            word |= 1 << (next(gen) % cfg.nbits)
+    word = hash_keys(list(keys), cfg.bits_per_hash, cfg.nbits)
     return fold_to_density(Fingerprint.from_word(word, cfg.nbits), cfg.target_density)
 
 

@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 
 from molvae.chem import BOND_CHAR, BondType, MolGraph, aromatic_atoms, build
-from molvae.fingerprint import FpConfig, LengthMismatch, enumerate_subgraphs, fnv1a64, splitmix64
+from molvae.fingerprint import FpConfig, LengthMismatch, enumerate_subgraphs
 
 
 def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:
@@ -104,6 +104,36 @@ def oracle_subgraph_key(mol: MolGraph, subgraph: frozenset[int]) -> str:
         ch = BOND_CHAR[t]
         descs.append(min(atom(i) + ch + atom(j), atom(j) + ch + atom(i)))
     return "|".join(sorted(descs))
+
+
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit hash of `data`, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def splitmix64(state: int):
+    """splitmix64 outputs from `state`, as Python ints."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def oracle_hash_word(keys: Sequence[str], bits_per_hash: int, nbits: int) -> int:
+    """`hash_keys` key by key: each key's splitmix64(fnv1a64(key)) outputs mod nbits."""
+    word = 0
+    for key in keys:
+        gen = splitmix64(fnv1a64(key.encode("ascii")))
+        for _ in range(bits_per_hash):
+            word |= 1 << (next(gen) % nbits)
+    return word
 
 
 def oracle_fold(bits: frozenset[int], nbits: int, n: int) -> frozenset[int]:

@@ -1,5 +1,7 @@
 """Tests for the molecular graph data model and valence rules."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,16 @@ def test_build_sorts_bonds():
         [(2, 1, BondType.SINGLE), (1, 0, BondType.SINGLE)],
     )
     assert [b[:2] for b in m.bonds] == [(0, 1), (1, 2)]
+
+
+def test_build_converts_bond_type_values_and_keeps_members():
+    atoms = [Atom("C"), Atom("C"), Atom("O")]
+    typed = build(atoms, [(0, 1, BondType.AROMATIC), (1, 2, BondType.DOUBLE)])
+    plain = build(atoms, [(0, 1, 3), (1, 2, 1)])
+    assert plain == typed
+    assert [type(t) for _, _, t in plain.bonds] == [BondType, BondType]
+    with pytest.raises(ValueError):
+        build(atoms, [(0, 1, 4)])
 
 
 def test_unknown_element_rejected():
@@ -332,3 +344,36 @@ def test_isomorphism_invariant_under_random_permutation(data):
     mol = random_molecule(rng, int(rng.integers(2, 10)))
     perm = list(rng.permutation(mol.n_atoms))
     assert is_isomorphic(mol, permute(mol, perm))
+
+
+def test_isomorphism_of_a_3000_atom_chain():
+    # Deeper than Python's recursion limit: matching runs on an explicit stack.
+    chain = parse_smiles("C" * 3000)
+    moved = permute(chain, list(np.random.default_rng(0).permutation(chain.n_atoms)))
+    assert is_isomorphic(chain, chain)
+    assert is_isomorphic(chain, moved)
+    bonds = list(moved.bonds)
+    i, j, _ = bonds[1500]
+    bonds[1500] = (i, j, BondType.DOUBLE)
+    assert not is_isomorphic(chain, build(moved.atoms, bonds))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_isomorphism_agrees_with_trying_every_relabeling(seed):
+    # b is a relabeled copy of a, perhaps with one bond retyped or two atoms
+    # swapped; symmetry may keep it isomorphic to a.
+    rng = np.random.default_rng(seed)
+    a = random_molecule(rng, int(rng.integers(2, 7)))
+    atoms, bonds = list(a.atoms), list(a.bonds)
+    change = rng.random()
+    if change < 0.35:
+        k = int(rng.integers(len(bonds)))
+        i, j, t = bonds[k]
+        bonds[k] = (i, j, BondType.DOUBLE if t == BondType.SINGLE else BondType.SINGLE)
+    elif change < 0.7:
+        i, j = rng.choice(len(atoms), size=2, replace=False)
+        atoms[i], atoms[j] = atoms[j], atoms[i]
+    b = permute(build(atoms, bonds), list(rng.permutation(a.n_atoms)))
+    want = any(permute(a, p) == b for p in itertools.permutations(range(a.n_atoms)))
+    assert is_isomorphic(a, b) == want

@@ -4,9 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from molvae.chem import BondType
+from molvae.chem import Atom, build
 from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.fingerprint import (
     Fingerprint,
@@ -17,13 +17,14 @@ from molvae.fingerprint import (
     cosine,
     dice,
     enumerate_subgraphs,
-    fnv1a64,
+    fnv1a64_array,
     fold,
+    hash_keys,
     key_table,
     latent_similarity,
     path_fingerprint,
     pooled_vector,
-    splitmix64,
+    splitmix64_array,
     tanimoto,
 )
 from molvae.smiles import parse_smiles
@@ -31,11 +32,14 @@ from molvae.vaemodel import init_model_params
 
 from helpers import (
     enumerate_paths,
+    fnv1a64,
     oracle_fingerprint,
+    oracle_hash_word,
     oracle_hex,
     oracle_similarities,
     oracle_subgraph_key,
     permute,
+    splitmix64,
 )
 
 
@@ -107,31 +111,52 @@ def test_single_atom_has_no_paths():
 # -- subgraph enumeration ------------------------------------------------
 
 
+def connected(mol, slots):
+    atoms_of = [set(mol.bonds[s][:2]) for s in slots]
+    seen, frontier = {0}, [0]
+    while frontier:
+        k = frontier.pop()
+        for other in range(len(slots)):
+            if other not in seen and atoms_of[other] & atoms_of[k]:
+                seen.add(other)
+                frontier.append(other)
+    return len(seen) == len(slots)
+
+
+def brute_subgraphs(mol, min_len, max_len):
+    return {
+        frozenset(slots)
+        for k in range(min_len, max_len + 1)
+        for slots in itertools.combinations(range(len(mol.bonds)), k)
+        if connected(mol, slots)
+    }
+
+
 def test_subgraphs_match_bruteforce_on_random_molecules():
-    def connected(mol, slots):
-        atoms_of = [set(mol.bonds[s][:2]) for s in slots]
-        seen, frontier = {0}, [0]
-        while frontier:
-            k = frontier.pop()
-            for other in range(len(slots)):
-                if other not in seen and atoms_of[other] & atoms_of[k]:
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(slots)
-
-    def brute(mol, min_len, max_len):
-        return {
-            frozenset(slots)
-            for k in range(min_len, max_len + 1)
-            for slots in itertools.combinations(range(len(mol.bonds)), k)
-            if connected(mol, slots)
-        }
-
     rng = np.random.default_rng(11)
     for _ in range(20):
         mol = random_molecule(rng, int(rng.integers(2, 10)))
-        assert enumerate_subgraphs(mol, 1, 5) == brute(mol, 1, 5)
-        assert enumerate_subgraphs(mol, 2, 4) == brute(mol, 2, 4)
+        assert enumerate_subgraphs(mol, 1, 5) == brute_subgraphs(mol, 1, 5)
+        assert enumerate_subgraphs(mol, 2, 4) == brute_subgraphs(mol, 2, 4)
+
+
+@pytest.mark.parametrize("name", sorted(DRUG_SMILES))
+def test_subgraphs_match_bruteforce_on_fused_and_aromatic_rings(name):
+    mol = parse_smiles(DRUG_SMILES[name])
+    assert enumerate_subgraphs(mol, 1, 7) == brute_subgraphs(mol, 1, 7)
+
+
+@pytest.mark.parametrize("bounds", [(1, 1), (3, 3), (7, 7), (4, 6)])
+def test_subgraphs_match_bruteforce_for_narrow_size_ranges(bounds):
+    rng = np.random.default_rng(13)
+    mols = [random_molecule(rng, int(rng.integers(2, 12))) for _ in range(8)]
+    for mol in mols + [parse_smiles(DRUG_SMILES["caffeine"])]:
+        assert enumerate_subgraphs(mol, *bounds) == brute_subgraphs(mol, *bounds)
+
+
+def test_molecule_without_bonds_has_no_subgraphs():
+    for mol in (parse_smiles("C"), build([Atom("C"), Atom("O"), Atom("N")], [])):
+        assert enumerate_subgraphs(mol, 1, 7) == brute_subgraphs(mol, 1, 7) == set()
 
 
 def test_every_path_is_an_enumerated_subgraph():
@@ -171,24 +196,37 @@ def test_subgraph_key_aromatic_and_bond_symbols():
 
 
 def test_fnv1a64_reference_values():
-    # Published FNV-1a 64-bit test vectors.
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+    # Published FNV-1a 64-bit test vectors, hashed together in one call.
+    want = [0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]
+    assert fnv1a64_array(["", "a", "foobar"]).tolist() == want
+    assert [fnv1a64(data) for data in (b"", b"a", b"foobar")] == want
 
 
 def test_splitmix64_deterministic_and_64bit():
-    g1, g2 = splitmix64(42), splitmix64(42)
-    seq1 = [next(g1) for _ in range(5)]
-    seq2 = [next(g2) for _ in range(5)]
-    assert seq1 == seq2
-    assert all(0 <= v < 2**64 for v in seq1)
-    assert len(set(seq1)) == 5
+    out = splitmix64_array(np.array([42, 42], dtype=np.uint64), 5)
+    assert out.dtype == np.uint64 and out.shape == (5, 2)
+    assert out[:, 0].tolist() == out[:, 1].tolist()
+    assert len(set(out[:, 0].tolist())) == 5
+    gen = splitmix64(42)
+    assert out[:, 0].tolist() == [next(gen) for _ in range(5)]
 
 
 def test_splitmix64_reference_value():
     # splitmix64(0) first output, per the published reference sequence.
+    assert splitmix64_array(np.zeros(1, dtype=np.uint64), 1).tolist() == [[0xE220A8397B1DCDAF]]
     assert next(splitmix64(0)) == 0xE220A8397B1DCDAF
+
+
+ascii_keys = st.lists(st.text(st.characters(max_codepoint=127), max_size=80), unique=True, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ascii_keys, st.integers(1, 3), st.integers(1, 256).map(lambda k: 8 * k))
+@example([], 2, 2048)
+@example(["", "x" * 80, "C1-C2", "C1-C2|C2-O1", "\x00", "\x00\x00"], 3, 8)
+def test_hash_keys_equals_the_per_key_oracle(keys, bits_per_hash, nbits):
+    assert fnv1a64_array(keys).tolist() == [fnv1a64(k.encode("ascii")) for k in keys]
+    assert hash_keys(keys, bits_per_hash, nbits) == oracle_hash_word(keys, bits_per_hash, nbits)
 
 
 # -- fingerprints --------------------------------------------------------

@@ -141,3 +141,23 @@ def test_fingerprint_spans_see_every_call(monkeypatch):
     assert calls == {"canonical_subgraph_key": subgraphs[0], "tanimoto": 0}
     assert cli.main(["similar", "--metric", "tanimoto", "--smiles", smiles[0], "--smiles", smiles[1]]) == 0
     assert calls == {"canonical_subgraph_key": 2 * subgraphs[0] + subgraphs[1], "tanimoto": 1}
+
+
+def test_fingerprint_hashes_once_per_molecule(monkeypatch):
+    """`path_fingerprint` hashes all of a molecule's keys in one call, whatever
+    their number: a per-key loop would call the hash functions once per key."""
+    calls = {"hash_keys": 0, "fnv1a64_array": 0, "splitmix64_array": 0}
+    for name in calls:
+        orig = getattr(fingerprint, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(fingerprint, name, counted)
+    smiles = ["CCO", DRUG_SMILES["aspirin"], DRUG_SMILES["caffeine"]]
+    for s in smiles:
+        fingerprint.path_fingerprint(parse_smiles(s))
+    assert calls == dict.fromkeys(calls, len(smiles))
+    fingerprint.path_fingerprint(parse_smiles("C"))  # no keys: no hashing
+    assert calls == {"hash_keys": 4, "fnv1a64_array": 3, "splitmix64_array": 3}
