@@ -29,8 +29,10 @@ class Tensor:
     Holds a float64 ndarray; operations record their inputs and a local
     gradient rule, which `backward` runs to accumulate exact reverse-mode
     gradients. A tensor holds no gradient itself.
-    Creating a tensor with a NaN or infinite entry raises NonFiniteValue,
-    naming the op that produced it.
+    Creating a leaf (a constant or a parameter) with a NaN or infinite entry
+    raises NonFiniteValue. Op outputs are not checked as they are made:
+    `checked` looks at a result once and, if it is not finite, names the op
+    on its tape that first went non-finite.
     """
 
     __slots__ = ("data", "_parents", "_grad_fn", "name")
@@ -43,7 +45,7 @@ class Tensor:
         name: str | None = None,
     ):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not parents and not np.isfinite(arr).all():
             raise NonFiniteValue(f"non-finite value produced by {name or 'tensor creation'}")
         self.data = arr
         self._parents = parents
@@ -237,16 +239,28 @@ def pair_dot(z: Tensor, i: np.ndarray, j: np.ndarray) -> Tensor:
 
 
 class ParamStore:
-    """Named learnable tensors with fixed shapes."""
+    """Named learnable tensors with fixed shapes.
+
+    Every parameter's data is a view of one contiguous float64 buffer,
+    `flat`, in the order the parameters were added, so an optimizer can
+    update them all at once. Adding a parameter copies its data into a new
+    buffer and re-points the earlier tensors' `data` at it.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.flat = np.zeros(0)
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise KeyError(f"duplicate parameter {name!r}")
         t = Tensor(data, name=name)
         self._params[name] = t
+        self.flat = np.concatenate([p.data.ravel() for p in self._params.values()])
+        start = 0
+        for p in self._params.values():
+            p.data = self.flat[start : start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -265,18 +279,11 @@ class ParamStore:
         return list(self._params.items())
 
 
-def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
-    """Gradients of the scalar `loss` by parameter name.
-
-    One reverse sweep over the tape in topological order. Gradients live in a
-    dict local to the call; an entry is dropped once its node's rule has run,
-    so the tape is left unchanged. Parameters off the tape get zeros.
-    """
-    if loss.data.size != 1:
-        raise NotScalar(f"backward requires a scalar, got shape {loss.shape}")
+def _tape(root: Tensor) -> list[Tensor]:
+    """Every node `root` depends on, itself last, each after its parents."""
     topo: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -289,8 +296,37 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
+    return topo
+
+
+def checked(t: Tensor) -> Tensor:
+    """`t` itself when every entry is finite.
+
+    Otherwise raises NonFiniteValue naming the first op on `t`'s tape, parents
+    first, whose output is non-finite while its inputs are finite. The tape
+    holds every intermediate, so nothing is re-run.
+    """
+    if not np.isfinite(t.data).all():
+        # Parents come first, so the first non-finite node had finite inputs;
+        # `t` is on its own tape, so there always is one.
+        bad = next(node for node in _tape(t) if not np.isfinite(node.data).all())
+        raise NonFiniteValue(f"non-finite value produced by {bad.name or 'tensor creation'}")
+    return t
+
+
+def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
+    """Gradients of the scalar `loss` by parameter name.
+
+    One reverse sweep over the tape in topological order. Gradients live in a
+    dict local to the call; an entry is dropped once its node's rule has run,
+    so the tape is left unchanged. Parameters off the tape get zeros. A
+    non-finite loss raises NonFiniteValue (see `checked`).
+    """
+    if loss.data.size != 1:
+        raise NotScalar(f"backward requires a scalar, got shape {loss.shape}")
+    checked(loss)
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    for node in reversed(_tape(loss)):
         if node._grad_fn is None or id(node) not in grads:
             continue
         for parent, g in zip(node._parents, node._grad_fn(grads.pop(id(node)))):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import vaemodel
 from .encoder import LATENT_DIM
-from .numkernel import ParamStore, ShapeMismatch, backward
+from .numkernel import NonFiniteValue, ParamStore, ShapeMismatch, backward
 from .vaemodel import LossBreakdown, MolTensors, init_model_params, pooled_vector
 
 
@@ -44,8 +44,10 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """First and second moments over a ParamStore's flat buffer."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
@@ -59,25 +61,47 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
+    scale: float = 1.0,
 ) -> None:
-    """Standard Adam update with bias correction, in place."""
+    """Standard Adam update with bias correction on `scale` times `grads`, in
+    place, over the store's flat buffer.
+
+    A non-finite gradient raises NonFiniteValue naming the first parameter
+    that has one, before the parameters or the state change.
+    """
+    items = params.items()
+    for name, p in items:
+        if grads[name].shape != p.data.shape:
+            raise ShapeMismatch(f"gradient shape for {name}: {grads[name].shape} vs {p.data.shape}")
+    g = np.concatenate([grads[name].ravel() for name, _ in items])
+    g *= scale
+    if not np.isfinite(g).all():
+        bad = next(name for name, _ in items if not np.isfinite(grads[name] * scale).all())
+        raise NonFiniteValue(f"non-finite gradient for {bad}")
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"gradient shape for {name}: {g.shape} vs {p.data.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # m = β₁m + (1-β₁)g;  v = β₂v + (1-β₂)g·g;  p -= lr·m̂ / (√v̂ + ε), with
+    # m̂ = m/(1-β₁ᵗ) and v̂ = v/(1-β₂ᵗ): each float operation as written, in
+    # that order, into two buffers (the buffer-sized temporaries of the
+    # plain expressions cost as much as the arithmetic).
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    step = (1.0 - ADAM_BETA1) * g
+    m += step
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=step)
+    step *= g
+    v += step
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=g)
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    np.multiply(lr, step, out=step)
+    step /= g
+    params.flat -= step
 
 
 def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore, list[LossBreakdown]]:
@@ -86,8 +110,8 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     Deterministic given the config seed: shuffling, initialization, and
     per-atom noise all come from one seeded generator. Each minibatch is one
     disjoint-union graph: one `joint_loss` call builds its summed loss on one
-    tape, one `backward` sweep gives the summed gradients, and they are scaled
-    by 1/batch size before the Adam step.
+    tape, one `backward` sweep gives the summed gradients, and the Adam step
+    scales them by 1/batch size.
     """
     records = list(dataset.records)
     if not records:
@@ -116,10 +140,9 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
                 mt, labels[batch], params, noise, beta=config.beta, lam=config.lam
             )
             sums += (bd.recon, bd.kl, bd.side_mse, bd.total)
-            scale = 1.0 / len(batch)
-            grads = {name: g * scale for name, g in backward(total, params).items()}
+            grads = backward(total, params)
             del total  # frees this batch's tape before the next one is built
-            adam_step(params, grads, state, config.learning_rate)
+            adam_step(params, grads, state, config.learning_rate, scale=1.0 / len(batch))
         means = sums / len(records)
         history.append(LossBreakdown(*means))
 

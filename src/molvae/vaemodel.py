@@ -99,12 +99,12 @@ def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
 
 def side_predict(g: Tensor, store: ParamStore) -> Tensor:
     """Two-layer MLP (ELU hidden, linear output): a pooled vector gives a
-    scalar, a (B, 64) stack of them gives B outputs."""
+    scalar, a (B, 64) stack of them gives B outputs. Checked finite."""
     rows = nk.reshape(g, (1, POOL_DIM)) if g.data.ndim == 1 else g
     ones = nk.constant(np.ones((rows.shape[0], 1)))
     hidden = nk.elu(nk.add(nk.matmul(rows, store["side.m1"]), nk.matmul(ones, store["side.b1"])))
     out = nk.add(nk.matmul(hidden, store["side.m2"]), nk.matmul(ones, store["side.b2"]))
-    return nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],))
+    return nk.checked(nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],)))
 
 
 @functools.cache
@@ -197,7 +197,8 @@ def joint_loss(
 
     `mol` is one molecule, or the MolTensors of one molecule or of a union, with
     one `label` per molecule and one `noise` row per atom. A union's loss and
-    breakdown are the sums over its molecules, built on one tape.
+    breakdown are the sums over its molecules, built on one tape. The loss is
+    checked finite.
     """
     mt = mol if isinstance(mol, MolTensors) else MolTensors.from_mol(mol)
     labels = np.asarray(label, dtype=np.float64).reshape(-1)
@@ -212,7 +213,7 @@ def joint_loss(
     g = encoder.pool(mu, store, np.repeat(np.arange(mt.sizes.size), mt.sizes))
     err = nk.sub(side_predict(g, store), nk.constant(labels))
     side = nk.reduce_sum(nk.square(err))
-    total = nk.add(recon, nk.add(nk.scale(kl, beta), nk.scale(side, lam)))
+    total = nk.checked(nk.add(recon, nk.add(nk.scale(kl, beta), nk.scale(side, lam))))
     breakdown = LossBreakdown(
         recon=recon.item(), kl=kl.item(), side_mse=side.item(), total=total.item()
     )
@@ -229,13 +230,13 @@ def _posterior_mean(
 
 
 def decode_probs(mol: MolGraph, store: ParamStore, cache: MolTensors | None = None) -> np.ndarray:
-    """Deterministic edge probabilities (Z = Mu, no sampling)."""
-    return decode_adjacency(_posterior_mean(mol, store, cache)).data
+    """Deterministic edge probabilities (Z = Mu, no sampling), checked finite."""
+    return nk.checked(decode_adjacency(_posterior_mean(mol, store, cache))).data
 
 
 def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
-    """Deterministic pooled molecule vector (softmax pooling over Mu)."""
-    return encoder.pool(_posterior_mean(mol, store), store).data
+    """Deterministic pooled molecule vector (softmax pooling over Mu), checked finite."""
+    return nk.checked(encoder.pool(_posterior_mean(mol, store), store)).data
 
 
 def predict(mol: MolGraph, store: ParamStore) -> float:

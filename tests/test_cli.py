@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from molvae import encoder
-from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_USAGE, main
+from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,20 @@ def test_train_missing_data_file():
         ]
     )
     assert rc == EXIT_IO
+
+
+def test_train_overflowing_label_exits_numeric_with_one_error_line(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("smiles,heavy_atoms\nCCO,3\nCCN,1e200\nCC,2\n")
+    out = tmp_path / "m.ckpt"
+    argv = ["train", "--data", str(data), "--property", "heavy_atoms", "--epochs", "1", "--out", str(out)]
+    with np.errstate(over="ignore"):
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_NUMERIC
+    assert captured.err.splitlines() == ["error: non-finite value produced by square"]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def test_train_skips_a_non_finite_label(tmp_path, capsys):

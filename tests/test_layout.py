@@ -5,10 +5,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from molvae import cli, fingerprint
-from molvae.corpus import DRUG_SMILES
+from molvae import cli, fingerprint, train, vaemodel
+from molvae.corpus import DRUG_SMILES, random_molecule
+from molvae.dataio import Dataset, Record
 from molvae.smiles import parse_smiles
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "molvae"
@@ -161,3 +163,29 @@ def test_fingerprint_hashes_once_per_molecule(monkeypatch):
     assert calls == dict.fromkeys(calls, len(smiles))
     fingerprint.path_fingerprint(parse_smiles("C"))  # no keys: no hashing
     assert calls == {"hash_keys": 4, "fnv1a64_array": 3, "splitmix64_array": 3}
+
+
+def test_trained_parameters_are_views_of_one_buffer():
+    """Adam updates the store's flat buffer; every parameter must live in it."""
+    smiles = ["CCO", "CC(C)O", "C=C", "C"]
+    records = [Record(s, parse_smiles(s), {"y": float(len(s))}) for s in smiles]
+    params, _ = train.train(Dataset(records=records), "y", train.TrainConfig(epochs=2, batch_size=3))
+    assert params.flat.size == sum(p.data.size for _, p in params.items())
+    assert all(np.shares_memory(p.data, params.flat) for _, p in params.items())
+
+
+def test_pooled_vector_checks_finiteness_once_not_per_op(monkeypatch):
+    """Only leaves and the result are checked: a per-op check would call
+    `np.isfinite` once for each of the tape's 26 ops."""
+    mol = random_molecule(np.random.default_rng(0), 20)
+    store = vaemodel.init_model_params(seed=0)
+    calls = []
+    real = np.isfinite
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    vaemodel.pooled_vector(mol, store)
+    assert 1 <= len(calls) <= 3

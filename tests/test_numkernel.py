@@ -51,9 +51,32 @@ def test_overflowing_op_names_itself():
     big = constant([[1e200]])
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteValue, match="produced by matmul$"):
-            nk.matmul(big, big)
+            nk.checked(nk.matmul(big, big))
         with pytest.raises(NonFiniteValue, match="produced by exp$"):
-            nk.exp(constant([[800.0]]))
+            nk.checked(nk.exp(constant([[800.0]])))
+
+
+def test_checked_names_the_first_bad_op_on_a_multi_op_tape():
+    x = constant([[1.0, -2.0]])
+    big = nk.scale(x, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = nk.square(big)  # inf: the first non-finite node
+        nan = nk.sub(over, over)  # inf - inf: non-finite, but so are its inputs
+        loss = nk.reduce_sum(nk.add(nk.exp(x), nan))
+    for op in (over, nan, loss):
+        with pytest.raises(NonFiniteValue, match="produced by square$"):
+            nk.checked(op)
+    with pytest.raises(NonFiniteValue, match="produced by square$"):
+        backward(loss, ParamStore())
+    assert nk.checked(big) is big
+
+
+def test_saturating_overflow_returns_its_finite_result():
+    # exp overflows to inf, but the logistic of inf is exactly 1: a result that
+    # is finite is returned, whatever its intermediates held.
+    with np.errstate(over="ignore"):
+        out = nk.checked(nk.logistic(nk.exp(constant([[1000.0, -1000.0]]))))
+    assert np.array_equal(out.data, [[1.0, 0.5]])
 
 
 def test_backward_requires_scalar():
@@ -287,6 +310,20 @@ def test_param_store_duplicate_name_rejected():
     store.add("w", np.ones(1))
     with pytest.raises(KeyError):
         store.add("w", np.ones(1))
+
+
+def test_param_store_holds_views_of_one_buffer():
+    a0 = np.arange(6.0).reshape(2, 3)
+    store = ParamStore()
+    a = store.add("a", a0)
+    b = store.add("b", np.array([[7.0], [8.0]]))
+    c = store.add("c", np.array(9.0))
+    assert np.array_equal(store.flat, [0, 1, 2, 3, 4, 5, 7, 8, 9])
+    assert all(np.shares_memory(t.data, store.flat) for t in (a, b, c))
+    assert (a.shape, b.shape, c.shape) == ((2, 3), (2, 1), ())
+    store.flat -= 1.0
+    assert np.array_equal(a.data, a0 - 1.0) and b.data[1, 0] == 7.0 and c.item() == 8.0
+    assert a0[0, 0] == 0.0  # the caller's array is copied, not aliased
 
 
 def test_param_store_lookup():

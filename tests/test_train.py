@@ -1,5 +1,7 @@
 """Tests for Adam, the training loop, and the evaluation metrics."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,50 @@ def test_adam_matches_reference_formula():
         v = 0.999 * v + 0.001 * g * g
         ref -= 1e-3 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         assert np.allclose(store["p"].data, ref, atol=1e-15)
+
+
+def test_adam_flat_step_is_the_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(1)
+    shapes = {"a": (3, 2), "b": (1, 4), "c": (1, 1)}
+    store = ParamStore()
+    ref = {}
+    for name, shape in shapes.items():
+        ref[name] = rng.normal(size=shape)
+        store.add(name, ref[name].copy())
+    state = AdamState()
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t in range(1, 5):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        adam_step(store, grads, state, lr=1e-2, scale=1.0 / 3)
+        for name in shapes:  # the per-parameter loop, operation for operation
+            g = grads[name] * (1.0 / 3)
+            m[name] *= 0.9
+            m[name] += (1.0 - 0.9) * g
+            v[name] *= 0.999
+            v[name] += (1.0 - 0.999) * g * g
+            m_hat = m[name] / (1.0 - 0.9**t)
+            v_hat = v[name] / (1.0 - 0.999**t)
+            ref[name] -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(store[name].data, ref[name]), (t, name)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_adam_names_the_first_non_finite_gradient_and_changes_nothing(warm):
+    store = init_model_params(seed=0)
+    state = AdamState()
+    grads = {name: np.full(p.shape, 0.5) for name, p in store.items()}
+    if warm:
+        adam_step(store, grads, state, lr=0.1)
+    before = (store.flat.copy(), state.step, copy.deepcopy(state.m), copy.deepcopy(state.v))
+    grads["enc.l1.rel0"][1, 2] = np.nan
+    grads["side.m1"][0, 0] = np.inf
+    with pytest.raises(NonFiniteValue, match="^non-finite gradient for enc.l1.rel0$"):
+        adam_step(store, grads, state, lr=0.1, scale=0.25)
+    assert np.array_equal(store.flat, before[0])
+    assert state.step == before[1]
+    for got, want in ((state.m, before[2]), (state.v, before[3])):
+        assert (got is None and want is None) or np.array_equal(got, want)
 
 
 def test_adam_shape_mismatch():

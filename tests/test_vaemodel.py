@@ -344,3 +344,22 @@ def test_reconstruct_never_crashes_and_reports_consistently(seed):
     assert report.valid == (len(report.offending) == 0)
     if report.valid:
         assert check_valence(out).valid
+
+
+@pytest.mark.parametrize("fn", ["pooled_vector", "decode_probs", "side_predict"])
+def test_inference_raises_on_a_store_holding_1e200_weights(fn):
+    # 1e200 squared overflows in the encoder's second layer (and the heads'
+    # sums of +inf and -inf terms are NaN) and in the side predictor's output.
+    store = init_model_params(seed=0)
+    for name in ("enc.l1.self", "enc.l2.self", "side.m1", "side.m2"):
+        store[name].data[...] = 1e200
+    mol = parse_smiles("CCO")
+    finite_g = constant(pooled_vector(mol, init_model_params(seed=0)))
+    call = {
+        "pooled_vector": lambda: pooled_vector(mol, store),
+        "decode_probs": lambda: vaemodel.decode_probs(mol, store),
+        "side_predict": lambda: side_predict(finite_g, store),
+    }[fn]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nk.NonFiniteValue, match="produced by matmul$"):
+            call()
