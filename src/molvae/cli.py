@@ -268,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # NonFiniteValue below reports a non-finite result once; numpy's warnings would repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except _BadFlag as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,33 +63,29 @@ def encode(
     features: np.ndarray,
     relations: Relations,
     store: ParamStore,
-) -> tuple[Tensor, Tensor]:
-    """Run the three-layer encoder; returns per-node mean and log-std.
+    *heads: str,
+) -> tuple[Tensor, ...]:
+    """Run the three-layer encoder; returns the per-node output of each named
+    head ("mu" the mean, "sigma" the log-std), building only those.
 
     `relations[r]` lists bond type r's directed edges as arrays (dst, src, w)
     with w = 1/deg_r(dst), so that each node averages over its r-neighbors;
     a relation with no edges, or missing from the end, adds nothing. Layers 1
-    and 2 are shared between the two heads and ELU-activated; each head
-    applies its own linear third layer.
+    and 2 are shared and ELU-activated; each head is its own linear layer.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.ShapeMismatch(f"feature width {features.shape[1]} != {FEATURE_DIM}")
     h = nk.constant(features, "H")
     h = rgcn_layer(h, relations, store, "enc.l1", activate=True)
     h = rgcn_layer(h, relations, store, "enc.l2", activate=True)
-    mu = rgcn_layer(h, relations, store, "enc.mu", activate=False)
-    log_std = rgcn_layer(h, relations, store, "enc.sigma", activate=False)
-    return mu, log_std
+    return tuple(rgcn_layer(h, relations, store, f"enc.{head}", activate=False) for head in heads)
 
 
-def pool(node_vectors: Tensor, store: ParamStore, mol_index: np.ndarray | None = None) -> Tensor:
-    """Order-invariant molecule vector: sum of per-node softmax rows.
+def pool(node_vectors: Tensor, store: ParamStore, sizes: np.ndarray) -> Tensor:
+    """Order-invariant molecule vectors: per molecule, the sum of its nodes'
+    softmax rows over 64 slots, so a row's entries sum to its atom count.
 
-    Each node contributes a probability vector over 64 slots, so the entries
-    of the result sum to the atom count. Given `mol_index`, the molecule of
-    each node in a disjoint union, the result has one such row per molecule.
+    Molecule b's nodes are `sizes[b]` consecutive rows of `node_vectors`.
     """
     soft = nk.row_softmax(nk.matmul(node_vectors, store["pool.wp"]))
-    if mol_index is None:
-        return nk.reduce_sum(soft, axis=0)
-    return nk.seg_sum(soft, mol_index, int(mol_index[-1]) + 1)
+    return nk.seg_sum(soft, np.repeat(np.arange(sizes.size), sizes), sizes.size)

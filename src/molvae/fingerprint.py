@@ -1,4 +1,4 @@
-"""Subgraph bit fingerprints, classical similarity metrics, latent metric."""
+"""Subgraph bit fingerprints and classical similarity metrics (the latent one is `vaemodel`'s)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chem import BOND_CHAR, MolGraph, adjacency, aromatic_atoms
-from .numkernel import ParamStore
-from .vaemodel import pooled_vector
+from .vaemodel import ZeroVector, latent_similarity, pooled_vector  # noqa: F401
 
 # Shortest length density folding may reach (RDKit's minSize).
 _MIN_FOLD_BITS = 64
@@ -315,20 +314,3 @@ def cosine(a: Fingerprint, b: Fingerprint) -> float:
     if na == 0 or nb == 0:
         return 0.0
     return c / np.sqrt(na * nb)
-
-
-class ZeroVector(ArithmeticError):
-    pass
-
-
-def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> float:
-    """Similarity 1/(1+d) from the distance between normalized pooled vectors."""
-    sims = []
-    for mol in (mol1, mol2):
-        g = pooled_vector(mol, store)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            raise ZeroVector("pooled vector has zero norm")
-        sims.append(g / norm)
-    d = float(np.linalg.norm(sims[0] - sims[1]))
-    return 1.0 / (1.0 + d)

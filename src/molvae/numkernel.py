@@ -115,21 +115,9 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(a.data.T, (a,), lambda g: (g.T,), "transpose")
 
 
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        out_data = a.data.sum()
-
-        def grad_fn(g):
-            return (np.broadcast_to(g, a.shape).copy(),)
-
-    else:
-        _require_2d(a, "reduce_sum(axis)")
-        out_data = a.data.sum(axis=axis)
-
-        def grad_fn(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
-
-    return Tensor(out_data, (a,), grad_fn, "reduce_sum")
+def reduce_sum(a: Tensor) -> Tensor:
+    """Sum of every entry, as a scalar."""
+    return Tensor(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),), "reduce_sum")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

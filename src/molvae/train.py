@@ -9,7 +9,7 @@ import numpy as np
 from . import vaemodel
 from .encoder import LATENT_DIM
 from .numkernel import NonFiniteValue, ParamStore, ShapeMismatch, backward
-from .vaemodel import LossBreakdown, MolTensors, init_model_params, pooled_vector
+from .vaemodel import LossBreakdown, MolTensors, init_model_params
 
 
 class TrainError(ValueError):
@@ -149,13 +149,21 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     return params, history
 
 
+def _molecules(dataset) -> list:
+    mols = [rec.mol for rec in dataset.records]
+    if not mols:
+        raise EmptyDataset("no molecules to evaluate")
+    return mols
+
+
 def evaluate_validity(params: ParamStore, dataset, threshold: float = 0.5) -> float:
     """Fraction of deterministic reconstructions that pass the valence check."""
-    n_valid = 0
-    for rec in dataset.records:
-        _, report = vaemodel.reconstruct(rec.mol, params, threshold)
-        n_valid += report.valid
-    return n_valid / len(dataset.records)
+    mols = _molecules(dataset)
+    reports = [
+        vaemodel.reconstruct_from_probs(mol, probs, threshold)[1]
+        for mol, probs in zip(mols, vaemodel.decoded_blocks(mols, params))
+    ]
+    return sum(r.valid for r in reports) / len(mols)
 
 
 def evaluate_edge_auc(params: ParamStore, dataset) -> float:
@@ -163,14 +171,10 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
 
     Pools all unordered pairs of all molecules; ties are handled by midrank.
     """
-    scores = []
-    labels = []
-    for rec in dataset.records:
-        mt = MolTensors.from_mol(rec.mol)
-        scores.append(vaemodel.decode_probs(rec.mol, params, mt)[mt.pairs])
-        labels.append(mt.pair_target > 0)
-    s = np.concatenate(scores)
-    y = np.concatenate(labels)
+    mts = [MolTensors.from_mol(mol) for mol in _molecules(dataset)]
+    blocks = vaemodel.decoded_blocks(mts, params)
+    s = np.concatenate([probs[mt.pairs] for probs, mt in zip(blocks, mts)])
+    y = np.concatenate([mt.pair_target > 0 for mt in mts])
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -180,17 +184,9 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `x`, each group of tied values sharing its mean rank."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def fit_probe(
@@ -205,7 +201,7 @@ def fit_probe(
     The model parameters stay frozen; only the linear probe is fit, on a
     seeded 80/20 split.
     """
-    xs = np.stack([pooled_vector(rec.mol, params) for rec in dataset.records])
+    xs = vaemodel.pooled_vectors(_molecules(dataset), params)
     ys = np.array([float(rec.properties[target_column]) for rec in dataset.records])
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ys))

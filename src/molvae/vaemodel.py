@@ -1,5 +1,5 @@
 """Latent sampling, inner-product decoder, side predictor, the joint loss, and
-inference with a trained model: pooled vector, side prediction, reconstruction."""
+every use of a trained model, through one mu-only encoder pass over a batch."""
 
 from __future__ import annotations
 
@@ -162,6 +162,8 @@ class MolTensors:
     @classmethod
     def union(cls, parts: list["MolTensors"]) -> "MolTensors":
         """The disjoint union: each part's atom indices shift past the atoms before it."""
+        if len(parts) == 1:
+            return parts[0]
         offsets = np.cumsum([0] + [len(p.features) for p in parts[:-1]])
 
         def cat(arrays, shift=False):
@@ -204,13 +206,13 @@ def joint_loss(
     labels = np.asarray(label, dtype=np.float64).reshape(-1)
     if labels.shape != mt.sizes.shape:
         raise nk.ShapeMismatch(f"{labels.size} labels for {mt.sizes.size} molecules")
-    mu, log_std = encoder.encode(mt.features, mt.relations, store)
+    mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
     logits = nk.pair_dot(z, *mt.pairs)  # BCE via softplus: no clamp, exact when saturated
     per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
     recon = nk.reduce_sum(nk.hadamard(nk.constant(mt.pair_weight), per_pair))
     kl = kl_term(mu, log_std)
-    g = encoder.pool(mu, store, np.repeat(np.arange(mt.sizes.size), mt.sizes))
+    g = encoder.pool(mu, store, mt.sizes)
     err = nk.sub(side_predict(g, store), nk.constant(labels))
     side = nk.reduce_sum(nk.square(err))
     total = nk.checked(nk.add(recon, nk.add(nk.scale(kl, beta), nk.scale(side, lam))))
@@ -220,29 +222,59 @@ def joint_loss(
     return total, breakdown
 
 
-def _posterior_mean(
-    mol: MolGraph, store: ParamStore, cache: MolTensors | None = None
-) -> Tensor:
-    """Mu of the encoder, the deterministic latent code used for inference."""
-    mt = cache if cache is not None else MolTensors.from_mol(mol)
-    mu, _ = encoder.encode(mt.features, mt.relations, store)
-    return mu
+def _mu(mols: list[MolGraph | MolTensors], store: ParamStore) -> tuple[np.ndarray, Tensor]:
+    """Molecule sizes and Mu of a batch, from one encoder pass over its union
+    that builds only the mu head: the deterministic latent code of inference."""
+    mt = MolTensors.union([m if isinstance(m, MolTensors) else MolTensors.from_mol(m) for m in mols])
+    return mt.sizes, encoder.encode(mt.features, mt.relations, store, "mu")[0]
 
 
-def decode_probs(mol: MolGraph, store: ParamStore, cache: MolTensors | None = None) -> np.ndarray:
-    """Deterministic edge probabilities (Z = Mu, no sampling), checked finite."""
-    return nk.checked(decode_adjacency(_posterior_mean(mol, store, cache))).data
+def pooled_vectors(mols: list[MolGraph | MolTensors], store: ParamStore) -> np.ndarray:
+    """(B, 64) pooled vectors of a batch (softmax pooling over Mu), checked finite."""
+    sizes, mu = _mu(mols, store)
+    return nk.checked(encoder.pool(mu, store, sizes)).data
+
+
+def decoded_blocks(mols: list[MolGraph | MolTensors], store: ParamStore) -> list[np.ndarray]:
+    """Deterministic edge probabilities (Z = Mu, no sampling) of a batch: one
+    dense block logistic(z zᵀ) per molecule, each checked finite, as is Mu."""
+    sizes, mu = _mu(mols, store)
+    z = nk.checked(mu).data
+    del mu  # frees the union's encoder tape before the blocks are decoded
+    return [
+        nk.checked(decode_adjacency(nk.constant(z[end - n : end]))).data
+        for n, end in zip(sizes, np.cumsum(sizes))
+    ]
+
+
+def decode_probs(mol: MolGraph, store: ParamStore) -> np.ndarray:
+    """`decoded_blocks` of one molecule: its n x n edge probabilities."""
+    return decoded_blocks([mol], store)[0]
 
 
 def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
-    """Deterministic pooled molecule vector (softmax pooling over Mu), checked finite."""
-    return nk.checked(encoder.pool(_posterior_mean(mol, store), store)).data
+    """`pooled_vectors` of one molecule: its pooled 64-vector."""
+    return pooled_vectors([mol], store)[0]
 
 
 def predict(mol: MolGraph, store: ParamStore) -> float:
     """Side-predictor output for a molecule, from its pooled Mu."""
-    g = encoder.pool(_posterior_mean(mol, store), store)
-    return side_predict(g, store).item()
+    return side_predict(nk.constant(pooled_vector(mol, store)), store).item()
+
+
+class ZeroVector(ArithmeticError):
+    pass
+
+
+def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> float:
+    """Similarity 1/(1+d) from the distance between normalized pooled vectors."""
+    units = []
+    for g in pooled_vectors([mol1, mol2], store):
+        norm = np.linalg.norm(g)
+        if norm == 0.0:
+            raise ZeroVector("pooled vector has zero norm")
+        units.append(g / norm)
+    return 1.0 / (1.0 + float(np.linalg.norm(units[0] - units[1])))
 
 
 def reconstruct(

@@ -2,6 +2,10 @@
 
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,22 @@ def test_train_overflowing_label_exits_numeric_with_one_error_line(tmp_path, cap
     assert captured.err.splitlines() == ["error: non-finite value produced by square"]
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+
+
+def test_train_overflowing_label_prints_one_stderr_line_in_a_fresh_process(tmp_path):
+    # Only a separate interpreter shows numpy's RuntimeWarnings as they reach
+    # a user: pytest captures them in-process.
+    data = tmp_path / "d.csv"
+    data.write_text("smiles,heavy_atoms\nCCO,3\nCCN,1e200\nCC,2\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = ["train", "--data", str(data), "--property", "heavy_atoms", "--epochs", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "molvae.cli", *argv, "--out", str(tmp_path / "m.ckpt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_NUMERIC
+    assert proc.stderr == "error: non-finite value produced by square\n"
 
 
 def test_train_skips_a_non_finite_label(tmp_path, capsys):

@@ -24,7 +24,7 @@ from helpers import permute
 
 def encode_mol(mol, store):
     mt = MolTensors.from_mol(mol)
-    return encode(mt.features, mt.relations, store)
+    return encode(mt.features, mt.relations, store, "mu", "sigma")
 
 
 # -- parameter inventory -------------------------------------------------
@@ -108,7 +108,7 @@ def test_encode_output_shapes():
 def test_encode_rejects_bad_feature_width():
     store = init_model_params(seed=0)
     with pytest.raises(nk.ShapeMismatch):
-        encode(np.zeros((3, 7)), [], store)
+        encode(np.zeros((3, 7)), [], store, "mu")
 
 
 def test_heads_share_the_first_two_layers():
@@ -151,8 +151,8 @@ def test_encode_accepts_precomputed_mean_mats():
     mol = parse_smiles("CC=O")
     mt = MolTensors.from_mol(mol)
     assert [dst.size for dst, _, _ in mt.relations] == [2, 2, 0, 0]
-    mu1, ls1 = encode(mt.features, mt.relations, store)
-    mu2, ls2 = encode(mt.features, mt.relations[:2], store)
+    mu1, ls1 = encode(mt.features, mt.relations, store, "mu", "sigma")
+    mu2, ls2 = encode(mt.features, mt.relations[:2], store, "mu", "sigma")
     assert np.array_equal(mu1.data, mu2.data)
     assert np.array_equal(ls1.data, ls2.data)
 
@@ -165,8 +165,8 @@ def test_pool_entries_sum_to_atom_count():
     for smi in ("C", "CCO", "c1ccccc1"):
         mol = parse_smiles(smi)
         mu, _ = encode_mol(mol, store)
-        g = pool(mu, store)
-        assert g.shape == (POOL_DIM,)
+        g = pool(mu, store, np.array([mol.n_atoms]))
+        assert g.shape == (1, POOL_DIM)
         assert g.data.sum() == pytest.approx(mol.n_atoms, abs=1e-9)
         assert np.all(g.data >= 0.0)
 
@@ -180,8 +180,9 @@ def test_pool_is_permutation_invariant(seed):
     perm = list(rng.permutation(mol.n_atoms))
     mu_a, _ = encode_mol(mol, store)
     mu_b, _ = encode_mol(permute(mol, perm), store)
-    g_a = pool(mu_a, store).data
-    g_b = pool(mu_b, store).data
+    sizes = np.array([mol.n_atoms])
+    g_a = pool(mu_a, store, sizes).data
+    g_b = pool(mu_b, store, sizes).data
     assert np.allclose(g_a, g_b, atol=1e-12)
 
 
@@ -189,5 +190,5 @@ def test_pool_gradient_flows_to_wp():
     store = init_model_params(seed=0)
     mol = parse_smiles("CCO")
     mu, _ = encode_mol(mol, store)
-    grads = nk.backward(nk.reduce_sum(nk.square(pool(mu, store))), store)
+    grads = nk.backward(nk.reduce_sum(nk.square(pool(mu, store, np.array([3])))), store)
     assert np.any(grads["pool.wp"] != 0.0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molvae import cli, fingerprint, train, vaemodel
+from molvae import cli, encoder, fingerprint, train, vaemodel
 from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.dataio import Dataset, Record
 from molvae.smiles import parse_smiles
@@ -79,6 +79,60 @@ def test_cli_does_not_import_encoder():
 def test_inference_runs_only_through_vaemodel():
     assert "fingerprint" not in internal_imports(MODULES["train"])
     assert "fingerprint" not in internal_imports(MODULES["vaemodel"])
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"vaemodel"}))
+def test_only_vaemodel_runs_the_encoder(name):
+    """Every use of a model goes through vaemodel's one batched forward: no
+    other module calls `encoder.encode` or `encoder.pool`, or imports them."""
+    found = [
+        f"{node.attr}:{node.lineno}"
+        for node in ast.walk(MODULES[name])
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"encode", "pool"}
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "encoder"
+    ] + [
+        f"{alias.name}:{node.lineno}"
+        for node in ast.walk(MODULES[name])
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "encoder"
+        for alias in node.names
+        if alias.name in {"encode", "pool"}
+    ]
+    assert found == []
+
+
+def test_inference_never_builds_the_sigma_head(monkeypatch):
+    """The sigma head only feeds the sampled training latent; every query of a
+    trained model must leave it out of its encoder pass."""
+    prefixes = []
+    real = encoder.rgcn_layer
+
+    def recording(h, relations, store, prefix, activate):
+        prefixes.append(prefix)
+        return real(h, relations, store, prefix, activate)
+
+    monkeypatch.setattr(encoder, "rgcn_layer", recording)
+    store = vaemodel.init_model_params(seed=0)
+    a, b = parse_smiles(DRUG_SMILES["aspirin"]), parse_smiles("CCO")
+    smiles = ("CCO", "CC=O", "CCCN", "C1CC1", "CC")
+    records = [Record(s, parse_smiles(s), {"y": float(len(s))}) for s in smiles]
+    queries = {
+        "pooled_vector": lambda: vaemodel.pooled_vector(a, store),
+        "pooled_vectors": lambda: vaemodel.pooled_vectors([a, b], store),
+        "decode_probs": lambda: vaemodel.decode_probs(a, store),
+        "decoded_blocks": lambda: vaemodel.decoded_blocks([a, b], store),
+        "predict": lambda: vaemodel.predict(a, store),
+        "reconstruct": lambda: vaemodel.reconstruct(a, store),
+        "latent_similarity": lambda: fingerprint.latent_similarity(a, b, store),
+        "evaluate_validity": lambda: train.evaluate_validity(store, Dataset(records)),
+        "evaluate_edge_auc": lambda: train.evaluate_edge_auc(store, Dataset(records)),
+        "fit_probe": lambda: train.fit_probe(store, Dataset(records), "y"),
+    }
+    for name, query in queries.items():
+        prefixes.clear()
+        query()
+        assert prefixes == ["enc.l1", "enc.l2", "enc.mu"], name
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

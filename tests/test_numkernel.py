@@ -149,10 +149,9 @@ def test_clip_value():
     assert np.array_equal(out, [[0.0, 0.5, 1.0]])
 
 
-def test_concat_rows_and_reduce_sum_axes():
+def test_reduce_sum_totals_every_entry():
     cat = constant([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    assert np.array_equal(nk.reduce_sum(cat, axis=0).data, [4.0, 4.0, 4.0])
-    assert np.array_equal(nk.reduce_sum(cat, axis=1).data, [3.0, 3.0, 6.0])
+    assert nk.reduce_sum(cat).shape == ()
     assert nk.reduce_sum(cat).item() == 12.0
 
 

@@ -4,8 +4,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from molvae import dataio, numkernel as nk, vaemodel
+from molvae import dataio, encoder, numkernel as nk, vaemodel
 from molvae.corpus import DRUG_SMILES
 from molvae.encoder import LATENT_DIM
 from molvae.numkernel import NonFiniteValue, ParamStore, backward
@@ -272,6 +273,47 @@ def test_train_overflowing_label_names_the_op():
 def test_midranks_ties():
     r = _midranks(np.array([1.0, 2.0, 2.0, 3.0]))
     assert np.array_equal(r, [1.0, 2.5, 2.5, 4.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=40), st.integers(0, 4))
+def test_midranks_match_brute_force(values, scale):
+    # Small integers make ties common; a tie group's rank is the mean of the
+    # 1-based positions it spans, i.e. (#smaller) + (#equal + 1) / 2.
+    x = np.array(values, dtype=float) / (scale + 1)
+    brute = [(x < v).sum() + ((x == v).sum() + 1) / 2.0 for v in x]
+    assert np.array_equal(_midranks(x), np.array(brute, dtype=float))
+
+
+EVALUATORS = pytest.mark.parametrize(
+    "evaluate",
+    [evaluate_validity, evaluate_edge_auc, lambda p, ds: fit_probe(p, ds, "heavy_atoms")],
+    ids=["validity", "edge_auc", "probe"],
+)
+
+
+@EVALUATORS
+def test_evaluators_encode_the_dataset_once(evaluate, monkeypatch):
+    params = init_model_params(seed=0)
+    calls = []
+    real = encoder.encode
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(encoder, "encode", counting)
+    evaluate(params, tiny_dataset())
+    assert len(calls) == 1
+    assert calls[0][0].shape[0] == sum(rec.mol.n_atoms for rec in tiny_dataset().records)
+
+
+@EVALUATORS
+def test_evaluators_reject_an_empty_dataset(evaluate):
+    _, held_out = tiny_dataset().split(1.0, seed=0)
+    assert held_out.records == []
+    with pytest.raises(EmptyDataset):
+        evaluate(init_model_params(seed=0), held_out)
 
 
 def test_edge_auc_bounds_and_degenerate_case():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from molvae import encoder, numkernel as nk, vaemodel
-from molvae.chem import BondType, adjacency_tensor, check_valence, is_isomorphic
+from molvae.chem import Atom, BondType, adjacency_tensor, build, check_valence, is_isomorphic
 from molvae.corpus import random_molecule
+from molvae.dataio import load_bundled_corpus
 from molvae.encoder import LATENT_DIM
 from molvae.numkernel import constant
 from molvae.smiles import parse_smiles
@@ -19,7 +20,11 @@ from molvae.vaemodel import (
     init_model_params,
     joint_loss,
     kl_term,
+    ZeroVector,
+    decoded_blocks,
+    latent_similarity,
     pooled_vector,
+    pooled_vectors,
     predict,
     recon_bce,
     reconstruct,
@@ -179,7 +184,7 @@ def test_recon_bce_logits_matches_probability_form():
     noise = np.random.default_rng(0).standard_normal((4, LATENT_DIM))
     _, bd = joint_loss(mol, 4.0, store, noise)
     mt = MolTensors.from_mol(mol)
-    mu, log_std = encoder.encode(mt.features, mt.relations, store)
+    mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     probs = decode_adjacency(sample_latent(mu, log_std, noise))
     assert bd.recon == pytest.approx(recon_bce(probs, adjacency_tensor(mol)).item(), rel=1e-12)
 
@@ -363,3 +368,50 @@ def test_inference_raises_on_a_store_holding_1e200_weights(fn):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nk.NonFiniteValue, match="produced by matmul$"):
             call()
+
+
+# -- the batched inference path ------------------------------------------
+
+
+def _training_path_mu(mol, store):
+    """Mu as training computes it: both heads built, on the molecule alone."""
+    mt = MolTensors.from_mol(mol)
+    mu, _ = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
+    return mu
+
+
+def test_batch_forms_equal_each_molecule_alone_bit_for_bit():
+    rng = np.random.default_rng(3)
+    mols = [rec.mol for rec in load_bundled_corpus().records[::10]]
+    mols += [random_molecule(rng, int(rng.integers(12, 21))) for _ in range(20)]
+    store = init_model_params(seed=4)
+    pooled = pooled_vectors(mols, store)
+    blocks = decoded_blocks(mols, store)
+    assert pooled.shape == (len(mols), 64) and len(blocks) == len(mols)
+    for mol, row, block in zip(mols, pooled, blocks):
+        mu = _training_path_mu(mol, store)
+        alone = encoder.pool(mu, store, np.array([mol.n_atoms])).data[0]
+        assert row.tobytes() == pooled_vector(mol, store).tobytes() == alone.tobytes()
+        dense = decode_adjacency(mu).data
+        assert block.tobytes() == vaemodel.decode_probs(mol, store).tobytes() == dense.tobytes()
+
+
+def test_batch_pools_an_empty_molecule_to_a_zero_row():
+    store = init_model_params(seed=0)
+    mol, empty = parse_smiles("CCO"), build([], [])
+    pooled = pooled_vectors([mol, empty], store)
+    assert pooled.shape == (2, 64)
+    assert pooled[0].sum() == pytest.approx(3.0) and not pooled[1].any()
+    assert pooled_vectors([empty], store).shape == (1, 64)
+    assert [b.shape for b in decoded_blocks([empty, mol], store)] == [(0, 0), (3, 3)]
+    with pytest.raises(ZeroVector):
+        latent_similarity(mol, empty, store)
+
+
+def test_latent_similarity_of_a_batch_pair_equals_each_molecule_alone():
+    store = init_model_params(seed=2)
+    a, b = parse_smiles("CC(=O)Oc1ccccc1C(=O)O"), parse_smiles("CCN(CC)CC")
+    ga, gb = pooled_vector(a, store), pooled_vector(b, store)
+    d = np.linalg.norm(ga / np.linalg.norm(ga) - gb / np.linalg.norm(gb))
+    assert latent_similarity(a, b, store) == 1.0 / (1.0 + float(d))
+    assert latent_similarity(a, a, store) == 1.0
