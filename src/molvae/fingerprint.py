@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chem import BOND_CHAR, MolGraph, adjacency, aromatic_atoms
+from .chem import BOND_CHAR, MolGraph, aromatic_atoms
 from .vaemodel import ZeroVector, latent_similarity, pooled_vector  # noqa: F401
 
 # Shortest length density folding may reach (RDKit's minSize).
@@ -95,52 +95,51 @@ class Fingerprint:
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def enumerate_subgraphs(
-    mol: MolGraph, min_len: int = 1, max_len: int = 7
-) -> set[frozenset[int]]:
-    """All connected bond subgraphs of min_len..max_len bonds, as bond-slot sets.
-
-    ESU (Wernicke 2006) on the bond line graph grows each subgraph once,
-    from its lowest slot. A subgraph grows only by the slots of its
-    extension list, all above that root; adding a slot passes on the rest of
-    the list plus the slot's neighbours that nothing in the subgraph touched.
-    """
-    at_atom: list[list[int]] = [[] for _ in range(mol.n_atoms)]
+def _end_masks(mol: MolGraph) -> list[tuple[int, int]]:
+    """Per bond slot, bit masks over bond slots (bit s is slot s) of the bonds at its two atoms."""
+    at_atom = [0] * mol.n_atoms
     for slot, (i, j, _) in enumerate(mol.bonds):
-        at_atom[i].append(slot)
-        at_atom[j].append(slot)
-    # Bond slot -> itself and every slot that shares an atom with it.
-    touching = [set(at_atom[i] + at_atom[j]) for i, j, _ in mol.bonds]
+        at_atom[i] |= 1 << slot
+        at_atom[j] |= 1 << slot
+    return [(at_atom[i], at_atom[j]) for i, j, _ in mol.bonds]
 
-    found: set[frozenset[int]] = set()
+
+def enumerate_subgraphs(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> list[int]:
+    """All connected bond subgraphs of min_len..max_len bonds, each once, as
+    bit masks over bond slots (bit s is slot s).
+
+    ESU (Wernicke 2006) on the bond line graph grows each subgraph once, from
+    its lowest slot, only by the slots of its extension, all above that root.
+    Adding the extension's lowest slot passes on its other slots plus the
+    added slot's neighbours that nothing in the subgraph touched.
+    """
+    touching = [a | b for a, b in _end_masks(mol)]  # slot -> it and the slots sharing an atom
+    found = [1 << root for root in range(len(touching))] if min_len <= 1 <= max_len else []
     for root, near in enumerate(touching):
-        start = frozenset((root,))
-        if min_len <= 1 <= max_len:
-            found.add(start)
-        if max_len < 2:
-            continue
-        # (subgraph, it and its neighbour slots, slots it may still grow by)
-        stack = [(start, near, [s for s in near if s > root])]
+        above = -(2 << root)  # every slot above the root
+        # (subgraph, it and its neighbour slots, slots it may grow by, its size once grown)
+        stack = [(1 << root, near, near & above, 2)] if max_len > 1 else []
         while stack:
-            sub, seen, extension = stack.pop()
-            size = len(sub) + 1
-            for k, slot in enumerate(extension):
-                grown = sub | {slot}
+            sub, seen, ext, size = stack.pop()
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                grown = sub | low
                 if size >= min_len:
-                    found.add(grown)
+                    found.append(grown)
                 if size < max_len:
-                    fresh = [s for s in touching[slot] if s > root and s not in seen]
-                    stack.append((grown, seen | touching[slot], extension[k + 1 :] + fresh))
+                    reach = touching[low.bit_length() - 1]
+                    stack.append((grown, seen | reach, ext | (reach & ~seen & above), size + 1))
     return found
 
 
 class KeyTable(NamedTuple):
     """One molecule's bond descriptors, for every in-subgraph degree of the bond's ends."""
 
-    ends: list[tuple[int, int]]  # bond slot -> its two atoms
+    # bond slot -> bit masks over bond slots (bit s is slot s) of the bonds at its two atoms
+    end_masks: list[tuple[int, int]]
     # bond slot -> [in-subgraph degree of end 0, less 1][degree of end 1, less 1] -> descriptor
     descs: list[list[list[str]]]
-    n_atoms: int
 
 
 def key_table(mol: MolGraph) -> KeyTable:
@@ -153,30 +152,30 @@ def key_table(mol: MolGraph) -> KeyTable:
     """
     aromatic = aromatic_atoms(mol)
     sym = [a.element.lower() if k in aromatic else a.element for k, a in enumerate(mol.atoms)]
-    degree = [len(nbrs) for nbrs in adjacency(mol)]
-    ends, descs = [], []
-    for i, j, t in mol.bonds:
+    end_masks, descs = _end_masks(mol), []
+    for (i, j, t), (a, b) in zip(mol.bonds, end_masks):
         ch = BOND_CHAR[t]
-        ends.append((i, j))
         descs.append([
             [
                 min(f"{sym[i]}{di}{ch}{sym[j]}{dj}", f"{sym[j]}{dj}{ch}{sym[i]}{di}")
-                for dj in range(1, degree[j] + 1)
+                for dj in range(1, b.bit_count() + 1)
             ]
-            for di in range(1, degree[i] + 1)
+            for di in range(1, a.bit_count() + 1)
         ])
-    return KeyTable(ends, descs, mol.n_atoms)
+    return KeyTable(end_masks, descs)
 
 
-def canonical_subgraph_key(table: KeyTable, subgraph: frozenset[int]) -> str:
-    """Sorted bond descriptors of a bond subgraph of `table`'s molecule, joined by "|"."""
-    ends, descs, n_atoms = table
-    degree = [-1] * n_atoms  # in-subgraph degree less 1: the index into descs
-    for slot in subgraph:
-        i, j = ends[slot]
-        degree[i] += 1
-        degree[j] += 1
-    return "|".join(sorted([descs[s][degree[ends[s][0]]][degree[ends[s][1]]] for s in subgraph]))
+def canonical_subgraph_key(table: KeyTable, subgraph: int) -> str:
+    """Sorted bond descriptors of `subgraph`, a bit mask over bond slots
+    (bit s is slot s), joined by "|"."""
+    end_masks, descs = table
+    found, rest = [], subgraph
+    while rest:
+        slot = rest.bit_length() - 1
+        rest ^= 1 << slot
+        a, b = end_masks[slot]
+        found.append(descs[slot][(subgraph & a).bit_count() - 1][(subgraph & b).bit_count() - 1])
+    return "|".join(sorted(found))
 
 
 def fnv1a64_array(keys: Sequence[str]) -> np.ndarray:
@@ -235,9 +234,10 @@ def hash_keys(keys: Sequence[str], bits_per_hash: int, nbits: int) -> int:
 def path_fingerprint(mol: MolGraph, cfg: FpConfig = FpConfig()) -> Fingerprint:
     """Branched-subgraph fingerprint, folded towards `cfg.target_density`.
 
-    Every connected bond subgraph of min_path..max_path bonds is keyed by
-    `canonical_subgraph_key`; `hash_keys` sets bits_per_hash of nbits bits
-    for each distinct key.
+    `enumerate_subgraphs` gives every connected bond subgraph of
+    min_path..max_path bonds once, as a bit mask over bond slots (bit s is
+    slot s); `canonical_subgraph_key` keys each mask, and `hash_keys` sets
+    bits_per_hash of nbits bits for each distinct key.
     """
     table = key_table(mol)
     keys = {

@@ -1,12 +1,13 @@
 """Shared test helpers, and straightforward oracles for the fingerprint module."""
 
+import itertools
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from molvae.chem import BOND_CHAR, BondType, MolGraph, aromatic_atoms, build
-from molvae.fingerprint import FpConfig, LengthMismatch, enumerate_subgraphs
+from molvae.fingerprint import FpConfig, LengthMismatch
 
 
 def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:
@@ -84,6 +85,34 @@ def oracle_bond_order_sum(mol: MolGraph, i: int) -> float:
 # -- fingerprint oracles: positions as sets, keys rebuilt from the molecule ---
 
 
+def connected(mol: MolGraph, slots: Sequence[int]) -> bool:
+    """Whether the bonds in `slots` form one connected subgraph."""
+    atoms_of = [set(mol.bonds[s][:2]) for s in slots]
+    seen, frontier = {0}, [0]
+    while frontier:
+        k = frontier.pop()
+        for other in range(len(slots)):
+            if other not in seen and atoms_of[other] & atoms_of[k]:
+                seen.add(other)
+                frontier.append(other)
+    return len(seen) == len(slots)
+
+
+def brute_subgraphs(mol: MolGraph, min_len: int, max_len: int) -> set[frozenset[int]]:
+    """Every connected bond subgraph of min_len..max_len bonds, by trying every slot set."""
+    return {
+        frozenset(slots)
+        for k in range(min_len, max_len + 1)
+        for slots in itertools.combinations(range(len(mol.bonds)), k)
+        if connected(mol, slots)
+    }
+
+
+def slot_sets(masks: Iterable[int]) -> set[frozenset[int]]:
+    """Bit masks over bond slots (bit s is slot s) as sets of slots."""
+    return {frozenset(s for s in range(m.bit_length()) if m >> s & 1) for m in masks}
+
+
 def oracle_subgraph_key(mol: MolGraph, subgraph: frozenset[int]) -> str:
     """Sorted bond descriptors such as "C1-c2" of a bond subgraph, joined by "|"."""
     aromatic = aromatic_atoms(mol)
@@ -153,9 +182,9 @@ def oracle_hex(bits: frozenset[int], nbits: int) -> str:
 
 
 def oracle_fingerprint(mol: MolGraph, cfg: FpConfig = FpConfig()) -> tuple[frozenset[int], int]:
-    """On-bit positions and length of `path_fingerprint(mol, cfg)`."""
+    """On-bit positions and length of `path_fingerprint(mol, cfg)`, from brute-force subgraphs."""
     bits: set[int] = set()
-    for subgraph in enumerate_subgraphs(mol, cfg.min_path, cfg.max_path):
+    for subgraph in brute_subgraphs(mol, cfg.min_path, cfg.max_path):
         gen = splitmix64(fnv1a64(oracle_subgraph_key(mol, subgraph).encode("ascii")))
         for _ in range(cfg.bits_per_hash):
             bits.add(next(gen) % cfg.nbits)

@@ -1,6 +1,7 @@
 """Tests for path and subgraph enumeration, hashing, fingerprints, and metrics."""
 
-import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from molvae.smiles import parse_smiles
 from molvae.vaemodel import init_model_params
 
 from helpers import (
+    brute_subgraphs,
     enumerate_paths,
     fnv1a64,
     oracle_fingerprint,
@@ -39,6 +41,7 @@ from helpers import (
     oracle_similarities,
     oracle_subgraph_key,
     permute,
+    slot_sets,
     splitmix64,
 )
 
@@ -111,59 +114,53 @@ def test_single_atom_has_no_paths():
 # -- subgraph enumeration ------------------------------------------------
 
 
-def connected(mol, slots):
-    atoms_of = [set(mol.bonds[s][:2]) for s in slots]
-    seen, frontier = {0}, [0]
-    while frontier:
-        k = frontier.pop()
-        for other in range(len(slots)):
-            if other not in seen and atoms_of[other] & atoms_of[k]:
-                seen.add(other)
-                frontier.append(other)
-    return len(seen) == len(slots)
-
-
-def brute_subgraphs(mol, min_len, max_len):
-    return {
-        frozenset(slots)
-        for k in range(min_len, max_len + 1)
-        for slots in itertools.combinations(range(len(mol.bonds)), k)
-        if connected(mol, slots)
-    }
+def enumerated(mol, min_len, max_len):
+    """`enumerate_subgraphs` as slot sets, after checking it lists no subgraph twice."""
+    masks = enumerate_subgraphs(mol, min_len, max_len)
+    assert len(set(masks)) == len(masks)
+    return slot_sets(masks)
 
 
 def test_subgraphs_match_bruteforce_on_random_molecules():
     rng = np.random.default_rng(11)
     for _ in range(20):
         mol = random_molecule(rng, int(rng.integers(2, 10)))
-        assert enumerate_subgraphs(mol, 1, 5) == brute_subgraphs(mol, 1, 5)
-        assert enumerate_subgraphs(mol, 2, 4) == brute_subgraphs(mol, 2, 4)
+        assert enumerated(mol, 1, 5) == brute_subgraphs(mol, 1, 5)
+        assert enumerated(mol, 2, 4) == brute_subgraphs(mol, 2, 4)
 
 
 @pytest.mark.parametrize("name", sorted(DRUG_SMILES))
 def test_subgraphs_match_bruteforce_on_fused_and_aromatic_rings(name):
     mol = parse_smiles(DRUG_SMILES[name])
-    assert enumerate_subgraphs(mol, 1, 7) == brute_subgraphs(mol, 1, 7)
+    assert enumerated(mol, 1, 7) == brute_subgraphs(mol, 1, 7)
 
 
-@pytest.mark.parametrize("bounds", [(1, 1), (3, 3), (7, 7), (4, 6)])
+@pytest.mark.parametrize("bounds", [(1, 1), (3, 3), (7, 7), (4, 6), (0, 2), (1, 0), (3, 2)])
 def test_subgraphs_match_bruteforce_for_narrow_size_ranges(bounds):
     rng = np.random.default_rng(13)
     mols = [random_molecule(rng, int(rng.integers(2, 12))) for _ in range(8)]
     for mol in mols + [parse_smiles(DRUG_SMILES["caffeine"])]:
-        assert enumerate_subgraphs(mol, *bounds) == brute_subgraphs(mol, *bounds)
+        assert enumerated(mol, *bounds) == brute_subgraphs(mol, *bounds)
 
 
 def test_molecule_without_bonds_has_no_subgraphs():
     for mol in (parse_smiles("C"), build([Atom("C"), Atom("O"), Atom("N")], [])):
-        assert enumerate_subgraphs(mol, 1, 7) == brute_subgraphs(mol, 1, 7) == set()
+        assert enumerate_subgraphs(mol, 1, 7) == []
+        assert brute_subgraphs(mol, 1, 7) == set()
+
+
+def test_subgraph_masks_are_not_limited_to_64_bonds():
+    mol = parse_smiles("C" * 70)
+    masks = enumerate_subgraphs(mol, 1, 2)
+    assert len(masks) == 69 + 68 and max(masks) > 1 << 64
+    assert enumerated(mol, 1, 2) == brute_subgraphs(mol, 1, 2)
 
 
 def test_every_path_is_an_enumerated_subgraph():
     rng = np.random.default_rng(5)
     for _ in range(20):
         mol = random_molecule(rng, int(rng.integers(2, 10)))
-        subgraphs = enumerate_subgraphs(mol, 1, 7)
+        subgraphs = enumerated(mol, 1, 7)
         for path in enumerate_paths(mol, 1, 7):
             assert frozenset(path[1::2]) in subgraphs
 
@@ -327,8 +324,9 @@ def oracle_mols():
 def test_subgraph_keys_equal_the_oracle(oracle_mols):
     for mol in oracle_mols:
         table = key_table(mol)
-        for subgraph in enumerate_subgraphs(mol, 1, 7):
-            assert canonical_subgraph_key(table, subgraph) == oracle_subgraph_key(mol, subgraph)
+        for subgraph in brute_subgraphs(mol, 1, 7):
+            mask = sum(1 << s for s in subgraph)
+            assert canonical_subgraph_key(table, mask) == oracle_subgraph_key(mol, subgraph)
 
 
 @pytest.mark.parametrize(
@@ -348,6 +346,28 @@ def test_path_fingerprint_bits_equal_the_oracle(cfg, oracle_mols):
         bits, nbits = oracle_fingerprint(mol, cfg)
         assert (f.bits, f.nbits) == (bits, nbits)
         assert f.to_hex() == oracle_hex(bits, nbits)
+
+
+def golden_mols():
+    mols = {name: parse_smiles(smi) for name, smi in sorted(DRUG_SMILES.items())}
+    rng = np.random.default_rng(41)
+    for k in range(20):
+        mols[f"random-{k}"] = random_molecule(rng, int(rng.integers(12, 21)))
+    return mols
+
+
+@pytest.mark.parametrize("name", ["default", "unfolded"])
+def test_path_fingerprint_equals_committed_hex(name):
+    """`to_hex()` of every drug and of 20 seeded 12-20-atom molecules, pinned.
+
+    tests/golden_fingerprints.json was written by the set-based subgraph
+    enumeration and keying of commit b13df1d, before both moved to bond bit
+    masks, so any change to which subgraphs are found or how they are keyed shows.
+    """
+    want = json.loads((Path(__file__).parent / "golden_fingerprints.json").read_text())[name]
+    cfg = FpConfig() if name == "default" else FpConfig(target_density=0.0)
+    got = {k: path_fingerprint(mol, cfg).to_hex() for k, mol in golden_mols().items()}
+    assert got == want
 
 
 def random_positions(rng, nbits):

@@ -179,24 +179,28 @@ def test_every_benchmark_span_resolves_against_the_library():
 
 
 def test_fingerprint_spans_see_every_call(monkeypatch):
-    """The benchmark's `fingerprint.key` and `fingerprint.compare` spans wrap module
-    attributes; the library must reach both through them, once per subgraph and
-    once per comparison."""
-    calls = {"canonical_subgraph_key": 0, "tanimoto": 0}
+    """The benchmark's `fingerprint.enumerate`, `fingerprint.key` and
+    `fingerprint.compare` spans wrap module attributes; the library must reach
+    all three through them: enumeration once per molecule, keying once per
+    subgraph it returns, and comparison once per pair."""
+    calls = {"enumerate_subgraphs": 0, "canonical_subgraph_key": 0, "tanimoto": 0}
+    found = []  # len of each enumerate_subgraphs result
     for name in calls:
         orig = getattr(fingerprint, name)
 
         def counted(*args, _orig=orig, _name=name):
             calls[_name] += 1
-            return _orig(*args)
+            out = _orig(*args)
+            if _name == "enumerate_subgraphs":
+                found.append(len(out))
+            return out
 
         monkeypatch.setattr(fingerprint, name, counted)
     smiles = [DRUG_SMILES["aspirin"], DRUG_SMILES["caffeine"]]
-    subgraphs = [len(fingerprint.enumerate_subgraphs(parse_smiles(s))) for s in smiles]
     fingerprint.path_fingerprint(parse_smiles(smiles[0]))
-    assert calls == {"canonical_subgraph_key": subgraphs[0], "tanimoto": 0}
+    assert calls == {"enumerate_subgraphs": 1, "canonical_subgraph_key": found[0], "tanimoto": 0}
     assert cli.main(["similar", "--metric", "tanimoto", "--smiles", smiles[0], "--smiles", smiles[1]]) == 0
-    assert calls == {"canonical_subgraph_key": 2 * subgraphs[0] + subgraphs[1], "tanimoto": 1}
+    assert calls == {"enumerate_subgraphs": 3, "canonical_subgraph_key": sum(found), "tanimoto": 1}
 
 
 def test_fingerprint_hashes_once_per_molecule(monkeypatch):
