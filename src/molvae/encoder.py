@@ -43,19 +43,24 @@ def init_pool_params(store: ParamStore, rng: np.random.Generator) -> None:
         store.add(name, glorot_uniform(rng, fi, fo))
 
 
+def aggregate(h: Tensor, relations: Relations) -> tuple[tuple[int, Tensor], ...]:
+    """(r, neighbor means of `h` over relation r) for each relation with edges."""
+    return tuple(
+        (r, nk.seg_agg(h, dst, src, w)) for r, (dst, src, w) in enumerate(relations) if dst.size
+    )
+
+
 def rgcn_layer(
     h: Tensor,
-    relations: Relations,
+    aggs: tuple[tuple[int, Tensor], ...],
     store: ParamStore,
     prefix: str,
     activate: bool,
 ) -> Tensor:
-    """One relational update: mean-aggregated neighbor terms plus a self term."""
+    """One relational update of `h`, given its `aggregate`: neighbor terms plus a self term."""
     out = nk.matmul(h, store[f"{prefix}.self"])
-    for r, (dst, src, w) in enumerate(relations):
-        if dst.size:
-            agg = nk.seg_agg(h, dst, src, w)
-            out = nk.add(out, nk.matmul(agg, store[f"{prefix}.rel{r}"]))
+    for r, agg in aggs:
+        out = nk.add(out, nk.matmul(agg, store[f"{prefix}.rel{r}"]))
     return nk.elu(out) if activate else out
 
 
@@ -71,14 +76,16 @@ def encode(
     `relations[r]` lists bond type r's directed edges as arrays (dst, src, w)
     with w = 1/deg_r(dst), so that each node averages over its r-neighbors;
     a relation with no edges, or missing from the end, adds nothing. Layers 1
-    and 2 are shared and ELU-activated; each head is its own linear layer.
+    and 2 are shared and ELU-activated; each head is its own linear layer,
+    and the heads share one aggregation of layer 2's output.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.ShapeMismatch(f"feature width {features.shape[1]} != {FEATURE_DIM}")
     h = nk.constant(features, "H")
-    h = rgcn_layer(h, relations, store, "enc.l1", activate=True)
-    h = rgcn_layer(h, relations, store, "enc.l2", activate=True)
-    return tuple(rgcn_layer(h, relations, store, f"enc.{head}", activate=False) for head in heads)
+    h = rgcn_layer(h, aggregate(h, relations), store, "enc.l1", activate=True)
+    h = rgcn_layer(h, aggregate(h, relations), store, "enc.l2", activate=True)
+    aggs = aggregate(h, relations)
+    return tuple(rgcn_layer(h, aggs, store, f"enc.{head}", activate=False) for head in heads)
 
 
 def pool(node_vectors: Tensor, store: ParamStore, sizes: np.ndarray) -> Tensor:

@@ -211,16 +211,36 @@ def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
     return Tensor(_scatter_rows(a.data, seg, n_seg), (a,), lambda g: (g[seg],), "seg_sum")
 
 
-def pair_dot(z: Tensor, i: np.ndarray, j: np.ndarray) -> Tensor:
-    """Inner products z[i[k]] . z[j[k]], one per listed row pair."""
-    _require_2d(z, "pair_dot")
-    n = z.shape[0]
+def block_pair_dot(z: Tensor, sizes: np.ndarray) -> Tensor:
+    """Inner products z_i . z_j of every block's row pairs i < j: block b is
+    `sizes[b]` consecutive rows of `z`, and the result lists block 0's pairs
+    in row-major order, then block 1's, and so on.
+
+    The blocks are padded with zero rows to the largest, m, and stacked as a
+    (B, m, width) array zp; the forward pass is one batched zp zpᵀ read at the
+    pairs, the backward pass one batched product of the symmetrised (B, m, m)
+    gradient with zp. Nothing is sized by the square of the total row count.
+    """
+    _require_2d(z, "block_pair_dot")
+    if z.shape[0] != sizes.sum():
+        raise ShapeMismatch(f"block_pair_dot: {z.shape[0]} rows for blocks of {sizes.sum()}")
+    b, m, width = sizes.size, int(sizes.max(initial=0)), z.shape[1]
+    ar = np.arange(m)
+    rows = np.flatnonzero(ar < sizes[:, None])  # row r of z is row rows[r] of zp
+    upper = (ar[:, None] < ar) & (ar < sizes[:, None, None])
+    pairs = np.flatnonzero(upper)  # pair k's entry in the flat (B, m, m) product
+    zp = np.zeros((b * m, width))
+    zp[rows] = z.data
+    zp = zp.reshape(b, m, width)
 
     def grad_fn(g):
-        gc = g[:, None]
-        return (_scatter_rows(gc * z.data[j], i, n) + _scatter_rows(gc * z.data[i], j, n),)
+        gp = np.zeros(b * m * m)
+        gp[pairs] = g
+        gp = gp.reshape(b, m, m)
+        return (((gp + gp.transpose(0, 2, 1)) @ zp).reshape(b * m, width)[rows],)
 
-    return Tensor(np.einsum("kd,kd->k", z.data[i], z.data[j]), (z,), grad_fn, "pair_dot")
+    out = (zp @ zp.transpose(0, 2, 1)).reshape(-1)[pairs]
+    return Tensor(out, (z,), grad_fn, "block_pair_dot")
 
 
 # -- parameter store and gradient checking -------------------------------

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,10 @@ class MoleculeTooLarge(TrainError):
     pass
 
 
+# The smallest value each TrainConfig field may take; learning_rate must be above 0.
+_LOWEST = {"epochs": 0, "batch_size": 1, "beta": 0, "lam": 0, "seed": 0, "max_atoms": 1}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -35,11 +40,19 @@ class TrainConfig:
     max_atoms: int = 20
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                ok, what = isinstance(value, int), "an integer"
+            else:  # a NaN fails the comparison; an int past float range fails it too
+                ok, what = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max, "a finite number"
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        for name, low in _LOWEST.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be above 0, got {self.learning_rate!r}")
 
 
 @dataclass

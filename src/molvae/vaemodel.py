@@ -123,9 +123,10 @@ class MolTensors:
 
     Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
     `relations` holds every bond type's directed edges (see `encoder.encode`).
-    `pairs` lists each molecule's own atom pairs i < j, `pair_target` marks
-    the bonded ones, and `pair_weight`, 1/npairs of the pair's molecule, makes
-    the reconstruction term a per-molecule mean.
+    `pairs` lists each molecule's own atom pairs i < j, in the order of
+    `numkernel.block_pair_dot`; `pair_target` marks the bonded ones, and
+    `pair_weight`, 1/npairs of the pair's molecule, makes the reconstruction
+    term a per-molecule mean.
     """
 
     features: np.ndarray
@@ -208,7 +209,7 @@ def joint_loss(
         raise nk.ShapeMismatch(f"{labels.size} labels for {mt.sizes.size} molecules")
     mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
-    logits = nk.pair_dot(z, *mt.pairs)  # BCE via softplus: no clamp, exact when saturated
+    logits = nk.block_pair_dot(z, mt.sizes)  # BCE via softplus: no clamp, exact when saturated
     per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
     recon = nk.reduce_sum(nk.hadamard(nk.constant(mt.pair_weight), per_pair))
     kl = kl_term(mu, log_std)

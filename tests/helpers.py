@@ -1,4 +1,5 @@
-"""Shared test helpers, and straightforward oracles for the fingerprint module."""
+"""Shared test helpers, and straightforward oracles for the fingerprint module
+and the decoder's pair products."""
 
 import itertools
 from collections import Counter
@@ -59,6 +60,18 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
     for start in range(mol.n_atoms):
         extend([start], set(), 0)
     return found
+
+
+# -- pair-product oracle: one gather per listed pair ----------------------
+
+
+def oracle_pair_dot(z: np.ndarray, i: np.ndarray, j: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner products z[i[k]] . z[j[k]], and the gradient of sum_k g[k] * (z[i[k]] . z[j[k]])
+    with respect to z: row i[k] gains g[k] * z[j[k]] and row j[k] gains g[k] * z[i[k]]."""
+    grad = np.zeros_like(z)
+    np.add.at(grad, i, g[:, None] * z[j])
+    np.add.at(grad, j, g[:, None] * z[i])
+    return np.einsum("kd,kd->k", z[i], z[j]), grad
 
 
 # -- structure oracles: one scan over every bond per atom --------------------

@@ -330,6 +330,13 @@ BAD_INPUTS = {
     "min-path-zero": (_fingerprint("--min-path", "0"), EXIT_USAGE),
     "bits-per-hash-zero": (_fingerprint("--bits-per-hash", "0"), EXIT_USAGE),
     "batch-zero": (_train("--batch", "0"), EXIT_USAGE),
+    "epochs-negative": (_train("--epochs", "-1"), EXIT_USAGE),
+    "lr-negative": (_train("--lr", "-1"), EXIT_USAGE),
+    "lr-zero": (_train("--lr", "0"), EXIT_USAGE),
+    "beta-negative": (_train("--beta", "-1"), EXIT_USAGE),
+    "lambda-negative": (_train("--lambda", "-1"), EXIT_USAGE),
+    "max-atoms-zero": (_train("--max-atoms", "0"), EXIT_USAGE),
+    "seed-negative": (_train("--seed", "-1"), EXIT_USAGE),
     "csv-only-non-finite-labels": (_train_on("smiles,heavy_atoms\nCC,nan\nCCO,inf\nC,-inf\n"), EXIT_IO),
     "checkpoint-extra-config-key": (_encode_with(colour="blue"), EXIT_IO),
     "checkpoint-missing-config-key": (
@@ -342,6 +349,9 @@ BAD_INPUTS = {
         EXIT_IO,
     ),
     "checkpoint-batch-zero": (_encode_with(batch_size=0), EXIT_IO),
+    "checkpoint-fractional-epochs": (_encode_with(epochs=2.5), EXIT_IO),
+    "checkpoint-boolean-epochs": (_encode_with(epochs=True), EXIT_IO),
+    "checkpoint-negative-beta": (_encode_with(beta=-1.0), EXIT_IO),
     "checkpoint-top-level-list": (_encode_edited(lambda doc: [1, 2]), EXIT_IO),
     "checkpoint-no-tensors": (
         _encode_edited(lambda doc: {k: v for k, v in doc.items() if k != "tensors"}),

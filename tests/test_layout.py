@@ -108,9 +108,9 @@ def test_inference_never_builds_the_sigma_head(monkeypatch):
     prefixes = []
     real = encoder.rgcn_layer
 
-    def recording(h, relations, store, prefix, activate):
+    def recording(h, aggs, store, prefix, activate):
         prefixes.append(prefix)
-        return real(h, relations, store, prefix, activate)
+        return real(h, aggs, store, prefix, activate)
 
     monkeypatch.setattr(encoder, "rgcn_layer", recording)
     store = vaemodel.init_model_params(seed=0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from molvae import numkernel as nk
 from molvae.numkernel import (
@@ -168,29 +168,48 @@ def test_index_op_values():
     assert np.array_equal(agg.data, [[4.0, 6.0], [6.0, 7.5], [0.0, 0.0], [0.0, 0.0]])
     seg = nk.seg_sum(h, np.array([0, 0, 0, 1]), 2)
     assert np.array_equal(seg.data, [[6.0, 9.0], [6.0, 7.0]])
-    dots = nk.pair_dot(h, np.array([0, 1]), np.array([1, 3]))
-    assert np.array_equal(dots.data, [0.0 * 2.0 + 1.0 * 3.0, 2.0 * 6.0 + 3.0 * 7.0])
     empty = np.array([], dtype=np.int64)
-    assert nk.pair_dot(h, empty, empty).shape == (0,)
     assert np.array_equal(nk.seg_agg(h, empty, empty, np.array([])).data, np.zeros((4, 2)))
 
 
+def test_block_pair_dot_values_and_gradient_on_a_two_molecule_union():
+    # Molecule 0 is rows 0-1, molecule 1 rows 2-4; its pairs (0,1), (0,2), (1,2).
+    store = ParamStore()
+    z = store.add("z", [[1.0, 0.0], [2.0, 1.0], [0.0, 1.0], [1.0, 1.0], [3.0, -1.0]])
+    dots = nk.block_pair_dot(z, np.array([2, 3]))
+    assert np.array_equal(dots.data, [2.0, 1.0, -1.0, 2.0])
+    # d/dz of sum_k g_k dot_k: each row gains g_k times its partner in pair k.
+    g = nk.constant([1.0, 2.0, 3.0, 4.0])
+    grads = backward(nk.reduce_sum(nk.hadamard(g, dots)), store)
+    assert np.array_equal(grads["z"], [[2.0, 1.0], [1.0, 0.0], [11.0, -1.0], [12.0, -2.0], [4.0, 7.0]])
+    assert nk.block_pair_dot(z, np.array([1, 1, 1, 1, 1])).shape == (0,)
+    with pytest.raises(ShapeMismatch):
+        nk.block_pair_dot(z, np.array([2, 2]))
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000))
-def test_index_op_gradients_match_finite_differences(seed):
-    # Random edges may repeat a row on both ends and hit it many times.
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=4), st.integers(0, 10_000))
+@example(sizes=[1, 1, 1], seed=0)  # single atoms only: a union with no pairs
+@example(sizes=[1, 7, 1, 3], seed=1)
+def test_index_op_gradients_match_finite_differences(sizes, seed):
+    # Random edges may repeat a row on both ends and hit it many times; the
+    # pair products run over a union of molecules of `sizes` atoms.
     rng = np.random.default_rng(seed)
-    n, e = int(rng.integers(1, 7)), int(rng.integers(0, 12))
+    sizes = np.array(sizes)
+    n, e = int(sizes.sum()), int(rng.integers(0, 12))
     store = ParamStore()
     store.add("h", rng.normal(size=(n, 3)))
     dst, src = rng.integers(0, n, e), rng.integers(0, n, e)
     w = rng.uniform(0.1, 1.0, e)
     seg = np.sort(rng.integers(0, 3, n))
+    npairs = int((sizes * (sizes - 1) // 2).sum())
+    pair_w = nk.constant(rng.uniform(-1.0, 1.0, npairs))
 
     def f(s):
         agg = nk.seg_agg(s["h"], dst, src, w)
         pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
-        return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.pair_dot(agg, src, dst)))
+        dots = nk.block_pair_dot(nk.add(agg, s["h"]), sizes)
+        return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.hadamard(pair_w, dots)))
 
     assert grad_check(f, store) < 1e-7
 

@@ -227,22 +227,43 @@ def test_union_loss_equals_the_sum_of_per_molecule_losses():
         assert np.max(np.abs(swept[name] / len(mols) - want)) <= 1e-12, name
 
 
+def _kept_arrays(node):
+    """A tape node's value, and every array its gradient rule keeps for the backward pass."""
+    kept = [node.data]
+    for cell in getattr(node._grad_fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        if isinstance(value, nk.Tensor):
+            kept.append(value.data)
+        elif isinstance(value, np.ndarray):
+            kept.append(value)
+    return kept
+
+
 def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
     corpus = dataio.load_bundled_corpus()
     recs = corpus.records[:16]
     mt = MolTensors.union([MolTensors.from_mol(r.mol) for r in recs])
     n = len(mt.features)
+    b, m = mt.sizes.size, int(mt.sizes.max())
     noise = np.random.default_rng(0).standard_normal((n, LATENT_DIM))
     total, _ = joint_loss(mt, [r.properties["heavy_atoms"] for r in recs], init_model_params(0), noise)
-    seen, stack = set(), [total]
+    seen, stack, pair_ops = set(), [total], 0
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        assert node.data.size < n * n, (node.name, node.shape, n)
+        for arr in _kept_arrays(node):
+            assert arr.size < n * n, (node.name, arr.shape, n)
+        if node.name == "block_pair_dot":
+            # The padded (B, m, 16) latent stack and the pair positions in the
+            # (B, m, m) product: sized by the largest molecule, m.
+            pair_ops += 1
+            assert max(arr.size for arr in _kept_arrays(node)) <= b * m * max(m, LATENT_DIM)
         stack.extend(node._parents)
     assert len(seen) > 50
+    assert pair_ops == 1
+    assert b * m * max(m, LATENT_DIM) < n * n
 
 
 def test_train_calls_joint_loss_once_per_minibatch(monkeypatch):

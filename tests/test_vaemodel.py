@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from molvae import encoder, numkernel as nk, vaemodel
 from molvae.chem import Atom, BondType, adjacency_tensor, build, check_valence, is_isomorphic
-from molvae.corpus import random_molecule
+from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.dataio import load_bundled_corpus
 from molvae.encoder import LATENT_DIM
 from molvae.numkernel import constant
@@ -32,6 +32,8 @@ from molvae.vaemodel import (
     sample_latent,
     side_predict,
 )
+
+from helpers import oracle_pair_dot
 
 
 # -- sampling ------------------------------------------------------------
@@ -152,6 +154,42 @@ def test_pair_mask_counts():
     a = adjacency_tensor(parse_smiles("CC(=O)O")).sum(axis=2)
     assert np.array_equal(mt.pair_target, a[i, j])
     assert np.allclose(mt.pair_weight, 1.0 / 6.0)
+
+
+def test_block_pair_dot_agrees_with_one_gather_per_pair_on_a_union():
+    # The decoder's pair products over a 12-20-atom minibatch, against the
+    # gather/scatter formula applied to the union's `pairs` list.
+    rng = np.random.default_rng(5)
+    mols = [random_molecule(rng, int(rng.integers(12, 21))) for _ in range(16)]
+    mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
+    store = nk.ParamStore()
+    z = store.add("z", rng.standard_normal((len(mt.features), LATENT_DIM)))
+    g = rng.standard_normal(mt.pair_target.size)
+    want, want_grad = oracle_pair_dot(z.data, *mt.pairs, g)
+    dots = nk.block_pair_dot(z, mt.sizes)
+    grad = nk.backward(nk.reduce_sum(nk.hadamard(constant(g), dots)), store)["z"]
+    assert dots.shape == want.shape
+    assert np.max(np.abs(dots.data - want)) <= 1e-12
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12
+
+
+def test_union_loss_aggregates_once_per_relation_per_layer_and_once_for_both_heads(monkeypatch):
+    calls = []
+    real = nk.seg_agg
+
+    def counting(h, dst, src, w):
+        calls.append(dst.size)
+        return real(h, dst, src, w)
+
+    monkeypatch.setattr(nk, "seg_agg", counting)
+    mols = [parse_smiles(s) for s in ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])]
+    mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
+    with_edges = sum(dst.size > 0 for dst, _, _ in mt.relations)
+    assert with_edges == 4
+    noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
+    joint_loss(mt, [1.0] * len(mols), init_model_params(seed=0), noise)
+    assert len(calls) == 3 * with_edges  # layer 1, layer 2, and one for the mu and sigma heads
+    assert all(calls)
 
 
 def test_recon_bce_at_half_is_ln2():
