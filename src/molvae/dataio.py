@@ -13,14 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .chem import MolGraph
-from .encoder import ENCODER_PARAM_SHAPES, POOL_PARAM_SHAPES
 from .numkernel import ParamStore
 from .smiles import SmilesError, parse_smiles_ex
 from .train import TrainConfig
-from .vaemodel import SIDE_PARAM_SHAPES
+from .vaemodel import PARAM_SHAPES
 
 CHECKPOINT_VERSION = 2
-PARAM_SHAPES = {**ENCODER_PARAM_SHAPES, **POOL_PARAM_SHAPES, **SIDE_PARAM_SHAPES}
 
 
 class DataError(ValueError):
@@ -208,13 +206,11 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
     extra = sorted(arrays.keys() - PARAM_SHAPES.keys())
     if missing or extra:
         raise CheckpointError(f"{path}: tensors missing {missing}, unexpected {extra}")
-    params = ParamStore()
-    for name, arr in arrays.items():
-        if arr.shape != PARAM_SHAPES[name]:
+    for name, shape in PARAM_SHAPES.items():
+        if arrays[name].shape != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, expected {PARAM_SHAPES[name]}"
+                f"{path}: tensor {name!r} has shape {arrays[name].shape}, expected {shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arrays[name])):
             raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-        params.add(name, arr)
-    return params, config
+    return ParamStore({name: arrays[name] for name in PARAM_SHAPES}), config

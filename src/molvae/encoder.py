@@ -33,16 +33,6 @@ POOL_PARAM_SHAPES = {"pool.wp": (LATENT_DIM, POOL_DIM)}
 Relations = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # see `encode`
 
 
-def init_encoder_params(store: ParamStore, rng: np.random.Generator) -> None:
-    for name, (fi, fo) in ENCODER_PARAM_SHAPES.items():
-        store.add(name, glorot_uniform(rng, fi, fo))
-
-
-def init_pool_params(store: ParamStore, rng: np.random.Generator) -> None:
-    for name, (fi, fo) in POOL_PARAM_SHAPES.items():
-        store.add(name, glorot_uniform(rng, fi, fo))
-
-
 def aggregate(h: Tensor, relations: Relations) -> tuple[tuple[int, Tensor], ...]:
     """(r, neighbor means of `h` over relation r) for each relation with edges."""
     return tuple(

@@ -282,35 +282,27 @@ def fold_to_density(f: Fingerprint, target: float) -> Fingerprint:
     return f if nbits == f.nbits else Fingerprint.from_word(word, nbits)
 
 
-def _counts(a: Fingerprint, b: Fingerprint) -> tuple[int, int, int]:
-    """Common/own on-bit counts, after folding the longer fingerprint down."""
+def _counts(a: Fingerprint, b: Fingerprint) -> tuple[int, int, int, float | None]:
+    """Common/own on-bit counts, after folding the longer fingerprint down, and
+    every metric's score when a fingerprint is empty: 1.0 when both are (they
+    are identical), 0.0 when one is (they share nothing), None when neither is."""
     n = min(a.nbits, b.nbits)
     x, y = _fold_word(a.word, a.nbits, n), _fold_word(b.word, b.nbits, n)
-    return (x & y).bit_count(), x.bit_count(), y.bit_count()
+    na, nb = x.bit_count(), y.bit_count()
+    empty = None if na and nb else 1.0 if na == nb else 0.0
+    return (x & y).bit_count(), na, nb, empty
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:
-    c, na, nb = _counts(a, b)
-    if na == 0 and nb == 0:
-        return 1.0
-    if na == 0 or nb == 0:
-        return 0.0
-    return c / (na + nb - c)
+    c, na, nb, empty = _counts(a, b)
+    return c / (na + nb - c) if empty is None else empty
 
 
 def dice(a: Fingerprint, b: Fingerprint) -> float:
-    c, na, nb = _counts(a, b)
-    if na == 0 and nb == 0:
-        return 1.0
-    if na == 0 or nb == 0:
-        return 0.0
-    return 2.0 * c / (na + nb)
+    c, na, nb, empty = _counts(a, b)
+    return 2.0 * c / (na + nb) if empty is None else empty
 
 
 def cosine(a: Fingerprint, b: Fingerprint) -> float:
-    c, na, nb = _counts(a, b)
-    if na == 0 and nb == 0:
-        return 1.0
-    if na == 0 or nb == 0:
-        return 0.0
-    return c / np.sqrt(na * nb)
+    c, na, nb, empty = _counts(a, b)
+    return c / np.sqrt(na * nb) if empty is None else empty

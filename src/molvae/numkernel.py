@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -247,29 +247,22 @@ def block_pair_dot(z: Tensor, sizes: np.ndarray) -> Tensor:
 
 
 class ParamStore:
-    """Named learnable tensors with fixed shapes.
+    """Named learnable tensors with fixed shapes, built in one step from an
+    ordered name -> array mapping.
 
     Every parameter's data is a view of one contiguous float64 buffer,
-    `flat`, in the order the parameters were added, so an optimizer can
-    update them all at once. Adding a parameter copies its data into a new
-    buffer and re-points the earlier tensors' `data` at it.
+    `flat`, in the mapping's order, so an optimizer can update them all at
+    once.
     """
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self.flat = np.zeros(0)
-
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise KeyError(f"duplicate parameter {name!r}")
-        t = Tensor(data, name=name)
-        self._params[name] = t
-        self.flat = np.concatenate([p.data.ravel() for p in self._params.values()])
+    def __init__(self, arrays: Mapping[str, object]):
+        leaves = [Tensor(data, name=name) for name, data in arrays.items()]
+        self.flat = np.concatenate([t.data.ravel() for t in leaves]) if leaves else np.zeros(0)
         start = 0
-        for p in self._params.values():
-            p.data = self.flat[start : start + p.data.size].reshape(p.data.shape)
-            start += p.data.size
-        return t
+        for t in leaves:
+            t.data = self.flat[start : start + t.data.size].reshape(t.data.shape)
+            start += t.data.size
+        self._params = {t.name: t for t in leaves}
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

@@ -169,11 +169,12 @@ def _molecules(dataset) -> list:
     return mols
 
 
-def evaluate_validity(params: ParamStore, dataset, threshold: float = 0.5) -> float:
-    """Fraction of deterministic reconstructions that pass the valence check."""
+def evaluate_validity(params: ParamStore, dataset) -> float:
+    """Fraction of deterministic reconstructions, at the default threshold,
+    that pass the valence check."""
     mols = _molecules(dataset)
     reports = [
-        vaemodel.reconstruct_from_probs(mol, probs, threshold)[1]
+        vaemodel.reconstruct_from_probs(mol, probs)[1]
         for mol, probs in zip(mols, vaemodel.decoded_blocks(mols, params))
     ]
     return sum(r.valid for r in reports) / len(mols)
@@ -186,7 +187,7 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
     """
     mts = [MolTensors.from_mol(mol) for mol in _molecules(dataset)]
     blocks = vaemodel.decoded_blocks(mts, params)
-    s = np.concatenate([probs[mt.pairs] for probs, mt in zip(blocks, mts)])
+    s = np.concatenate([probs[np.triu_indices(len(probs), 1)] for probs in blocks])
     y = np.concatenate([mt.pair_target > 0 for mt in mts])
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
@@ -202,12 +203,14 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
+PROBE_RIDGE = 1e-6
+
+
 def fit_probe(
     params: ParamStore,
     dataset,
     target_column: str,
     seed: int = 0,
-    ridge: float = 1e-6,
 ) -> tuple[np.ndarray, float]:
     """Ridge regression from pooled vectors to a property; held-out R^2.
 
@@ -223,7 +226,7 @@ def fit_probe(
     if te.size == 0:
         te = tr
     x_tr = np.hstack([xs[tr], np.ones((tr.size, 1))])
-    a = x_tr.T @ x_tr + ridge * np.eye(x_tr.shape[1])
+    a = x_tr.T @ x_tr + PROBE_RIDGE * np.eye(x_tr.shape[1])
     w = np.linalg.solve(a, x_tr.T @ ys[tr])
     x_te = np.hstack([xs[te], np.ones((te.size, 1))])
     pred = x_te @ w

@@ -15,7 +15,10 @@ from .numkernel import ParamStore, Tensor
 
 _P_CLAMP = 1e-12
 
-SIDE_PARAM_SHAPES = {
+# Every learnable tensor of the model, in the order `init_model_params` draws them.
+PARAM_SHAPES = {
+    **encoder.ENCODER_PARAM_SHAPES,
+    **encoder.POOL_PARAM_SHAPES,
     "side.m1": (POOL_DIM, HIDDEN_DIM),
     "side.b1": (1, HIDDEN_DIM),
     "side.m2": (HIDDEN_DIM, 1),
@@ -23,22 +26,14 @@ SIDE_PARAM_SHAPES = {
 }
 
 
-def init_side_params(store: ParamStore, rng: np.random.Generator) -> None:
-    for name, (fi, fo) in SIDE_PARAM_SHAPES.items():
-        if name.startswith("side.b"):
-            store.add(name, np.zeros((fi, fo)))
-        else:
-            store.add(name, encoder.glorot_uniform(rng, fi, fo))
-
-
 def init_model_params(seed: int) -> ParamStore:
-    """All learnable tensors of the model, Glorot-initialized from one seed."""
+    """All learnable tensors of the model from one seed: the side MLP's biases
+    zero, every other tensor Glorot-uniform."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    encoder.init_encoder_params(store, rng)
-    encoder.init_pool_params(store, rng)
-    init_side_params(store, rng)
-    return store
+    return ParamStore({
+        name: np.zeros(shape) if name.startswith("side.b") else encoder.glorot_uniform(rng, *shape)
+        for name, shape in PARAM_SHAPES.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,8 @@ def side_predict(g: Tensor, store: ParamStore) -> Tensor:
 
 @functools.cache
 def _upper_pairs(n: int) -> tuple[np.ndarray, ...]:
-    """Strict upper-triangle (row, column) indices, read-only: molecules share them."""
+    """Strict upper-triangle (row, column) indices, read-only: every call for
+    the same n returns the same cached arrays."""
     pairs = np.triu_indices(n, k=1)
     for ix in pairs:
         ix.setflags(write=False)
@@ -123,17 +119,13 @@ class MolTensors:
 
     Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
     `relations` holds every bond type's directed edges (see `encoder.encode`).
-    `pairs` lists each molecule's own atom pairs i < j, in the order of
-    `numkernel.block_pair_dot`; `pair_target` marks the bonded ones, and
-    `pair_weight`, 1/npairs of the pair's molecule, makes the reconstruction
-    term a per-molecule mean.
+    `pair_target` marks which of each molecule's own atom pairs i < j are
+    bonded, row by row in turn, in the order of `numkernel.block_pair_dot`.
     """
 
     features: np.ndarray
     relations: encoder.Relations
-    pairs: tuple[np.ndarray, np.ndarray]
     pair_target: np.ndarray
-    pair_weight: np.ndarray
     sizes: np.ndarray
 
     @classmethod
@@ -154,9 +146,7 @@ class MolTensors:
         return cls(
             features=chem.node_features(mol),
             relations=tuple(relations),
-            pairs=(i, j),
             pair_target=bonded[i, j],
-            pair_weight=np.full(i.size, 1.0 / max(i.size, 1)),
             sizes=np.array([n]),
         )
 
@@ -181,9 +171,7 @@ class MolTensors:
                 (cat(d, shift=True), cat(s, shift=True), cat(w))
                 for d, s, w in (zip(*rel) for rel in zip(*(p.relations for p in parts)))
             ),
-            pairs=tuple(cat(ix, shift=True) for ix in zip(*(p.pairs for p in parts))),
             pair_target=cat(p.pair_target for p in parts),
-            pair_weight=cat(p.pair_weight for p in parts),
             sizes=cat(p.sizes for p in parts),
         )
 
@@ -211,7 +199,9 @@ def joint_loss(
     z = sample_latent(mu, log_std, noise)
     logits = nk.block_pair_dot(z, mt.sizes)  # BCE via softplus: no clamp, exact when saturated
     per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
-    recon = nk.reduce_sum(nk.hadamard(nk.constant(mt.pair_weight), per_pair))
+    npairs = mt.sizes * (mt.sizes - 1) // 2  # each molecule's recon term is its mean over pairs
+    weight = np.repeat(1.0 / np.maximum(npairs, 1), npairs)
+    recon = nk.reduce_sum(nk.hadamard(nk.constant(weight), per_pair))
     kl = kl_term(mu, log_std)
     g = encoder.pool(mu, store, mt.sizes)
     err = nk.sub(side_predict(g, store), nk.constant(labels))

@@ -65,6 +65,17 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
 # -- pair-product oracle: one gather per listed pair ----------------------
 
 
+def union_pairs(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each molecule's own atom pairs i < j, row by row, as rows of the union
+    that lays molecules of `sizes` atoms end to end."""
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for start, n in zip(np.cumsum(sizes) - sizes, sizes):
+        i, j = np.triu_indices(n, k=1)
+        rows.append(i + start)
+        cols.append(j + start)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def oracle_pair_dot(z: np.ndarray, i: np.ndarray, j: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inner products z[i[k]] . z[j[k]], and the gradient of sum_k g[k] * (z[i[k]] . z[j[k]])
     with respect to z: row i[k] gains g[k] * z[j[k]] and row j[k] gains g[k] * z[i[k]]."""

@@ -9,7 +9,9 @@ from molvae import dataio
 from molvae.dataio import (
     BadHeader,
     CorruptTensor,
+    Dataset,
     EmptyAfterFiltering,
+    Record,
     VersionMismatch,
     load_bundled_corpus,
     load_checkpoint,
@@ -17,7 +19,8 @@ from molvae.dataio import (
     save_checkpoint,
 )
 from molvae.numkernel import ParamStore
-from molvae.train import TrainConfig
+from molvae.smiles import parse_smiles
+from molvae.train import TrainConfig, train
 from molvae.vaemodel import init_model_params
 
 
@@ -148,9 +151,20 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded[name].data, t.data)
 
 
+def test_checkpoint_round_trip_keeps_the_trained_store_order_and_buffer(tmp_path):
+    # The file lists tensors by sorted name; the loaded store must still be in
+    # the trained store's order, so that its flat buffer is the same one.
+    records = [Record(s, parse_smiles(s), {"y": float(len(s))}) for s in ("CCO", "C=C", "CC(C)O")]
+    trained, _ = train(Dataset(records), "y", TrainConfig(epochs=2, batch_size=2))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained, TrainConfig(), path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.names() == trained.names()
+    assert np.array_equal(loaded.flat, trained.flat)
+
+
 def test_checkpoint_is_versioned_json(tmp_path):
-    params = ParamStore()
-    params.add("w", np.eye(2))
+    params = ParamStore({"w": np.eye(2)})
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, TrainConfig(), path)
     doc = json.loads(path.read_text())
@@ -166,8 +180,7 @@ def test_checkpoint_byte_identical_for_same_params(tmp_path):
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    params = ParamStore()
-    params.add("w", np.eye(2))
+    params = ParamStore({"w": np.eye(2)})
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, TrainConfig(), path)
     doc = json.loads(path.read_text())
@@ -191,8 +204,7 @@ def test_version_1_checkpoint_is_a_version_mismatch(tmp_path):
 
 
 def test_checkpoint_corrupt_tensor(tmp_path):
-    params = ParamStore()
-    params.add("w", np.eye(2))
+    params = ParamStore({"w": np.eye(2)})
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, TrainConfig(), path)
     doc = json.loads(path.read_text())

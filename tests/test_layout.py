@@ -76,6 +76,19 @@ def test_cli_does_not_import_encoder():
     assert "encoder" not in internal_imports(MODULES["cli"])
 
 
+def test_the_parameter_table_is_assembled_only_in_vaemodel():
+    assert "encoder" not in internal_imports(MODULES["dataio"])
+    assigners = sorted(
+        name
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "PARAM_SHAPES"
+    )
+    assert assigners == ["vaemodel"]
+
+
 def test_inference_runs_only_through_vaemodel():
     assert "fingerprint" not in internal_imports(MODULES["train"])
     assert "fingerprint" not in internal_imports(MODULES["vaemodel"])

@@ -40,8 +40,7 @@ def tiny_dataset(smis=("C", "CC", "CCO", "CCC", "CC(C)O", "C=C")):
 def test_adam_first_step_moves_by_lr():
     # With bias correction, the very first update is lr * g / (|g| + eps),
     # i.e. lr * sign(g) up to eps.
-    store = ParamStore()
-    store.add("p", np.array([[1.0, -2.0]]))
+    store = ParamStore({"p": np.array([[1.0, -2.0]])})
     state = AdamState()
     adam_step(store, {"p": np.array([[0.5, -3.0]])}, state, lr=0.1)
     assert np.allclose(store["p"].data, [[0.9, -1.9]], atol=1e-8)
@@ -49,15 +48,13 @@ def test_adam_first_step_moves_by_lr():
 
 
 def test_adam_zero_gradient_keeps_param():
-    store = ParamStore()
-    store.add("p", np.array([[7.0]]))
+    store = ParamStore({"p": np.array([[7.0]])})
     adam_step(store, {"p": np.zeros((1, 1))}, AdamState(), lr=0.1)
     assert store["p"].data[0, 0] == 7.0
 
 
 def test_adam_converges_on_quadratic():
-    store = ParamStore()
-    store.add("p", np.array([[5.0]]))
+    store = ParamStore({"p": np.array([[5.0]])})
     state = AdamState()
     for _ in range(3000):
         g = 2.0 * (store["p"].data - 1.5)
@@ -68,8 +65,7 @@ def test_adam_converges_on_quadratic():
 def test_adam_matches_reference_formula():
     rng = np.random.default_rng(0)
     p0 = rng.normal(size=(2, 2))
-    store = ParamStore()
-    store.add("p", p0.copy())
+    store = ParamStore({"p": p0.copy()})
     state = AdamState()
     m = np.zeros_like(p0)
     v = np.zeros_like(p0)
@@ -86,11 +82,8 @@ def test_adam_matches_reference_formula():
 def test_adam_flat_step_is_the_per_parameter_update_bit_for_bit():
     rng = np.random.default_rng(1)
     shapes = {"a": (3, 2), "b": (1, 4), "c": (1, 1)}
-    store = ParamStore()
-    ref = {}
-    for name, shape in shapes.items():
-        ref[name] = rng.normal(size=shape)
-        store.add(name, ref[name].copy())
+    ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    store = ParamStore({name: r.copy() for name, r in ref.items()})
     state = AdamState()
     m = {name: np.zeros(shape) for name, shape in shapes.items()}
     v = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -130,8 +123,7 @@ def test_adam_names_the_first_non_finite_gradient_and_changes_nothing(warm):
 def test_adam_shape_mismatch():
     from molvae.numkernel import ShapeMismatch
 
-    store = ParamStore()
-    store.add("p", np.ones((2, 2)))
+    store = ParamStore({"p": np.ones((2, 2))})
     with pytest.raises(ShapeMismatch):
         adam_step(store, {"p": np.ones(3)}, AdamState(), lr=0.1)
 

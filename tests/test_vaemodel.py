@@ -1,5 +1,6 @@
 """Tests for latent sampling, decoding, the loss terms, and reconstruction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from molvae.encoder import LATENT_DIM
 from molvae.numkernel import constant
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import (
+    PARAM_SHAPES,
     LossBreakdown,
     MolTensors,
     decode_adjacency,
@@ -33,7 +35,22 @@ from molvae.vaemodel import (
     side_predict,
 )
 
-from helpers import oracle_pair_dot
+from helpers import oracle_pair_dot, union_pairs
+
+
+# -- parameters ----------------------------------------------------------
+
+
+def test_init_draws_the_parameter_table_in_order():
+    # A digest of the seed-0 buffer pins the draw order: every tensor of
+    # PARAM_SHAPES Glorot-uniform from one generator, in order, except the
+    # side MLP's biases, which are zero and draw nothing.
+    store = init_model_params(seed=0)
+    assert store.names() == list(PARAM_SHAPES)
+    assert all(store[name].shape == shape for name, shape in PARAM_SHAPES.items())
+    assert hashlib.sha256(store.flat.tobytes()).hexdigest() == (
+        "da03f13f887b95fb2918ed2a5eb70002b43d426c40bd3a438e0642369cef7c59"
+    )
 
 
 # -- sampling ------------------------------------------------------------
@@ -147,25 +164,24 @@ def test_kl_shape_mismatch():
 def test_pair_mask_counts():
     # The decoder's pair list: the strict upper triangle, bonded pairs marked.
     mt = MolTensors.from_mol(parse_smiles("CC(=O)O"))
-    i, j = mt.pairs
+    i, j = union_pairs(mt.sizes)
     assert i.size == 6
     assert np.all(i < j)
     assert len(set(zip(i, j))) == 6
     a = adjacency_tensor(parse_smiles("CC(=O)O")).sum(axis=2)
     assert np.array_equal(mt.pair_target, a[i, j])
-    assert np.allclose(mt.pair_weight, 1.0 / 6.0)
 
 
 def test_block_pair_dot_agrees_with_one_gather_per_pair_on_a_union():
     # The decoder's pair products over a 12-20-atom minibatch, against the
-    # gather/scatter formula applied to the union's `pairs` list.
+    # gather/scatter formula applied to a list of the union's pairs.
     rng = np.random.default_rng(5)
     mols = [random_molecule(rng, int(rng.integers(12, 21))) for _ in range(16)]
     mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
-    store = nk.ParamStore()
-    z = store.add("z", rng.standard_normal((len(mt.features), LATENT_DIM)))
+    store = nk.ParamStore({"z": rng.standard_normal((len(mt.features), LATENT_DIM))})
+    z = store["z"]
     g = rng.standard_normal(mt.pair_target.size)
-    want, want_grad = oracle_pair_dot(z.data, *mt.pairs, g)
+    want, want_grad = oracle_pair_dot(z.data, *union_pairs(mt.sizes), g)
     dots = nk.block_pair_dot(z, mt.sizes)
     grad = nk.backward(nk.reduce_sum(nk.hadamard(constant(g), dots)), store)["z"]
     assert dots.shape == want.shape
