@@ -49,6 +49,8 @@ def _config(cls, **fields):
 
 
 def cmd_train(args) -> int:
+    if args.max_atoms < 1:
+        raise _BadFlag(f"--max-atoms must be at least 1, got {args.max_atoms}")
     config = _config(
         tr.TrainConfig,
         epochs=args.epochs,
@@ -57,7 +59,6 @@ def cmd_train(args) -> int:
         beta=args.beta,
         lam=getattr(args, "lambda"),
         seed=args.seed,
-        max_atoms=args.max_atoms,
     )
     dataset = dataio.load_csv(args.data, max_atoms=args.max_atoms)
     if args.property not in dataset.property_names():

@@ -91,16 +91,20 @@ def random_molecule(rng: np.random.Generator, n_atoms: int) -> MolGraph:
     return build(atoms, bonds)
 
 
-def generate_corpus(n: int = 500, seed: int = 20240817, max_atoms: int = 9):
-    """Corpus rows (smiles, heavy_atoms): n random molecules plus the five drugs.
+# The bundled corpus: CORPUS_SIZE random molecules with 2..CORPUS_MAX_ATOMS
+# heavy atoms, drawn uniformly; 9 matches the heavy-atom ceiling of the QM9
+# small-molecule collection.
+CORPUS_SIZE = 500
+CORPUS_SEED = 20240817
+CORPUS_MAX_ATOMS = 9
 
-    Sizes are drawn uniformly from 2..max_atoms; the default 9 matches the
-    heavy-atom ceiling of the QM9 small-molecule collection.
-    """
-    rng = np.random.default_rng(seed)
+
+def generate_corpus():
+    """Corpus rows (smiles, heavy_atoms): the random molecules plus the five drugs."""
+    rng = np.random.default_rng(CORPUS_SEED)
     rows = []
-    for _ in range(n):
-        mol = random_molecule(rng, int(rng.integers(2, max_atoms + 1)))
+    for _ in range(CORPUS_SIZE):
+        mol = random_molecule(rng, int(rng.integers(2, CORPUS_MAX_ATOMS + 1)))
         rows.append((write_smiles(mol), mol.n_atoms))
     for smi in DRUG_SMILES.values():
         rows.append((smi, parse_smiles(smi).n_atoms))

@@ -18,7 +18,7 @@ from .smiles import SmilesError, parse_smiles_ex
 from .train import TrainConfig
 from .vaemodel import PARAM_SHAPES
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class DataError(ValueError):
@@ -56,7 +56,6 @@ class Record:
 class Dataset:
     records: list[Record]
     skipped: dict[str, int] = field(default_factory=dict)
-    source: str = ""
     # Stereo and isotope characters the parser dropped from the loaded rows'
     # SMILES; such a row is still loaded, so this is not part of `skipped`.
     stripped: int = 0
@@ -78,10 +77,7 @@ class Dataset:
         cut = int(round(frac * len(self.records)))
         first = [self.records[i] for i in order[:cut]]
         rest = [self.records[i] for i in order[cut:]]
-        return (
-            Dataset(first, source=self.source),
-            Dataset(rest, source=self.source),
-        )
+        return Dataset(first), Dataset(rest)
 
 
 def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
@@ -128,7 +124,7 @@ def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
             stripped += parsed.stripped
     if not records:
         raise EmptyAfterFiltering(f"{path}: no usable rows")
-    return Dataset(records=records, skipped=skipped, source=str(path), stripped=stripped)
+    return Dataset(records=records, skipped=skipped, stripped=stripped)
 
 
 def bundled_corpus_path() -> Path:
@@ -136,8 +132,8 @@ def bundled_corpus_path() -> Path:
     return Path(resources.files("molvae").joinpath("data/corpus.csv"))
 
 
-def load_bundled_corpus(max_atoms: int = 20) -> Dataset:
-    return load_csv(bundled_corpus_path(), max_atoms=max_atoms)
+def load_bundled_corpus() -> Dataset:
+    return load_csv(bundled_corpus_path())
 
 
 # -- checkpoints ---------------------------------------------------------

@@ -340,12 +340,10 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
     }
 
 
-def grad_check(
-    f: Callable[[ParamStore], Tensor],
-    params: ParamStore,
-    eps: float = 1e-5,
-    max_coords: int = 200,
-) -> float:
+GRAD_CHECK_MAX_COORDS = 200
+
+
+def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore, eps: float = 1e-5) -> float:
     """Normwise relative error of reverse-mode gradients vs central differences.
 
     Over the checked coordinates i this is
@@ -360,8 +358,8 @@ def grad_check(
     still shows up at its relative size.
 
     Checks all coordinates when the total parameter count is at most
-    `max_coords`. Otherwise the subset is the `max_coords` coordinates with
-    the largest analytic gradient magnitude.
+    GRAD_CHECK_MAX_COORDS. Otherwise the subset is the GRAD_CHECK_MAX_COORDS
+    coordinates with the largest analytic gradient magnitude.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -371,9 +369,9 @@ def grad_check(
         for name, p in params.items()
         for idx in range(p.data.size)
     ]
-    if len(coords) > max_coords:
+    if len(coords) > GRAD_CHECK_MAX_COORDS:
         coords.sort(key=lambda c: -abs(analytic[c[0]].reshape(-1)[c[1]]))
-        coords = coords[:max_coords]
+        coords = coords[:GRAD_CHECK_MAX_COORDS]
     worst_diff = 0.0
     scale = 1e-8
     for name, idx in coords:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 
 from .chem import (
@@ -18,17 +19,24 @@ from .chem import (
     fill_implicit_h,
 )
 
-ORGANIC_SUBSET = ("Cl", "Br", "C", "N", "O", "F", "P", "S", "I")
-AROMATIC_SYMBOLS = {"c": "C", "n": "N", "o": "O", "s": "S", "p": "P"}
-BRACKET_SYMBOLS = ("Cl", "Br", "H", "C", "N", "O", "F", "P", "S", "I")
-
 _BOND_CHARS = {ch: t for t, ch in BOND_CHAR.items()}
 
+# One SMILES token per match; `other` takes any single character no other
+# group does, and is an error. Digits are ASCII: `\d` would also take other
+# scripts' digits, which SMILES does not allow.
+_TOKEN = re.compile(
+    r"(?P<organic>Cl|Br|[CNOFPSI])|(?P<aromatic>[cnops])|(?P<bracket>\[[^\]]*\])"
+    r"|(?P<bond>[-=#:])|(?P<stereo>[/\\])|(?P<ring>[0-9]|%[0-9]{2})"
+    r"|(?P<open>\()|(?P<close>\))|(?P<other>.)",
+    re.DOTALL,
+)
 
-def _is_ascii_digit(c: str) -> bool:
-    # str.isdigit() accepts Unicode digits (e.g. superscripts) that are not
-    # valid SMILES and that int() may reject.
-    return "0" <= c <= "9"
+# A bracket atom's body. It matches every string; a non-empty `rest` is an error.
+_BRACKET = re.compile(
+    r"(?P<isotope>[0-9]*)(?P<element>Cl|Br|[HCNOFPSI]|[cnops])?(?P<chirality>@*)"
+    r"(?P<h>H[0-9]?)?(?P<charge>[+-][0-9]|\++|-+)?(?P<rest>.*)",
+    re.DOTALL,
+)
 
 
 class SmilesError(ValueError):
@@ -81,9 +89,9 @@ class ParseResult:
 
 def parse_smiles_ex(text: str) -> ParseResult:
     """Parse a SMILES string, also reporting how many annotations were stripped."""
-    if text is None or text.strip() == "":
+    s = "" if text is None else text.strip()
+    if not s:
         raise EmptyInput("empty SMILES input")
-    s = text.strip()
     atoms: list[_PendingAtom] = []
     bonds: list[tuple[int, int, BondType]] = []
     bonded: set[tuple[int, int]] = set()  # (earlier atom, later atom) of every bond
@@ -94,111 +102,70 @@ def parse_smiles_ex(text: str) -> ParseResult:
     open_rings: dict[int, tuple[int, BondType | None, int]] = {}
     stripped = 0
 
-    def add_atom(pa: _PendingAtom, pos: int) -> None:
-        nonlocal prev, pending_bond
-        atoms.append(pa)
-        idx = len(atoms) - 1
-        if prev is not None:
-            t = pending_bond
-            if t is None:
-                t = (
-                    BondType.AROMATIC
-                    if atoms[prev].aromatic and pa.aromatic
-                    else BondType.SINGLE
-                )
-            _add_bond(prev, idx, t)
-        prev = idx
-        pending_bond = None
-
-    def _add_bond(i: int, j: int, t: BondType) -> None:
+    def add_bond(i: int, j: int, t: BondType | None) -> None:
+        # Compared with None: BondType.SINGLE is 0, so `t or ...` would make c-c aromatic.
+        if t is None:
+            t = BondType.AROMATIC if atoms[i].aromatic and atoms[j].aromatic else BondType.SINGLE
         bonds.append((i, j, t))
         bonded.add((i, j))
 
-    def close_ring(num: int, pos: int) -> None:
-        nonlocal pending_bond
-        if prev is None:
-            raise SmilesError("ring closure digit before any atom", pos)
-        if num in open_rings:
-            other, t_open, _ = open_rings.pop(num)
-            t_here = pending_bond
-            pending_bond = None
-            if t_open is not None and t_here is not None and t_open != t_here:
-                raise SmilesError(f"conflicting bond orders on ring closure {num}", pos)
-            t = t_open if t_open is not None else t_here
-            if t is None:
-                t = (
-                    BondType.AROMATIC
-                    if atoms[other].aromatic and atoms[prev].aromatic
-                    else BondType.SINGLE
-                )
-            # Only a ring closure can bond an atom to itself or repeat a bond.
-            if other == prev:
-                raise SmilesError("ring bond closes onto its own atom", pos)
-            if (other, prev) in bonded:
-                raise SmilesError("duplicate bond between the same atoms", pos)
-            _add_bond(other, prev, t)
-        else:
-            open_rings[num] = (prev, pending_bond, pos)
-            pending_bond = None
+    def add_atom(atom: _PendingAtom) -> None:
+        nonlocal prev, pending_bond
+        atoms.append(atom)
+        if prev is not None:
+            add_bond(prev, len(atoms) - 1, pending_bond)
+        prev = len(atoms) - 1
+        pending_bond = None
 
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c == ".":
-            raise DisconnectedInput("dot-disconnected (multi-fragment) input", i)
-        if c == "(":
-            if prev is None:
-                raise UnbalancedParenthesis("branch opens before any atom", i)
-            stack.append(prev)
-            i += 1
-            continue
-        if c == ")":
-            if not stack:
-                raise UnbalancedParenthesis("unmatched ')'", i)
-            prev = stack.pop()
-            i += 1
-            continue
-        if c in _BOND_CHARS:
+    for m in _TOKEN.finditer(s):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "organic":
+            add_atom(_PendingAtom(tok, aromatic=False))
+        elif kind == "aromatic":
+            add_atom(_PendingAtom(tok.upper(), aromatic=True))
+        elif kind == "bracket":
+            atom, n = _parse_bracket(tok[1:-1], pos)
+            stripped += n
+            add_atom(atom)
+        elif kind == "bond":
             if pending_bond is not None:
-                raise SmilesError("two consecutive bond symbols", i)
-            pending_bond = _BOND_CHARS[c]
-            i += 1
-            continue
-        if c in "/\\":
+                raise SmilesError("two consecutive bond symbols", pos)
+            pending_bond = _BOND_CHARS[tok]
+        elif kind == "stereo":
             stripped += 1  # stereo bond marker: treated as an unspecified bond
-            i += 1
-            continue
-        if _is_ascii_digit(c):
-            close_ring(int(c), i)
-            i += 1
-            continue
-        if c == "%":
-            if i + 2 >= n or not (_is_ascii_digit(s[i + 1]) and _is_ascii_digit(s[i + 2])):
-                raise SmilesError("'%' ring closure needs two digits", i)
-            close_ring(int(s[i + 1 : i + 3]), i)
-            i += 3
-            continue
-        if c == "[":
-            pa, consumed, strip = _parse_bracket(s, i)
-            stripped += strip
-            add_atom(pa, i)
-            i += consumed
-            continue
-        matched = False
-        for sym in ORGANIC_SUBSET:
-            if s.startswith(sym, i):
-                add_atom(_PendingAtom(element=sym, aromatic=False), i)
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in AROMATIC_SYMBOLS:
-            add_atom(_PendingAtom(element=AROMATIC_SYMBOLS[c], aromatic=True), i)
-            i += 1
-            continue
-        raise UnknownSymbol(f"unexpected character {c!r}", i)
+        elif kind == "ring":
+            num = int(tok.lstrip("%"))
+            if prev is None:
+                raise SmilesError("ring closure digit before any atom", pos)
+            if num not in open_rings:
+                open_rings[num] = (prev, pending_bond, pos)
+            else:
+                other, t_open, _ = open_rings.pop(num)
+                if t_open is not None and pending_bond is not None and t_open != pending_bond:
+                    raise SmilesError(f"conflicting bond orders on ring closure {num}", pos)
+                # Only a ring closure can bond an atom to itself or repeat a bond.
+                if other == prev:
+                    raise SmilesError("ring bond closes onto its own atom", pos)
+                if (other, prev) in bonded:
+                    raise SmilesError("duplicate bond between the same atoms", pos)
+                add_bond(other, prev, t_open if t_open is not None else pending_bond)
+            pending_bond = None
+        elif kind == "open":
+            if prev is None:
+                raise UnbalancedParenthesis("branch opens before any atom", pos)
+            stack.append(prev)
+        elif kind == "close":
+            if not stack:
+                raise UnbalancedParenthesis("unmatched ')'", pos)
+            prev = stack.pop()
+        elif tok == ".":
+            raise DisconnectedInput("dot-disconnected (multi-fragment) input", pos)
+        elif tok == "[":
+            raise SmilesError("unterminated bracket atom", pos)
+        elif tok == "%":
+            raise SmilesError("'%' ring closure needs two digits", pos)
+        else:
+            raise UnknownSymbol(f"unexpected character {tok!r}", pos)
 
     if not atoms:
         raise EmptyInput("no atoms in input")
@@ -211,15 +178,11 @@ def parse_smiles_ex(text: str) -> ParseResult:
         raise SmilesError("dangling bond symbol at end of input", len(s))
 
     order = bond_order_sums(len(atoms), bonds)
-    final_atoms = []
-    for idx, pa in enumerate(atoms):
-        if pa.explicit_h is not None:
-            h = pa.explicit_h
-        else:
-            h = fill_implicit_h(pa.element, pa.charge, order[idx]) or 0
-        final_atoms.append(
-            Atom(element=pa.element, formal_charge=pa.charge, implicit_h=h)
-        )
+    final_atoms = [
+        Atom(pa.element, pa.charge, pa.explicit_h if pa.explicit_h is not None
+             else fill_implicit_h(pa.element, pa.charge, order[k]) or 0)
+        for k, pa in enumerate(atoms)
+    ]
     try:
         mol = build(final_atoms, bonds)
     except ChemError as exc:
@@ -227,63 +190,24 @@ def parse_smiles_ex(text: str) -> ParseResult:
     return ParseResult(mol=mol, stripped=stripped)
 
 
-def _parse_bracket(s: str, start: int) -> tuple[_PendingAtom, int, int]:
-    """Parse a bracket atom at s[start] == '['; returns (atom, chars consumed, stripped)."""
-    end = s.find("]", start)
-    if end < 0:
-        raise SmilesError("unterminated bracket atom", start)
-    body = s[start + 1 : end]
-    i = 0
-    stripped = 0
-    while i < len(body) and _is_ascii_digit(body[i]):  # isotope, discarded
-        i += 1
-        stripped += 1
-    elem = None
-    aromatic = False
-    for sym in BRACKET_SYMBOLS:
-        if body.startswith(sym, i):
-            elem = sym
-            i += len(sym)
-            break
-    if elem is None and i < len(body) and body[i] in AROMATIC_SYMBOLS:
-        elem = AROMATIC_SYMBOLS[body[i]]
-        aromatic = True
-        i += 1
-    if elem is None:
-        raise UnknownSymbol(f"unknown bracket atom {body!r}", start)
-    while i < len(body) and body[i] == "@":  # chirality, discarded
-        i += 1
-        stripped += 1
-    explicit_h = 0
-    if i < len(body) and body[i] == "H":
-        i += 1
-        explicit_h = 1
-        if i < len(body) and _is_ascii_digit(body[i]):
-            explicit_h = int(body[i])
-            i += 1
-    charge = 0
-    if i < len(body) and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        i += 1
-        if i < len(body) and _is_ascii_digit(body[i]):
-            charge = sign * int(body[i])
-            i += 1
-        else:
-            charge = sign
-            while i < len(body) and body[i] in "+-" and body[i] == ("+" if sign > 0 else "-"):
-                charge += sign
-                i += 1
-    if i != len(body):
-        raise UnknownSymbol(f"trailing characters in bracket atom {body!r}", start)
+def _parse_bracket(body: str, pos: int) -> tuple[_PendingAtom, int]:
+    """The atom `[body]` at `pos`, and how many isotope and chirality characters it strips."""
+    m = _BRACKET.match(body)
+    element = m["element"]
+    if element is None:
+        raise UnknownSymbol(f"unknown bracket atom {body!r}", pos)
+    if m["rest"]:
+        raise UnknownSymbol(f"trailing characters in bracket atom {body!r}", pos)
+    q = m["charge"] or ""  # "", "+", "--", "+2", ...
+    charge = int(q) if q[1:].isdecimal() else q.count("+") - q.count("-")
     if not -2 <= charge <= 2:
-        raise SmilesError(f"formal charge {charge:+d} outside supported range", start)
+        raise SmilesError(f"formal charge {charge:+d} outside supported range", pos)
+    h = m["h"]
+    explicit_h = int(h[1:] or 1) if h else 0
     if explicit_h > 4:
-        raise SmilesError(f"H count {explicit_h} outside supported range", start)
-    return (
-        _PendingAtom(element=elem, aromatic=aromatic, charge=charge, explicit_h=explicit_h),
-        end - start + 1,
-        stripped,
-    )
+        raise SmilesError(f"H count {explicit_h} outside supported range", pos)
+    stripped = len(m["isotope"]) + len(m["chirality"])
+    return _PendingAtom(element.capitalize(), element.islower(), charge, explicit_h), stripped
 
 
 def parse_smiles(text: str) -> MolGraph:

@@ -21,12 +21,8 @@ class EmptyDataset(TrainError):
     pass
 
 
-class MoleculeTooLarge(TrainError):
-    pass
-
-
 # The smallest value each TrainConfig field may take; learning_rate must be above 0.
-_LOWEST = {"epochs": 0, "batch_size": 1, "beta": 0, "lam": 0, "seed": 0, "max_atoms": 1}
+_LOWEST = {"epochs": 0, "batch_size": 1, "beta": 0, "lam": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,6 @@ class TrainConfig:
     beta: float = 1.0
     lam: float = 1.0
     seed: int = 0
-    max_atoms: int = 20
 
     def __post_init__(self):
         for f in fields(self):
@@ -129,11 +124,6 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     records = list(dataset.records)
     if not records:
         raise EmptyDataset("no molecules to train on")
-    for rec in records:
-        if rec.mol.n_atoms > config.max_atoms:
-            raise MoleculeTooLarge(
-                f"{rec.smiles}: {rec.mol.n_atoms} atoms > max {config.max_atoms}"
-            )
     labels = np.array([float(rec.properties[property_name]) for rec in records])
     caches = [MolTensors.from_mol(rec.mol) for rec in records]
 

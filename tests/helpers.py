@@ -1,14 +1,34 @@
-"""Shared test helpers, and straightforward oracles for the fingerprint module
-and the decoder's pair products."""
+"""Shared test helpers, and straightforward oracles for the SMILES parser, the
+fingerprint module and the decoder's pair products."""
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from molvae.chem import BOND_CHAR, BondType, MolGraph, aromatic_atoms, build
+from molvae.chem import (
+    BOND_CHAR,
+    Atom,
+    BondType,
+    ChemError,
+    MolGraph,
+    aromatic_atoms,
+    bond_order_sums,
+    build,
+    fill_implicit_h,
+)
 from molvae.fingerprint import FpConfig, LengthMismatch
+from molvae.smiles import (
+    DisconnectedInput,
+    EmptyInput,
+    ParseResult,
+    SmilesError,
+    UnbalancedParenthesis,
+    UnclosedRing,
+    UnknownSymbol,
+)
 
 
 def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:
@@ -230,3 +250,231 @@ def oracle_similarities(
     if na == 0 or nb == 0:
         return {"tanimoto": 0.0, "dice": 0.0, "cosine": 0.0}
     return {"tanimoto": c / (na + nb - c), "dice": 2.0 * c / (na + nb), "cosine": c / np.sqrt(na * nb)}
+
+
+# -- SMILES oracle: the grammar spelled out one character at a time -----------
+
+_ORGANIC = ("Cl", "Br", "C", "N", "O", "F", "P", "S", "I")
+_AROMATIC = {"c": "C", "n": "N", "o": "O", "s": "S", "p": "P"}
+_BRACKET = ("Cl", "Br", "H", "C", "N", "O", "F", "P", "S", "I")
+_BOND_CHARS = {ch: t for t, ch in BOND_CHAR.items()}
+
+
+def _ascii_digit(c: str) -> bool:
+    return "0" <= c <= "9"
+
+
+@dataclass
+class _Pending:
+    element: str
+    aromatic: bool
+    charge: int = 0
+    explicit_h: int | None = None
+
+
+def oracle_parse_smiles(text: str) -> ParseResult:
+    """`parse_smiles_ex` as a character-by-character dispatch loop."""
+    if text is None or text.strip() == "":
+        raise EmptyInput("empty SMILES input")
+    s = text.strip()
+    atoms: list[_Pending] = []
+    bonds: list[tuple[int, int, BondType]] = []
+    bonded: set[tuple[int, int]] = set()  # (earlier atom, later atom) of every bond
+    stack: list[int] = []
+    prev: int | None = None
+    pending_bond: BondType | None = None
+    # ring number -> (atom index, explicit bond or None, open position)
+    open_rings: dict[int, tuple[int, BondType | None, int]] = {}
+    stripped = 0
+
+    def add_atom(pa: _Pending, pos: int) -> None:
+        nonlocal prev, pending_bond
+        atoms.append(pa)
+        idx = len(atoms) - 1
+        if prev is not None:
+            t = pending_bond
+            if t is None:
+                t = (
+                    BondType.AROMATIC
+                    if atoms[prev].aromatic and pa.aromatic
+                    else BondType.SINGLE
+                )
+            _add_bond(prev, idx, t)
+        prev = idx
+        pending_bond = None
+
+    def _add_bond(i: int, j: int, t: BondType) -> None:
+        bonds.append((i, j, t))
+        bonded.add((i, j))
+
+    def close_ring(num: int, pos: int) -> None:
+        nonlocal pending_bond
+        if prev is None:
+            raise SmilesError("ring closure digit before any atom", pos)
+        if num in open_rings:
+            other, t_open, _ = open_rings.pop(num)
+            t_here = pending_bond
+            pending_bond = None
+            if t_open is not None and t_here is not None and t_open != t_here:
+                raise SmilesError(f"conflicting bond orders on ring closure {num}", pos)
+            t = t_open if t_open is not None else t_here
+            if t is None:
+                t = (
+                    BondType.AROMATIC
+                    if atoms[other].aromatic and atoms[prev].aromatic
+                    else BondType.SINGLE
+                )
+            # Only a ring closure can bond an atom to itself or repeat a bond.
+            if other == prev:
+                raise SmilesError("ring bond closes onto its own atom", pos)
+            if (other, prev) in bonded:
+                raise SmilesError("duplicate bond between the same atoms", pos)
+            _add_bond(other, prev, t)
+        else:
+            open_rings[num] = (prev, pending_bond, pos)
+            pending_bond = None
+
+    i = 0
+    n = len(s)
+    while i < n:
+        c = s[i]
+        if c == ".":
+            raise DisconnectedInput("dot-disconnected (multi-fragment) input", i)
+        if c == "(":
+            if prev is None:
+                raise UnbalancedParenthesis("branch opens before any atom", i)
+            stack.append(prev)
+            i += 1
+            continue
+        if c == ")":
+            if not stack:
+                raise UnbalancedParenthesis("unmatched ')'", i)
+            prev = stack.pop()
+            i += 1
+            continue
+        if c in _BOND_CHARS:
+            if pending_bond is not None:
+                raise SmilesError("two consecutive bond symbols", i)
+            pending_bond = _BOND_CHARS[c]
+            i += 1
+            continue
+        if c in "/\\":
+            stripped += 1  # stereo bond marker: treated as an unspecified bond
+            i += 1
+            continue
+        if _ascii_digit(c):
+            close_ring(int(c), i)
+            i += 1
+            continue
+        if c == "%":
+            if i + 2 >= n or not (_ascii_digit(s[i + 1]) and _ascii_digit(s[i + 2])):
+                raise SmilesError("'%' ring closure needs two digits", i)
+            close_ring(int(s[i + 1 : i + 3]), i)
+            i += 3
+            continue
+        if c == "[":
+            pa, consumed, strip = _oracle_parse_bracket(s, i)
+            stripped += strip
+            add_atom(pa, i)
+            i += consumed
+            continue
+        matched = False
+        for sym in _ORGANIC:
+            if s.startswith(sym, i):
+                add_atom(_Pending(element=sym, aromatic=False), i)
+                i += len(sym)
+                matched = True
+                break
+        if matched:
+            continue
+        if c in _AROMATIC:
+            add_atom(_Pending(element=_AROMATIC[c], aromatic=True), i)
+            i += 1
+            continue
+        raise UnknownSymbol(f"unexpected character {c!r}", i)
+
+    if not atoms:
+        raise EmptyInput("no atoms in input")
+    if stack:
+        raise UnbalancedParenthesis("unclosed '('", len(s))
+    if open_rings:
+        num, (_, _, pos) = next(iter(open_rings.items()))
+        raise UnclosedRing(f"ring closure {num} never closed", pos)
+    if pending_bond is not None:
+        raise SmilesError("dangling bond symbol at end of input", len(s))
+
+    order = bond_order_sums(len(atoms), bonds)
+    final_atoms = []
+    for idx, pa in enumerate(atoms):
+        if pa.explicit_h is not None:
+            h = pa.explicit_h
+        else:
+            h = fill_implicit_h(pa.element, pa.charge, order[idx]) or 0
+        final_atoms.append(
+            Atom(element=pa.element, formal_charge=pa.charge, implicit_h=h)
+        )
+    try:
+        mol = build(final_atoms, bonds)
+    except ChemError as exc:
+        raise SmilesError(f"graph construction failed: {exc}") from exc
+    return ParseResult(mol=mol, stripped=stripped)
+
+
+def _oracle_parse_bracket(s: str, start: int) -> tuple[_Pending, int, int]:
+    """Parse a bracket atom at s[start] == '['; returns (atom, chars consumed, stripped)."""
+    end = s.find("]", start)
+    if end < 0:
+        raise SmilesError("unterminated bracket atom", start)
+    body = s[start + 1 : end]
+    i = 0
+    stripped = 0
+    while i < len(body) and _ascii_digit(body[i]):  # isotope, discarded
+        i += 1
+        stripped += 1
+    elem = None
+    aromatic = False
+    for sym in _BRACKET:
+        if body.startswith(sym, i):
+            elem = sym
+            i += len(sym)
+            break
+    if elem is None and i < len(body) and body[i] in _AROMATIC:
+        elem = _AROMATIC[body[i]]
+        aromatic = True
+        i += 1
+    if elem is None:
+        raise UnknownSymbol(f"unknown bracket atom {body!r}", start)
+    while i < len(body) and body[i] == "@":  # chirality, discarded
+        i += 1
+        stripped += 1
+    explicit_h = 0
+    if i < len(body) and body[i] == "H":
+        i += 1
+        explicit_h = 1
+        if i < len(body) and _ascii_digit(body[i]):
+            explicit_h = int(body[i])
+            i += 1
+    charge = 0
+    if i < len(body) and body[i] in "+-":
+        sign = 1 if body[i] == "+" else -1
+        i += 1
+        if i < len(body) and _ascii_digit(body[i]):
+            charge = sign * int(body[i])
+            i += 1
+        else:
+            charge = sign
+            while i < len(body) and body[i] in "+-" and body[i] == ("+" if sign > 0 else "-"):
+                charge += sign
+                i += 1
+    if i != len(body):
+        raise UnknownSymbol(f"trailing characters in bracket atom {body!r}", start)
+    if not -2 <= charge <= 2:
+        raise SmilesError(f"formal charge {charge:+d} outside supported range", start)
+    if explicit_h > 4:
+        raise SmilesError(f"H count {explicit_h} outside supported range", start)
+    return (
+        _Pending(element=elem, aromatic=aromatic, charge=charge, explicit_h=explicit_h),
+        end - start + 1,
+        stripped,
+    )
+

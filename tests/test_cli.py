@@ -353,6 +353,10 @@ BAD_INPUTS = {
     "checkpoint-boolean-epochs": (_encode_with(epochs=True), EXIT_IO),
     "checkpoint-negative-beta": (_encode_with(beta=-1.0), EXIT_IO),
     "checkpoint-top-level-list": (_encode_edited(lambda doc: [1, 2]), EXIT_IO),
+    "checkpoint-version-2": (
+        _encode_edited(lambda doc: {**doc, "version": 2, "config": {**doc["config"], "max_atoms": 20}}),
+        EXIT_IO,
+    ),
     "checkpoint-no-tensors": (
         _encode_edited(lambda doc: {k: v for k, v in doc.items() if k != "tensors"}),
         EXIT_IO,

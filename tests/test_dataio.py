@@ -1,11 +1,14 @@
 """Tests for CSV ingestion, the bundled corpus, and checkpoint files."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from molvae import dataio
+from molvae.corpus import generate_corpus
 from molvae.dataio import (
     BadHeader,
     CorruptTensor,
@@ -136,6 +139,16 @@ def test_bundled_corpus_all_valid():
     assert all(check_valence(r.mol).valid for r in ds.records)
 
 
+def test_bundled_corpus_is_what_generate_corpus_writes():
+    # The same rows and CSV dialect as scripts/generate_corpus.py: the parser,
+    # the writer and the corpus constants all feed the committed file.
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["smiles", "heavy_atoms"])
+    writer.writerows(generate_corpus())
+    assert out.getvalue().encode("utf-8") == dataio.bundled_corpus_path().read_bytes()
+
+
 # -- checkpoints ---------------------------------------------------------
 
 
@@ -200,6 +213,19 @@ def test_version_1_checkpoint_is_a_version_mismatch(tmp_path):
     doc["config"]["threshold"] = 0.5
     path.write_text(json.dumps(doc))
     with pytest.raises(VersionMismatch, match="version 1"):
+        load_checkpoint(path)
+
+
+def test_version_2_checkpoint_is_a_version_mismatch(tmp_path):
+    # Version 2 files still carry the since-removed `max_atoms` config field;
+    # they must fail on the version, not on the config.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_model_params(seed=0), TrainConfig(), path)
+    doc = json.loads(path.read_text())
+    doc["version"] = 2
+    doc["config"]["max_atoms"] = 20
+    path.write_text(json.dumps(doc))
+    with pytest.raises(VersionMismatch, match="version 2, this build reads 3"):
         load_checkpoint(path)
 
 

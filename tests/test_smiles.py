@@ -17,7 +17,7 @@ from molvae.smiles import (
     write_smiles,
 )
 
-from helpers import permute
+from helpers import oracle_parse_smiles, permute
 
 
 # -- basic parsing -------------------------------------------------------
@@ -304,3 +304,72 @@ def test_fuzz_never_crashes(text):
         parse_smiles(text)
     except SmilesError:
         pass
+
+
+# -- the token grammar against the character-by-character oracle ---------
+
+# Pieces of SMILES and of near-SMILES: every token kind, two-letter symbols
+# split apart, bracket and ring-label fragments, whitespace, and non-ASCII
+# digits ("²" and U+0663 ARABIC-INDIC DIGIT THREE, which `\d` would match).
+PIECES = (
+    "C c N n O o S s P p F I B H l r Cl Br [nH] [C@@H] [13C] [N++] [NH4+] [O-] "
+    "[ ] ( ) - = # : / \\ 0 1 2 9 % %1 %12 %05 . @ + ++ -- +3 H2 H5 13 x \u00b2 \u0663"
+).split() + [" ", "\n", "\t", "\u3000"]
+
+BRACKET_ATOMS = st.builds(
+    lambda *parts: "[" + "".join(parts) + "]",
+    st.sampled_from(["", "2", "13", "\u0663", "\u00b2"]),
+    st.sampled_from(["", "C", "c", "N", "n", "o", "Cl", "Br", "H", "B", "X"]),
+    st.sampled_from(["", "@", "@@"]),
+    st.sampled_from(["", "H", "H0", "H2", "H5", "H\u0663"]),
+    st.sampled_from(["", "+", "++", "+++", "-", "--", "+2", "-3", "+-", "-+", "+\u0663"]),
+    st.sampled_from(["", "x", "@", "]", " "]),
+)
+
+
+# Chains of atoms, bonds, ring labels and branches, which mostly parse: an
+# explicit single bond between aromatic atoms ("c-c") must stay single, and
+# U+0663 is no ring label.
+CHAINS = st.lists(
+    st.tuples(
+        st.sampled_from(["", "", "-", "=", "#", ":", "/"]),
+        st.sampled_from(["C", "c", "N", "n", "o", "s", "Cl", "Br", "[nH]", "[C@@H]", "[13C]", "[N++]", "[O-]"]),
+        st.sampled_from(["", "", "1", "%12", "(C)", "(-c)", "\u0663", "%1\u0663"]),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda links: "".join(map("".join, links)))
+
+
+@st.composite
+def mutated_writer_output(draw):
+    import numpy as np
+
+    from molvae.corpus import random_molecule
+
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    s = write_smiles(random_molecule(rng, draw(st.integers(1, 20))))
+    i = draw(st.integers(0, len(s) - 1))
+    return draw(st.sampled_from([s, s[:i] + s[i + 1 :], s[:i] + s[i] + s[i:]]))
+
+
+def parse_outcome(parse, text):
+    """The error's class, message and position, or the graph and stripped count."""
+    try:
+        res = parse(text)
+    except SmilesError as exc:
+        return type(exc), str(exc), exc.position
+    return res.mol, res.stripped
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.one_of(st.sampled_from(PIECES), BRACKET_ATOMS), max_size=24).map("".join),
+        CHAINS,
+        mutated_writer_output(),
+        st.text(max_size=30),
+    )
+)
+def test_token_parser_agrees_with_the_character_loop_oracle(text):
+    assert parse_outcome(parse_smiles_ex, text) == parse_outcome(oracle_parse_smiles, text)

@@ -14,7 +14,6 @@ from molvae.smiles import parse_smiles
 from molvae.train import (
     AdamState,
     EmptyDataset,
-    MoleculeTooLarge,
     TrainConfig,
     adam_step,
     evaluate_edge_auc,
@@ -31,7 +30,7 @@ def tiny_dataset(smis=("C", "CC", "CCO", "CCC", "CC(C)O", "C=C")):
         dataio.Record(smiles=s, mol=parse_smiles(s), properties={"heavy_atoms": float(parse_smiles(s).n_atoms)})
         for s in smis
     ]
-    return dataio.Dataset(records=recs, source="test")
+    return dataio.Dataset(records=recs)
 
 
 # -- Adam ----------------------------------------------------------------
@@ -134,12 +133,6 @@ def test_adam_shape_mismatch():
 def test_train_empty_dataset_rejected():
     with pytest.raises(EmptyDataset):
         train(dataio.Dataset(records=[]), "heavy_atoms", TrainConfig(epochs=1))
-
-
-def test_train_oversize_molecule_rejected():
-    ds = tiny_dataset(("C" * 25,))
-    with pytest.raises(MoleculeTooLarge):
-        train(ds, "heavy_atoms", TrainConfig(epochs=1, max_atoms=20))
 
 
 def test_train_returns_history_per_epoch():
