@@ -1,4 +1,4 @@
-"""Molecular graph data model: atoms, typed bonds, tensors, valence rules."""
+"""Molecular graph data model: atoms, typed bonds, valence rules."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ DEFAULT_VALENCES: dict[str, tuple[int, ...]] = {
     "I": (1,),
 }
 
-FEATURE_DIM = 32
+FEATURE_DIM = 32  # width of an atom's feature row (see `vaemodel.MolTensors.from_mols`)
 
 
 class ChemError(ValueError):
@@ -128,8 +128,9 @@ def allowed_valences(element: str, formal_charge: int) -> tuple[int, ...]:
 def fill_implicit_h(element: str, charge: int, bond_order: float) -> int | None:
     """Smallest H count (0-4) that reaches an allowed valence; None if none does."""
     rounded = math.ceil(bond_order - 1e-9)
+    allowed = allowed_valences(element, charge)
     for h in range(5):
-        if rounded + h in allowed_valences(element, charge):
+        if rounded + h in allowed:
             return h
     return None
 
@@ -195,22 +196,6 @@ def adjacency_tensor(mol: MolGraph) -> np.ndarray:
         a[i, j, t] = 1.0
         a[j, i, t] = 1.0
     return a
-
-
-def node_features(mol: MolGraph) -> np.ndarray:
-    """Per-node feature rows: element, charge, H count, heavy degree one-hots.
-
-    Layout: element one-hot (10) | charge in {-1,0,+1} clamped (3) |
-    implicit H 0..4 (5) | heavy-atom degree 0..4 clamped (5) | zero pad to 32.
-    """
-    h = np.zeros((mol.n_atoms, FEATURE_DIM))
-    for i, (atom, nbrs) in enumerate(zip(mol.atoms, adjacency(mol))):
-        h[i, ELEMENT_INDEX[atom.element]] = 1.0
-        charge = max(-1, min(1, atom.formal_charge))
-        h[i, 10 + charge + 1] = 1.0
-        h[i, 13 + min(atom.implicit_h, 4)] = 1.0
-        h[i, 18 + min(len(nbrs), 4)] = 1.0
-    return h
 
 
 def check_valence(mol: MolGraph) -> ValidityReport:

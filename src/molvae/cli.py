@@ -225,7 +225,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--lambda", type=float, default=1.0)
-    p.add_argument("--max-atoms", type=int, default=20, dest="max_atoms")
+    p.add_argument("--max-atoms", type=int, default=dataio.MAX_ATOMS, dest="max_atoms")
 
     p = add("encode", cmd_encode, help="print the pooled 64-vector of a molecule")
     p.add_argument("--ckpt", required=True)

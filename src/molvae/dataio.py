@@ -20,6 +20,9 @@ from .vaemodel import PARAM_SHAPES
 
 CHECKPOINT_VERSION = 3
 
+# The default size limit: `load_csv` skips molecules with more heavy atoms.
+MAX_ATOMS = 20
+
 
 class DataError(ValueError):
     pass
@@ -80,7 +83,7 @@ class Dataset:
         return Dataset(first), Dataset(rest)
 
 
-def load_csv(path: str | Path, max_atoms: int = 20) -> Dataset:
+def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     """Read a `smiles,<prop>...` CSV, skipping rows that do not parse, are
     oversize, or have a property value that is missing or not finite."""
     path = Path(path)

@@ -116,16 +116,17 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     """Train on every record's molecule and side-property value.
 
     Deterministic given the config seed: shuffling, initialization, and
-    per-atom noise all come from one seeded generator. Each minibatch is one
-    disjoint-union graph: one `joint_loss` call builds its summed loss on one
-    tape, one `backward` sweep gives the summed gradients, and the Adam step
-    scales them by 1/batch size.
+    per-atom noise all come from one seeded generator. The training set's
+    tensors are built once; each minibatch selects its molecules' rows from
+    them, as one disjoint-union graph: one `joint_loss` call builds its summed
+    loss on one tape, one `backward` sweep gives the summed gradients, and the
+    Adam step scales them by 1/batch size.
     """
     records = list(dataset.records)
     if not records:
         raise EmptyDataset("no molecules to train on")
     labels = np.array([float(rec.properties[property_name]) for rec in records])
-    caches = [MolTensors.from_mol(rec.mol) for rec in records]
+    full = MolTensors.from_mols([rec.mol for rec in records])
 
     params = init_model_params(config.seed)
     rng = np.random.default_rng(config.seed)
@@ -137,7 +138,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
         sums = np.zeros(4)
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            mt = MolTensors.union([caches[idx] for idx in batch])
+            mt = full.select(batch)
             noise = rng.standard_normal((len(mt.features), LATENT_DIM))
             total, bd = vaemodel.joint_loss(
                 mt, labels[batch], params, noise, beta=config.beta, lam=config.lam
@@ -175,10 +176,10 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
 
     Pools all unordered pairs of all molecules; ties are handled by midrank.
     """
-    mts = [MolTensors.from_mol(mol) for mol in _molecules(dataset)]
-    blocks = vaemodel.decoded_blocks(mts, params)
+    mt = MolTensors.from_mols(_molecules(dataset))
+    blocks = vaemodel.decoded_blocks(mt, params)
     s = np.concatenate([probs[np.triu_indices(len(probs), 1)] for probs in blocks])
-    y = np.concatenate([mt.pair_target > 0 for mt in mts])
+    y = mt.pair_target > 0
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -3,7 +3,6 @@ every use of a trained model, through one mu-only encoder pass over a batch."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,25 +101,35 @@ def side_predict(g: Tensor, store: ParamStore) -> Tensor:
     return nk.checked(nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],)))
 
 
-@functools.cache
-def _upper_pairs(n: int) -> tuple[np.ndarray, ...]:
-    """Strict upper-triangle (row, column) indices, read-only: every call for
-    the same n returns the same cached arrays."""
-    pairs = np.triu_indices(n, k=1)
-    for ix in pairs:
-        ix.setflags(write=False)
-    return pairs
+# (dst, src, w) of a relation with no edges: read-only, and shared by every
+# MolTensors that has one.
+_NO_EDGES = tuple(np.zeros(0, dtype) for dtype in (np.int64, np.int64, np.float64))
+for _empty in _NO_EDGES:
+    _empty.setflags(write=False)
+
+# An atom's (element index, charge, H count, heavy degree), clamped to
+# [_LOW, _HIGH] and shifted by _BASE, are its four one-hot feature columns.
+_LOW = np.array([0, -1, 0, 0])
+_HIGH = np.array([len(chem.ELEMENTS) - 1, 1, 4, 4])
+_BASE = np.array([0, 11, 13, 18])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[k], starts[k] + counts[k]) laid end to end."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
 @dataclass
 class MolTensors:
-    """Encoder and loss constants of one molecule, or of a minibatch taken as
-    one disjoint-union graph (`MolTensors.union`).
+    """Encoder and loss constants of a batch of molecules, taken as one
+    disjoint-union graph.
 
     Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
-    `relations` holds every bond type's directed edges (see `encoder.encode`).
-    `pair_target` marks which of each molecule's own atom pairs i < j are
-    bonded, row by row in turn, in the order of `numkernel.block_pair_dot`.
+    `relations` holds every bond type's directed edges (see `encoder.encode`),
+    molecule by molecule. `pair_target` marks which of each molecule's own
+    atom pairs i < j are bonded, row by row in turn, in the order of
+    `numkernel.block_pair_dot`.
     """
 
     features: np.ndarray
@@ -129,50 +138,83 @@ class MolTensors:
     sizes: np.ndarray
 
     @classmethod
-    def from_mol(cls, mol: MolGraph) -> "MolTensors":
-        n = mol.n_atoms
-        ends = [([], []) for _ in range(chem.N_BOND_TYPES)]
-        for i, j, t in mol.bonds:
-            dst, src = ends[t]
-            dst += (i, j)
-            src += (j, i)
-        relations = []
-        bonded = np.zeros((n, n))
-        for dst, src in ends:
-            dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
-            relations.append((dst, src, 1.0 / np.bincount(dst, minlength=n)[dst]))
-            bonded[dst, src] = 1.0
-        i, j = _upper_pairs(n)
-        return cls(
-            features=chem.node_features(mol),
-            relations=tuple(relations),
-            pair_target=bonded[i, j],
-            sizes=np.array([n]),
-        )
+    def from_mols(cls, mols: list[MolGraph]) -> "MolTensors":
+        """The tensors of `mols`, laid end to end: each molecule's atom
+        indices shift past the atoms before it.
+
+        One Python pass gathers each atom's element, charge and H count, each
+        bond's shifted ends under its type, and each bond's pair position;
+        the rest is whole-array work. A feature row is four one-hots:
+        element (10) | charge in {-1, 0, +1}, clamped (3) | implicit H 0..4
+        (5) | heavy-atom degree 0..4, clamped (5) | zero pad to 32.
+        """
+        sizes, cols, pairs = [], [], []
+        dsts = [[] for _ in range(chem.N_BOND_TYPES)]
+        srcs = [[] for _ in range(chem.N_BOND_TYPES)]
+        off = pair_off = 0
+        for mol in mols:
+            n = len(mol.atoms)
+            sizes.append(n)
+            for a in mol.atoms:
+                cols += (chem.ELEMENT_INDEX[a.element], a.formal_charge, a.implicit_h, 0)
+            for i, j, t in mol.bonds:
+                dsts[t] += (i + off, j + off)
+                srcs[t] += (j + off, i + off)
+                if i > j:  # a graph not made by `chem.build` may list a bond as (j, i)
+                    i, j = j, i
+                pairs.append(pair_off + i * (2 * n - i - 3) // 2 + j - 1)  # row i starts at i(2n-i-1)/2
+            off += n
+            pair_off += n * (n - 1) // 2
+        n = off
+        relations, degree = [], 0
+        for dst, src in zip(dsts, srcs):
+            if not dst:
+                relations.append(_NO_EDGES)
+                continue
+            dst = np.fromiter(dst, np.int64, len(dst))
+            deg = np.bincount(dst, minlength=n)
+            degree = degree + deg
+            relations.append((dst, np.fromiter(src, np.int64, len(src)), 1.0 / deg[dst]))
+        cols = np.fromiter(cols, np.int64, len(cols)).reshape(n, 4)
+        cols[:, 3] = degree
+        np.clip(cols, _LOW, _HIGH, out=cols)
+        cols += _BASE
+        features = np.zeros((n, chem.FEATURE_DIM))
+        features[np.arange(n)[:, None], cols] = 1.0
+        pair_target = np.zeros(pair_off)
+        pair_target[pairs] = 1.0
+        return cls(features, tuple(relations), pair_target, np.array(sizes, dtype=np.int64))
 
     @classmethod
-    def union(cls, parts: list["MolTensors"]) -> "MolTensors":
-        """The disjoint union: each part's atom indices shift past the atoms before it."""
-        if len(parts) == 1:
-            return parts[0]
-        offsets = np.cumsum([0] + [len(p.features) for p in parts[:-1]])
+    def from_mol(cls, mol: MolGraph) -> "MolTensors":
+        return cls.from_mols([mol])
 
-        def cat(arrays, shift=False):
-            arrays = list(arrays)
-            out = np.concatenate(arrays)
-            if shift:
-                out += np.repeat(offsets, [a.size for a in arrays])
-            return out
-
-        return cls(
-            features=cat(p.features for p in parts),
-            # per relation, the parts' (dst, src, w) arrays regrouped as (dsts, srcs, ws)
-            relations=tuple(
-                (cat(d, shift=True), cat(s, shift=True), cat(w))
-                for d, s, w in (zip(*rel) for rel in zip(*(p.relations for p in parts)))
-            ),
-            pair_target=cat(p.pair_target for p in parts),
-            sizes=cat(p.sizes for p in parts),
+    def select(self, idx) -> "MolTensors":
+        """The tensors of molecules `idx`, in that order, as `from_mols` of
+        them would build them: each one's rows, edges and pairs, renumbered."""
+        idx = np.asarray(idx, dtype=np.int64)
+        ends = np.cumsum(self.sizes)
+        lo, sizes = (ends - self.sizes)[idx], self.sizes[idx]
+        shift = np.cumsum(sizes) - sizes - lo  # each chosen molecule's move
+        relations = []
+        for dst, src, w in self.relations:
+            # `dst` runs molecule by molecule, so the atoms of a molecule
+            # bound its edges even though `dst` is not sorted within one.
+            first = np.searchsorted(dst, lo)
+            counts = np.searchsorted(dst, lo + sizes) - first
+            e = _ranges(first, counts)
+            if not e.size:
+                relations.append(_NO_EDGES)
+                continue
+            moved = np.repeat(shift, counts)
+            relations.append((dst[e] + moved, src[e] + moved, w[e]))
+        npairs = self.sizes * (self.sizes - 1) // 2
+        pair_lo = (np.cumsum(npairs) - npairs)[idx]
+        return MolTensors(
+            features=self.features[_ranges(lo, sizes)],
+            relations=tuple(relations),
+            pair_target=self.pair_target[_ranges(pair_lo, npairs[idx])],
+            sizes=sizes,
         )
 
 
@@ -186,8 +228,8 @@ def joint_loss(
 ) -> tuple[Tensor, LossBreakdown]:
     """Full forward pass; returns the scalar loss node and its breakdown.
 
-    `mol` is one molecule, or the MolTensors of one molecule or of a union, with
-    one `label` per molecule and one `noise` row per atom. A union's loss and
+    `mol` is one molecule, or the MolTensors of a batch of molecules, with one
+    `label` per molecule and one `noise` row per atom. A batch's loss and
     breakdown are the sums over its molecules, built on one tape. The loss is
     checked finite.
     """
@@ -213,20 +255,21 @@ def joint_loss(
     return total, breakdown
 
 
-def _mu(mols: list[MolGraph | MolTensors], store: ParamStore) -> tuple[np.ndarray, Tensor]:
-    """Molecule sizes and Mu of a batch, from one encoder pass over its union
-    that builds only the mu head: the deterministic latent code of inference."""
-    mt = MolTensors.union([m if isinstance(m, MolTensors) else MolTensors.from_mol(m) for m in mols])
+def _mu(mols: list[MolGraph] | MolTensors, store: ParamStore) -> tuple[np.ndarray, Tensor]:
+    """Molecule sizes and Mu of a batch (its molecules, or their built
+    MolTensors), from one encoder pass over its union that builds only the
+    mu head: the deterministic latent code of inference."""
+    mt = mols if isinstance(mols, MolTensors) else MolTensors.from_mols(mols)
     return mt.sizes, encoder.encode(mt.features, mt.relations, store, "mu")[0]
 
 
-def pooled_vectors(mols: list[MolGraph | MolTensors], store: ParamStore) -> np.ndarray:
+def pooled_vectors(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
     """(B, 64) pooled vectors of a batch (softmax pooling over Mu), checked finite."""
     sizes, mu = _mu(mols, store)
     return nk.checked(encoder.pool(mu, store, sizes)).data
 
 
-def decoded_blocks(mols: list[MolGraph | MolTensors], store: ParamStore) -> list[np.ndarray]:
+def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> list[np.ndarray]:
     """Deterministic edge probabilities (Z = Mu, no sampling) of a batch: one
     dense block logistic(z zᵀ) per molecule, each checked finite, as is Mu."""
     sizes, mu = _mu(mols, store)
@@ -240,12 +283,12 @@ def decoded_blocks(mols: list[MolGraph | MolTensors], store: ParamStore) -> list
 
 def decode_probs(mol: MolGraph, store: ParamStore) -> np.ndarray:
     """`decoded_blocks` of one molecule: its n x n edge probabilities."""
-    return decoded_blocks([mol], store)[0]
+    return decoded_blocks(MolTensors.from_mol(mol), store)[0]
 
 
 def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
     """`pooled_vectors` of one molecule: its pooled 64-vector."""
-    return pooled_vectors([mol], store)[0]
+    return pooled_vectors(MolTensors.from_mol(mol), store)[0]
 
 
 def predict(mol: MolGraph, store: ParamStore) -> float:

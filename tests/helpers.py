@@ -1,5 +1,5 @@
 """Shared test helpers, and straightforward oracles for the SMILES parser, the
-fingerprint module and the decoder's pair products."""
+fingerprint module, molecule tensors and the decoder's pair products."""
 
 import itertools
 from collections import Counter
@@ -10,10 +10,14 @@ import numpy as np
 
 from molvae.chem import (
     BOND_CHAR,
+    ELEMENT_INDEX,
+    FEATURE_DIM,
+    N_BOND_TYPES,
     Atom,
     BondType,
     ChemError,
     MolGraph,
+    adjacency,
     aromatic_atoms,
     bond_order_sums,
     build,
@@ -29,6 +33,7 @@ from molvae.smiles import (
     UnclosedRing,
     UnknownSymbol,
 )
+from molvae.vaemodel import MolTensors
 
 
 def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:
@@ -80,6 +85,79 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
     for start in range(mol.n_atoms):
         extend([start], set(), 0)
     return found
+
+
+# -- tensor oracle: one molecule at a time, then concatenated ----------------
+
+
+def _oracle_features(mol: MolGraph) -> np.ndarray:
+    """One feature row per atom, filled one atom at a time."""
+    h = np.zeros((mol.n_atoms, FEATURE_DIM))
+    for i, (atom, nbrs) in enumerate(zip(mol.atoms, adjacency(mol))):
+        h[i, ELEMENT_INDEX[atom.element]] = 1.0
+        charge = max(-1, min(1, atom.formal_charge))
+        h[i, 10 + charge + 1] = 1.0
+        h[i, 13 + min(atom.implicit_h, 4)] = 1.0
+        h[i, 18 + min(len(nbrs), 4)] = 1.0
+    return h
+
+
+def _oracle_one(mol: MolGraph) -> MolTensors:
+    """One molecule's tensors, bond by bond, with pair targets read off a dense
+    bonded matrix."""
+    n = mol.n_atoms
+    ends = [([], []) for _ in range(N_BOND_TYPES)]
+    for i, j, t in mol.bonds:
+        dst, src = ends[t]
+        dst += (i, j)
+        src += (j, i)
+    relations = []
+    bonded = np.zeros((n, n))
+    for dst, src in ends:
+        dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
+        relations.append((dst, src, 1.0 / np.bincount(dst, minlength=n)[dst]))
+        bonded[dst, src] = 1.0
+    i, j = np.triu_indices(n, k=1)
+    return MolTensors(_oracle_features(mol), tuple(relations), bonded[i, j], np.array([n]))
+
+
+def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
+    """`MolTensors.from_mols`: each molecule built alone, then the parts
+    concatenated, atom indices shifted past the atoms before them."""
+    parts = [_oracle_one(mol) for mol in mols]
+    if len(parts) == 1:
+        return parts[0]
+    offsets = np.cumsum([0] + [len(p.features) for p in parts[:-1]])
+
+    def cat(arrays, shift=False):
+        arrays = list(arrays)
+        out = np.concatenate(arrays)
+        if shift:
+            out += np.repeat(offsets, [a.size for a in arrays])
+        return out
+
+    return MolTensors(
+        features=cat(p.features for p in parts),
+        # per relation, the parts' (dst, src, w) arrays regrouped as (dsts, srcs, ws)
+        relations=tuple(
+            (cat(d, shift=True), cat(s, shift=True), cat(w))
+            for d, s, w in (zip(*rel) for rel in zip(*(p.relations for p in parts)))
+        ),
+        pair_target=cat(p.pair_target for p in parts),
+        sizes=cat(p.sizes for p in parts),
+    )
+
+
+def assert_same_tensors(got: MolTensors, want: MolTensors) -> None:
+    """Array for array equal, dtypes and edge order included."""
+    pairs = [(got.features, want.features), (got.pair_target, want.pair_target), (got.sizes, want.sizes)]
+    assert len(got.relations) == len(want.relations) == N_BOND_TYPES
+    for g, w in zip(got.relations, want.relations):
+        pairs += zip(g, w)
+    for g, w in pairs:
+        assert g.dtype == w.dtype
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 # -- pair-product oracle: one gather per listed pair ----------------------

@@ -24,12 +24,11 @@ from molvae.chem import (
     build,
     check_valence,
     is_isomorphic,
-    node_features,
 )
 
 from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.smiles import parse_smiles
-from molvae.vaemodel import init_model_params, reconstruct, reconstruct_from_probs
+from molvae.vaemodel import MolTensors, init_model_params, reconstruct, reconstruct_from_probs
 
 from helpers import oracle_bond_order_sum, oracle_degree, oracle_neighbors, permute
 
@@ -196,7 +195,7 @@ def test_adjacency_tensor_zero_diagonal_and_slice_symmetry():
 
 def test_node_features_layout():
     m = ethanol()
-    h = node_features(m)
+    h = MolTensors.from_mol(m).features
     assert h.shape == (3, FEATURE_DIM)
     # Atom 2 is oxygen: element one-hot index 3, neutral, one H, degree 1.
     row = h[2]
@@ -213,18 +212,18 @@ def test_node_features_degree_clamped():
     for smi in ("CC(C)(C)C", "S(F)(F)(F)(F)(F)F"):
         mol = parse_smiles(smi)
         center = next(i for i in range(mol.n_atoms) if mol.degree(i) >= 4)
-        assert node_features(mol)[center, 18 + 4] == 1.0
+        assert MolTensors.from_mol(mol).features[center, 18 + 4] == 1.0
 
 
 def test_node_features_charge_clamped():
     m = build([Atom("N", 2, 0)], [])
-    h = node_features(m)
+    h = MolTensors.from_mol(m).features
     assert h[0, 10 + 2] == 1.0  # +2 clamps to the +1 slot
 
 
 def test_node_features_row_sums_are_four():
     m = benzene()
-    h = node_features(m)
+    h = MolTensors.from_mol(m).features
     assert np.all(h.sum(axis=1) == 4.0)
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: commands, JSON output, exit codes."""
 
 import base64
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from molvae import encoder
-from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, main
+from molvae import dataio, encoder
+from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,12 @@ def test_unknown_subcommand_exits_usage():
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == EXIT_USAGE
+
+
+def test_max_atoms_defaults_to_the_loader_limit():
+    args = build_parser().parse_args(["train", "--data", "d.csv", "--property", "p", "--epochs", "1", "--out", "m"])
+    assert args.max_atoms == dataio.MAX_ATOMS
+    assert inspect.signature(dataio.load_csv).parameters["max_atoms"].default == dataio.MAX_ATOMS
 
 
 def test_missing_required_flag_exits_usage():

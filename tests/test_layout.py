@@ -216,6 +216,25 @@ def test_fingerprint_spans_see_every_call(monkeypatch):
     assert calls == {"enumerate_subgraphs": 3, "canonical_subgraph_key": sum(found), "tanimoto": 1}
 
 
+def test_single_molecule_queries_reach_the_tensors_span_once(monkeypatch):
+    """The benchmark's `chem.tensors` span wraps the `MolTensors.from_mol`
+    class attribute; each single-molecule query must build through it once."""
+    calls = []
+    raw = vars(vaemodel.MolTensors)["from_mol"]
+
+    def counted(cls, mol):
+        calls.append(mol)
+        return raw.__func__(cls, mol)
+
+    monkeypatch.setattr(vaemodel.MolTensors, "from_mol", classmethod(counted))
+    store = vaemodel.init_model_params(seed=0)
+    mol = parse_smiles(DRUG_SMILES["aspirin"])
+    for query in (vaemodel.pooled_vector, vaemodel.decode_probs, vaemodel.reconstruct):
+        calls.clear()
+        query(mol, store)
+        assert calls == [mol], query.__name__
+
+
 def test_fingerprint_hashes_once_per_molecule(monkeypatch):
     """`path_fingerprint` hashes all of a molecule's keys in one call, whatever
     their number: a per-key loop would call the hash functions once per key."""

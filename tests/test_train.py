@@ -199,7 +199,7 @@ def test_union_loss_equals_the_sum_of_per_molecule_losses():
     rng = np.random.default_rng(0)
     noises = [rng.standard_normal((m.n_atoms, LATENT_DIM)) for m in mols]
     per = [joint_loss(m, y, params, z, beta=0.01, lam=0.5) for m, y, z in zip(mols, labels, noises)]
-    mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
+    mt = MolTensors.from_mols(mols)
     union, bd = joint_loss(mt, labels, params, np.concatenate(noises), beta=0.01, lam=0.5)
     assert union.item() == pytest.approx(sum(t.item() for t, _ in per), rel=0, abs=1e-12)
     for field in ("recon", "kl", "side_mse", "total"):
@@ -227,7 +227,7 @@ def _kept_arrays(node):
 def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
     corpus = dataio.load_bundled_corpus()
     recs = corpus.records[:16]
-    mt = MolTensors.union([MolTensors.from_mol(r.mol) for r in recs])
+    mt = MolTensors.from_mols([r.mol for r in recs])
     n = len(mt.features)
     b, m = mt.sizes.size, int(mt.sizes.max())
     noise = np.random.default_rng(0).standard_normal((n, LATENT_DIM))
@@ -263,6 +263,25 @@ def test_train_calls_joint_loss_once_per_minibatch(monkeypatch):
     train(tiny_dataset(), "heavy_atoms", TrainConfig(epochs=2, seed=0, batch_size=4))
     assert len(calls) == 4  # 6 molecules: batches of 4 and 2, twice
     assert sorted(mt.sizes.size for mt in calls) == [2, 2, 4, 4]
+
+
+def test_train_builds_the_training_set_once_and_selects_each_minibatch(monkeypatch):
+    built, selected = [], []
+    from_mols, select = vars(MolTensors)["from_mols"], MolTensors.select
+
+    def counting_build(cls, mols):
+        built.append(len(mols))
+        return from_mols.__func__(cls, mols)
+
+    def counting_select(self, idx):
+        selected.append(len(idx))
+        return select(self, idx)
+
+    monkeypatch.setattr(MolTensors, "from_mols", classmethod(counting_build))
+    monkeypatch.setattr(MolTensors, "select", counting_select)
+    train(tiny_dataset(), "heavy_atoms", TrainConfig(epochs=2, seed=0, batch_size=4))
+    assert built == [6]
+    assert selected == [4, 2, 4, 2]
 
 
 def test_train_overflowing_label_names_the_op():

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from molvae import encoder, numkernel as nk, vaemodel
-from molvae.chem import Atom, BondType, adjacency_tensor, build, check_valence, is_isomorphic
+from molvae.chem import Atom, BondType, MolGraph, adjacency_tensor, build, check_valence, is_isomorphic
 from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.dataio import load_bundled_corpus
 from molvae.encoder import LATENT_DIM
@@ -35,7 +35,7 @@ from molvae.vaemodel import (
     side_predict,
 )
 
-from helpers import oracle_pair_dot, union_pairs
+from helpers import assert_same_tensors, oracle_mol_tensors, oracle_pair_dot, union_pairs
 
 
 # -- parameters ----------------------------------------------------------
@@ -177,7 +177,7 @@ def test_block_pair_dot_agrees_with_one_gather_per_pair_on_a_union():
     # gather/scatter formula applied to a list of the union's pairs.
     rng = np.random.default_rng(5)
     mols = [random_molecule(rng, int(rng.integers(12, 21))) for _ in range(16)]
-    mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
+    mt = MolTensors.from_mols(mols)
     store = nk.ParamStore({"z": rng.standard_normal((len(mt.features), LATENT_DIM))})
     z = store["z"]
     g = rng.standard_normal(mt.pair_target.size)
@@ -199,7 +199,7 @@ def test_union_loss_aggregates_once_per_relation_per_layer_and_once_for_both_hea
 
     monkeypatch.setattr(nk, "seg_agg", counting)
     mols = [parse_smiles(s) for s in ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])]
-    mt = MolTensors.union([MolTensors.from_mol(m) for m in mols])
+    mt = MolTensors.from_mols(mols)
     with_edges = sum(dst.size > 0 for dst, _, _ in mt.relations)
     assert with_edges == 4
     noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
@@ -469,3 +469,60 @@ def test_latent_similarity_of_a_batch_pair_equals_each_molecule_alone():
     d = np.linalg.norm(ga / np.linalg.norm(ga) - gb / np.linalg.norm(gb))
     assert latent_similarity(a, b, store) == 1.0 / (1.0 + float(d))
     assert latent_similarity(a, a, store) == 1.0
+
+
+# -- molecule tensors ----------------------------------------------------
+
+_CORPUS = [rec.mol for rec in load_bundled_corpus().records]
+_SPECIAL = {
+    "no atoms": build([], []),
+    "single atom": parse_smiles("C"),
+    "bondless": build([Atom("C", 0, 4), Atom("O", 0, 2), Atom("N", 0, 3)], []),
+    "aromatic drug": parse_smiles(DRUG_SMILES["nicotine"]),
+    "triple bond": parse_smiles("CC#N"),
+    "charged": parse_smiles("C[N+](C)(C)CC(=O)[O-]"),
+    "clamped charges": build([Atom("N", 2, 0), Atom("O", -2, 0), Atom("C", 0, 4)], [(0, 1, BondType.SINGLE)]),
+    "not made by build": MolGraph(
+        atoms=(Atom("C", 0, 3), Atom("C", 0, 2), Atom("O", 0, 0)),
+        bonds=((2, 1, BondType.SINGLE), (0, 2, BondType.DOUBLE)),
+    ),
+}
+_MOLECULE = st.one_of(
+    st.sampled_from(_CORPUS),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_molecule(np.random.default_rng(seed), 12 + seed % 9)),
+    st.sampled_from(list(_SPECIAL.values())),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MOLECULE, min_size=1, max_size=12))
+@example(list(_SPECIAL.values()))
+@example([_SPECIAL["no atoms"]])
+@example([_SPECIAL["bondless"], _SPECIAL["single atom"], _SPECIAL["no atoms"]])
+def test_from_mols_matches_building_each_molecule_alone(mols):
+    assert_same_tensors(MolTensors.from_mols(mols), oracle_mol_tensors(mols))
+    assert_same_tensors(MolTensors.from_mol(mols[0]), oracle_mol_tensors(mols[:1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_select_equals_from_mols_of_the_chosen_molecules(data):
+    mols = data.draw(st.lists(_MOLECULE, min_size=1, max_size=12))
+    idx = data.draw(st.permutations(range(len(mols))))[: data.draw(st.integers(1, len(mols)))]
+    full = MolTensors.from_mols(mols)
+    assert_same_tensors(full.select(idx), MolTensors.from_mols([mols[i] for i in idx]))
+    assert_same_tensors(full.select(np.arange(len(mols))), full)
+
+
+def test_relations_without_edges_share_read_only_empty_arrays():
+    built = [
+        MolTensors.from_mol(parse_smiles("CCO")),
+        MolTensors.from_mols([parse_smiles("C=C"), _SPECIAL["bondless"]]).select([1]),
+    ]
+    empty = [rel for mt in built for rel in mt.relations if not rel[0].size]
+    assert len(empty) == 3 + 4
+    assert all(rel is empty[0] for rel in empty)
+    for arr in empty[0]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
