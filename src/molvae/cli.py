@@ -14,7 +14,7 @@ from . import chem, dataio, fingerprint as fp, train as tr, vaemodel
 from .chem import ChemError
 from .corpus import random_molecule
 from .numkernel import NumericError, grad_check
-from .smiles import SmilesError, parse_smiles, write_smiles
+from .smiles import Disconnected, SmilesError, parse_smiles, write_smiles
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -24,6 +24,20 @@ EXIT_NUMERIC = 4
 
 class _BadFlag(ValueError):
     pass
+
+
+# The exit code of each error class a command may raise. An OSError is a path
+# that is missing or a directory, or that cannot be read or written.
+_EXIT_CODES = {
+    _BadFlag: EXIT_USAGE,
+    OSError: EXIT_IO,
+    dataio.DataError: EXIT_IO,
+    dataio.CheckpointError: EXIT_IO,
+    SmilesError: EXIT_IO,
+    ChemError: EXIT_DOMAIN,
+    tr.TrainError: EXIT_DOMAIN,
+    NumericError: EXIT_NUMERIC,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,12 +75,6 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     dataset = dataio.load_csv(args.data, max_atoms=args.max_atoms)
-    if args.property not in dataset.property_names():
-        print(
-            f"error: property {args.property!r} not in {dataset.property_names()}",
-            file=sys.stderr,
-        )
-        return EXIT_DOMAIN
     params, history = tr.train(dataset, args.property, config)
     dataio.save_checkpoint(params, config, args.out)
     history_path = Path(args.out).with_suffix(Path(args.out).suffix + ".history.csv")
@@ -112,9 +120,11 @@ def cmd_reconstruct(args) -> int:
     probs = vaemodel.decode_probs(mol, params)
     out, report = vaemodel.reconstruct_from_probs(mol, probs, args.threshold)
     try:
-        smi = write_smiles(out)
-    except SmilesError:
-        smi = None  # disconnected reconstruction has no single-fragment SMILES
+        smi = written = write_smiles(out)
+    except Disconnected:
+        smi, written = None, "<disconnected>"
+    except SmilesError as exc:
+        smi, written = None, f"<not written: {exc}>"
     payload = {
         "smiles": smi,
         "valid": report.valid,
@@ -124,7 +134,7 @@ def cmd_reconstruct(args) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        print(f"reconstructed: {smi if smi is not None else '<disconnected>'}")
+        print(f"reconstructed: {written}")
         print(f"valid: {report.valid}")
         if report.offending:
             print(f"offending atoms: {list(report.offending)}")
@@ -143,13 +153,11 @@ def cmd_predict(args) -> int:
 
 def cmd_similar(args) -> int:
     if len(args.smiles) != 2:
-        print("error: similar needs exactly two --smiles", file=sys.stderr)
-        return EXIT_USAGE
+        raise _BadFlag("similar needs exactly two --smiles")
+    if args.metric == "latent" and not args.ckpt:
+        raise _BadFlag("--metric latent requires --ckpt")
     a, b = (parse_smiles(s) for s in args.smiles)
     if args.metric == "latent":
-        if not args.ckpt:
-            print("error: --metric latent requires --ckpt", file=sys.stderr)
-            return EXIT_USAGE
         params, _ = dataio.load_checkpoint(args.ckpt)
         value = fp.latent_similarity(a, b, params)
     else:
@@ -266,24 +274,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # NonFiniteValue below reports a non-finite result once; numpy's warnings would repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except _BadFlag as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, dataio.DataError, dataio.CheckpointError, SmilesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ChemError, tr.TrainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

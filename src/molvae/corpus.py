@@ -4,23 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chem import Atom, BondType, MolGraph, bond_order_sums, build, fill_implicit_h
+from .chem import DEFAULT_VALENCES, Atom, BondType, MolGraph, bond_order_sums, build, fill_implicit_h
 from .smiles import parse_smiles, write_smiles
 
-# Element draw pool with the single valence used for capacity accounting.
-_POOL = (
-    ("C", 4),
-    ("C", 4),
-    ("C", 4),
-    ("C", 4),
-    ("C", 4),
-    ("N", 3),
-    ("O", 2),
-    ("O", 2),
-    ("F", 1),
-    ("S", 2),
-    ("Cl", 1),
-)
+# The element draw pool; a drawn atom's capacity is its element's first valence.
+_POOL = ("C", "C", "C", "C", "C", "N", "O", "O", "F", "S", "Cl")
 
 # The five reference drugs used in the similarity experiment.
 DRUG_SMILES = {
@@ -41,7 +29,8 @@ def random_molecule(rng: np.random.Generator, n_atoms: int) -> MolGraph:
     for k in range(n_atoms):
         # The first atoms must be able to carry the growing tree.
         while True:
-            sym, val = _POOL[int(rng.integers(len(_POOL)))]
+            sym = _POOL[int(rng.integers(len(_POOL)))]
+            val = DEFAULT_VALENCES[sym][0]
             if k >= n_atoms - 1 or val >= 2 or rng.random() < 0.3:
                 break
         elements.append(sym)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -87,44 +88,43 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     """Read a `smiles,<prop>...` CSV, skipping rows that do not parse, are
     oversize, or have a property value that is missing or not finite."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     skipped: dict[str, int] = {}
     records: list[Record] = []
     stripped = 0
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise BadHeader(f"{path}: empty file")
+    if not header or header[0].strip().lower() != "smiles":
+        raise BadHeader(f"{path}: header must begin with 'smiles'")
+    prop_names = [h.strip() for h in header[1:]]
+    for row in reader:
+        if not row or not row[0].strip():
+            continue
+        smi = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise BadHeader(f"{path}: empty file")
-        if not header or header[0].strip().lower() != "smiles":
-            raise BadHeader(f"{path}: header must begin with 'smiles'")
-        prop_names = [h.strip() for h in header[1:]]
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            smi = row[0].strip()
-            try:
-                parsed = parse_smiles_ex(smi)
-            except SmilesError:
-                skipped["parse_error"] = skipped.get("parse_error", 0) + 1
-                continue
-            mol = parsed.mol
-            if mol.n_atoms > max_atoms:
-                skipped["oversize"] = skipped.get("oversize", 0) + 1
-                continue
-            try:
-                props = {
-                    name: float(row[k + 1]) for k, name in enumerate(prop_names)
-                }
-                if not all(map(math.isfinite, props.values())):
-                    raise ValueError("non-finite property value")
-            except (IndexError, ValueError):
-                skipped["bad_property"] = skipped.get("bad_property", 0) + 1
-                continue
-            records.append(Record(smiles=smi, mol=mol, properties=props))
-            stripped += parsed.stripped
+            parsed = parse_smiles_ex(smi)
+        except SmilesError:
+            skipped["parse_error"] = skipped.get("parse_error", 0) + 1
+            continue
+        mol = parsed.mol
+        if mol.n_atoms > max_atoms:
+            skipped["oversize"] = skipped.get("oversize", 0) + 1
+            continue
+        try:
+            props = {name: float(row[k + 1]) for k, name in enumerate(prop_names)}
+            if not all(map(math.isfinite, props.values())):
+                raise ValueError("non-finite property value")
+        except (IndexError, ValueError):
+            skipped["bad_property"] = skipped.get("bad_property", 0) + 1
+            continue
+        records.append(Record(smiles=smi, mol=mol, properties=props))
+        stripped += parsed.stripped
     if not records:
         raise EmptyAfterFiltering(f"{path}: no usable rows")
     return Dataset(records=records, skipped=skipped, stripped=stripped)
@@ -177,11 +177,9 @@ def save_checkpoint(params: ParamStore, config: TrainConfig, path: str | Path) -
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: top level is not a JSON object")

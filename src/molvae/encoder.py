@@ -19,10 +19,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 ENCODER_PARAM_SHAPES: dict[str, tuple[int, int]] = {}
-for _l in (1, 2):
+for _l, _width in ((1, FEATURE_DIM), (2, HIDDEN_DIM)):  # layer 1 reads feature rows
     for _r in range(N_BOND_TYPES):
-        ENCODER_PARAM_SHAPES[f"enc.l{_l}.rel{_r}"] = (HIDDEN_DIM, HIDDEN_DIM)
-    ENCODER_PARAM_SHAPES[f"enc.l{_l}.self"] = (HIDDEN_DIM, HIDDEN_DIM)
+        ENCODER_PARAM_SHAPES[f"enc.l{_l}.rel{_r}"] = (_width, HIDDEN_DIM)
+    ENCODER_PARAM_SHAPES[f"enc.l{_l}.self"] = (_width, HIDDEN_DIM)
 for _head in ("mu", "sigma"):
     for _r in range(N_BOND_TYPES):
         ENCODER_PARAM_SHAPES[f"enc.{_head}.rel{_r}"] = (HIDDEN_DIM, LATENT_DIM)

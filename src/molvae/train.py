@@ -125,7 +125,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     records = list(dataset.records)
     if not records:
         raise EmptyDataset("no molecules to train on")
-    labels = np.array([float(rec.properties[property_name]) for rec in records])
+    labels = _labels(records, property_name)
     full = MolTensors.from_mols([rec.mol for rec in records])
 
     params = init_model_params(config.seed)
@@ -151,6 +151,14 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
         history.append(LossBreakdown(*means))
 
     return params, history
+
+
+def _labels(records, name: str) -> np.ndarray:
+    """Each record's value of property `name`; TrainError if a record lacks it."""
+    for rec in records:
+        if name not in rec.properties:
+            raise TrainError(f"property {name!r} not in {list(rec.properties)}")
+    return np.array([float(rec.properties[name]) for rec in records])
 
 
 def _molecules(dataset) -> list:
@@ -208,8 +216,9 @@ def fit_probe(
     The model parameters stay frozen; only the linear probe is fit, on a
     seeded 80/20 split.
     """
-    xs = vaemodel.pooled_vectors(_molecules(dataset), params)
-    ys = np.array([float(rec.properties[target_column]) for rec in dataset.records])
+    mols = _molecules(dataset)
+    ys = _labels(dataset.records, target_column)
+    xs = vaemodel.pooled_vectors(mols, params)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ys))
     cut = max(1, int(0.8 * len(ys)))

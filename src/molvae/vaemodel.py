@@ -330,11 +330,12 @@ def reconstruct_from_probs(
     """
     n = mol.n_atoms
     input_types = {(i, j): t for i, j, t in mol.bonds}
-    bonds = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if probs[i, j] > threshold:
-                bonds.append((i, j, input_types.get((i, j), BondType.SINGLE)))
+    rows, cols = np.nonzero(probs > threshold)  # row-major: the i < j pairs keep the loop's order
+    bonds = [
+        (i, j, input_types.get((i, j), BondType.SINGLE))
+        for i, j in zip(rows.tolist(), cols.tolist())
+        if i < j
+    ]
     order = chem.bond_order_sums(n, bonds)
     atoms = []
     offending = []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from molvae import dataio, encoder
+from molvae import dataio, encoder, vaemodel
 from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, build_parser, main
 
 
@@ -191,6 +191,17 @@ def test_reconstruct_encodes_once(ckpt, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_reconstruct_names_a_writer_error_other_than_disconnected(ckpt, monkeypatch, capsys):
+    # All pairs bonded: the complete graph on 20 atoms needs more than 99 ring labels at once.
+    monkeypatch.setattr(vaemodel, "decode_probs", lambda mol, params: np.ones((mol.n_atoms, mol.n_atoms)))
+    argv = ["reconstruct", "--ckpt", str(ckpt["ckpt"]), "--smiles", "C" * 20]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "reconstructed: <not written: needs more than 99 ring-closure labels at once>"
+    rc, payload = run_json(capsys, argv)
+    assert (rc, payload["smiles"]) == (0, None)
+
+
 def test_predict_json(ckpt, capsys):
     rc, payload = run_json(
         capsys, ["predict", "--ckpt", str(ckpt["ckpt"]), "--smiles", "CC"]
@@ -311,13 +322,20 @@ def _train(*flags):
     ]
 
 
-def _train_on(csv_text):
+def _train_on(content: bytes):
     def make_argv(ckpt, tmp_path):
         data = tmp_path / "bad.csv"
-        data.write_text(csv_text)
+        data.write_bytes(content)
         return _train()(dict(ckpt, data=data), tmp_path)
 
     return make_argv
+
+
+def _encode_bytes(ckpt, tmp_path):
+    """`encode` with the shared checkpoint's bytes after one byte that is not UTF-8."""
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(b"\xff" + ckpt["ckpt"].read_bytes())
+    return ["encode", "--ckpt", str(path), "--smiles", "CCO"]
 
 
 def _encode_with(**config):
@@ -344,7 +362,15 @@ BAD_INPUTS = {
     "lambda-negative": (_train("--lambda", "-1"), EXIT_USAGE),
     "max-atoms-zero": (_train("--max-atoms", "0"), EXIT_USAGE),
     "seed-negative": (_train("--seed", "-1"), EXIT_USAGE),
-    "csv-only-non-finite-labels": (_train_on("smiles,heavy_atoms\nCC,nan\nCCO,inf\nC,-inf\n"), EXIT_IO),
+    "csv-only-non-finite-labels": (_train_on(b"smiles,heavy_atoms\nCC,nan\nCCO,inf\nC,-inf\n"), EXIT_IO),
+    "csv-not-utf8": (_train_on(b"smiles,heavy_atoms\nCC,2\nC\xe9,1\n"), EXIT_IO),
+    "csv-is-a-directory": (lambda ckpt, tmp_path: _train()(dict(ckpt, data=tmp_path), tmp_path), EXIT_IO),
+    "out-is-a-directory": (lambda ckpt, tmp_path: [*_train()(ckpt, tmp_path), "--out", str(tmp_path)], EXIT_IO),
+    "checkpoint-not-utf8": (_encode_bytes, EXIT_IO),
+    "checkpoint-is-a-directory": (
+        lambda ckpt, tmp_path: ["encode", "--ckpt", str(tmp_path), "--smiles", "CCO"],
+        EXIT_IO,
+    ),
     "checkpoint-extra-config-key": (_encode_with(colour="blue"), EXIT_IO),
     "checkpoint-missing-config-key": (
         _encode_edited(lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items() if k != "seed"}}),
@@ -399,6 +425,13 @@ def test_bad_input_exit_code(name, ckpt, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "out.ckpt").exists()
+
+
+@pytest.mark.parametrize("name, file", [("csv-not-utf8", "bad.csv"), ("checkpoint-not-utf8", "edited.ckpt")])
+def test_text_that_is_not_utf8_is_named_in_the_error(name, file, ckpt, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[name]
+    main(make_argv(ckpt, tmp_path))
+    assert str(tmp_path / file) in capsys.readouterr().err
 
 
 def _mutate(doc, draw):

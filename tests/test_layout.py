@@ -76,6 +76,45 @@ def test_cli_does_not_import_encoder():
     assert "encoder" not in internal_imports(MODULES["cli"])
 
 
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each function at module or class level."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef))
+
+
+def test_only_main_and_the_parser_write_to_stderr():
+    writers = sorted(
+        name
+        for name, fn in _functions(MODULES["cli"])
+        if any(isinstance(n, ast.Attribute) and n.attr == "stderr" for n in ast.walk(fn))
+    )
+    assert writers == ["_Parser.error", "main"]
+
+
+def test_commands_return_only_their_result_codes():
+    """A command's failure is an exception that `main` maps to its exit code;
+    only validate and gradcheck return a code, the verdict of their check."""
+    returned = {
+        name: sorted(
+            n.id
+            for ret in ast.walk(fn)
+            if isinstance(ret, ast.Return) and ret.value is not None
+            for n in ast.walk(ret.value)
+            if isinstance(n, ast.Name) and n.id.startswith("EXIT_")
+        )
+        for name, fn in _functions(MODULES["cli"])
+        if name.startswith("cmd_")
+    }
+    assert len(returned) == 8
+    assert {name: codes for name, codes in returned.items() if codes} == {
+        "cmd_validate": ["EXIT_DOMAIN"],
+        "cmd_gradcheck": ["EXIT_NUMERIC"],
+    }
+
+
 def test_the_parameter_table_is_assembled_only_in_vaemodel():
     assert "encoder" not in internal_imports(MODULES["dataio"])
     assigners = sorted(

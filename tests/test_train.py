@@ -15,6 +15,7 @@ from molvae.train import (
     AdamState,
     EmptyDataset,
     TrainConfig,
+    TrainError,
     adam_step,
     evaluate_edge_auc,
     evaluate_validity,
@@ -356,6 +357,20 @@ def test_validity_fraction_bounds():
     params, _ = train(ds, "heavy_atoms", TrainConfig(epochs=1, seed=0))
     v = evaluate_validity(params, ds)
     assert 0.0 <= v <= 1.0
+
+
+def test_train_names_an_unknown_property():
+    with pytest.raises(TrainError, match=r"property 'logp' not in \['heavy_atoms'\]"):
+        train(tiny_dataset(), "logp", TrainConfig(epochs=1))
+
+
+def test_fit_probe_rejects_an_unknown_property_before_encoding(monkeypatch):
+    def never(*args):
+        raise AssertionError("encoded before the labels were read")
+
+    monkeypatch.setattr(encoder, "encode", never)
+    with pytest.raises(TrainError, match=r"property 'logp' not in \['heavy_atoms'\]"):
+        fit_probe(init_model_params(seed=0), tiny_dataset(), "logp")
 
 
 def test_fit_probe_recovers_linear_property():
