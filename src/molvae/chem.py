@@ -76,7 +76,7 @@ BOND_CHAR = {
     BondType.AROMATIC: ":",
 }
 
-N_BOND_TYPES = 4
+N_BOND_TYPES = len(BondType)
 
 
 @dataclass(frozen=True)

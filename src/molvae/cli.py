@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,30 +55,35 @@ def _emit(args, payload: dict, plain: str) -> None:
         print(plain)
 
 
-def _config(cls, **fields):
-    """A config built from flag values; a value it rejects is a usage error."""
+def _config(cls, args, **fixed):
+    """A `cls` from `fixed` and the flags given (a flag left out is None) whose dest is
+    one of its fields; its defaults fill in the rest. A value it rejects is a usage error."""
+    names = {f.name for f in fields(cls)}
+    given = {name: v for name, v in vars(args).items() if name in names and v is not None}
     try:
-        return cls(**fields)
+        return cls(**given, **fixed)
     except ValueError as exc:
         raise _BadFlag(str(exc)) from None
+
+
+def _writable(path: Path) -> Path:
+    """`path`, once it is known to name no directory and to lie in one."""
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: {path.parent} is not a directory")
+    return path
 
 
 def cmd_train(args) -> int:
     if args.max_atoms < 1:
         raise _BadFlag(f"--max-atoms must be at least 1, got {args.max_atoms}")
-    config = _config(
-        tr.TrainConfig,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        beta=args.beta,
-        lam=getattr(args, "lambda"),
-        seed=args.seed,
-    )
+    config = _config(tr.TrainConfig, args)
+    out = _writable(Path(args.out))
+    history_path = _writable(out.with_suffix(out.suffix + ".history.csv"))
     dataset = dataio.load_csv(args.data, max_atoms=args.max_atoms)
     params, history = tr.train(dataset, args.property, config)
-    dataio.save_checkpoint(params, config, args.out)
-    history_path = Path(args.out).with_suffix(Path(args.out).suffix + ".history.csv")
+    dataio.save_checkpoint(params, config, out)
     with history_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "recon", "kl", "side", "total"])
@@ -172,14 +178,7 @@ def cmd_similar(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     mol = parse_smiles(args.smiles)
-    cfg = _config(
-        fp.FpConfig,
-        min_path=args.min_path,
-        max_path=args.max_path,
-        bits_per_hash=args.bits_per_hash,
-        nbits=args.nbits,
-        target_density=0.0,  # unfolded: the hex is exactly --nbits wide
-    )
+    cfg = _config(fp.FpConfig, args, target_density=0.0)  # unfolded: the hex is exactly nbits wide
     f = fp.path_fingerprint(mol, cfg)
     payload = {"hex": f.to_hex(), "on_bits": f.on_count, "density": f.density}
     _emit(args, payload, f"{f.to_hex()}\ndensity: {f.density:.6f}")
@@ -198,6 +197,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise _BadFlag(f"seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     mol = random_molecule(rng, int(rng.integers(4, 11)))
     params = vaemodel.init_model_params(args.seed)
@@ -208,7 +209,7 @@ def cmd_gradcheck(args) -> int:
         total, _ = vaemodel.joint_loss(mol, label, store, noise)
         return total
 
-    err = grad_check(f, params, eps=1e-5)
+    err = grad_check(f, params)
     _emit(args, {"max_rel_error": err, "atoms": mol.n_atoms}, f"{err:.3e}")
     return 0 if err < 1e-5 else EXIT_NUMERIC
 
@@ -223,16 +224,17 @@ def build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
+    # A flag that sets a TrainConfig or FpConfig field has its name as dest and no default.
     p = add("train", cmd_train, help="train a model and write a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--lambda", type=float, default=1.0)
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lambda", type=float, dest="lam", metavar="LAMBDA")
     p.add_argument("--max-atoms", type=int, default=dataio.MAX_ATOMS, dest="max_atoms")
 
     p = add("encode", cmd_encode, help="print the pooled 64-vector of a molecule")
@@ -242,7 +244,7 @@ def build_parser() -> _Parser:
     p = add("reconstruct", cmd_reconstruct, help="decode a molecule's bond structure")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--smiles", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=vaemodel.EDGE_THRESHOLD)
 
     p = add("predict", cmd_predict, help="side-predictor output for a molecule")
     p.add_argument("--ckpt", required=True)
@@ -259,10 +261,10 @@ def build_parser() -> _Parser:
 
     p = add("fingerprint", cmd_fingerprint, help="unfolded subgraph fingerprint of a molecule")
     p.add_argument("--smiles", required=True)
-    p.add_argument("--nbits", type=int, default=2048)
-    p.add_argument("--min-path", type=int, default=1, dest="min_path")
-    p.add_argument("--max-path", type=int, default=7, dest="max_path")
-    p.add_argument("--bits-per-hash", type=int, default=2, dest="bits_per_hash")
+    p.add_argument("--nbits", type=int)
+    p.add_argument("--min-path", type=int, dest="min_path")
+    p.add_argument("--max-path", type=int, dest="max_path")
+    p.add_argument("--bits-per-hash", type=int, dest="bits_per_hash")
 
     p = add("validate", cmd_validate, help="valence check a molecule")
     p.add_argument("--smiles", required=True)

@@ -36,12 +36,8 @@ def random_molecule(rng: np.random.Generator, n_atoms: int) -> MolGraph:
         elements.append(sym)
         capacity.append(val)
     bonds: list[tuple[int, int, BondType]] = []
-
-    def attachable(limit: int) -> list[int]:
-        return [i for i in range(limit) if capacity[i] >= 1]
-
     for k in range(1, n_atoms):
-        hosts = [i for i in attachable(k)]
+        hosts = [i for i in range(k) if capacity[i] >= 1]
         if not hosts:
             # No open valence left: terminate the molecule early.
             elements = elements[:k]

@@ -44,8 +44,10 @@ class FpConfig:
             raise ValueError(
                 f"need 1 <= min_path <= max_path, got {self.min_path} and {self.max_path}"
             )
-        if self.bits_per_hash < 1:
-            raise ValueError(f"bits_per_hash must be at least 1, got {self.bits_per_hash}")
+        if not 1 <= self.bits_per_hash <= self.nbits:  # a key cannot set more bits than there are
+            raise ValueError(
+                f"need 1 <= bits_per_hash <= nbits, got {self.bits_per_hash} and {self.nbits}"
+            )
         if not 0.0 <= self.target_density <= 1.0:
             raise ValueError(f"target_density must lie in [0, 1], got {self.target_density}")
 
@@ -104,7 +106,7 @@ def _end_masks(mol: MolGraph) -> list[tuple[int, int]]:
     return [(at_atom[i], at_atom[j]) for i, j, _ in mol.bonds]
 
 
-def enumerate_subgraphs(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> list[int]:
+def enumerate_subgraphs(mol: MolGraph, min_len: int, max_len: int) -> list[int]:
     """All connected bond subgraphs of min_len..max_len bonds, each once, as
     bit masks over bond slots (bit s is slot s).
 

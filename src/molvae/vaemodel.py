@@ -14,6 +14,9 @@ from .numkernel import ParamStore, Tensor
 
 _P_CLAMP = 1e-12
 
+# A pair is bonded in a reconstruction when its decoded probability exceeds this.
+EDGE_THRESHOLD = 0.5
+
 # Every learnable tensor of the model, in the order `init_model_params` draws them.
 PARAM_SHAPES = {
     **encoder.ENCODER_PARAM_SHAPES,
@@ -312,14 +315,14 @@ def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> floa
 
 
 def reconstruct(
-    mol: MolGraph, store: ParamStore, threshold: float = 0.5
+    mol: MolGraph, store: ParamStore, threshold: float = EDGE_THRESHOLD
 ) -> tuple[MolGraph, ValidityReport]:
     """Deterministic reconstruction of a molecule's bond structure."""
     return reconstruct_from_probs(mol, decode_probs(mol, store), threshold)
 
 
 def reconstruct_from_probs(
-    mol: MolGraph, probs: np.ndarray, threshold: float = 0.5
+    mol: MolGraph, probs: np.ndarray, threshold: float = EDGE_THRESHOLD
 ) -> tuple[MolGraph, ValidityReport]:
     """Rebuild `mol`'s bonds from decoded edge probabilities.
 

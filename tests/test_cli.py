@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from molvae import dataio, encoder, vaemodel
-from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, build_parser, main
+from molvae import dataio, encoder, train as tr, vaemodel
+from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, _config, build_parser, main
+from molvae.fingerprint import FpConfig
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,33 @@ def test_train_writes_checkpoint_and_history(ckpt):
     lines = history.read_text().splitlines()
     assert lines[0] == "epoch,recon,kl,side,total"
     assert len(lines) == 2  # header + one epoch
+
+
+@pytest.mark.parametrize(
+    "out, directory, named",
+    [
+        ("out", "out", "out"),
+        ("missing/m.ckpt", None, "missing/m.ckpt"),
+        ("m.ckpt", "m.ckpt.history.csv", "m.ckpt.history.csv"),
+    ],
+    ids=["out-is-a-directory", "out-directory-missing", "history-is-a-directory"],
+)
+def test_train_checks_out_before_reading_data_or_training(out, directory, named, ckpt, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("reached before --out was checked")
+
+    monkeypatch.setattr(dataio, "load_csv", never)
+    monkeypatch.setattr(tr, "train", never)
+    if directory:
+        (tmp_path / directory).mkdir()
+    made = sorted(tmp_path.rglob("*"))
+    rc = main(_train("--out", str(tmp_path / out))(ckpt, tmp_path))
+    captured = capsys.readouterr()
+    assert rc == EXIT_IO
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path / named) in captured.err
+    assert sorted(tmp_path.rglob("*")) == made  # nothing written
 
 
 def test_train_unknown_property(ckpt, capsys):
@@ -141,6 +170,53 @@ def test_max_atoms_defaults_to_the_loader_limit():
     args = build_parser().parse_args(["train", "--data", "d.csv", "--property", "p", "--epochs", "1", "--out", "m"])
     assert args.max_atoms == dataio.MAX_ATOMS
     assert inspect.signature(dataio.load_csv).parameters["max_atoms"].default == dataio.MAX_ATOMS
+
+
+TRAIN_REQUIRED = ["train", "--data", "d.csv", "--property", "p", "--epochs", "5", "--out", "m"]
+TRAIN_SET = ["--seed", "3", "--lr", "0.01", "--batch", "8", "--beta", "0.5", "--lambda", "2"]
+FINGERPRINT_SET = ["--nbits", "64", "--min-path", "2", "--max-path", "3", "--bits-per-hash", "4"]
+
+
+def test_train_flags_left_out_take_the_train_config_defaults():
+    assert _config(tr.TrainConfig, build_parser().parse_args(TRAIN_REQUIRED)) == tr.TrainConfig(epochs=5)
+
+
+def test_train_flags_set_their_train_config_fields():
+    args = build_parser().parse_args(TRAIN_REQUIRED + TRAIN_SET)
+    assert _config(tr.TrainConfig, args) == tr.TrainConfig(
+        epochs=5, seed=3, learning_rate=0.01, batch_size=8, beta=0.5, lam=2.0
+    )
+
+
+def test_fingerprint_flags_left_out_take_the_fp_config_defaults():
+    args = build_parser().parse_args(["fingerprint", "--smiles", "CCO"])
+    assert _config(FpConfig, args, target_density=0.0) == FpConfig(target_density=0.0)
+
+
+def test_fingerprint_flags_set_their_fp_config_fields():
+    args = build_parser().parse_args(["fingerprint", "--smiles", "CCO", *FINGERPRINT_SET])
+    assert _config(FpConfig, args, target_density=0.0) == FpConfig(
+        nbits=64, min_path=2, max_path=3, bits_per_hash=4, target_density=0.0
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, cls, own",
+    [
+        (TRAIN_REQUIRED, tr.TrainConfig, {"data", "property", "out", "max_atoms"}),
+        (["fingerprint", "--smiles", "CCO"], FpConfig, {"smiles"}),
+    ],
+)
+def test_each_flag_is_a_config_field_or_read_by_the_command(argv, cls, own):
+    """A flag spelled apart from its field still carries the field's name, so
+    `_config` cannot miss it."""
+    dests = set(vars(build_parser().parse_args(argv))) - {"command", "fn", "json"}
+    assert dests - own <= {f.name for f in fields(cls)}
+
+
+def test_reconstruct_threshold_defaults_to_the_model_edge_threshold():
+    args = build_parser().parse_args(["reconstruct", "--ckpt", "m", "--smiles", "CCO"])
+    assert args.threshold == vaemodel.EDGE_THRESHOLD
 
 
 def test_missing_required_flag_exits_usage():
@@ -278,6 +354,13 @@ def test_gradcheck_passes(capsys):
     assert payload["max_rel_error"] < 1e-5
 
 
+def test_gradcheck_negative_seed_is_worded_like_train_config(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        tr.TrainConfig(seed=-1)
+
+
 # -- bad flag values and bad checkpoints ----------------------------------
 
 
@@ -362,6 +445,8 @@ BAD_INPUTS = {
     "lambda-negative": (_train("--lambda", "-1"), EXIT_USAGE),
     "max-atoms-zero": (_train("--max-atoms", "0"), EXIT_USAGE),
     "seed-negative": (_train("--seed", "-1"), EXIT_USAGE),
+    "gradcheck-seed-negative": (lambda ckpt, tmp_path: ["gradcheck", "--seed", "-1"], EXIT_USAGE),
+    "bits-per-hash-above-nbits": (_fingerprint("--nbits", "64", "--bits-per-hash", "65"), EXIT_USAGE),
     "csv-only-non-finite-labels": (_train_on(b"smiles,heavy_atoms\nCC,nan\nCCO,inf\nC,-inf\n"), EXIT_IO),
     "csv-not-utf8": (_train_on(b"smiles,heavy_atoms\nCC,2\nC\xe9,1\n"), EXIT_IO),
     "csv-is-a-directory": (lambda ckpt, tmp_path: _train()(dict(ckpt, data=tmp_path), tmp_path), EXIT_IO),

@@ -258,6 +258,14 @@ def test_fingerprint_bits_per_hash_bound():
     assert 0 < f.on_count <= 2 * nkeys
 
 
+def test_bits_per_hash_may_not_exceed_nbits():
+    """A key cannot set more bits than the vector has; hashing one would
+    allocate bits_per_hash words per key."""
+    assert FpConfig(nbits=64, bits_per_hash=64).bits_per_hash == 64
+    with pytest.raises(ValueError, match="bits_per_hash <= nbits, got 65 and 64"):
+        FpConfig(nbits=64, bits_per_hash=65)
+
+
 def test_single_atom_fingerprint_is_empty():
     assert path_fingerprint(parse_smiles("C")).on_count == 0
 

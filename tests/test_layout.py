@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,47 @@ def test_commands_return_only_their_result_codes():
         "cmd_validate": ["EXIT_DOMAIN"],
         "cmd_gradcheck": ["EXIT_NUMERIC"],
     }
+
+
+def _flags(tree: ast.Module):
+    """(subcommand, `add_argument` call) for each flag that `build_parser` adds;
+    the subcommand is None for the flags every subcommand has."""
+    build = next(fn for name, fn in _functions(tree) if name == "build_parser")
+    command = None
+    for stmt in build.body:
+        call = stmt.value if isinstance(stmt, ast.Assign) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "add":
+            command = call.args[0].value
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                yield command, node
+
+
+def _is_literal(node: ast.expr) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_no_flag_restates_a_config_default_or_the_edge_threshold():
+    """The defaults of TrainConfig's and FpConfig's fields and the edge
+    threshold are written once, in the library: no flag that feeds one has a
+    literal default."""
+    fed = {
+        "train": {f.name for f in fields(train.TrainConfig)},
+        "fingerprint": {f.name for f in fields(fingerprint.FpConfig)},
+        "reconstruct": {"threshold"},
+    }
+    restated = []
+    for command, call in _flags(MODULES["cli"]):
+        kw = {k.arg: k.value for k in call.keywords}
+        flag = call.args[0].value
+        dest = kw["dest"].value if "dest" in kw else flag.lstrip("-").replace("-", "_")
+        if dest in fed.get(command, ()) and "default" in kw and _is_literal(kw["default"]):
+            restated.append(f"{command} {flag}")
+    assert restated == []
 
 
 def test_the_parameter_table_is_assembled_only_in_vaemodel():
