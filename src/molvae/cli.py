@@ -110,11 +110,7 @@ def cmd_encode(args) -> int:
     params, _ = dataio.load_checkpoint(args.ckpt)
     mol = parse_smiles(args.smiles)
     g = vaemodel.pooled_vector(mol, params)
-    if args.json:
-        print(json.dumps({"pooled": [float(v) for v in g]}))
-    else:
-        for v in g:
-            print(f"{v:.17g}")
+    _emit(args, {"pooled": [float(v) for v in g]}, "\n".join(f"{v:.17g}" for v in g))
     return 0
 
 

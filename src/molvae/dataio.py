@@ -84,6 +84,15 @@ class Dataset:
         return Dataset(first), Dataset(rest)
 
 
+def _csv_rows(path: Path, text: str):
+    """The CSV rows of `text`; a row the csv module cannot read is a DataError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     """Read a `smiles,<prop>...` CSV, skipping rows that do not parse, are
     oversize, or have a property value that is missing or not finite."""
@@ -95,15 +104,17 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     skipped: dict[str, int] = {}
     records: list[Record] = []
     stripped = 0
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
+    rows = _csv_rows(path, text)
+    header = next(rows, None)
+    if header is None:
         raise BadHeader(f"{path}: empty file")
     if not header or header[0].strip().lower() != "smiles":
         raise BadHeader(f"{path}: header must begin with 'smiles'")
     prop_names = [h.strip() for h in header[1:]]
-    for row in reader:
+    repeated = sorted({name for name in prop_names if prop_names.count(name) > 1})
+    if repeated:
+        raise BadHeader(f"{path}: header repeats property {', '.join(map(repr, repeated))}")
+    for row in rows:
         if not row or not row[0].strip():
             continue
         smi = row[0].strip()
@@ -150,20 +161,23 @@ def _encode_tensor(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_tensor(name: str, obj: dict) -> np.ndarray:
+def _read_tensor(path: Path, name: str, obj, shape: tuple[int, ...]) -> np.ndarray:
+    """Tensor `name` of the checkpoint at `path`, which must be stored with the
+    table's `shape`, hold exactly that many float64 values and be finite."""
     try:
-        shape = tuple(int(s) for s in obj["shape"])
+        stored = obj["shape"]
         raw = base64.b64decode(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptTensor(f"tensor {name!r}: unreadable ({exc!r})") from exc
-    if any(s < 0 for s in shape):
-        raise CorruptTensor(f"tensor {name!r}: negative dimension in shape {shape}")
-    expected = int(np.prod(shape)) * 8 if shape else 8
+        raise CorruptTensor(f"{path}: tensor {name!r} unreadable ({exc!r})") from exc
+    if stored != list(shape):
+        raise CorruptTensor(f"{path}: tensor {name!r} has shape {stored}, expected {list(shape)}")
+    expected = 8 * math.prod(shape)
     if len(raw) != expected:
-        raise CorruptTensor(
-            f"tensor {name!r}: {len(raw)} bytes, expected {expected}"
-        )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        raise CorruptTensor(f"{path}: tensor {name!r} has {len(raw)} bytes, expected {expected}")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if not np.isfinite(arr).all():
+        raise CorruptTensor(f"{path}: tensor {name!r} holds a non-finite value")
+    return arr
 
 
 def save_checkpoint(params: ParamStore, config: TrainConfig, path: str | Path) -> None:
@@ -198,16 +212,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
     tensors = doc.get("tensors")
     if not isinstance(tensors, dict):
         raise CheckpointError(f"{path}: no 'tensors' object")
-    arrays = {name: _decode_tensor(name, obj) for name, obj in tensors.items()}
-    missing = sorted(PARAM_SHAPES.keys() - arrays.keys())
-    extra = sorted(arrays.keys() - PARAM_SHAPES.keys())
+    missing = sorted(PARAM_SHAPES.keys() - tensors.keys())
+    extra = sorted(tensors.keys() - PARAM_SHAPES.keys())
     if missing or extra:
         raise CheckpointError(f"{path}: tensors missing {missing}, unexpected {extra}")
-    for name, shape in PARAM_SHAPES.items():
-        if arrays[name].shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arrays[name].shape}, expected {shape}"
-            )
-        if not np.all(np.isfinite(arrays[name])):
-            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-    return ParamStore({name: arrays[name] for name in PARAM_SHAPES}), config
+    return ParamStore({
+        name: _read_tensor(path, name, tensors[name], shape) for name, shape in PARAM_SHAPES.items()
+    }), config

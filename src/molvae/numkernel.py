@@ -328,12 +328,11 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
     checked(loss)
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_tape(loss)):
-        if node._grad_fn is None or id(node) not in grads:
+        if node._grad_fn is None:
             continue
         for parent, g in zip(node._parents, node._grad_fn(grads.pop(id(node)))):
-            if g is not None:
-                key = id(parent)
-                grads[key] = grads[key] + g if key in grads else g
+            key = id(parent)
+            grads[key] = grads[key] + g if key in grads else g
     return {
         name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
         for name, p in params.items()
@@ -359,31 +358,23 @@ def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore, eps: float
 
     Checks all coordinates when the total parameter count is at most
     GRAD_CHECK_MAX_COORDS. Otherwise the subset is the GRAD_CHECK_MAX_COORDS
-    coordinates with the largest analytic gradient magnitude.
+    coordinates of `params.flat` with the largest analytic gradient magnitude,
+    ties in table order.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
     analytic = backward(f(params), params)
-    coords = [
-        (name, idx)
-        for name, p in params.items()
-        for idx in range(p.data.size)
-    ]
-    if len(coords) > GRAD_CHECK_MAX_COORDS:
-        coords.sort(key=lambda c: -abs(analytic[c[0]].reshape(-1)[c[1]]))
-        coords = coords[:GRAD_CHECK_MAX_COORDS]
+    a = np.concatenate([analytic[name].ravel() for name in params.names()])
     worst_diff = 0.0
     scale = 1e-8
-    for name, idx in coords:
-        flat = params[name].data.reshape(-1)
-        orig = flat[idx]
-        flat[idx] = orig + eps
+    for i in np.argsort(-np.abs(a), kind="stable")[:GRAD_CHECK_MAX_COORDS]:
+        orig = params.flat[i]
+        params.flat[i] = orig + eps
         hi = f(params).item()
-        flat[idx] = orig - eps
+        params.flat[i] = orig - eps
         lo = f(params).item()
-        flat[idx] = orig
+        params.flat[i] = orig
         numeric = (hi - lo) / (2.0 * eps)
-        a = analytic[name].reshape(-1)[idx]
-        worst_diff = max(worst_diff, abs(a - numeric))
-        scale = max(scale, abs(a), abs(numeric))
+        worst_diff = max(worst_diff, abs(a[i] - numeric))
+        scale = max(scale, abs(a[i]), abs(numeric))
     return float(worst_diff / scale)

@@ -448,6 +448,8 @@ BAD_INPUTS = {
     "gradcheck-seed-negative": (lambda ckpt, tmp_path: ["gradcheck", "--seed", "-1"], EXIT_USAGE),
     "bits-per-hash-above-nbits": (_fingerprint("--nbits", "64", "--bits-per-hash", "65"), EXIT_USAGE),
     "csv-only-non-finite-labels": (_train_on(b"smiles,heavy_atoms\nCC,nan\nCCO,inf\nC,-inf\n"), EXIT_IO),
+    "csv-field-too-large": (_train_on(b"smiles,heavy_atoms\nCC,2\n" + b"C" * 131073 + b",1\n"), EXIT_IO),
+    "csv-duplicate-property": (_train_on(b"smiles,heavy_atoms,heavy_atoms\nCC,2,2\nCCO,3,3\n"), EXIT_IO),
     "csv-not-utf8": (_train_on(b"smiles,heavy_atoms\nCC,2\nC\xe9,1\n"), EXIT_IO),
     "csv-is-a-directory": (lambda ckpt, tmp_path: _train()(dict(ckpt, data=tmp_path), tmp_path), EXIT_IO),
     "out-is-a-directory": (lambda ckpt, tmp_path: [*_train()(ckpt, tmp_path), "--out", str(tmp_path)], EXIT_IO),
@@ -487,6 +489,14 @@ BAD_INPUTS = {
         _edit_tensors(lambda ts: ts["pool.wp"].update(shape=[64, 16])),
         EXIT_IO,
     ),
+    "checkpoint-infinite-dimension": (
+        _edit_tensors(lambda ts: ts["pool.wp"].update(shape=[float("inf"), 64])),
+        EXIT_IO,
+    ),
+    "checkpoint-shape-overflows": (
+        _edit_tensors(lambda ts: ts["pool.wp"].update(shape=[2**32, 2**32], data="")),
+        EXIT_IO,
+    ),
     "checkpoint-non-finite": (
         _edit_tensors(lambda ts: ts.update({"side.m1": _with_nan(ts["side.m1"])})),
         EXIT_IO,
@@ -517,6 +527,27 @@ def test_text_that_is_not_utf8_is_named_in_the_error(name, file, ckpt, tmp_path,
     make_argv, _ = BAD_INPUTS[name]
     main(make_argv(ckpt, tmp_path))
     assert str(tmp_path / file) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [
+    "checkpoint-tensor-not-object",
+    "checkpoint-negative-dimensions",
+    "checkpoint-infinite-dimension",
+    "checkpoint-shape-overflows",
+    "checkpoint-wrong-shape",
+    "checkpoint-non-finite",
+])
+def test_every_tensor_error_names_the_checkpoint(name, ckpt, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[name]
+    main(make_argv(ckpt, tmp_path))
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'edited.ckpt'}: tensor ")
+
+
+@pytest.mark.parametrize("name", ["csv-field-too-large", "csv-duplicate-property"])
+def test_csv_the_reader_rejects_is_named_in_the_error(name, ckpt, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[name]
+    main(make_argv(ckpt, tmp_path))
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'bad.csv'}: ")
 
 
 def _mutate(doc, draw):

@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, the bundled corpus, and checkpoint files."""
 
+import base64
 import csv
 import io
 import json
@@ -84,6 +85,20 @@ def test_load_csv_bad_header(tmp_path):
         load_csv(p)
     p.write_text("")
     with pytest.raises(BadHeader):
+        load_csv(p)
+
+
+def test_load_csv_repeated_property_is_bad_header(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("smiles,y,x,y\nCCO,1,2,3\n")
+    with pytest.raises(BadHeader, match=f"^{p}: header repeats property 'y'$"):
+        load_csv(p)
+
+
+def test_load_csv_row_the_csv_module_rejects_is_a_data_error_naming_its_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("smiles,y\nCC,2\n" + "C" * (csv.field_size_limit() + 1) + ",1\n")
+    with pytest.raises(dataio.DataError, match=f"^{p}: line 3: field larger than field limit"):
         load_csv(p)
 
 
@@ -230,13 +245,13 @@ def test_version_2_checkpoint_is_a_version_mismatch(tmp_path):
 
 
 def test_checkpoint_corrupt_tensor(tmp_path):
-    params = ParamStore({"w": np.eye(2)})
     path = tmp_path / "m.ckpt"
-    save_checkpoint(params, TrainConfig(), path)
+    save_checkpoint(init_model_params(seed=0), TrainConfig(), path)
     doc = json.loads(path.read_text())
-    doc["tensors"]["w"]["data"] = doc["tensors"]["w"]["data"][: -8]
+    tensor = doc["tensors"]["pool.wp"]
+    tensor["data"] = base64.b64encode(base64.b64decode(tensor["data"])[:-8]).decode("ascii")
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptTensor):
+    with pytest.raises(CorruptTensor, match=f"^{path}: tensor 'pool.wp' has .* bytes, expected "):
         load_checkpoint(path)
 
 

@@ -307,6 +307,29 @@ def test_grad_check_catches_a_wrong_gradient():
     assert grad_check(f, store) > 0.4
 
 
+def test_grad_check_perturbs_the_largest_gradients_ties_in_table_order():
+    # A linear loss whose gradient is `coef`, with 270 coordinates in two
+    # tensors and many equal magnitudes, so the cut at GRAD_CHECK_MAX_COORDS
+    # falls inside a tie.
+    coef = (np.arange(270.0) % 7) - 3
+    store = ParamStore({"a": np.zeros((10, 15)), "b": np.zeros((12, 10))})
+    ca, cb = constant(coef[:150].reshape(10, 15)), constant(coef[150:].reshape(12, 10))
+    touched = []
+
+    def f(s):
+        touched.append(np.flatnonzero(s.flat).tolist())
+        return nk.add(nk.reduce_sum(nk.hadamard(s["a"], ca)), nk.reduce_sum(nk.hadamard(s["b"], cb)))
+
+    assert grad_check(f, store) < 1e-7
+    assert touched[0] == [] and all(len(t) == 1 for t in touched[1:])
+    visited = [t[0] for t in touched[1::2]]
+    assert touched[1::2] == touched[2::2]
+    expected = sorted(range(coef.size), key=lambda i: -abs(coef[i]))[: nk.GRAD_CHECK_MAX_COORDS]
+    assert visited == expected
+    left_out = np.delete(np.abs(coef), expected)
+    assert left_out.max() == abs(coef[expected[-1]])
+
+
 def test_grad_check_eps_bounds():
     store = ParamStore({"p": np.ones((1, 1))})
     with pytest.raises(ValueError):
