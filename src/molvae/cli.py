@@ -133,16 +133,12 @@ def cmd_reconstruct(args) -> int:
         "offending": list(report.offending),
         "edge_probabilities": [[float(p) for p in row] for row in probs],
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"reconstructed: {written}")
-        print(f"valid: {report.valid}")
-        if report.offending:
-            print(f"offending atoms: {list(report.offending)}")
-        print("edge probabilities:")
-        for row in probs:
-            print("  " + " ".join(f"{p:.4f}" for p in row))
+    lines = [f"reconstructed: {written}", f"valid: {report.valid}"]
+    if report.offending:
+        lines.append(f"offending atoms: {list(report.offending)}")
+    lines.append("edge probabilities:")
+    lines += ["  " + " ".join(f"{p:.4f}" for p in row) for row in probs]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Mapping
 
 import numpy as np
@@ -23,12 +24,18 @@ class NonFiniteValue(NumericError):
     pass
 
 
+# Whether ops record the tape: on everywhere but inside `tape_free`.
+_RECORDING: ContextVar[bool] = ContextVar("recording", default=True)
+
+
 class Tensor:
     """A node in the computation tape.
 
-    Holds a float64 ndarray; operations record their inputs and a local
+    Holds a float64 ndarray. While recording is on, which it is everywhere
+    but inside `tape_free`, an operation records its inputs and a local
     gradient rule, which `backward` runs to accumulate exact reverse-mode
-    gradients. A tensor holds no gradient itself.
+    gradients; with recording off its output is a bare value with no
+    parents and no rule. A tensor holds no gradient itself.
     Creating a leaf (a constant or a parameter) with a NaN or infinite entry
     raises NonFiniteValue. Op outputs are not checked as they are made:
     `checked` looks at a result once and, if it is not finite, names the op
@@ -45,8 +52,11 @@ class Tensor:
         name: str | None = None,
     ):
         arr = np.asarray(data, dtype=np.float64)
-        if not parents and not np.isfinite(arr).all():
-            raise NonFiniteValue(f"non-finite value produced by {name or 'tensor creation'}")
+        if not parents:
+            if not np.isfinite(arr).all():
+                raise NonFiniteValue(f"non-finite value produced by {name or 'tensor creation'}")
+        elif not _RECORDING.get():
+            parents, grad_fn = (), None
         self.data = arr
         self._parents = parents
         self._grad_fn = grad_fn
@@ -149,8 +159,7 @@ def elu(a: Tensor) -> Tensor:
     """Exponential linear unit with alpha = 1."""
     neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
     out_data = np.where(a.data > 0.0, a.data, neg)
-    local = np.where(a.data > 0.0, 1.0, neg + 1.0)
-    return Tensor(out_data, (a,), lambda g: (g * local,), "elu")
+    return Tensor(out_data, (a,), lambda g: (g * np.where(a.data > 0.0, 1.0, neg + 1.0),), "elu")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -162,14 +171,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow; gradient is the logistic."""
     out_data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    local = _sigmoid(a.data)
-    return Tensor(out_data, (a,), lambda g: (g * local,), "softplus")
+    return Tensor(out_data, (a,), lambda g: (g * _sigmoid(a.data),), "softplus")
 
 
 def logistic(a: Tensor) -> Tensor:
     out_data = _sigmoid(a.data)
-    local = out_data * (1.0 - out_data)
-    return Tensor(out_data, (a,), lambda g: (g * local,), "logistic")
+    return Tensor(out_data, (a,), lambda g: (g * (out_data * (1.0 - out_data)),), "logistic")
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -189,26 +196,61 @@ def row_softmax(a: Tensor) -> Tensor:
 # -- index operations over a disjoint union of graphs --------------------
 
 
-def _scatter_rows(vals: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """out[rows[k]] += vals[k] for every k, as an (n, width) array."""
+def _flat_positions(rows: np.ndarray, width: int) -> np.ndarray:
+    """Where the entries of rows `rows` lie in a row-major array `width` wide."""
+    return (rows[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter_rows(vals: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """out[rows[k]] += vals[k] for every k, as an (n, width) array, given
+    `_flat_positions(rows, width)`."""
     width = vals.shape[1]
-    flat = (rows[:, None] * width + np.arange(width)).ravel()
     return np.bincount(flat, weights=vals.ravel(), minlength=n * width).reshape(n, width)
 
 
-def seg_agg(h: Tensor, dst: np.ndarray, src: np.ndarray, w: np.ndarray) -> Tensor:
+class Edges:
+    """A directed edge list for `seg_agg`: edge k carries row `src[k]`,
+    weighted by `w[k]`, into row `dst[k]`.
+
+    Each aggregation over the edges scatters at the flat positions of their
+    rows' entries. These are built at the first use at each row width and
+    kept, so every aggregation over one edge list shares them; the `src`
+    positions, which only the gradient rule reads, are built only when a
+    backward pass runs that rule.
+    """
+
+    __slots__ = ("dst", "src", "w", "_flat")
+
+    def __init__(self, dst: np.ndarray, src: np.ndarray, w: np.ndarray):
+        self.dst, self.src, self.w = dst, src, w
+        self._flat: dict[tuple[str, int], np.ndarray] = {}
+
+    def flat(self, ends: str, width: int) -> np.ndarray:
+        """`_flat_positions` of the rows `ends` ("dst" or "src") name, `width` wide."""
+        key = (ends, width)
+        if key not in self._flat:
+            self._flat[key] = _flat_positions(getattr(self, ends), width)
+        return self._flat[key]
+
+
+def seg_agg(h: Tensor, edges: Edges) -> Tensor:
     """Weighted sum over an edge list: out[dst[k]] += w[k] * h[src[k]]."""
     _require_2d(h, "seg_agg")
-    n = h.shape[0]
-    wcol = w[:, None]
-    out_data = _scatter_rows(wcol * h.data[src], dst, n)
-    return Tensor(out_data, (h,), lambda g: (_scatter_rows(wcol * g[dst], src, n),), "seg_agg")
+    n, width = h.shape
+    wcol = edges.w[:, None]
+    out_data = _scatter_rows(wcol * h.data[edges.src], edges.flat("dst", width), n)
+
+    def grad_fn(g):
+        return (_scatter_rows(wcol * g[edges.dst], edges.flat("src", width), n),)
+
+    return Tensor(out_data, (h,), grad_fn, "seg_agg")
 
 
 def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
     """Row sums per segment: row s of the result sums the rows i with seg[i] == s."""
     _require_2d(a, "seg_sum")
-    return Tensor(_scatter_rows(a.data, seg, n_seg), (a,), lambda g: (g[seg],), "seg_sum")
+    out_data = _scatter_rows(a.data, _flat_positions(seg, a.shape[1]), n_seg)
+    return Tensor(out_data, (a,), lambda g: (g[seg],), "seg_sum")
 
 
 def block_pair_dot(z: Tensor, sizes: np.ndarray) -> Tensor:
@@ -305,7 +347,8 @@ def checked(t: Tensor) -> Tensor:
 
     Otherwise raises NonFiniteValue naming the first op on `t`'s tape, parents
     first, whose output is non-finite while its inputs are finite. The tape
-    holds every intermediate, so nothing is re-run.
+    holds every intermediate, so nothing is re-run. An op output made with
+    recording off has no tape, so only `tape_free`'s taped re-run can name it.
     """
     if not np.isfinite(t.data).all():
         # Parents come first, so the first non-finite node had finite inputs;
@@ -313,6 +356,29 @@ def checked(t: Tensor) -> Tensor:
         bad = next(node for node in _tape(t) if not np.isfinite(node.data).all())
         raise NonFiniteValue(f"non-finite value produced by {bad.name or 'tensor creation'}")
     return t
+
+
+def tape_free(run: Callable[[], Tensor]) -> Tensor:
+    """`checked(run())`, computed with recording off, so that no tape is kept.
+
+    `run` must be deterministic. A result without a tape cannot say which op
+    went non-finite, so when it, or a value `run` checks on the way, is not
+    finite, `run` runs once more with recording on and `checked` names the op.
+    """
+    token = _RECORDING.set(False)
+    try:
+        out = run()
+    except NonFiniteValue:
+        out = None
+    finally:
+        _RECORDING.reset(token)
+    if out is not None and np.isfinite(out.data).all():
+        return out
+    token = _RECORDING.set(True)
+    try:
+        return checked(run())
+    finally:
+        _RECORDING.reset(token)
 
 
 def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:

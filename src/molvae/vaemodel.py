@@ -1,5 +1,6 @@
 """Latent sampling, inner-product decoder, side predictor, the joint loss, and
-every use of a trained model, through one mu-only encoder pass over a batch."""
+every use of a trained model, through one mu-only encoder pass over a batch
+that records no tape."""
 
 from __future__ import annotations
 
@@ -258,29 +259,33 @@ def joint_loss(
     return total, breakdown
 
 
-def _mu(mols: list[MolGraph] | MolTensors, store: ParamStore) -> tuple[np.ndarray, Tensor]:
-    """Molecule sizes and Mu of a batch (its molecules, or their built
-    MolTensors), from one encoder pass over its union that builds only the
-    mu head: the deterministic latent code of inference."""
-    mt = mols if isinstance(mols, MolTensors) else MolTensors.from_mols(mols)
-    return mt.sizes, encoder.encode(mt.features, mt.relations, store, "mu")[0]
+def _mu(mt: MolTensors, store: ParamStore) -> Tensor:
+    """Mu of a batch from one encoder pass over its union that builds only
+    the mu head: the deterministic latent code of inference."""
+    return encoder.encode(mt.features, mt.relations, store, "mu")[0]
+
+
+def _built(mols: list[MolGraph] | MolTensors) -> MolTensors:
+    return mols if isinstance(mols, MolTensors) else MolTensors.from_mols(mols)
 
 
 def pooled_vectors(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
-    """(B, 64) pooled vectors of a batch (softmax pooling over Mu), checked finite."""
-    sizes, mu = _mu(mols, store)
-    return nk.checked(encoder.pool(mu, store, sizes)).data
+    """(B, 64) pooled vectors of a batch (its molecules, or their built
+    MolTensors): softmax pooling over Mu, from one tape-free pass, checked
+    finite."""
+    mt = _built(mols)
+    return nk.tape_free(lambda: encoder.pool(_mu(mt, store), store, mt.sizes)).data
 
 
 def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> list[np.ndarray]:
     """Deterministic edge probabilities (Z = Mu, no sampling) of a batch: one
-    dense block logistic(z zᵀ) per molecule, each checked finite, as is Mu."""
-    sizes, mu = _mu(mols, store)
-    z = nk.checked(mu).data
-    del mu  # frees the union's encoder tape before the blocks are decoded
+    dense block logistic(z zᵀ) per molecule, each checked finite, as is Mu;
+    every pass is tape-free."""
+    mt = _built(mols)
+    z = nk.tape_free(lambda: _mu(mt, store)).data
     return [
-        nk.checked(decode_adjacency(nk.constant(z[end - n : end]))).data
-        for n, end in zip(sizes, np.cumsum(sizes))
+        nk.tape_free(lambda: decode_adjacency(nk.constant(z[end - n : end]))).data
+        for n, end in zip(mt.sizes, np.cumsum(mt.sizes))
     ]
 
 
@@ -296,7 +301,8 @@ def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
 
 def predict(mol: MolGraph, store: ParamStore) -> float:
     """Side-predictor output for a molecule, from its pooled Mu."""
-    return side_predict(nk.constant(pooled_vector(mol, store)), store).item()
+    g = nk.constant(pooled_vector(mol, store))
+    return nk.tape_free(lambda: side_predict(g, store)).item()
 
 
 class ZeroVector(ArithmeticError):

@@ -250,7 +250,7 @@ def test_reconstruct_json(ckpt, capsys):
         capsys, ["reconstruct", "--ckpt", str(ckpt["ckpt"]), "--smiles", "CCO"]
     )
     assert rc == 0
-    assert set(payload) == {"smiles", "valid", "offending", "edge_probabilities"}
+    assert list(payload) == ["edge_probabilities", "offending", "smiles", "valid"]
     assert len(payload["edge_probabilities"]) == 3
 
 

@@ -56,8 +56,8 @@ def test_glorot_bound():
 
 def neighbor_means(mol, r):
     """Relation r's neighbor-mean operator applied to the identity, as a dense matrix."""
-    dst, src, w = MolTensors.from_mol(mol).relations[r]
-    return nk.seg_agg(nk.constant(np.eye(mol.n_atoms)), dst, src, w).data
+    edges = nk.Edges(*MolTensors.from_mol(mol).relations[r])
+    return nk.seg_agg(nk.constant(np.eye(mol.n_atoms)), edges).data
 
 
 def test_mean_mats_rows_average_neighbors():

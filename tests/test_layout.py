@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molvae import cli, encoder, fingerprint, train, vaemodel
+from molvae import cli, encoder, fingerprint, numkernel as nk, train, vaemodel
 from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.dataio import Dataset, Record
 from molvae.smiles import parse_smiles
@@ -93,6 +93,16 @@ def test_only_main_and_the_parser_write_to_stderr():
         if any(isinstance(n, ast.Attribute) and n.attr == "stderr" for n in ast.walk(fn))
     )
     assert writers == ["_Parser.error", "main"]
+
+
+def test_commands_print_only_through_emit():
+    """Every command's output goes through `_emit`, so `--json` keys come out sorted."""
+    printers = sorted(
+        name
+        for name, fn in _functions(MODULES["cli"])
+        if any(isinstance(n, ast.Name) and n.id == "print" for n in ast.walk(fn))
+    )
+    assert printers == ["_Parser.error", "_emit", "main"]
 
 
 def test_commands_return_only_their_result_codes():
@@ -196,22 +206,12 @@ def test_only_vaemodel_runs_the_encoder(name):
     assert found == []
 
 
-def test_inference_never_builds_the_sigma_head(monkeypatch):
-    """The sigma head only feeds the sampled training latent; every query of a
-    trained model must leave it out of its encoder pass."""
-    prefixes = []
-    real = encoder.rgcn_layer
-
-    def recording(h, aggs, store, prefix, activate):
-        prefixes.append(prefix)
-        return real(h, aggs, store, prefix, activate)
-
-    monkeypatch.setattr(encoder, "rgcn_layer", recording)
-    store = vaemodel.init_model_params(seed=0)
+def _queries(store):
+    """Every inference entry point, by name, as a call on a few molecules."""
     a, b = parse_smiles(DRUG_SMILES["aspirin"]), parse_smiles("CCO")
     smiles = ("CCO", "CC=O", "CCCN", "C1CC1", "CC")
     records = [Record(s, parse_smiles(s), {"y": float(len(s))}) for s in smiles]
-    queries = {
+    return {
         "pooled_vector": lambda: vaemodel.pooled_vector(a, store),
         "pooled_vectors": lambda: vaemodel.pooled_vectors([a, b], store),
         "decode_probs": lambda: vaemodel.decode_probs(a, store),
@@ -223,10 +223,60 @@ def test_inference_never_builds_the_sigma_head(monkeypatch):
         "evaluate_edge_auc": lambda: train.evaluate_edge_auc(store, Dataset(records)),
         "fit_probe": lambda: train.fit_probe(store, Dataset(records), "y"),
     }
-    for name, query in queries.items():
+
+
+def test_inference_never_builds_the_sigma_head(monkeypatch):
+    """The sigma head only feeds the sampled training latent; every query of a
+    trained model must leave it out of its encoder pass."""
+    prefixes = []
+    real = encoder.rgcn_layer
+
+    def recording(h, aggs, store, prefix, activate):
+        prefixes.append(prefix)
+        return real(h, aggs, store, prefix, activate)
+
+    monkeypatch.setattr(encoder, "rgcn_layer", recording)
+    for name, query in _queries(vaemodel.init_model_params(seed=0)).items():
         prefixes.clear()
         query()
         assert prefixes == ["enc.l1", "enc.l2", "enc.mu"], name
+
+
+def test_inference_records_no_tape(monkeypatch):
+    """A query of a trained model keeps no tape: every op output it makes is
+    a bare value, holding no parent and no gradient rule."""
+    made = []
+    real = nk.Tensor.__init__
+
+    def keeping(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(nk.Tensor, "__init__", keeping)
+    for name, query in _queries(vaemodel.init_model_params(seed=0)).items():
+        made.clear()
+        query()
+        assert any(t.name == "matmul" for t in made), name
+        assert [t.name for t in made if t._parents or t._grad_fn] == [], name
+
+
+def test_only_vaemodel_queries_enter_the_tape_free_pass():
+    """Recording is on everywhere but inside `numkernel.tape_free`: only
+    numkernel reads or sets the recording state, and only vaemodel's queries
+    of a trained model enter the tape-free pass, so training code cannot run
+    without a tape by accident."""
+    def mentions(tree, ident):
+        return any(
+            (isinstance(n, ast.Name) and n.id == ident)
+            or (isinstance(n, ast.Attribute) and n.attr == ident)
+            or (isinstance(n, (ast.alias, ast.FunctionDef)) and n.name == ident)
+            for n in ast.walk(tree)
+        )
+
+    assert {mod for mod, tree in MODULES.items() if mentions(tree, "_RECORDING")} == {"numkernel"}
+    assert {mod for mod, tree in MODULES.items() if mentions(tree, "tape_free")} == {"numkernel", "vaemodel"}
+    callers = {fn for fn, node in _functions(MODULES["vaemodel"]) if mentions(node, "tape_free")}
+    assert callers == {"pooled_vectors", "decoded_blocks", "predict"}
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

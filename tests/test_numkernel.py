@@ -164,12 +164,12 @@ def test_reshape_and_transpose():
 def test_index_op_values():
     h = constant(np.arange(8.0).reshape(4, 2))
     # out[dst] += w * h[src]; row 1 receives two edges, rows 2 and 3 none.
-    agg = nk.seg_agg(h, np.array([0, 1, 1]), np.array([1, 0, 3]), np.array([2.0, 0.5, 1.0]))
+    agg = nk.seg_agg(h, nk.Edges(np.array([0, 1, 1]), np.array([1, 0, 3]), np.array([2.0, 0.5, 1.0])))
     assert np.array_equal(agg.data, [[4.0, 6.0], [6.0, 7.5], [0.0, 0.0], [0.0, 0.0]])
     seg = nk.seg_sum(h, np.array([0, 0, 0, 1]), 2)
     assert np.array_equal(seg.data, [[6.0, 9.0], [6.0, 7.0]])
     empty = np.array([], dtype=np.int64)
-    assert np.array_equal(nk.seg_agg(h, empty, empty, np.array([])).data, np.zeros((4, 2)))
+    assert np.array_equal(nk.seg_agg(h, nk.Edges(empty, empty, np.array([]))).data, np.zeros((4, 2)))
 
 
 def test_block_pair_dot_values_and_gradient_on_a_two_molecule_union():
@@ -205,7 +205,7 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
     pair_w = nk.constant(rng.uniform(-1.0, 1.0, npairs))
 
     def f(s):
-        agg = nk.seg_agg(s["h"], dst, src, w)
+        agg = nk.seg_agg(s["h"], nk.Edges(dst, src, w))
         pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
         dots = nk.block_pair_dot(nk.add(agg, s["h"]), sizes)
         return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.hadamard(pair_w, dots)))

@@ -2,15 +2,16 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from molvae import encoder, numkernel as nk, vaemodel
+from molvae import encoder, numkernel as nk, train, vaemodel
 from molvae.chem import Atom, BondType, MolGraph, adjacency_tensor, build, check_valence, is_isomorphic
 from molvae.corpus import DRUG_SMILES, random_molecule
-from molvae.dataio import load_bundled_corpus
+from molvae.dataio import Dataset, Record, load_bundled_corpus
 from molvae.encoder import LATENT_DIM
 from molvae.numkernel import constant
 from molvae.smiles import parse_smiles
@@ -193,9 +194,9 @@ def test_union_loss_aggregates_once_per_relation_per_layer_and_once_for_both_hea
     calls = []
     real = nk.seg_agg
 
-    def counting(h, dst, src, w):
-        calls.append(dst.size)
-        return real(h, dst, src, w)
+    def counting(h, edges):
+        calls.append(edges.dst.size)
+        return real(h, edges)
 
     monkeypatch.setattr(nk, "seg_agg", counting)
     mols = [parse_smiles(s) for s in ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])]
@@ -405,7 +406,9 @@ def test_reconstruct_never_crashes_and_reports_consistently(seed):
         assert check_valence(out).valid
 
 
-@pytest.mark.parametrize("fn", ["pooled_vector", "decode_probs", "side_predict"])
+@pytest.mark.parametrize(
+    "fn", ["pooled_vector", "decode_probs", "side_predict", "pooled_vectors", "evaluate_edge_auc"]
+)
 def test_inference_raises_on_a_store_holding_1e200_weights(fn):
     # 1e200 squared overflows in the encoder's second layer (and the heads'
     # sums of +inf and -inf terms are NaN) and in the side predictor's output.
@@ -414,14 +417,30 @@ def test_inference_raises_on_a_store_holding_1e200_weights(fn):
         store[name].data[...] = 1e200
     mol = parse_smiles("CCO")
     finite_g = constant(pooled_vector(mol, init_model_params(seed=0)))
+    batch = [mol, parse_smiles("CC=O"), parse_smiles("C1CC1N")]
+    records = [Record(s, parse_smiles(s), {}) for s in ("CCO", "CC=O", "C1CC1N")]
     call = {
         "pooled_vector": lambda: pooled_vector(mol, store),
         "decode_probs": lambda: vaemodel.decode_probs(mol, store),
         "side_predict": lambda: side_predict(finite_g, store),
+        "pooled_vectors": lambda: pooled_vectors(batch, store),
+        "evaluate_edge_auc": lambda: train.evaluate_edge_auc(store, Dataset(records)),
     }[fn]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nk.NonFiniteValue, match="produced by matmul$"):
             call()
+
+
+def test_predict_names_the_side_predictor_op_that_overflows():
+    # The encoder stays finite; the side predictor's second matmul overflows.
+    # Its own `checked` sees a result with no tape, so the pass must re-run
+    # with recording on to name the op.
+    store = init_model_params(seed=0)
+    for name in ("side.m1", "side.m2"):
+        store[name].data[...] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nk.NonFiniteValue, match="produced by matmul$"):
+            predict(parse_smiles("CCO"), store)
 
 
 # -- the batched inference path ------------------------------------------
@@ -448,6 +467,20 @@ def test_batch_forms_equal_each_molecule_alone_bit_for_bit():
         assert row.tobytes() == pooled_vector(mol, store).tobytes() == alone.tobytes()
         dense = decode_adjacency(mu).data
         assert block.tobytes() == vaemodel.decode_probs(mol, store).tobytes() == dense.tobytes()
+
+
+def test_pooling_the_corpus_keeps_no_tape_in_memory():
+    # An encoder tape holds each op's inputs and gradient rule until Mu is
+    # computed, about 9 KB per atom: 28.3 MB at the peak over the corpus.
+    mols = [rec.mol for rec in load_bundled_corpus().records]
+    store = init_model_params(seed=0)
+    tracemalloc.start()
+    try:
+        pooled_vectors(mols, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_batch_pools_an_empty_molecule_to_a_zero_row():
