@@ -97,12 +97,15 @@ def cmd_train(args) -> int:
         "skipped": dataset.skipped,
         "stripped": dataset.stripped,
     }
-    _emit(
-        args,
-        payload,
-        f"wrote {args.out} ({len(history)} epochs, "
-        f"final total {history[-1].total:.6g})" if history else f"wrote {args.out}",
-    )
+    plain = f"wrote {args.out}"
+    if history:
+        plain += f" ({len(history)} epochs, final total {history[-1].total:.6g})"
+    if dataset.skipped:
+        n, counts = dataset.skipped_count, ", ".join(f"{why}: {k}" for why, k in dataset.skipped.items())
+        plain += f"; skipped {n} row{'s' * (n != 1)} ({counts})"
+    if dataset.stripped:
+        plain += f"; stripped {dataset.stripped} stereo/isotope character{'s' * (dataset.stripped != 1)}"
+    _emit(args, payload, plain)
     return 0
 
 

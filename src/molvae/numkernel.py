@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from contextvars import ContextVar
-from typing import Callable, Mapping
+from functools import cached_property
+from itertools import accumulate
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -118,11 +120,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(
         a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "hadamard"
     )
-
-
-def transpose(a: Tensor) -> Tensor:
-    _require_2d(a, "transpose")
-    return Tensor(a.data.T, (a,), lambda g: (g.T,), "transpose")
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -253,36 +250,74 @@ def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
     return Tensor(out_data, (a,), lambda g: (g[seg],), "seg_sum")
 
 
-def block_pair_dot(z: Tensor, sizes: np.ndarray) -> Tensor:
-    """Inner products z_i . z_j of every block's row pairs i < j: block b is
-    `sizes[b]` consecutive rows of `z`, and the result lists block 0's pairs
-    in row-major order, then block 1's, and so on.
+class PairLayout:
+    """The one order of the row pairs of a batch of blocks: block b is
+    `sizes[b]` consecutive rows, and its pairs i < j come row by row, block
+    after block. Holds each block's pair count and first pair, and pads the
+    blocks to a (B, m, width) stack, m the largest block's row count."""
 
-    The blocks are padded with zero rows to the largest, m, and stacked as a
-    (B, m, width) array zp; the forward pass is one batched zp zpᵀ read at the
-    pairs, the backward pass one batched product of the symmetrised (B, m, m)
-    gradient with zp. Nothing is sized by the square of the total row count.
-    """
-    _require_2d(z, "block_pair_dot")
-    if z.shape[0] != sizes.sum():
-        raise ShapeMismatch(f"block_pair_dot: {z.shape[0]} rows for blocks of {sizes.sum()}")
-    b, m, width = sizes.size, int(sizes.max(initial=0)), z.shape[1]
-    ar = np.arange(m)
-    rows = np.flatnonzero(ar < sizes[:, None])  # row r of z is row rows[r] of zp
-    upper = (ar[:, None] < ar) & (ar < sizes[:, None, None])
-    pairs = np.flatnonzero(upper)  # pair k's entry in the flat (B, m, m) product
-    zp = np.zeros((b * m, width))
-    zp[rows] = z.data
-    zp = zp.reshape(b, m, width)
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        sizes = self.sizes.tolist()  # a batch is small: Python ints beat numpy's per-call cost
+        counts = [n * (n - 1) // 2 for n in sizes]
+        self.counts = np.array(counts, dtype=np.int64)
+        self.first = np.array([0, *accumulate(counts)][:-1], dtype=np.int64)
+        self.m = max(sizes, default=0)
+
+    def marks(self, pairs: Iterable[tuple[int, int, int]]) -> np.ndarray:
+        """1.0 at each pair (b, i, j), i < j, of block b, and 0.0 at every other
+        pair, in the layout's order (row i of a block of n starts at i(2n-i-1)/2)."""
+        first, counts, sizes = self.first.tolist(), self.counts.tolist(), self.sizes.tolist()
+        out = np.zeros(first[-1] + counts[-1] if first else 0)
+        out[[first[b] + i * (2 * sizes[b] - i - 3) // 2 + j - 1 for b, i, j in pairs]] = 1.0
+        return out
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Pair k's entry in the flat (B, m, m) product of the padded stack."""
+        ar = np.arange(self.m)
+        return np.flatnonzero((ar[:, None] < ar) & (ar < self.sizes[:, None, None]))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row r's row in the flat (B * m, width) padded stack."""
+        return np.flatnonzero(np.arange(self.m) < self.sizes[:, None])
+
+    def pad(self, z: np.ndarray) -> np.ndarray:
+        """The blocks of the rows of `z` as a (B, m, width) stack, padded with zero rows."""
+        if z.ndim != 2 or len(z) != self.sizes.sum():
+            raise ShapeMismatch(f"{z.shape} array for blocks of {self.sizes.sum()} rows")
+        if len(z) == self.sizes.size * self.m:  # no block is short, as when there is one
+            return z.reshape(self.sizes.size, self.m, z.shape[1])
+        zp = np.zeros((self.sizes.size, self.m, z.shape[1]))
+        zp.reshape(-1, z.shape[1])[self.rows] = z
+        return zp
+
+
+def block_products(z: Tensor, layout: PairLayout) -> Tensor:
+    """Inner products z_i . z_j within each block, as the (B, m, m) product
+    zp zpᵀ of the padded stack zp = `layout.pad(z)`."""
+    zp = layout.pad(z.data)
 
     def grad_fn(g):
-        gp = np.zeros(b * m * m)
-        gp[pairs] = g
-        gp = gp.reshape(b, m, m)
-        return (((gp + gp.transpose(0, 2, 1)) @ zp).reshape(b * m, width)[rows],)
+        return (((g + g.transpose(0, 2, 1)) @ zp).reshape(-1, zp.shape[2])[layout.rows],)
 
-    out = (zp @ zp.transpose(0, 2, 1)).reshape(-1)[pairs]
-    return Tensor(out, (z,), grad_fn, "block_pair_dot")
+    return Tensor(zp @ zp.transpose(0, 2, 1), (z,), grad_fn, "block_products")
+
+
+def block_pair_dot(z: Tensor, layout: PairLayout) -> Tensor:
+    """Inner products z_i . z_j of every block's pairs i < j, in the layout's
+    order: `block_products` read at `layout.pairs`. Nothing is sized by the
+    square of the total row count."""
+    zp = layout.pad(z.data)
+    pairs = layout.pairs
+
+    def grad_fn(g):
+        gp = np.zeros((len(zp), layout.m, layout.m))
+        gp.reshape(-1)[pairs] = g
+        return (((gp + gp.transpose(0, 2, 1)) @ zp).reshape(-1, zp.shape[2])[layout.rows],)
+
+    return Tensor((zp @ zp.transpose(0, 2, 1)).reshape(-1)[pairs], (z,), grad_fn, "block_pair_dot")
 
 
 # -- parameter store and gradient checking -------------------------------

@@ -185,8 +185,7 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
     Pools all unordered pairs of all molecules; ties are handled by midrank.
     """
     mt = MolTensors.from_mols(_molecules(dataset))
-    blocks = vaemodel.decoded_blocks(mt, params)
-    s = np.concatenate([probs[np.triu_indices(len(probs), 1)] for probs in blocks])
+    s = vaemodel.pair_probs(mt, params)
     y = mt.pair_target > 0
     n_pos = int(y.sum())
     n_neg = y.size - n_pos

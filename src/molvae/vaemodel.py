@@ -56,11 +56,6 @@ def sample_latent(mu: Tensor, log_std: Tensor, noise: np.ndarray) -> Tensor:
     return nk.add(mu, nk.hadamard(nk.exp(log_std), nk.constant(noise, "noise")))
 
 
-def decode_adjacency(z: Tensor) -> Tensor:
-    """Edge probabilities p_ij = logistic(z_i . z_j); symmetric by construction."""
-    return nk.logistic(nk.matmul(z, nk.transpose(z)))
-
-
 def kl_term(mu: Tensor, log_std: Tensor) -> Tensor:
     """Closed-form KL of the diagonal Gaussian posterior to the standard normal."""
     if mu.shape != log_std.shape:
@@ -131,32 +126,35 @@ class MolTensors:
 
     Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
     `relations` holds every bond type's directed edges (see `encoder.encode`),
-    molecule by molecule. `pair_target` marks which of each molecule's own
-    atom pairs i < j are bonded, row by row in turn, in the order of
-    `numkernel.block_pair_dot`.
+    molecule by molecule. `layout` orders each molecule's atom pairs i < j,
+    and `pair_target` marks, in that order, which of them are bonded.
     """
 
     features: np.ndarray
     relations: encoder.Relations
     pair_target: np.ndarray
-    sizes: np.ndarray
+    layout: nk.PairLayout
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.layout.sizes
 
     @classmethod
     def from_mols(cls, mols: list[MolGraph]) -> "MolTensors":
         """The tensors of `mols`, laid end to end: each molecule's atom
         indices shift past the atoms before it.
 
-        One Python pass gathers each atom's element, charge and H count, each
-        bond's shifted ends under its type, and each bond's pair position;
-        the rest is whole-array work. A feature row is four one-hots:
+        One Python pass gathers each atom's element, charge and H count, and
+        each bond's shifted ends under its type and its pair; the rest is
+        whole-array work. A feature row is four one-hots:
         element (10) | charge in {-1, 0, +1}, clamped (3) | implicit H 0..4
         (5) | heavy-atom degree 0..4, clamped (5) | zero pad to 32.
         """
         sizes, cols, pairs = [], [], []
         dsts = [[] for _ in range(chem.N_BOND_TYPES)]
         srcs = [[] for _ in range(chem.N_BOND_TYPES)]
-        off = pair_off = 0
-        for mol in mols:
+        off = 0
+        for b, mol in enumerate(mols):
             n = len(mol.atoms)
             sizes.append(n)
             for a in mol.atoms:
@@ -164,11 +162,9 @@ class MolTensors:
             for i, j, t in mol.bonds:
                 dsts[t] += (i + off, j + off)
                 srcs[t] += (j + off, i + off)
-                if i > j:  # a graph not made by `chem.build` may list a bond as (j, i)
-                    i, j = j, i
-                pairs.append(pair_off + i * (2 * n - i - 3) // 2 + j - 1)  # row i starts at i(2n-i-1)/2
+                # a graph not made by `chem.build` may list a bond as (j, i)
+                pairs.append((b, i, j) if i < j else (b, j, i))
             off += n
-            pair_off += n * (n - 1) // 2
         n = off
         relations, degree = [], 0
         for dst, src in zip(dsts, srcs):
@@ -181,13 +177,12 @@ class MolTensors:
             relations.append((dst, np.fromiter(src, np.int64, len(src)), 1.0 / deg[dst]))
         cols = np.fromiter(cols, np.int64, len(cols)).reshape(n, 4)
         cols[:, 3] = degree
-        np.clip(cols, _LOW, _HIGH, out=cols)
+        np.minimum(np.maximum(cols, _LOW, out=cols), _HIGH, out=cols)  # np.clip dispatches slower
         cols += _BASE
         features = np.zeros((n, chem.FEATURE_DIM))
         features[np.arange(n)[:, None], cols] = 1.0
-        pair_target = np.zeros(pair_off)
-        pair_target[pairs] = 1.0
-        return cls(features, tuple(relations), pair_target, np.array(sizes, dtype=np.int64))
+        layout = nk.PairLayout(sizes)
+        return cls(features, tuple(relations), layout.marks(pairs), layout)
 
     @classmethod
     def from_mol(cls, mol: MolGraph) -> "MolTensors":
@@ -212,13 +207,11 @@ class MolTensors:
                 continue
             moved = np.repeat(shift, counts)
             relations.append((dst[e] + moved, src[e] + moved, w[e]))
-        npairs = self.sizes * (self.sizes - 1) // 2
-        pair_lo = (np.cumsum(npairs) - npairs)[idx]
         return MolTensors(
             features=self.features[_ranges(lo, sizes)],
             relations=tuple(relations),
-            pair_target=self.pair_target[_ranges(pair_lo, npairs[idx])],
-            sizes=sizes,
+            pair_target=self.pair_target[_ranges(self.layout.first[idx], self.layout.counts[idx])],
+            layout=nk.PairLayout(sizes),
         )
 
 
@@ -243,10 +236,10 @@ def joint_loss(
         raise nk.ShapeMismatch(f"{labels.size} labels for {mt.sizes.size} molecules")
     mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
-    logits = nk.block_pair_dot(z, mt.sizes)  # BCE via softplus: no clamp, exact when saturated
+    logits = nk.block_pair_dot(z, mt.layout)  # BCE via softplus: no clamp, exact when saturated
     per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
-    npairs = mt.sizes * (mt.sizes - 1) // 2  # each molecule's recon term is its mean over pairs
-    weight = np.repeat(1.0 / np.maximum(npairs, 1), npairs)
+    counts = mt.layout.counts  # each molecule's recon term is its mean over its pairs
+    weight = np.repeat(1.0 / np.maximum(counts, 1), counts)
     recon = nk.reduce_sum(nk.hadamard(nk.constant(weight), per_pair))
     kl = kl_term(mu, log_std)
     g = encoder.pool(mu, store, mt.sizes)
@@ -277,16 +270,21 @@ def pooled_vectors(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.n
     return nk.tape_free(lambda: encoder.pool(_mu(mt, store), store, mt.sizes)).data
 
 
-def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> list[np.ndarray]:
-    """Deterministic edge probabilities (Z = Mu, no sampling) of a batch: one
-    dense block logistic(z zᵀ) per molecule, each checked finite, as is Mu;
-    every pass is tape-free."""
+def pair_probs(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
+    """Deterministic edge probabilities (Z = Mu, no sampling) of every
+    molecule's atom pairs i < j, in `pair_target` order: logistic of the
+    decoder's pair products, from one tape-free pass, checked finite."""
     mt = _built(mols)
-    z = nk.tape_free(lambda: _mu(mt, store)).data
-    return [
-        nk.tape_free(lambda: decode_adjacency(nk.constant(z[end - n : end]))).data
-        for n, end in zip(mt.sizes, np.cumsum(mt.sizes))
-    ]
+    return nk.tape_free(lambda: nk.logistic(nk.block_pair_dot(_mu(mt, store), mt.layout))).data
+
+
+def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> list[np.ndarray]:
+    """Deterministic edge probabilities of a batch as one dense n x n block
+    logistic(z zᵀ) per molecule, cut from one batched product over its
+    padded rows, from one tape-free pass, checked finite."""
+    mt = _built(mols)
+    probs = nk.tape_free(lambda: nk.logistic(nk.block_products(_mu(mt, store), mt.layout))).data
+    return [block[:n, :n] for block, n in zip(probs, mt.sizes)]
 
 
 def decode_probs(mol: MolGraph, store: ParamStore) -> np.ndarray:
@@ -300,9 +298,10 @@ def pooled_vector(mol: MolGraph, store: ParamStore) -> np.ndarray:
 
 
 def predict(mol: MolGraph, store: ParamStore) -> float:
-    """Side-predictor output for a molecule, from its pooled Mu."""
-    g = nk.constant(pooled_vector(mol, store))
-    return nk.tape_free(lambda: side_predict(g, store)).item()
+    """Side-predictor output for a molecule, from its pooled Mu: encoder,
+    pooling and side MLP in one tape-free pass."""
+    mt = MolTensors.from_mol(mol)
+    return float(nk.tape_free(lambda: side_predict(encoder.pool(_mu(mt, store), store, mt.sizes), store)).data[0])
 
 
 class ZeroVector(ArithmeticError):

@@ -24,6 +24,7 @@ from molvae.chem import (
     fill_implicit_h,
 )
 from molvae.fingerprint import FpConfig, LengthMismatch
+from molvae.numkernel import PairLayout
 from molvae.smiles import (
     DisconnectedInput,
     EmptyInput,
@@ -118,7 +119,7 @@ def _oracle_one(mol: MolGraph) -> MolTensors:
         relations.append((dst, src, 1.0 / np.bincount(dst, minlength=n)[dst]))
         bonded[dst, src] = 1.0
     i, j = np.triu_indices(n, k=1)
-    return MolTensors(_oracle_features(mol), tuple(relations), bonded[i, j], np.array([n]))
+    return MolTensors(_oracle_features(mol), tuple(relations), bonded[i, j], PairLayout([n]))
 
 
 def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
@@ -144,13 +145,14 @@ def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
             for d, s, w in (zip(*rel) for rel in zip(*(p.relations for p in parts)))
         ),
         pair_target=cat(p.pair_target for p in parts),
-        sizes=cat(p.sizes for p in parts),
+        layout=PairLayout(cat(p.sizes for p in parts)),
     )
 
 
 def assert_same_tensors(got: MolTensors, want: MolTensors) -> None:
     """Array for array equal, dtypes and edge order included."""
     pairs = [(got.features, want.features), (got.pair_target, want.pair_target), (got.sizes, want.sizes)]
+    pairs += [(got.layout.counts, want.layout.counts), (got.layout.first, want.layout.first)]
     assert len(got.relations) == len(want.relations) == N_BOND_TYPES
     for g, w in zip(got.relations, want.relations):
         pairs += zip(g, w)

@@ -148,6 +148,20 @@ def test_train_skips_a_non_finite_label(tmp_path, capsys):
     assert payload["skipped"] == {"bad_property": 1}
 
 
+def test_plain_train_output_names_skipped_rows_and_stripped_annotations(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("smiles,heavy_atoms\nCCO,3\nCCN,nan\n[13CH4],1\nC(,2\nCC,inf\n")
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--data", str(data), "--property", "heavy_atoms", "--epochs", "1", "--out", str(out)])
+    assert rc == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith(f"wrote {out} (1 epochs, final total ")
+    assert line.endswith("; skipped 3 rows (bad_property: 2, parse_error: 1); stripped 2 stereo/isotope characters")
+    data.write_text("smiles,heavy_atoms\nCCO,3\nCCN,nan\n")
+    assert main(["train", "--data", str(data), "--property", "heavy_atoms", "--epochs", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}; skipped 1 row (bad_property: 1)\n"
+
+
 def test_train_reports_stripped_annotations_next_to_skipped_rows(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("smiles,heavy_atoms\n[13CH4],1\nF/C=C/F,4\nCCO,3\n")

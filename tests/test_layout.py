@@ -216,6 +216,7 @@ def _queries(store):
         "pooled_vectors": lambda: vaemodel.pooled_vectors([a, b], store),
         "decode_probs": lambda: vaemodel.decode_probs(a, store),
         "decoded_blocks": lambda: vaemodel.decoded_blocks([a, b], store),
+        "pair_probs": lambda: vaemodel.pair_probs([a, b], store),
         "predict": lambda: vaemodel.predict(a, store),
         "reconstruct": lambda: vaemodel.reconstruct(a, store),
         "latent_similarity": lambda: fingerprint.latent_similarity(a, b, store),
@@ -276,7 +277,7 @@ def test_only_vaemodel_queries_enter_the_tape_free_pass():
     assert {mod for mod, tree in MODULES.items() if mentions(tree, "_RECORDING")} == {"numkernel"}
     assert {mod for mod, tree in MODULES.items() if mentions(tree, "tape_free")} == {"numkernel", "vaemodel"}
     callers = {fn for fn, node in _functions(MODULES["vaemodel"]) if mentions(node, "tape_free")}
-    assert callers == {"pooled_vectors", "decoded_blocks", "predict"}
+    assert callers == {"pooled_vectors", "decoded_blocks", "pair_probs", "predict"}
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

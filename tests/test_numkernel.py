@@ -155,10 +155,9 @@ def test_reduce_sum_totals_every_entry():
     assert nk.reduce_sum(cat).item() == 12.0
 
 
-def test_reshape_and_transpose():
+def test_reshape_keeps_the_entries_in_order():
     a = constant(np.arange(6.0).reshape(2, 3))
-    assert nk.transpose(a).shape == (3, 2)
-    assert nk.reshape(a, (6,)).shape == (6,)
+    assert np.array_equal(nk.reshape(a, (6,)).data, np.arange(6.0))
 
 
 def test_index_op_values():
@@ -176,15 +175,49 @@ def test_block_pair_dot_values_and_gradient_on_a_two_molecule_union():
     # Molecule 0 is rows 0-1, molecule 1 rows 2-4; its pairs (0,1), (0,2), (1,2).
     store = ParamStore({"z": [[1.0, 0.0], [2.0, 1.0], [0.0, 1.0], [1.0, 1.0], [3.0, -1.0]]})
     z = store["z"]
-    dots = nk.block_pair_dot(z, np.array([2, 3]))
+    dots = nk.block_pair_dot(z, nk.PairLayout([2, 3]))
     assert np.array_equal(dots.data, [2.0, 1.0, -1.0, 2.0])
     # d/dz of sum_k g_k dot_k: each row gains g_k times its partner in pair k.
     g = nk.constant([1.0, 2.0, 3.0, 4.0])
     grads = backward(nk.reduce_sum(nk.hadamard(g, dots)), store)
     assert np.array_equal(grads["z"], [[2.0, 1.0], [1.0, 0.0], [11.0, -1.0], [12.0, -2.0], [4.0, 7.0]])
-    assert nk.block_pair_dot(z, np.array([1, 1, 1, 1, 1])).shape == (0,)
+    assert nk.block_pair_dot(z, nk.PairLayout([1, 1, 1, 1, 1])).shape == (0,)
     with pytest.raises(ShapeMismatch):
-        nk.block_pair_dot(z, np.array([2, 2]))
+        nk.block_pair_dot(z, nk.PairLayout([2, 2]))
+
+
+def test_pair_layout_lists_each_blocks_pairs_row_by_row_block_after_block():
+    layout = nk.PairLayout([3, 0, 1, 4])
+    assert layout.counts.tolist() == [3, 0, 0, 6] and layout.first.tolist() == [0, 3, 3, 3]
+    want = [(b, i, j) for b, n in enumerate([3, 0, 1, 4]) for i in range(n) for j in range(i + 1, n)]
+    assert np.array_equal(layout.marks(want), np.ones(9))
+    assert layout.marks(want[4:5]).tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+    assert np.array_equal(layout.marks([(b, i, j) for b, i, j in want if b != 3]), [1, 1, 1] + [0] * 6)
+    # In the (B, m, m) product of the padded stack, pair (b, i, j) sits at (b, i, j).
+    assert layout.m == 4
+    assert layout.pairs.tolist() == [(b * 4 + i) * 4 + j for b, i, j in want]
+    z = np.arange(16.0).reshape(8, 2)
+    zp = layout.pad(z)
+    assert zp.shape == (4, 4, 2)
+    assert np.array_equal(zp.reshape(-1, 2)[layout.rows], z)
+    assert not zp[1].any() and not zp[2, 1:].any() and not zp[0, 3].any()
+    one = nk.PairLayout([8])
+    assert np.shares_memory(one.pad(z), z)  # one block needs no padding
+    with pytest.raises(ShapeMismatch):
+        layout.pad(np.zeros((7, 2)))
+
+
+def test_block_products_values_and_gradient():
+    rng = np.random.default_rng(0)
+    layout = nk.PairLayout([2, 0, 3])
+    store = ParamStore({"z": rng.normal(size=(5, 3))})
+    z = store["z"].data
+    prod = nk.block_products(store["z"], layout)
+    assert prod.shape == (3, 3, 3)
+    assert np.allclose(prod.data[0, :2, :2], z[:2] @ z[:2].T) and np.allclose(prod.data[2], z[2:] @ z[2:].T)
+    assert not prod.data[1].any() and not prod.data[0, 2].any() and not prod.data[0, :, 2].any()
+    weights = nk.constant(rng.uniform(-1.0, 1.0, (3, 3, 3)))
+    assert grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, nk.block_products(s["z"], layout))), store) < 1e-7
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,13 +234,13 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
     dst, src = rng.integers(0, n, e), rng.integers(0, n, e)
     w = rng.uniform(0.1, 1.0, e)
     seg = np.sort(rng.integers(0, 3, n))
-    npairs = int((sizes * (sizes - 1) // 2).sum())
-    pair_w = nk.constant(rng.uniform(-1.0, 1.0, npairs))
+    layout = nk.PairLayout(sizes)
+    pair_w = nk.constant(rng.uniform(-1.0, 1.0, int((sizes * (sizes - 1) // 2).sum())))
 
     def f(s):
         agg = nk.seg_agg(s["h"], nk.Edges(dst, src, w))
         pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
-        dots = nk.block_pair_dot(nk.add(agg, s["h"]), sizes)
+        dots = nk.block_pair_dot(nk.add(agg, s["h"]), layout)
         return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.hadamard(pair_w, dots)))
 
     assert grad_check(f, store) < 1e-7

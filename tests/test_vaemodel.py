@@ -19,7 +19,6 @@ from molvae.vaemodel import (
     PARAM_SHAPES,
     LossBreakdown,
     MolTensors,
-    decode_adjacency,
     init_model_params,
     joint_loss,
     kl_term,
@@ -91,19 +90,26 @@ def test_sample_latent_moments():
 # -- decoder -------------------------------------------------------------
 
 
-def test_decode_adjacency_symmetric_in_unit_interval():
-    rng = np.random.default_rng(0)
-    z = constant(rng.normal(size=(5, LATENT_DIM)))
-    p = decode_adjacency(z).data
+def _decoding(monkeypatch, z):
+    """Make `z` the latent code of every batch the decoder queries decode."""
+    monkeypatch.setattr(vaemodel, "_mu", lambda mt, store: constant(z))
+
+
+def test_decode_probs_symmetric_in_unit_interval(monkeypatch):
+    _decoding(monkeypatch, np.random.default_rng(0).normal(size=(5, LATENT_DIM)))
+    p = vaemodel.decode_probs(parse_smiles("CCCCO"), init_model_params(seed=0))
     assert np.array_equal(p, p.T)
     assert np.all((p > 0.0) & (p < 1.0))
 
 
-def test_decode_adjacency_monotone_in_alignment():
-    z = constant(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]))
-    p = decode_adjacency(z).data
+def test_decoded_blocks_monotone_in_alignment(monkeypatch):
+    # Molecule 0's first two atoms are aligned and its third opposed; molecule
+    # 1's pair is orthogonal. Padding molecule 1 to three rows changes nothing.
+    _decoding(monkeypatch, np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]))
+    p, q = decoded_blocks([parse_smiles("CCC"), parse_smiles("CC")], init_model_params(seed=0))
     assert p[0, 1] > 0.5  # aligned pair
     assert p[0, 2] < 0.5  # opposed pair
+    assert q.shape == (2, 2) and q[0, 1] == 0.5
 
 
 # -- KL term -------------------------------------------------------------
@@ -183,7 +189,7 @@ def test_block_pair_dot_agrees_with_one_gather_per_pair_on_a_union():
     z = store["z"]
     g = rng.standard_normal(mt.pair_target.size)
     want, want_grad = oracle_pair_dot(z.data, *union_pairs(mt.sizes), g)
-    dots = nk.block_pair_dot(z, mt.sizes)
+    dots = nk.block_pair_dot(z, mt.layout)
     grad = nk.backward(nk.reduce_sum(nk.hadamard(constant(g), dots)), store)["z"]
     assert dots.shape == want.shape
     assert np.max(np.abs(dots.data - want)) <= 1e-12
@@ -240,7 +246,8 @@ def test_recon_bce_logits_matches_probability_form():
     _, bd = joint_loss(mol, 4.0, store, noise)
     mt = MolTensors.from_mol(mol)
     mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
-    probs = decode_adjacency(sample_latent(mu, log_std, noise))
+    z = sample_latent(mu, log_std, noise).data
+    probs = constant(1.0 / (1.0 + np.exp(-z @ z.T)))
     assert bd.recon == pytest.approx(recon_bce(probs, adjacency_tensor(mol)).item(), rel=1e-12)
 
 
@@ -465,8 +472,30 @@ def test_batch_forms_equal_each_molecule_alone_bit_for_bit():
         mu = _training_path_mu(mol, store)
         alone = encoder.pool(mu, store, np.array([mol.n_atoms])).data[0]
         assert row.tobytes() == pooled_vector(mol, store).tobytes() == alone.tobytes()
-        dense = decode_adjacency(mu).data
-        assert block.tobytes() == vaemodel.decode_probs(mol, store).tobytes() == dense.tobytes()
+        z = mu.data
+        # One molecule needs no padding: its block is logistic(z zᵀ) bit for bit.
+        assert vaemodel.decode_probs(mol, store).tobytes() == nk.logistic(constant(z @ z.T)).data.tobytes()
+        # A batch pads its rows to its largest molecule, and the larger product
+        # may round the last bit of an entry differently.
+        np.testing.assert_allclose(block, 1.0 / (1.0 + np.exp(-z @ z.T)), rtol=0, atol=1e-15)
+
+
+def test_pair_probs_are_each_molecules_upper_triangle_in_pair_target_order():
+    rng = np.random.default_rng(0)
+    mols = [parse_smiles("C"), build([], []), random_molecule(rng, 20), parse_smiles("CO")]
+    store = init_model_params(seed=1)
+    mt = MolTensors.from_mols(mols)
+    probs = vaemodel.pair_probs(mols, store)
+    assert probs.shape == mt.pair_target.shape == (0 + 0 + 190 + 1,)
+    want_p, want_y = [], []
+    for mol in mols:
+        z = _training_path_mu(mol, store).data
+        i, j = np.triu_indices(mol.n_atoms, 1)
+        want_p.append((1.0 / (1.0 + np.exp(-z @ z.T)))[i, j])
+        want_y.append(adjacency_tensor(mol).sum(axis=2)[i, j])
+    np.testing.assert_allclose(probs, np.concatenate(want_p), rtol=0, atol=1e-15)
+    assert np.array_equal(mt.pair_target, np.concatenate(want_y))
+    assert vaemodel.pair_probs(mt, store).tobytes() == probs.tobytes()
 
 
 def test_pooling_the_corpus_keeps_no_tape_in_memory():
