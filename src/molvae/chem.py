@@ -103,9 +103,6 @@ class MolGraph:
     def degree(self, i: int) -> int:
         return len(adjacency(self)[i])
 
-    def bond_order_sum(self, i: int) -> float:
-        return bond_order_sums(self.n_atoms, self.bonds)[i]
-
 
 @dataclass(frozen=True)
 class ValidityReport:

@@ -71,9 +71,6 @@ class Dataset:
     def skipped_count(self) -> int:
         return sum(self.skipped.values())
 
-    def property_names(self) -> list[str]:
-        return list(self.records[0].properties) if self.records else []
-
     def split(self, frac: float, seed: int) -> tuple["Dataset", "Dataset"]:
         """Seeded shuffle split into (first frac, rest)."""
         rng = np.random.default_rng(seed)

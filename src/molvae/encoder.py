@@ -30,12 +30,12 @@ for _head in ("mu", "sigma"):
 
 POOL_PARAM_SHAPES = {"pool.wp": (LATENT_DIM, POOL_DIM)}
 
-Relations = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # see `encode`
+Relations = tuple[tuple[int, nk.Edges], ...]  # see `encode`
 
 
-def aggregate(h: Tensor, edges: tuple[tuple[int, nk.Edges], ...]) -> tuple[tuple[int, Tensor], ...]:
-    """(r, neighbor means of `h` over relation r) for each relation r in `edges`."""
-    return tuple((r, nk.seg_agg(h, e)) for r, e in edges)
+def aggregate(h: Tensor, relations: Relations) -> tuple[tuple[int, Tensor], ...]:
+    """(r, neighbor means of `h` over relation r) for each relation r in `relations`."""
+    return tuple((r, nk.seg_agg(h, e)) for r, e in relations)
 
 
 def rgcn_layer(
@@ -61,22 +61,19 @@ def encode(
     """Run the three-layer encoder; returns the per-node output of each named
     head ("mu" the mean, "sigma" the log-std), building only those.
 
-    `relations[r]` lists bond type r's directed edges as arrays (dst, src, w)
-    with w = 1/deg_r(dst), so that each node averages over its r-neighbors;
-    a relation with no edges, or missing from the end, adds nothing. Layers 1
-    and 2 are shared and ELU-activated; each head is its own linear layer,
-    and the heads share one aggregation of layer 2's output. The three
-    aggregations share each relation's scatter positions.
+    Each entry (r, edges) of `relations` lists bond type r's directed edges,
+    weighted w = 1/deg_r(dst) so that each node averages over its
+    r-neighbors; a bond type with no entry adds nothing. Layers 1 and 2 are
+    shared and ELU-activated; each head is its own linear layer, and the
+    heads share one aggregation of layer 2's output. The three aggregations
+    share each edge list's scatter positions.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.ShapeMismatch(f"feature width {features.shape[1]} != {FEATURE_DIM}")
-    edges = tuple(
-        (r, nk.Edges(dst, src, w)) for r, (dst, src, w) in enumerate(relations) if dst.size
-    )
     h = nk.constant(features, "H")
-    h = rgcn_layer(h, aggregate(h, edges), store, "enc.l1", activate=True)
-    h = rgcn_layer(h, aggregate(h, edges), store, "enc.l2", activate=True)
-    aggs = aggregate(h, edges)
+    h = rgcn_layer(h, aggregate(h, relations), store, "enc.l1", activate=True)
+    h = rgcn_layer(h, aggregate(h, relations), store, "enc.l2", activate=True)
+    aggs = aggregate(h, relations)
     return tuple(rgcn_layer(h, aggs, store, f"enc.{head}", activate=False) for head in heads)
 
 

@@ -266,16 +266,6 @@ def _fold_word(word: int, nbits: int, n: int) -> int:
     return word
 
 
-def fold(f: Fingerprint, nbits: int) -> Fingerprint:
-    """OR `f`'s halves together until it is nbits long (bit b -> b mod nbits).
-
-    Raises LengthMismatch unless f.nbits is a power-of-two multiple of nbits.
-    """
-    if f.nbits == nbits:
-        return f
-    return Fingerprint.from_word(_fold_word(f.word, f.nbits, nbits), nbits)
-
-
 def fold_to_density(f: Fingerprint, target: float) -> Fingerprint:
     """Fold in halves while density < target and the result keeps >= 64 bits."""
     word, nbits = f.word, f.nbits

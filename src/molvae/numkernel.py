@@ -305,19 +305,16 @@ def block_products(z: Tensor, layout: PairLayout) -> Tensor:
     return Tensor(zp @ zp.transpose(0, 2, 1), (z,), grad_fn, "block_products")
 
 
-def block_pair_dot(z: Tensor, layout: PairLayout) -> Tensor:
-    """Inner products z_i . z_j of every block's pairs i < j, in the layout's
-    order: `block_products` read at `layout.pairs`. Nothing is sized by the
-    square of the total row count."""
-    zp = layout.pad(z.data)
-    pairs = layout.pairs
+def take(a: Tensor, flat: np.ndarray) -> Tensor:
+    """The entries of `a` at the distinct row-major positions `flat`, as a
+    vector; the gradient scatters back into zeros of `a`'s shape."""
 
     def grad_fn(g):
-        gp = np.zeros((len(zp), layout.m, layout.m))
-        gp.reshape(-1)[pairs] = g
-        return (((gp + gp.transpose(0, 2, 1)) @ zp).reshape(-1, zp.shape[2])[layout.rows],)
+        ga = np.zeros(a.shape)
+        ga.reshape(-1)[flat] = g
+        return (ga,)
 
-    return Tensor((zp @ zp.transpose(0, 2, 1)).reshape(-1)[pairs], (z,), grad_fn, "block_pair_dot")
+    return Tensor(a.data.reshape(-1)[flat], (a,), grad_fn, "take")
 
 
 # -- parameter store and gradient checking -------------------------------

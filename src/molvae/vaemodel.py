@@ -100,12 +100,6 @@ def side_predict(g: Tensor, store: ParamStore) -> Tensor:
     return nk.checked(nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],)))
 
 
-# (dst, src, w) of a relation with no edges: read-only, and shared by every
-# MolTensors that has one.
-_NO_EDGES = tuple(np.zeros(0, dtype) for dtype in (np.int64, np.int64, np.float64))
-for _empty in _NO_EDGES:
-    _empty.setflags(write=False)
-
 # An atom's (element index, charge, H count, heavy degree), clamped to
 # [_LOW, _HIGH] and shifted by _BASE, are its four one-hot feature columns.
 _LOW = np.array([0, -1, 0, 0])
@@ -125,9 +119,10 @@ class MolTensors:
     disjoint-union graph.
 
     Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
-    `relations` holds every bond type's directed edges (see `encoder.encode`),
-    molecule by molecule. `layout` orders each molecule's atom pairs i < j,
-    and `pair_target` marks, in that order, which of them are bonded.
+    `relations` holds the directed edges of each bond type that has any (see
+    `encoder.encode`), molecule by molecule. `layout` orders each molecule's
+    atom pairs i < j, and `pair_target` marks, in that order, which of them
+    are bonded.
     """
 
     features: np.ndarray
@@ -167,14 +162,13 @@ class MolTensors:
             off += n
         n = off
         relations, degree = [], 0
-        for dst, src in zip(dsts, srcs):
-            if not dst:
-                relations.append(_NO_EDGES)
-                continue
-            dst = np.fromiter(dst, np.int64, len(dst))
-            deg = np.bincount(dst, minlength=n)
-            degree = degree + deg
-            relations.append((dst, np.fromiter(src, np.int64, len(src)), 1.0 / deg[dst]))
+        for r, (dst, src) in enumerate(zip(dsts, srcs)):
+            if dst:
+                dst = np.fromiter(dst, np.int64, len(dst))
+                deg = np.bincount(dst, minlength=n)
+                degree = degree + deg
+                src = np.fromiter(src, np.int64, len(src))
+                relations.append((r, nk.Edges(dst, src, 1.0 / deg[dst])))
         cols = np.fromiter(cols, np.int64, len(cols)).reshape(n, 4)
         cols[:, 3] = degree
         np.minimum(np.maximum(cols, _LOW, out=cols), _HIGH, out=cols)  # np.clip dispatches slower
@@ -196,17 +190,15 @@ class MolTensors:
         lo, sizes = (ends - self.sizes)[idx], self.sizes[idx]
         shift = np.cumsum(sizes) - sizes - lo  # each chosen molecule's move
         relations = []
-        for dst, src, w in self.relations:
+        for r, e in self.relations:
             # `dst` runs molecule by molecule, so the atoms of a molecule
             # bound its edges even though `dst` is not sorted within one.
-            first = np.searchsorted(dst, lo)
-            counts = np.searchsorted(dst, lo + sizes) - first
-            e = _ranges(first, counts)
-            if not e.size:
-                relations.append(_NO_EDGES)
-                continue
-            moved = np.repeat(shift, counts)
-            relations.append((dst[e] + moved, src[e] + moved, w[e]))
+            first = np.searchsorted(e.dst, lo)
+            counts = np.searchsorted(e.dst, lo + sizes) - first
+            k = _ranges(first, counts)
+            if k.size:
+                moved = np.repeat(shift, counts)
+                relations.append((r, nk.Edges(e.dst[k] + moved, e.src[k] + moved, e.w[k])))
         return MolTensors(
             features=self.features[_ranges(lo, sizes)],
             relations=tuple(relations),
@@ -236,7 +228,8 @@ def joint_loss(
         raise nk.ShapeMismatch(f"{labels.size} labels for {mt.sizes.size} molecules")
     mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
-    logits = nk.block_pair_dot(z, mt.layout)  # BCE via softplus: no clamp, exact when saturated
+    # BCE via softplus: no clamp, exact when saturated
+    logits = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
     per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
     counts = mt.layout.counts  # each molecule's recon term is its mean over its pairs
     weight = np.repeat(1.0 / np.maximum(counts, 1), counts)
@@ -275,7 +268,9 @@ def pair_probs(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarr
     molecule's atom pairs i < j, in `pair_target` order: logistic of the
     decoder's pair products, from one tape-free pass, checked finite."""
     mt = _built(mols)
-    return nk.tape_free(lambda: nk.logistic(nk.block_pair_dot(_mu(mt, store), mt.layout))).data
+    return nk.tape_free(
+        lambda: nk.logistic(nk.take(nk.block_products(_mu(mt, store), mt.layout), mt.layout.pairs))
+    ).data
 
 
 def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> list[np.ndarray]:

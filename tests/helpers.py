@@ -24,7 +24,7 @@ from molvae.chem import (
     fill_implicit_h,
 )
 from molvae.fingerprint import FpConfig, LengthMismatch
-from molvae.numkernel import PairLayout
+from molvae.numkernel import Edges, PairLayout
 from molvae.smiles import (
     DisconnectedInput,
     EmptyInput,
@@ -114,10 +114,11 @@ def _oracle_one(mol: MolGraph) -> MolTensors:
         src += (j, i)
     relations = []
     bonded = np.zeros((n, n))
-    for dst, src in ends:
-        dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
-        relations.append((dst, src, 1.0 / np.bincount(dst, minlength=n)[dst]))
-        bonded[dst, src] = 1.0
+    for r, (dst, src) in enumerate(ends):
+        if dst:
+            dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
+            relations.append((r, Edges(dst, src, 1.0 / np.bincount(dst, minlength=n)[dst])))
+            bonded[dst, src] = 1.0
     i, j = np.triu_indices(n, k=1)
     return MolTensors(_oracle_features(mol), tuple(relations), bonded[i, j], PairLayout([n]))
 
@@ -129,23 +130,21 @@ def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
     if len(parts) == 1:
         return parts[0]
     offsets = np.cumsum([0] + [len(p.features) for p in parts[:-1]])
-
-    def cat(arrays, shift=False):
-        arrays = list(arrays)
-        out = np.concatenate(arrays)
-        if shift:
-            out += np.repeat(offsets, [a.size for a in arrays])
-        return out
-
+    relations = []
+    for r in range(N_BOND_TYPES):
+        # bond type r's edge lists of the parts that have one, shifted
+        got = [(off, e) for off, p in zip(offsets, parts) for t, e in p.relations if t == r]
+        if got:
+            relations.append((r, Edges(
+                np.concatenate([e.dst + off for off, e in got]),
+                np.concatenate([e.src + off for off, e in got]),
+                np.concatenate([e.w for _, e in got]),
+            )))
     return MolTensors(
-        features=cat(p.features for p in parts),
-        # per relation, the parts' (dst, src, w) arrays regrouped as (dsts, srcs, ws)
-        relations=tuple(
-            (cat(d, shift=True), cat(s, shift=True), cat(w))
-            for d, s, w in (zip(*rel) for rel in zip(*(p.relations for p in parts)))
-        ),
-        pair_target=cat(p.pair_target for p in parts),
-        layout=PairLayout(cat(p.sizes for p in parts)),
+        features=np.concatenate([p.features for p in parts]),
+        relations=tuple(relations),
+        pair_target=np.concatenate([p.pair_target for p in parts]),
+        layout=PairLayout(np.concatenate([p.sizes for p in parts])),
     )
 
 
@@ -153,9 +152,9 @@ def assert_same_tensors(got: MolTensors, want: MolTensors) -> None:
     """Array for array equal, dtypes and edge order included."""
     pairs = [(got.features, want.features), (got.pair_target, want.pair_target), (got.sizes, want.sizes)]
     pairs += [(got.layout.counts, want.layout.counts), (got.layout.first, want.layout.first)]
-    assert len(got.relations) == len(want.relations) == N_BOND_TYPES
-    for g, w in zip(got.relations, want.relations):
-        pairs += zip(g, w)
+    assert [r for r, _ in got.relations] == [r for r, _ in want.relations]
+    for (_, g), (_, w) in zip(got.relations, want.relations):
+        pairs += [(g.dst, w.dst), (g.src, w.src), (g.w, w.w)]
     for g, w in pairs:
         assert g.dtype == w.dtype
         assert g.shape == w.shape

@@ -110,7 +110,7 @@ def test_neighbors_and_degree():
     m = ethanol()
     assert m.degree(1) == 2
     assert sorted(j for j, _ in m.neighbors(1)) == [0, 2]
-    assert m.bond_order_sum(1) == 2.0
+    assert bond_order_sums(m.n_atoms, m.bonds)[1] == 2.0
 
 
 def assert_structure_matches_bond_scans(mol):
@@ -120,7 +120,7 @@ def assert_structure_matches_bond_scans(mol):
     for i in range(mol.n_atoms):
         assert adj[i] == sorted(oracle_neighbors(mol, i)) == mol.neighbors(i)
         assert len(adj[i]) == oracle_degree(mol, i) == mol.degree(i)
-        assert sums[i] == oracle_bond_order_sum(mol, i) == mol.bond_order_sum(i)
+        assert sums[i] == oracle_bond_order_sum(mol, i)
 
 
 @settings(max_examples=100, deadline=None)

@@ -37,7 +37,7 @@ def test_load_csv_basic(tmp_path):
     ds = load_csv(p)
     assert len(ds) == 2
     assert ds.records[0].properties == {"heavy_atoms": 3.0}
-    assert ds.property_names() == ["heavy_atoms"]
+    assert list(ds.records[0].properties) == ["heavy_atoms"]
     assert ds.skipped_count == 0
 
 
@@ -139,7 +139,7 @@ def test_split_deterministic():
 def test_bundled_corpus_contents():
     ds = load_bundled_corpus()
     assert len(ds) == 505
-    assert ds.property_names() == ["heavy_atoms"]
+    assert list(ds.records[0].properties) == ["heavy_atoms"]
     for rec in ds.records:
         assert rec.properties["heavy_atoms"] == rec.mol.n_atoms
     # The five reference drugs are present.

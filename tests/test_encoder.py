@@ -55,9 +55,11 @@ def test_glorot_bound():
 
 
 def neighbor_means(mol, r):
-    """Relation r's neighbor-mean operator applied to the identity, as a dense matrix."""
-    edges = nk.Edges(*MolTensors.from_mol(mol).relations[r])
-    return nk.seg_agg(nk.constant(np.eye(mol.n_atoms)), edges).data
+    """Relation r's neighbor-mean operator applied to the identity, as a dense
+    matrix: zero when the molecule has no bond of type r."""
+    edges = dict(MolTensors.from_mol(mol).relations).get(r)
+    eye = np.eye(mol.n_atoms)
+    return np.zeros_like(eye) if edges is None else nk.seg_agg(nk.constant(eye), edges).data
 
 
 def test_mean_mats_rows_average_neighbors():
@@ -68,15 +70,15 @@ def test_mean_mats_rows_average_neighbors():
 
 
 def test_mean_mats_skip_empty_relations():
-    # Bond types the molecule lacks have no edges, so the encoder skips them.
+    # Bond types the molecule lacks have no entry, so the encoder skips them.
     mol = parse_smiles("C=C")
-    sizes = [dst.size for dst, _, _ in MolTensors.from_mol(mol).relations]
-    assert sizes == [0, 2, 0, 0]
+    sizes = {r: e.dst.size for r, e in MolTensors.from_mol(mol).relations}
+    assert sizes == {1: 2}
 
 
 def test_mean_mats_isolated_node_row_is_zero():
     mol = parse_smiles("C")
-    assert all(dst.size == 0 for dst, _, _ in MolTensors.from_mol(mol).relations)
+    assert MolTensors.from_mol(mol).relations == ()
     assert np.array_equal(neighbor_means(mol, 0), [[0.0]])
 
 
@@ -145,16 +147,21 @@ def test_encoder_is_permutation_equivariant(seed):
 
 
 def test_encode_accepts_precomputed_mean_mats():
-    # Precomputed edge lists: a relation with no edges, or left off the end,
-    # adds nothing.
+    # Precomputed edge lists by bond type: an entry with no edges adds
+    # nothing; dropping an entry with edges changes the output.
     store = init_model_params(seed=0)
     mol = parse_smiles("CC=O")
     mt = MolTensors.from_mol(mol)
-    assert [dst.size for dst, _, _ in mt.relations] == [2, 2, 0, 0]
+    by_type = dict(mt.relations)
+    assert {r: e.dst.size for r, e in by_type.items()} == {0: 2, 1: 2}
+    empty = np.zeros(0, dtype=np.int64)
+    padded = ((0, by_type[0]), (3, nk.Edges(empty, empty, np.zeros(0))), (1, by_type[1]))
     mu1, ls1 = encode(mt.features, mt.relations, store, "mu", "sigma")
-    mu2, ls2 = encode(mt.features, mt.relations[:2], store, "mu", "sigma")
+    mu2, ls2 = encode(mt.features, padded, store, "mu", "sigma")
     assert np.array_equal(mu1.data, mu2.data)
     assert np.array_equal(ls1.data, ls2.data)
+    (mu3,) = encode(mt.features, ((0, by_type[0]),), store, "mu")
+    assert not np.array_equal(mu1.data, mu3.data)
 
 
 # -- pooling -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -84,6 +85,56 @@ def _functions(tree: ast.Module):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body if isinstance(fn, ast.FunctionDef))
+
+
+def _public_api(tree: ast.Module) -> list[str]:
+    """Qualified name of each public function and class at module level, and
+    of each public method of those classes; dunder methods are not public."""
+    names = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    names += [name for name, _ in _functions(tree)]
+    return [name for name in names if not any(part.startswith("_") for part in name.split("."))]
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every identifier a module's code reads, imports or spells in a string
+    that is not a docstring (molbench's tracer names what it wraps that way)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    """Code that no caller needs is deleted: each public function, class and
+    method of the package is named in the package, the benchmark, the
+    scripts or the acceptance tests, not only in its own unit tests."""
+    root = SRC.parents[1]
+    callers = [*MODULES.values()] + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*sorted((root / "molbench").glob("*.py")), *sorted((root / "scripts").glob("*.py"))]
+    ] + [ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]
+    named = set().union(*map(_named, callers))
+    unused = [
+        f"{mod}.{name}"
+        for mod, tree in MODULES.items()
+        for name in _public_api(tree)
+        if name.split(".")[-1] not in named
+    ]
+    assert unused == []
 
 
 def test_only_main_and_the_parser_write_to_stderr():

@@ -171,19 +171,38 @@ def test_index_op_values():
     assert np.array_equal(nk.seg_agg(h, nk.Edges(empty, empty, np.array([]))).data, np.zeros((4, 2)))
 
 
-def test_block_pair_dot_values_and_gradient_on_a_two_molecule_union():
+def test_take_values_gradient_and_empty_positions():
+    store = ParamStore({"a": np.arange(6.0).reshape(2, 3)})
+    flat = np.array([5, 0, 3])
+    taken = nk.take(store["a"], flat)
+    assert np.array_equal(taken.data, [5.0, 0.0, 3.0])
+    # The gradient scatters each output's gradient to its position, zeros elsewhere.
+    grads = backward(nk.reduce_sum(nk.hadamard(constant([1.0, 2.0, 3.0]), taken)), store)
+    assert np.array_equal(grads["a"], [[2.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+    weights = constant(np.random.default_rng(0).uniform(-1.0, 1.0, 3))
+    assert grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.take(s["a"], flat)))), store) < 1e-7
+    none = nk.take(store["a"], np.zeros(0, dtype=np.int64))
+    assert none.shape == (0,)
+    assert np.array_equal(backward(nk.reduce_sum(none), store)["a"], np.zeros((2, 3)))
+
+
+def test_take_of_block_products_values_and_gradient_on_a_two_molecule_union():
     # Molecule 0 is rows 0-1, molecule 1 rows 2-4; its pairs (0,1), (0,2), (1,2).
     store = ParamStore({"z": [[1.0, 0.0], [2.0, 1.0], [0.0, 1.0], [1.0, 1.0], [3.0, -1.0]]})
     z = store["z"]
-    dots = nk.block_pair_dot(z, nk.PairLayout([2, 3]))
-    assert np.array_equal(dots.data, [2.0, 1.0, -1.0, 2.0])
+
+    def dots(layout):
+        return nk.take(nk.block_products(z, layout), layout.pairs)
+
+    union = dots(nk.PairLayout([2, 3]))
+    assert np.array_equal(union.data, [2.0, 1.0, -1.0, 2.0])
     # d/dz of sum_k g_k dot_k: each row gains g_k times its partner in pair k.
     g = nk.constant([1.0, 2.0, 3.0, 4.0])
-    grads = backward(nk.reduce_sum(nk.hadamard(g, dots)), store)
+    grads = backward(nk.reduce_sum(nk.hadamard(g, union)), store)
     assert np.array_equal(grads["z"], [[2.0, 1.0], [1.0, 0.0], [11.0, -1.0], [12.0, -2.0], [4.0, 7.0]])
-    assert nk.block_pair_dot(z, nk.PairLayout([1, 1, 1, 1, 1])).shape == (0,)
+    assert dots(nk.PairLayout([1, 1, 1, 1, 1])).shape == (0,)
     with pytest.raises(ShapeMismatch):
-        nk.block_pair_dot(z, nk.PairLayout([2, 2]))
+        dots(nk.PairLayout([2, 2]))
 
 
 def test_pair_layout_lists_each_blocks_pairs_row_by_row_block_after_block():
@@ -240,7 +259,7 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
     def f(s):
         agg = nk.seg_agg(s["h"], nk.Edges(dst, src, w))
         pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
-        dots = nk.block_pair_dot(nk.add(agg, s["h"]), layout)
+        dots = nk.take(nk.block_products(nk.add(agg, s["h"]), layout), layout.pairs)
         return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.hadamard(pair_w, dots)))
 
     assert grad_check(f, store) < 1e-7

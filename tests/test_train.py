@@ -241,9 +241,9 @@ def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
         seen.add(id(node))
         for arr in _kept_arrays(node):
             assert arr.size < n * n, (node.name, arr.shape, n)
-        if node.name == "block_pair_dot":
-            # The padded (B, m, 16) latent stack and the pair positions in the
-            # (B, m, m) product: sized by the largest molecule, m.
+        if node.name == "block_products":
+            # The padded (B, m, 16) latent stack and its (B, m, m) product:
+            # sized by the largest molecule, m.
             pair_ops += 1
             assert max(arr.size for arr in _kept_arrays(node)) <= b * m * max(m, LATENT_DIM)
         stack.extend(node._parents)
