@@ -4,8 +4,11 @@
 Trains `molvae train --data <bundled corpus> --property heavy_atoms --epochs 3
 --batch 16 --seed 0` in a temporary directory, then prints one `<sha256>
 <name>` line for the checkpoint, its history CSV, and the `--json` output of
-`encode`, `predict` and `reconstruct` for aspirin, caffeine and CCO. Two
-commits whose lines are equal produce the same bytes:
+`encode`, `predict`, `reconstruct` and `fingerprint` for aspirin, caffeine and
+CCO, and of `similar --metric tanimoto|dice|cosine` for each pair of them. Two
+commits whose lines are equal produce the same bytes. To check that a change
+leaves every output as it was, run the same script, from the newer commit, in
+a checkout of each commit:
 
     python3 scripts/golden_digest.py
 """
@@ -13,6 +16,7 @@ commits whose lines are equal produce the same bytes:
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +54,13 @@ def outputs() -> dict[str, bytes]:
         for command in ("encode", "predict", "reconstruct"):
             for name, smi in QUERIES.items():
                 found[f"{command} {name}"] = _stdout([command, "--ckpt", str(ckpt), "--smiles", smi, "--json"])
+    for name, smi in QUERIES.items():
+        found[f"fingerprint {name}"] = _stdout(["fingerprint", "--smiles", smi, "--json"])
+    for (a, sa), (b, sb) in itertools.combinations(QUERIES.items(), 2):
+        for metric in ("tanimoto", "dice", "cosine"):
+            found[f"similar {metric} {a} {b}"] = _stdout([
+                "similar", "--metric", metric, "--smiles", sa, "--smiles", sb, "--json",
+            ])
     return found
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +93,18 @@ class Fingerprint:
     def to_hex(self) -> str:
         """Hex string, nbits/4 chars; bit 0 is the high bit of the first digit."""
         return self.word.to_bytes(self.nbits // 8, "little").translate(_BIT_REVERSED).hex()
+
+    @cached_property
+    def _folds(self) -> dict[int, int]:
+        """The word folded to each shorter length a comparison has asked for."""
+        return {}
+
+    def _folded(self, n: int) -> int:
+        """The word folded to n bits, folded once per n; a LengthMismatch stores nothing."""
+        word = self._folds.get(n)
+        if word is None:
+            word = self._folds[n] = _fold_word(self.word, self.nbits, n)
+        return word
 
 
 # Byte b with its bit order reversed, so that bit 0 becomes the high bit.
@@ -207,17 +221,15 @@ def fnv1a64_array(keys: Sequence[str]) -> np.ndarray:
 
 def splitmix64_array(states: np.ndarray, rounds: int) -> np.ndarray:
     """The first `rounds` splitmix64 outputs from each uint64 state, shape (rounds, n)."""
-    state = states.copy()
-    out = np.empty((rounds, len(state)), dtype=np.uint64)
-    for z in out:
-        state += _GOLDEN_GAMMA
-        np.right_shift(state, 30, out=z)
-        z ^= state
-        z *= _MIX1
-        z ^= z >> 27
-        z *= _MIX2
-        z ^= z >> 31
-    return out
+    # Round k's state is states + k*gamma, all rounds at once: uint64 wraps as k additions do.
+    state = states + np.arange(1, rounds + 1, dtype=np.uint64)[:, None] * _GOLDEN_GAMMA
+    z = state >> 30
+    z ^= state
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
 
 
 def hash_keys(keys: Sequence[str], bits_per_hash: int, nbits: int) -> int:
@@ -278,8 +290,11 @@ def _counts(a: Fingerprint, b: Fingerprint) -> tuple[int, int, int, float | None
     """Common/own on-bit counts, after folding the longer fingerprint down, and
     every metric's score when a fingerprint is empty: 1.0 when both are (they
     are identical), 0.0 when one is (they share nothing), None when neither is."""
-    n = min(a.nbits, b.nbits)
-    x, y = _fold_word(a.word, a.nbits, n), _fold_word(b.word, b.nbits, n)
+    x, y = a.word, b.word
+    if a.nbits > b.nbits:
+        x = a._folded(b.nbits)
+    elif b.nbits > a.nbits:
+        y = b._folded(a.nbits)
     na, nb = x.bit_count(), y.bit_count()
     empty = None if na and nb else 1.0 if na == nb else 0.0
     return (x & y).bit_count(), na, nb, empty
@@ -297,4 +312,4 @@ def dice(a: Fingerprint, b: Fingerprint) -> float:
 
 def cosine(a: Fingerprint, b: Fingerprint) -> float:
     c, na, nb, empty = _counts(a, b)
-    return c / np.sqrt(na * nb) if empty is None else empty
+    return c / sqrt(na * nb) if empty is None else empty

@@ -1,12 +1,14 @@
 """Tests for path and subgraph enumeration, hashing, fingerprints, and metrics."""
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from molvae import fingerprint
 from molvae.chem import Atom, build
 from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.fingerprint import (
@@ -208,6 +210,17 @@ def test_splitmix64_deterministic_and_64bit():
     assert out[:, 0].tolist() == [next(gen) for _ in range(5)]
 
 
+def test_splitmix64_equals_the_per_round_formula_near_the_top_of_uint64():
+    # Round k adds k golden gammas at once; near 2**64 every round's state wraps.
+    states = [2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15, 2**64 - 0x9E3779B97F4A7C15 - 1, 0]
+    for rounds in (1, 2, 3):
+        out = splitmix64_array(np.array(states, dtype=np.uint64), rounds)
+        assert out.dtype == np.uint64 and out.shape == (rounds, len(states))
+        for column, state in zip(out.T.tolist(), states):
+            gen = splitmix64(state)
+            assert column == [next(gen) for _ in range(rounds)]
+
+
 def test_splitmix64_reference_value():
     # splitmix64(0) first output, per the published reference sequence.
     assert splitmix64_array(np.zeros(1, dtype=np.uint64), 1).tolist() == [[0xE220A8397B1DCDAF]]
@@ -384,16 +397,55 @@ def random_positions(rng, nbits):
 
 
 def test_metrics_equal_the_set_formulas_on_mixed_lengths():
+    # Each new fingerprint meets the last few drawn at every length, in both
+    # orders and twice, so most comparisons read a fold an earlier one stored.
     rng = np.random.default_rng(23)
-    for _ in range(3000):
-        lengths = [64 << int(k) for k in rng.integers(0, 6, size=2)]
-        pair = [(random_positions(rng, n), n) for n in lengths]
-        a, b = (Fingerprint(bits, nbits) for bits, nbits in pair)
-        want = oracle_similarities(*pair)
-        assert tanimoto(a, b) == want["tanimoto"]
-        assert dice(a, b) == want["dice"]
-        assert cosine(a, b) == want["cosine"]
-        assert a.to_hex() == oracle_hex(*pair[0])
+    drawn = {64 << k: [] for k in range(6)}
+    for _ in range(400):
+        nbits = 64 << int(rng.integers(0, 6))
+        positions = random_positions(rng, nbits)
+        a = Fingerprint(positions, nbits)
+        assert a.to_hex() == oracle_hex(positions, nbits)
+        for earlier in drawn.values():
+            for b, b_positions in earlier[-2:]:
+                want = oracle_similarities((positions, nbits), (b_positions, b.nbits))
+                for _ in range(2):
+                    for x, y in ((a, b), (b, a)):
+                        assert tanimoto(x, y) == want["tanimoto"]
+                        assert dice(x, y) == want["dice"]
+                        assert cosine(x, y) == want["cosine"]
+        drawn[nbits].append((a, positions))
+
+
+def test_a_fingerprint_folds_to_each_length_once(monkeypatch):
+    calls = []
+
+    def counted(word, nbits, n):
+        calls.append(n)
+        return _fold_word(word, nbits, n)
+
+    monkeypatch.setattr(fingerprint, "_fold_word", counted)
+    rng = np.random.default_rng(5)
+    wide = Fingerprint.from_word(int.from_bytes(rng.bytes(256), "little"), 2048)
+    narrow = [Fingerprint.from_word(w, n) for n in (64, 128) for w in range(1, 51)]
+    for f in narrow:
+        for metric in (tanimoto, dice, cosine):
+            assert metric(wide, f) == metric(f, wide)
+    assert sorted(calls) == [64, 128]
+
+
+def test_a_fingerprint_with_stored_folds_is_still_the_same_value():
+    rng = np.random.default_rng(9)
+    word = int.from_bytes(rng.bytes(256), "little")
+    used, fresh = Fingerprint.from_word(word, 2048), Fingerprint.from_word(word, 2048)
+    for n in (64, 256, 1024):
+        tanimoto(used, fp_of({1, 2, 3}, nbits=n))
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and used.to_hex() == fresh.to_hex()
+    assert used.bits == fresh.bits
+    back = pickle.loads(pickle.dumps(used))
+    assert back == fresh and back.to_hex() == fresh.to_hex()
+    assert tanimoto(back, fp_of({1, 2, 3}, nbits=64)) == tanimoto(fresh, fp_of({1, 2, 3}, nbits=64))
 
 
 # -- similarity metrics --------------------------------------------------
@@ -430,13 +482,23 @@ def test_metric_empty_conventions():
         assert m(a, e) == 0.0
 
 
+def test_metrics_return_python_floats():
+    for a, b in ((fp_of(set()), fp_of(set())), (fp_of({1, 2, 3}), fp_of({2, 3, 4, 5}))):
+        for m in (tanimoto, dice, cosine):
+            assert type(m(a, b)) is float
+
+
 def test_metric_length_mismatch():
-    # Neither length is a power-of-two multiple of the other: incomparable.
-    for m in (tanimoto, dice, cosine):
-        with pytest.raises(LengthMismatch):
-            m(fp_of({1}, nbits=64), fp_of({1}, nbits=96))
-        with pytest.raises(LengthMismatch):
-            m(fp_of({1}, nbits=96), fp_of({1}, nbits=64))
+    # Neither length is a power-of-two multiple of the other: incomparable,
+    # on every repeat, and no fold is stored.
+    short, odd = fp_of({1}, nbits=64), fp_of({1}, nbits=96)
+    for _ in range(3):
+        for m in (tanimoto, dice, cosine):
+            with pytest.raises(LengthMismatch):
+                m(short, odd)
+            with pytest.raises(LengthMismatch):
+                m(odd, short)
+    assert not vars(odd).get("_folds") and not vars(short).get("_folds")
 
 
 def test_metric_folds_longer_fingerprint():
