@@ -208,9 +208,6 @@ def test_splitmix64_deterministic_and_64bit():
     assert len(set(out[:, 0].tolist())) == 5
     gen = splitmix64(42)
     assert out[:, 0].tolist() == [next(gen) for _ in range(5)]
-
-
-def test_splitmix64_equals_the_per_round_formula_near_the_top_of_uint64():
     # Round k adds k golden gammas at once; near 2**64 every round's state wraps.
     states = [2**64 - 1, 2**64 - 2, 2**64 - 0x9E3779B97F4A7C15, 2**64 - 0x9E3779B97F4A7C15 - 1, 0]
     for rounds in (1, 2, 3):
@@ -397,15 +394,23 @@ def random_positions(rng, nbits):
 
 
 def test_metrics_equal_the_set_formulas_on_mixed_lengths():
+    rng = np.random.default_rng(23)
+    for _ in range(3000):
+        lengths = [64 << int(k) for k in rng.integers(0, 6, size=2)]
+        pair = [(random_positions(rng, n), n) for n in lengths]
+        a, b = (Fingerprint(bits, nbits) for bits, nbits in pair)
+        want = oracle_similarities(*pair)
+        assert tanimoto(a, b) == want["tanimoto"]
+        assert dice(a, b) == want["dice"]
+        assert cosine(a, b) == want["cosine"]
+        assert a.to_hex() == oracle_hex(*pair[0])
     # Each new fingerprint meets the last few drawn at every length, in both
     # orders and twice, so most comparisons read a fold an earlier one stored.
-    rng = np.random.default_rng(23)
     drawn = {64 << k: [] for k in range(6)}
     for _ in range(400):
         nbits = 64 << int(rng.integers(0, 6))
         positions = random_positions(rng, nbits)
         a = Fingerprint(positions, nbits)
-        assert a.to_hex() == oracle_hex(positions, nbits)
         for earlier in drawn.values():
             for b, b_positions in earlier[-2:]:
                 want = oracle_similarities((positions, nbits), (b_positions, b.nbits))
