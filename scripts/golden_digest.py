@@ -5,10 +5,13 @@ Trains `molvae train --data <bundled corpus> --property heavy_atoms --epochs 3
 --batch 16 --seed 0` in a temporary directory, then prints one `<sha256>
 <name>` line for the checkpoint, its history CSV, and the `--json` output of
 `encode`, `predict`, `reconstruct` and `fingerprint` for aspirin, caffeine and
-CCO, and of `similar --metric tanimoto|dice|cosine` for each pair of them. Two
-commits whose lines are equal produce the same bytes. To check that a change
-leaves every output as it was, run the same script, from the newer commit, in
-a checkout of each commit:
+CCO, and of `similar --metric tanimoto|dice|cosine` for each pair of them. One
+more line covers the checkpoint's reconstruction, at thresholds 0.5 and 0.2,
+of every corpus molecule and of 50 seeded `corpus.random_molecule` molecules
+drawn with 12-20 atoms: each one's written SMILES, or the writer's error, and
+its validity report. Two commits whose lines are equal produce the same
+bytes. To check that a change leaves every output as it was, run the same
+script, from the newer commit, in a checkout of each commit:
 
     python3 scripts/golden_digest.py
 """
@@ -21,11 +24,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from molvae.cli import main  # noqa: E402
-from molvae.corpus import DRUG_SMILES  # noqa: E402
-from molvae.dataio import bundled_corpus_path  # noqa: E402
+from molvae.corpus import DRUG_SMILES, random_molecule  # noqa: E402
+from molvae.dataio import bundled_corpus_path, load_checkpoint, load_csv  # noqa: E402
+from molvae.smiles import SmilesError, write_smiles  # noqa: E402
+from molvae.vaemodel import reconstruct  # noqa: E402
 
 QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
 
@@ -37,6 +44,25 @@ def _stdout(argv: list[str]) -> bytes:
     if rc != 0:
         raise SystemExit(f"molvae {' '.join(argv)} exited {rc}")
     return out.getvalue().encode("utf-8")
+
+
+def _reconstructions(ckpt: Path) -> bytes:
+    """One line per molecule and threshold: the reconstruction's SMILES or
+    the writer's error, then its validity report."""
+    params, _ = load_checkpoint(ckpt)
+    rng = np.random.default_rng(0)
+    mols = [rec.mol for rec in load_csv(bundled_corpus_path()).records]
+    mols += [random_molecule(rng, int(rng.integers(12, 21))) for _ in range(50)]
+    lines = []
+    for threshold in (0.5, 0.2):
+        for mol in mols:
+            out, report = reconstruct(mol, params, threshold)
+            try:
+                written = write_smiles(out)
+            except SmilesError as exc:
+                written = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{threshold} {written} {report.valid} {report.offending}\n")
+    return "".join(lines).encode("utf-8")
 
 
 def outputs() -> dict[str, bytes]:
@@ -54,6 +80,7 @@ def outputs() -> dict[str, bytes]:
         for command in ("encode", "predict", "reconstruct"):
             for name, smi in QUERIES.items():
                 found[f"{command} {name}"] = _stdout([command, "--ckpt", str(ckpt), "--smiles", smi, "--json"])
+        found["reconstructions"] = _reconstructions(ckpt)
     for name, smi in QUERIES.items():
         found[f"fingerprint {name}"] = _stdout(["fingerprint", "--smiles", smi, "--json"])
     for (a, sa), (b, sb) in itertools.combinations(QUERIES.items(), 2):

@@ -61,12 +61,7 @@ class BondType(IntEnum):
         return _BOND_WEIGHTS[self]
 
 
-_BOND_WEIGHTS = {
-    BondType.SINGLE: 1.0,
-    BondType.DOUBLE: 2.0,
-    BondType.TRIPLE: 3.0,
-    BondType.AROMATIC: 1.5,
-}
+_BOND_WEIGHTS = (1.0, 2.0, 3.0, 1.5)  # indexed by BondType
 
 # SMILES bond symbols; fingerprint keys spell bonds with the same characters.
 BOND_CHAR = {
@@ -146,9 +141,11 @@ def adjacency(mol: MolGraph) -> list[list[tuple[int, BondType]]]:
 def bond_order_sums(n: int, bonds: Iterable[tuple[int, int, BondType]]) -> list[float]:
     """Per atom of n, the summed `BondType.weight` of its bonds, in bond order."""
     out = [0.0] * n
+    weights = _BOND_WEIGHTS
     for i, j, t in bonds:
-        out[i] += t.weight
-        out[j] += t.weight
+        w = weights[t]
+        out[i] += w
+        out[j] += w
     return out
 
 
@@ -177,11 +174,12 @@ def build(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]) -> 
             raise IndexOutOfRange(f"bond ({i}, {j}) references a missing atom")
         if i == j:
             raise SelfLoop(f"self-bond on atom {i}")
-        key = (min(i, j), max(i, j))
+        key = (i, j) if i < j else (j, i)
         if key in canon:
             raise DuplicateBond(f"duplicate bond between atoms {key[0]} and {key[1]}")
         canon[key] = t if isinstance(t, BondType) else BondType(t)
-    ordered = tuple((i, j, canon[(i, j)]) for i, j in sorted(canon))
+    # The pairs are distinct, so the sort never compares two bond types.
+    ordered = tuple(sorted([(i, j, t) for (i, j), t in canon.items()]))
     return MolGraph(atoms=tuple(atoms), bonds=ordered)
 
 

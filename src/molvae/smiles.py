@@ -21,6 +21,9 @@ from .chem import (
 
 _BOND_CHARS = {ch: t for t, ch in BOND_CHAR.items()}
 
+# The written form of ring-bond labels 1-99; index 0 is never used.
+_RING_LABELS = tuple(str(num) if num <= 9 else f"%{num:02d}" for num in range(100))
+
 # One SMILES token per match; `other` takes any single character no other
 # group does, and is an error. Digits are ASCII: `\d` would also take other
 # scripts' digits, which SMILES does not allow.
@@ -276,7 +279,7 @@ def write_smiles(mol: MolGraph) -> str:
         u, it = stack[-1]
         advanced = False
         for v, t in it:
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if not visited[v]:
                 visited[v] = True
                 tree_children[u].append((v, t))
@@ -296,9 +299,6 @@ def write_smiles(mol: MolGraph) -> str:
 
     aromatic = aromatic_atoms(mol)
     orders = bond_order_sums(n, mol.bonds)
-
-    def ring_digit(num: int) -> str:
-        return str(num) if num <= 9 else f"%{num:02d}"
 
     out: list[str] = []
     # Labels are assigned as they are written: a new ring bond takes the
@@ -335,7 +335,7 @@ def write_smiles(mol: MolGraph) -> str:
                 if num > 99:
                     raise SmilesError("needs more than 99 ring-closure labels at once")
                 open_labels[(u, partner)] = num
-            out.append(ring_digit(num))
+            out.append(_RING_LABELS[num])
         for num in closed:
             heapq.heappush(free_labels, num)
         # Pushed in reverse: every child but the last is a parenthesised branch.

@@ -4,7 +4,9 @@ that records no tape."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -17,6 +19,7 @@ _P_CLAMP = 1e-12
 
 # A pair is bonded in a reconstruction when its decoded probability exceeds this.
 EDGE_THRESHOLD = 0.5
+_BOND_TYPES = tuple(BondType)  # indexed by value
 
 # Every learnable tensor of the model, in the order `init_model_params` draws them.
 PARAM_SHAPES = {
@@ -122,13 +125,17 @@ class MolTensors:
     `relations` holds the directed edges of each bond type that has any (see
     `encoder.encode`), molecule by molecule. `layout` orders each molecule's
     atom pairs i < j, and `pair_target` marks, in that order, which of them
-    are bonded.
+    are bonded; `make_target` builds it when it is first read.
     """
 
     features: np.ndarray
     relations: encoder.Relations
-    pair_target: np.ndarray
     layout: nk.PairLayout
+    make_target: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def pair_target(self) -> np.ndarray:
+        return self.make_target()
 
     @property
     def sizes(self) -> np.ndarray:
@@ -176,7 +183,7 @@ class MolTensors:
         features = np.zeros((n, chem.FEATURE_DIM))
         features[np.arange(n)[:, None], cols] = 1.0
         layout = nk.PairLayout(sizes)
-        return cls(features, tuple(relations), layout.marks(pairs), layout)
+        return cls(features, tuple(relations), layout, lambda: layout.marks(pairs))
 
     @classmethod
     def from_mol(cls, mol: MolGraph) -> "MolTensors":
@@ -199,11 +206,12 @@ class MolTensors:
             if k.size:
                 moved = np.repeat(shift, counts)
                 relations.append((r, nk.Edges(e.dst[k] + moved, e.src[k] + moved, e.w[k])))
+        pairs = _ranges(self.layout.first[idx], self.layout.counts[idx])
         return MolTensors(
             features=self.features[_ranges(lo, sizes)],
             relations=tuple(relations),
-            pair_target=self.pair_target[_ranges(self.layout.first[idx], self.layout.counts[idx])],
             layout=nk.PairLayout(sizes),
+            make_target=lambda: self.pair_target[pairs],
         )
 
 
@@ -326,19 +334,21 @@ def reconstruct_from_probs(
 ) -> tuple[MolGraph, ValidityReport]:
     """Rebuild `mol`'s bonds from decoded edge probabilities.
 
-    Edges are pairs whose decoded probability exceeds the threshold; the bond
+    `probs` is n x n, and only its strict upper triangle is read: edges are
+    the pairs i < j whose decoded probability exceeds the threshold; the bond
     type is copied from the input where the pair was bonded there, otherwise
     Single. Implicit hydrogens are refit to the lowest valid count per atom;
     atoms with no valid count are reported as offending.
     """
     n = mol.n_atoms
-    input_types = {(i, j): t for i, j, t in mol.bonds}
-    rows, cols = np.nonzero(probs > threshold)  # row-major: the i < j pairs keep the loop's order
-    bonds = [
-        (i, j, input_types.get((i, j), BondType.SINGLE))
-        for i, j in zip(rows.tolist(), cols.tolist())
-        if i < j
-    ]
+    if np.shape(probs) != (n, n):
+        raise nk.ShapeMismatch(f"probability shape {np.shape(probs)} vs {n} atoms")
+    types = np.zeros((n, n), dtype=np.int64)  # BondType.SINGLE is 0
+    for i, j, t in mol.bonds:
+        types[i, j] = t
+    rows, cols = np.nonzero(np.triu(probs > threshold, 1))  # the pairs i < j, row by row
+    kinds = map(_BOND_TYPES.__getitem__, types[rows, cols].tolist())
+    bonds = list(zip(rows.tolist(), cols.tolist(), kinds))
     order = chem.bond_order_sums(n, bonds)
     atoms = []
     offending = []

@@ -1,5 +1,6 @@
 """Shared test helpers, and straightforward oracles for the SMILES parser, the
-fingerprint module, molecule tensors and the decoder's pair products."""
+fingerprint module, molecule tensors, the decoder's pair products and
+reconstruction."""
 
 import itertools
 from collections import Counter
@@ -17,6 +18,7 @@ from molvae.chem import (
     BondType,
     ChemError,
     MolGraph,
+    ValidityReport,
     adjacency,
     aromatic_atoms,
     bond_order_sums,
@@ -120,7 +122,7 @@ def _oracle_one(mol: MolGraph) -> MolTensors:
             relations.append((r, Edges(dst, src, 1.0 / np.bincount(dst, minlength=n)[dst])))
             bonded[dst, src] = 1.0
     i, j = np.triu_indices(n, k=1)
-    return MolTensors(_oracle_features(mol), tuple(relations), bonded[i, j], PairLayout([n]))
+    return MolTensors(_oracle_features(mol), tuple(relations), PairLayout([n]), lambda: bonded[i, j])
 
 
 def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
@@ -143,8 +145,8 @@ def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
     return MolTensors(
         features=np.concatenate([p.features for p in parts]),
         relations=tuple(relations),
-        pair_target=np.concatenate([p.pair_target for p in parts]),
         layout=PairLayout(np.concatenate([p.sizes for p in parts])),
+        make_target=lambda: np.concatenate([p.pair_target for p in parts]),
     )
 
 
@@ -203,6 +205,31 @@ def oracle_degree(mol: MolGraph, i: int) -> int:
 
 def oracle_bond_order_sum(mol: MolGraph, i: int) -> float:
     return sum(t.weight for a, b, t in mol.bonds if i in (a, b))
+
+
+def oracle_reconstruct_from_probs(
+    mol: MolGraph, probs: np.ndarray, threshold: float
+) -> tuple[MolGraph, ValidityReport]:
+    """`vaemodel.reconstruct_from_probs`, one atom pair at a time: each pair
+    i < j, row by row, is bonded when its entry exceeds the threshold, with
+    the input's type of that pair or Single; each atom takes the fewest
+    hydrogens that reach an allowed valence, or none and is offending."""
+    n = mol.n_atoms
+    input_types = {(i, j): t for i, j, t in mol.bonds}
+    bonds = [
+        (i, j, input_types.get((i, j), BondType.SINGLE))
+        for i in range(n)
+        for j in range(n)
+        if i < j and probs[i, j] > threshold
+    ]
+    atoms, offending = [], []
+    for i, atom in enumerate(mol.atoms):
+        order = sum(t.weight for a, b, t in bonds if i in (a, b))
+        h = fill_implicit_h(atom.element, atom.formal_charge, order)
+        if h is None:
+            offending.append(i)
+        atoms.append(Atom(atom.element, atom.formal_charge, h or 0))
+    return MolGraph(tuple(atoms), tuple(bonds)), ValidityReport(not offending, tuple(offending))
 
 
 # -- fingerprint oracles: positions as sets, keys rebuilt from the molecule ---

@@ -72,6 +72,15 @@ def test_build_converts_bond_type_values_and_keeps_members():
     plain = build(atoms, [(0, 1, 3), (1, 2, 1)])
     assert plain == typed
     assert [type(t) for _, _, t in plain.bonds] == [BondType, BondType]
+    # Flipped pairs of mixed types come out sorted, every type a member.
+    mixed = build(atoms + atoms[:2], [(4, 3, 1), (1, 0, BondType.TRIPLE), (3, 0, np.int64(3)), (2, 1, 0)])
+    assert mixed.bonds == (
+        (0, 1, BondType.TRIPLE),
+        (0, 3, BondType.AROMATIC),
+        (1, 2, BondType.SINGLE),
+        (3, 4, BondType.DOUBLE),
+    )
+    assert [type(t) for _, _, t in mixed.bonds] == [BondType] * 4
     with pytest.raises(ValueError):
         build(atoms, [(0, 1, 4)])
 
@@ -97,6 +106,25 @@ def test_duplicate_bond_rejected_even_when_flipped():
 def test_bond_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         build([Atom("C")], [(0, 1, BondType.SINGLE)])
+
+
+def test_build_checks_each_bond_in_order_and_names_it():
+    # Per bond: the range check, then the self-loop check, then the duplicate
+    # check; the first bond that fails names the error.
+    atoms = [Atom("C"), Atom("C"), Atom("C")]
+    cases = [
+        ([(3, 3, 0)], IndexOutOfRange, "bond (3, 3) references a missing atom"),
+        ([(-1, 0, 0)], IndexOutOfRange, "bond (-1, 0) references a missing atom"),
+        ([(1, 1, 0), (1, 1, 0)], SelfLoop, "self-bond on atom 1"),
+        ([(0, 1, 0), (1, 1, 0), (0, 5, 0)], SelfLoop, "self-bond on atom 1"),
+        ([(0, 1, 0), (0, 1, 0), (2, 2, 0)], DuplicateBond, "duplicate bond between atoms 0 and 1"),
+        ([(2, 1, 0), (1, 2, 1)], DuplicateBond, "duplicate bond between atoms 1 and 2"),
+        ([(0, 2, 0), (2, 0, 3), (0, 9, 0)], DuplicateBond, "duplicate bond between atoms 0 and 2"),
+    ]
+    for bonds, error, message in cases:
+        with pytest.raises(error) as info:
+            build(atoms, bonds)
+        assert str(info.value) == message
 
 
 def test_charge_and_h_bounds():

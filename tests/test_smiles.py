@@ -244,6 +244,20 @@ def test_writer_reuses_ring_labels():
     assert write_smiles(parse_smiles("C1CC1CC1CC1")) == "C1CC1CC1CC1"
 
 
+def test_writer_output_with_two_digit_ring_labels_is_fixed():
+    # A complete graph on 7 atoms with a double bond and a bracket atom, and
+    # one on 8: labels %10 to %17 are opened, closed and taken again.
+    atoms = [Atom("C")] * 5 + [Atom("N", 1, 0), Atom("O")]
+    bonds = [(i, j, BondType.SINGLE) for i in range(7) for j in range(i + 1, 7)]
+    bonds[0] = (0, 1, BondType.DOUBLE)
+    assert write_smiles(build(atoms, bonds)) == "C12345=C6789C1%10%11%12C261%13C37%102[N+]48%111O59%12%132"
+    eight = complete_graph(8)
+    assert write_smiles(eight) == (
+        "C123456C789%10%11C1%12%13%14%15C271%16%17C38%1227C49%1313C5%10%14%162C6%11%15%1773"
+    )
+    assert is_isomorphic(parse_smiles(write_smiles(eight)), eight)
+
+
 def test_writer_round_trips_a_3000_atom_chain():
     # Deeper than Python's recursion limit: a plain chain, and one with a branch at every atom.
     chain = "C" * 3000

@@ -35,7 +35,13 @@ from molvae.vaemodel import (
     side_predict,
 )
 
-from helpers import assert_same_tensors, oracle_mol_tensors, oracle_pair_dot, union_pairs
+from helpers import (
+    assert_same_tensors,
+    oracle_mol_tensors,
+    oracle_pair_dot,
+    oracle_reconstruct_from_probs,
+    union_pairs,
+)
 
 
 # -- parameters ----------------------------------------------------------
@@ -589,3 +595,57 @@ def test_a_bond_type_without_edges_has_no_entry():
     _, bd = joint_loss(atoms, [1.0, 1.0, 1.0], store, noise)
     assert bd.recon == 0.0 and np.isfinite(bd.total)
     assert pooled_vectors(atoms, store).shape == (3, 64)
+
+
+def test_pair_targets_are_built_only_when_read(monkeypatch):
+    # Inference on one molecule never reads its pair targets, so it never
+    # marks them; the loss and a selected batch mark the batch's targets once.
+    calls = []
+    marks = nk.PairLayout.marks
+    monkeypatch.setattr(nk.PairLayout, "marks", lambda self, pairs: calls.append(1) or marks(self, pairs))
+    store = init_model_params(seed=0)
+    mol = parse_smiles(DRUG_SMILES["caffeine"])
+    vaemodel.decode_probs(mol, store)
+    pooled_vector(mol, store)
+    predict(mol, store)
+    reconstruct(mol, store)
+    full = MolTensors.from_mols([mol, parse_smiles("CCO")])
+    part = full.select([1])
+    assert calls == []
+    assert part.pair_target.tolist() == [1.0, 0.0, 1.0]  # CCO's pairs (0, 1), (0, 2), (1, 2)
+    assert part.pair_target is part.pair_target
+    assert full.pair_target.sum() == len(mol.bonds) + 2
+    assert len(calls) == 1
+    joint_loss(mol, 1.0, store, np.zeros((mol.n_atoms, LATENT_DIM)))
+    assert len(calls) == 2
+
+
+# -- reconstruction against its oracle -----------------------------------
+
+_THRESHOLD = st.sampled_from([-0.1, 0.0, 0.2, 0.5, 1.0, 1.1]) | st.floats(-0.1, 1.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MOLECULE, st.integers(0, 2**32 - 1), _THRESHOLD, st.floats(0.0, 1.0))
+@example(_SPECIAL["single atom"], 0, 0.5, 0.5)
+@example(_SPECIAL["bondless"], 1, -0.1, 0.0)
+@example(_SPECIAL["no atoms"], 2, 0.5, 0.0)
+@example(_SPECIAL["not made by build"], 3, 0.5, 0.3)
+@example(_SPECIAL["aromatic drug"], 4, 0.5, 1.0)
+def test_reconstruct_from_probs_matches_a_per_pair_loop(mol, seed, threshold, tie_share):
+    # An asymmetric matrix over [-0.2, 1.2], with a share of its entries
+    # exactly at the threshold: only the strict upper triangle counts.
+    rng = np.random.default_rng(seed)
+    n = mol.n_atoms
+    probs = rng.uniform(-0.2, 1.2, (n, n))
+    probs[rng.random((n, n)) < tie_share] = threshold
+    got = reconstruct_from_probs(mol, probs, threshold)
+    assert got == oracle_reconstruct_from_probs(mol, probs, threshold)
+    assert all(type(t) is BondType for _, _, t in got[0].bonds)
+
+
+def test_reconstruct_from_probs_rejects_a_matrix_of_another_size():
+    mol = parse_smiles("CCO")
+    for shape in ((4, 4), (2, 2), (3,), (3, 3, 1)):
+        with pytest.raises(nk.ShapeMismatch, match="3 atoms"):
+            reconstruct_from_probs(mol, np.full(shape, 0.9))
