@@ -9,9 +9,13 @@ CCO, and of `similar --metric tanimoto|dice|cosine` for each pair of them. One
 more line covers the checkpoint's reconstruction, at thresholds 0.5 and 0.2,
 of every corpus molecule and of 50 seeded `corpus.random_molecule` molecules
 drawn with 12-20 atoms: each one's written SMILES, or the writer's error, and
-its validity report. Two commits whose lines are equal produce the same
-bytes. To check that a change leaves every output as it was, run the same
-script, from the newer commit, in a checkout of each commit:
+its validity report. The `evaluation` line covers the `repr`s of the
+checkpoint's `evaluate_edge_auc` on the training and held-out parts of the
+corpus's `split(0.8, seed=0)`, its `evaluate_validity` on the held-out part
+and its `fit_probe` R^2 on the whole corpus. Two commits whose lines are
+equal produce the same bytes. To check that a change leaves every output as
+it was, run the same script, from the newer commit, in a checkout of each
+commit:
 
     python3 scripts/golden_digest.py
 """
@@ -32,6 +36,7 @@ from molvae.cli import main  # noqa: E402
 from molvae.corpus import DRUG_SMILES, random_molecule  # noqa: E402
 from molvae.dataio import bundled_corpus_path, load_checkpoint, load_csv  # noqa: E402
 from molvae.smiles import SmilesError, write_smiles  # noqa: E402
+from molvae.train import evaluate_edge_auc, evaluate_validity, fit_probe  # noqa: E402
 from molvae.vaemodel import reconstruct  # noqa: E402
 
 QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
@@ -65,6 +70,20 @@ def _reconstructions(ckpt: Path) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
+def _evaluation(ckpt: Path) -> bytes:
+    """The repr of each evaluation that criterion 3 makes, one per line."""
+    params, _ = load_checkpoint(ckpt)
+    full = load_csv(bundled_corpus_path())
+    train_part, heldout = full.split(0.8, seed=0)
+    found = {
+        "train edge AUC": evaluate_edge_auc(params, train_part),
+        "held-out edge AUC": evaluate_edge_auc(params, heldout),
+        "held-out validity": evaluate_validity(params, heldout),
+        "probe R^2": fit_probe(params, full, "heavy_atoms", seed=0)[1],
+    }
+    return "".join(f"{name} {value!r}\n" for name, value in found.items()).encode("utf-8")
+
+
 def outputs() -> dict[str, bytes]:
     """Each output of the run by name."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,6 +100,7 @@ def outputs() -> dict[str, bytes]:
             for name, smi in QUERIES.items():
                 found[f"{command} {name}"] = _stdout([command, "--ckpt", str(ckpt), "--smiles", smi, "--json"])
         found["reconstructions"] = _reconstructions(ckpt)
+        found["evaluation"] = _evaluation(ckpt)
     for name, smi in QUERIES.items():
         found[f"fingerprint {name}"] = _stdout(["fingerprint", "--smiles", smi, "--json"])
     for (a, sa), (b, sb) in itertools.combinations(QUERIES.items(), 2):

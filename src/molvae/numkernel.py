@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import cached_property
-from itertools import accumulate
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -253,24 +252,15 @@ def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
 class PairLayout:
     """The one order of the row pairs of a batch of blocks: block b is
     `sizes[b]` consecutive rows, and its pairs i < j come row by row, block
-    after block. Holds each block's pair count and first pair, and pads the
-    blocks to a (B, m, width) stack, m the largest block's row count."""
+    after block. Holds each block's pair count, and pads the blocks to a
+    (B, m, width) stack, m the largest block's row count."""
 
     def __init__(self, sizes):
         self.sizes = np.asarray(sizes, dtype=np.int64)
         sizes = self.sizes.tolist()  # a batch is small: Python ints beat numpy's per-call cost
         counts = [n * (n - 1) // 2 for n in sizes]
         self.counts = np.array(counts, dtype=np.int64)
-        self.first = np.array([0, *accumulate(counts)][:-1], dtype=np.int64)
         self.m = max(sizes, default=0)
-
-    def marks(self, pairs: Iterable[tuple[int, int, int]]) -> np.ndarray:
-        """1.0 at each pair (b, i, j), i < j, of block b, and 0.0 at every other
-        pair, in the layout's order (row i of a block of n starts at i(2n-i-1)/2)."""
-        first, counts, sizes = self.first.tolist(), self.counts.tolist(), self.sizes.tolist()
-        out = np.zeros(first[-1] + counts[-1] if first else 0)
-        out[[first[b] + i * (2 * sizes[b] - i - 3) // 2 + j - 1 for b, i, j in pairs]] = 1.0
-        return out
 
     @cached_property
     def pairs(self) -> np.ndarray:

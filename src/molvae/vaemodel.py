@@ -4,9 +4,8 @@ that records no tape."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -125,17 +124,20 @@ class MolTensors:
     `relations` holds the directed edges of each bond type that has any (see
     `encoder.encode`), molecule by molecule. `layout` orders each molecule's
     atom pairs i < j, and `pair_target` marks, in that order, which of them
-    are bonded; `make_target` builds it when it is first read.
+    are bonded: it is read from the edge lists when it is first read.
     """
 
     features: np.ndarray
     relations: encoder.Relations
     layout: nk.PairLayout
-    make_target: Callable[[], np.ndarray] = field(repr=False)
 
     @cached_property
     def pair_target(self) -> np.ndarray:
-        return self.make_target()
+        rows, m = self.layout.rows, self.layout.m
+        dense = np.zeros(self.sizes.size * m * m)  # the (B, m, m) padded blocks
+        for _, e in self.relations:
+            dense[rows[e.dst] * m + rows[e.src] % m] = 1.0
+        return dense[self.layout.pairs]
 
     @property
     def sizes(self) -> np.ndarray:
@@ -147,16 +149,16 @@ class MolTensors:
         indices shift past the atoms before it.
 
         One Python pass gathers each atom's element, charge and H count, and
-        each bond's shifted ends under its type and its pair; the rest is
-        whole-array work. A feature row is four one-hots:
+        each bond's shifted ends under its type; the rest is whole-array
+        work. A feature row is four one-hots:
         element (10) | charge in {-1, 0, +1}, clamped (3) | implicit H 0..4
         (5) | heavy-atom degree 0..4, clamped (5) | zero pad to 32.
         """
-        sizes, cols, pairs = [], [], []
+        sizes, cols = [], []
         dsts = [[] for _ in range(chem.N_BOND_TYPES)]
         srcs = [[] for _ in range(chem.N_BOND_TYPES)]
         off = 0
-        for b, mol in enumerate(mols):
+        for mol in mols:
             n = len(mol.atoms)
             sizes.append(n)
             for a in mol.atoms:
@@ -164,8 +166,6 @@ class MolTensors:
             for i, j, t in mol.bonds:
                 dsts[t] += (i + off, j + off)
                 srcs[t] += (j + off, i + off)
-                # a graph not made by `chem.build` may list a bond as (j, i)
-                pairs.append((b, i, j) if i < j else (b, j, i))
             off += n
         n = off
         relations, degree = [], 0
@@ -182,8 +182,7 @@ class MolTensors:
         cols += _BASE
         features = np.zeros((n, chem.FEATURE_DIM))
         features[np.arange(n)[:, None], cols] = 1.0
-        layout = nk.PairLayout(sizes)
-        return cls(features, tuple(relations), layout, lambda: layout.marks(pairs))
+        return cls(features, tuple(relations), nk.PairLayout(sizes))
 
     @classmethod
     def from_mol(cls, mol: MolGraph) -> "MolTensors":
@@ -191,7 +190,7 @@ class MolTensors:
 
     def select(self, idx) -> "MolTensors":
         """The tensors of molecules `idx`, in that order, as `from_mols` of
-        them would build them: each one's rows, edges and pairs, renumbered."""
+        them would build them: each one's rows and edges, renumbered."""
         idx = np.asarray(idx, dtype=np.int64)
         ends = np.cumsum(self.sizes)
         lo, sizes = (ends - self.sizes)[idx], self.sizes[idx]
@@ -206,12 +205,10 @@ class MolTensors:
             if k.size:
                 moved = np.repeat(shift, counts)
                 relations.append((r, nk.Edges(e.dst[k] + moved, e.src[k] + moved, e.w[k])))
-        pairs = _ranges(self.layout.first[idx], self.layout.counts[idx])
         return MolTensors(
             features=self.features[_ranges(lo, sizes)],
             relations=tuple(relations),
             layout=nk.PairLayout(sizes),
-            make_target=lambda: self.pair_target[pairs],
         )
 
 
@@ -345,7 +342,7 @@ def reconstruct_from_probs(
         raise nk.ShapeMismatch(f"probability shape {np.shape(probs)} vs {n} atoms")
     types = np.zeros((n, n), dtype=np.int64)  # BondType.SINGLE is 0
     for i, j, t in mol.bonds:
-        types[i, j] = t
+        types[i, j] = types[j, i] = t  # a graph not made by `chem.build` may list a bond as (j, i)
     rows, cols = np.nonzero(np.triu(probs > threshold, 1))  # the pairs i < j, row by row
     kinds = map(_BOND_TYPES.__getitem__, types[rows, cols].tolist())
     bonds = list(zip(rows.tolist(), cols.tolist(), kinds))

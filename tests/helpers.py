@@ -106,8 +106,7 @@ def _oracle_features(mol: MolGraph) -> np.ndarray:
 
 
 def _oracle_one(mol: MolGraph) -> MolTensors:
-    """One molecule's tensors, bond by bond, with pair targets read off a dense
-    bonded matrix."""
+    """One molecule's tensors, bond by bond."""
     n = mol.n_atoms
     ends = [([], []) for _ in range(N_BOND_TYPES)]
     for i, j, t in mol.bonds:
@@ -115,14 +114,11 @@ def _oracle_one(mol: MolGraph) -> MolTensors:
         dst += (i, j)
         src += (j, i)
     relations = []
-    bonded = np.zeros((n, n))
     for r, (dst, src) in enumerate(ends):
         if dst:
             dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
             relations.append((r, Edges(dst, src, 1.0 / np.bincount(dst, minlength=n)[dst])))
-            bonded[dst, src] = 1.0
-    i, j = np.triu_indices(n, k=1)
-    return MolTensors(_oracle_features(mol), tuple(relations), PairLayout([n]), lambda: bonded[i, j])
+    return MolTensors(_oracle_features(mol), tuple(relations), PairLayout([n]))
 
 
 def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
@@ -146,14 +142,26 @@ def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
         features=np.concatenate([p.features for p in parts]),
         relations=tuple(relations),
         layout=PairLayout(np.concatenate([p.sizes for p in parts])),
-        make_target=lambda: np.concatenate([p.pair_target for p in parts]),
     )
 
 
-def assert_same_tensors(got: MolTensors, want: MolTensors) -> None:
-    """Array for array equal, dtypes and edge order included."""
-    pairs = [(got.features, want.features), (got.pair_target, want.pair_target), (got.sizes, want.sizes)]
-    pairs += [(got.layout.counts, want.layout.counts), (got.layout.first, want.layout.first)]
+def oracle_pair_target(mols: Sequence[MolGraph]) -> np.ndarray:
+    """`MolTensors.pair_target`: the strict upper triangle of each molecule's
+    dense adjacency, row by row, molecule after molecule."""
+    parts = [np.zeros(0)]
+    for mol in mols:
+        bonded = np.zeros((mol.n_atoms, mol.n_atoms))
+        for i, j, _ in mol.bonds:
+            bonded[i, j] = bonded[j, i] = 1.0
+        parts.append(bonded[np.triu_indices(mol.n_atoms, k=1)])
+    return np.concatenate(parts)
+
+
+def assert_same_tensors(got: MolTensors, want: MolTensors, target: np.ndarray) -> None:
+    """Array for array equal, dtypes and edge order included, and `got`'s pair
+    targets equal to `target`."""
+    pairs = [(got.features, want.features), (got.pair_target, target)]
+    pairs += [(got.sizes, want.sizes), (got.layout.counts, want.layout.counts)]
     assert [r for r, _ in got.relations] == [r for r, _ in want.relations]
     for (_, g), (_, w) in zip(got.relations, want.relations):
         pairs += [(g.dst, w.dst), (g.src, w.src), (g.w, w.w)]
@@ -215,9 +223,9 @@ def oracle_reconstruct_from_probs(
     the input's type of that pair or Single; each atom takes the fewest
     hydrogens that reach an allowed valence, or none and is offending."""
     n = mol.n_atoms
-    input_types = {(i, j): t for i, j, t in mol.bonds}
+    input_types = {frozenset((i, j)): t for i, j, t in mol.bonds}  # a bond may be listed as (j, i)
     bonds = [
-        (i, j, input_types.get((i, j), BondType.SINGLE))
+        (i, j, input_types.get(frozenset((i, j)), BondType.SINGLE))
         for i in range(n)
         for j in range(n)
         if i < j and probs[i, j] > threshold

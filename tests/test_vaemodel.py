@@ -39,6 +39,7 @@ from helpers import (
     assert_same_tensors,
     oracle_mol_tensors,
     oracle_pair_dot,
+    oracle_pair_target,
     oracle_reconstruct_from_probs,
     union_pairs,
 )
@@ -554,7 +555,13 @@ _SPECIAL = {
         atoms=(Atom("C", 0, 3), Atom("C", 0, 2), Atom("O", 0, 0)),
         bonds=((2, 1, BondType.SINGLE), (0, 2, BondType.DOUBLE)),
     ),
+    "double bond listed (j, i)": MolGraph(
+        atoms=(Atom("C", 0, 3), Atom("C", 0, 1), Atom("O", 0, 0)),
+        bonds=((1, 0, BondType.SINGLE), (2, 1, BondType.DOUBLE)),
+    ),
 }
+# Double and triple bonds each in only one molecule, and a 1- and a 0-atom one.
+_MIXED = [_SPECIAL[k] for k in ("double bond listed (j, i)", "single atom", "triple bond", "no atoms")]
 _MOLECULE = st.one_of(
     st.sampled_from(_CORPUS),
     st.integers(0, 2**32 - 1).map(lambda seed: random_molecule(np.random.default_rng(seed), 12 + seed % 9)),
@@ -567,19 +574,37 @@ _MOLECULE = st.one_of(
 @example(list(_SPECIAL.values()))
 @example([_SPECIAL["no atoms"]])
 @example([_SPECIAL["bondless"], _SPECIAL["single atom"], _SPECIAL["no atoms"]])
+@example(_MIXED)
 def test_from_mols_matches_building_each_molecule_alone(mols):
-    assert_same_tensors(MolTensors.from_mols(mols), oracle_mol_tensors(mols))
-    assert_same_tensors(MolTensors.from_mol(mols[0]), oracle_mol_tensors(mols[:1]))
+    assert_same_tensors(MolTensors.from_mols(mols), oracle_mol_tensors(mols), oracle_pair_target(mols))
+    one = mols[:1]
+    assert_same_tensors(MolTensors.from_mol(one[0]), oracle_mol_tensors(one), oracle_pair_target(one))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_select_equals_from_mols_of_the_chosen_molecules(data):
     mols = data.draw(st.lists(_MOLECULE, min_size=1, max_size=12))
-    idx = data.draw(st.permutations(range(len(mols))))[: data.draw(st.integers(1, len(mols)))]
+    if data.draw(st.booleans()):
+        idx = data.draw(st.permutations(range(len(mols))))[: data.draw(st.integers(1, len(mols)))]
+    else:  # with repeats
+        idx = data.draw(st.lists(st.integers(0, len(mols) - 1), min_size=1, max_size=2 * len(mols)))
+    chosen = [mols[i] for i in idx]
     full = MolTensors.from_mols(mols)
-    assert_same_tensors(full.select(idx), MolTensors.from_mols([mols[i] for i in idx]))
-    assert_same_tensors(full.select(np.arange(len(mols))), full)
+    assert_same_tensors(full.select(idx), MolTensors.from_mols(chosen), oracle_pair_target(chosen))
+    assert_same_tensors(full.select(np.arange(len(mols))), full, oracle_pair_target(mols))
+
+
+def test_select_with_repeated_molecules_reads_each_copys_targets():
+    full = MolTensors.from_mols(_MIXED)
+    idx = [2, 0, 2, 1, 3, 0]
+    part = full.select(idx)
+    assert part.sizes.tolist() == [3, 3, 3, 1, 0, 3]
+    # CC#N: (0, 1), (1, 2) bonded; the (j, i)-listed chain C-C=O likewise.
+    assert part.pair_target.tolist() == [1.0, 0.0, 1.0] * 4
+    assert [r for r, _ in part.relations] == [0, 1, 2]
+    chosen = [_MIXED[i] for i in idx]
+    assert_same_tensors(part, MolTensors.from_mols(chosen), oracle_pair_target(chosen))
 
 
 def test_a_bond_type_without_edges_has_no_entry():
@@ -599,25 +624,32 @@ def test_a_bond_type_without_edges_has_no_entry():
 
 def test_pair_targets_are_built_only_when_read(monkeypatch):
     # Inference on one molecule never reads its pair targets, so it never
-    # marks them; the loss and a selected batch mark the batch's targets once.
-    calls = []
-    marks = nk.PairLayout.marks
-    monkeypatch.setattr(nk.PairLayout, "marks", lambda self, pairs: calls.append(1) or marks(self, pairs))
+    # builds them; the loss, and a batch whose targets are read, build them once.
+    built = []
+    raw = vars(MolTensors)["from_mols"]
+
+    def keeping(cls, mols):
+        built.append(raw.__func__(cls, mols))
+        return built[-1]
+
+    monkeypatch.setattr(MolTensors, "from_mols", classmethod(keeping))
     store = init_model_params(seed=0)
     mol = parse_smiles(DRUG_SMILES["caffeine"])
     vaemodel.decode_probs(mol, store)
     pooled_vector(mol, store)
     predict(mol, store)
     reconstruct(mol, store)
+    assert len(built) == 4 and all("pair_target" not in vars(mt) for mt in built)
     full = MolTensors.from_mols([mol, parse_smiles("CCO")])
     part = full.select([1])
-    assert calls == []
+    assert "pair_target" not in vars(full) and "pair_target" not in vars(part)
     assert part.pair_target.tolist() == [1.0, 0.0, 1.0]  # CCO's pairs (0, 1), (0, 2), (1, 2)
     assert part.pair_target is part.pair_target
+    assert "pair_target" not in vars(full)  # a selected batch reads its own edge lists
     assert full.pair_target.sum() == len(mol.bonds) + 2
-    assert len(calls) == 1
+    built.clear()
     joint_loss(mol, 1.0, store, np.zeros((mol.n_atoms, LATENT_DIM)))
-    assert len(calls) == 2
+    assert len(built) == 1 and "pair_target" in vars(built[0])
 
 
 # -- reconstruction against its oracle -----------------------------------
@@ -632,6 +664,7 @@ _THRESHOLD = st.sampled_from([-0.1, 0.0, 0.2, 0.5, 1.0, 1.1]) | st.floats(-0.1, 
 @example(_SPECIAL["no atoms"], 2, 0.5, 0.0)
 @example(_SPECIAL["not made by build"], 3, 0.5, 0.3)
 @example(_SPECIAL["aromatic drug"], 4, 0.5, 1.0)
+@example(_SPECIAL["double bond listed (j, i)"], 5, 0.5, 0.0)
 def test_reconstruct_from_probs_matches_a_per_pair_loop(mol, seed, threshold, tie_share):
     # An asymmetric matrix over [-0.2, 1.2], with a share of its entries
     # exactly at the threshold: only the strict upper triangle counts.
@@ -642,6 +675,14 @@ def test_reconstruct_from_probs_matches_a_per_pair_loop(mol, seed, threshold, ti
     got = reconstruct_from_probs(mol, probs, threshold)
     assert got == oracle_reconstruct_from_probs(mol, probs, threshold)
     assert all(type(t) is BondType for _, _, t in got[0].bonds)
+
+
+def test_reconstruct_from_probs_keeps_the_type_of_a_bond_listed_as_j_i():
+    ethene = (Atom("C", 0, 2), Atom("C", 0, 2))
+    for bonds in (((1, 0, BondType.DOUBLE),), ((0, 1, BondType.DOUBLE),)):
+        got, report = reconstruct_from_probs(MolGraph(ethene, bonds), np.full((2, 2), 0.9))
+        assert got == MolGraph(ethene, ((0, 1, BondType.DOUBLE),))
+        assert report.valid
 
 
 def test_reconstruct_from_probs_rejects_a_matrix_of_another_size():
