@@ -56,10 +56,6 @@ class BondType(IntEnum):
     TRIPLE = 2
     AROMATIC = 3
 
-    @property
-    def weight(self) -> float:
-        return _BOND_WEIGHTS[self]
-
 
 _BOND_WEIGHTS = (1.0, 2.0, 3.0, 1.5)  # indexed by BondType
 
@@ -139,7 +135,8 @@ def adjacency(mol: MolGraph) -> list[list[tuple[int, BondType]]]:
 
 
 def bond_order_sums(n: int, bonds: Iterable[tuple[int, int, BondType]]) -> list[float]:
-    """Per atom of n, the summed `BondType.weight` of its bonds, in bond order."""
+    """Per atom of n, the summed bond orders (Single 1, Double 2, Triple 3,
+    Aromatic 1.5) of its bonds, added in the order the bonds are listed."""
     out = [0.0] * n
     weights = _BOND_WEIGHTS
     for i, j, t in bonds:

@@ -95,7 +95,7 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     oversize, or have a property value that is missing or not finite."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")  # Excel's "CSV UTF-8" starts with a byte-order mark
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     skipped: dict[str, int] = {}
@@ -112,7 +112,7 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     if repeated:
         raise BadHeader(f"{path}: header repeats property {', '.join(map(repr, repeated))}")
     for row in rows:
-        if not row or not row[0].strip():
+        if not any(cell.strip() for cell in row):
             continue
         smi = row[0].strip()
         try:

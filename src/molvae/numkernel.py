@@ -136,19 +136,8 @@ def exp(a: Tensor) -> Tensor:
     return Tensor(out_data, (a,), lambda g: (g * out_data,), "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
-
-
 def square(a: Tensor) -> Tensor:
     return Tensor(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,), "square")
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes through only where unclipped."""
-    out_data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return Tensor(out_data, (a,), lambda g: (g * inside,), "clip")
 
 
 def elu(a: Tensor) -> Tensor:

@@ -173,8 +173,8 @@ def evaluate_validity(params: ParamStore, dataset) -> float:
     that pass the valence check."""
     mols = _molecules(dataset)
     reports = [
-        vaemodel.reconstruct_from_probs(mol, probs)[1]
-        for mol, probs in zip(mols, vaemodel.decoded_blocks(mols, params))
+        vaemodel.reconstruct_from_probs(mol, block[:mol.n_atoms, :mol.n_atoms])[1]
+        for mol, block in zip(mols, vaemodel.decoded_blocks(mols, params))
     ]
     return sum(r.valid for r in reports) / len(mols)
 
@@ -185,7 +185,7 @@ def evaluate_edge_auc(params: ParamStore, dataset) -> float:
     Pools all unordered pairs of all molecules; ties are handled by midrank.
     """
     mt = MolTensors.from_mols(_molecules(dataset))
-    s = vaemodel.pair_probs(mt, params)
+    s = vaemodel.decoded_blocks(mt, params).reshape(-1)[mt.layout.pairs]
     y = mt.pair_target > 0
     n_pos = int(y.sum())
     n_neg = y.size - n_pos

@@ -70,7 +70,8 @@ def kl_term(mu: Tensor, log_std: Tensor) -> Tensor:
 
 
 def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over unordered atom pairs.
+    """Mean binary cross-entropy over unordered atom pairs, as a constant: a
+    numpy reference for the loss's softplus form.
 
     The typed adjacency collapses to a binary target: a pair is positive when
     any bond connects it. Zero atom pairs (single-atom molecules) give 0.
@@ -78,18 +79,12 @@ def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
     n = adjacency.shape[0]
     if p.shape != (n, n):
         raise nk.ShapeMismatch(f"probability shape {p.shape} vs {n} atoms")
-    mask = np.triu(np.ones((n, n)), k=1)
-    npairs = mask.sum()
-    if npairs == 0:
+    i, j = np.triu_indices(n, 1)
+    if i.size == 0:
         return nk.constant(np.array(0.0))
-    target = (adjacency.sum(axis=2) > 0).astype(float)
-    pc = nk.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
-    tgt = nk.constant(target)
-    ones = nk.constant(np.ones((n, n)))
-    pos = nk.hadamard(tgt, nk.log(pc))
-    neg = nk.hadamard(nk.sub(ones, tgt), nk.log(nk.sub(ones, pc)))
-    per_pair = nk.hadamard(nk.constant(mask), nk.add(pos, neg))
-    return nk.scale(nk.reduce_sum(per_pair), -1.0 / npairs)
+    target = adjacency.sum(axis=2)[i, j] > 0
+    pc = np.clip(p.data[i, j], _P_CLAMP, 1.0 - _P_CLAMP)
+    return nk.constant(np.array(-np.where(target, np.log(pc), np.log(1.0 - pc)).mean()))
 
 
 def side_predict(g: Tensor, store: ParamStore) -> Tensor:
@@ -268,27 +263,19 @@ def pooled_vectors(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.n
     return nk.tape_free(lambda: encoder.pool(_mu(mt, store), store, mt.sizes)).data
 
 
-def pair_probs(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
-    """Deterministic edge probabilities (Z = Mu, no sampling) of every
-    molecule's atom pairs i < j, in `pair_target` order: logistic of the
-    decoder's pair products, from one tape-free pass, checked finite."""
+def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
+    """Deterministic edge probabilities (Z = Mu, no sampling) of a batch: the
+    padded (B, m, m) stack of logistic(z zᵀ), one block per molecule, from
+    one tape-free pass, checked finite. Molecule b's n x n probabilities are
+    `[b, :n, :n]`; its pairs i < j, in `pair_target` order, are
+    `.reshape(-1)[layout.pairs]`."""
     mt = _built(mols)
-    return nk.tape_free(
-        lambda: nk.logistic(nk.take(nk.block_products(_mu(mt, store), mt.layout), mt.layout.pairs))
-    ).data
-
-
-def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> list[np.ndarray]:
-    """Deterministic edge probabilities of a batch as one dense n x n block
-    logistic(z zᵀ) per molecule, cut from one batched product over its
-    padded rows, from one tape-free pass, checked finite."""
-    mt = _built(mols)
-    probs = nk.tape_free(lambda: nk.logistic(nk.block_products(_mu(mt, store), mt.layout))).data
-    return [block[:n, :n] for block, n in zip(probs, mt.sizes)]
+    return nk.tape_free(lambda: nk.logistic(nk.block_products(_mu(mt, store), mt.layout))).data
 
 
 def decode_probs(mol: MolGraph, store: ParamStore) -> np.ndarray:
-    """`decoded_blocks` of one molecule: its n x n edge probabilities."""
+    """`decoded_blocks` of one molecule, which needs no padding: its n x n
+    edge probabilities."""
     return decoded_blocks(MolTensors.from_mol(mol), store)[0]
 
 

@@ -211,8 +211,12 @@ def oracle_degree(mol: MolGraph, i: int) -> int:
     return sum(1 for a, b, _ in mol.bonds if i in (a, b))
 
 
+# Each bond type's order, written out here rather than read from chem.
+BOND_ORDER = {BondType.SINGLE: 1.0, BondType.DOUBLE: 2.0, BondType.TRIPLE: 3.0, BondType.AROMATIC: 1.5}
+
+
 def oracle_bond_order_sum(mol: MolGraph, i: int) -> float:
-    return sum(t.weight for a, b, t in mol.bonds if i in (a, b))
+    return sum(BOND_ORDER[t] for a, b, t in mol.bonds if i in (a, b))
 
 
 def oracle_reconstruct_from_probs(
@@ -232,7 +236,7 @@ def oracle_reconstruct_from_probs(
     ]
     atoms, offending = [], []
     for i, atom in enumerate(mol.atoms):
-        order = sum(t.weight for a, b, t in bonds if i in (a, b))
+        order = sum(BOND_ORDER[t] for a, b, t in bonds if i in (a, b))
         h = fill_implicit_h(atom.element, atom.formal_charge, order)
         if h is None:
             offending.append(i)

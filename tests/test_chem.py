@@ -296,10 +296,10 @@ def test_check_valence_aromatic_rounds_up():
 
 
 def test_bond_weights():
-    assert BondType.SINGLE.weight == 1.0
-    assert BondType.DOUBLE.weight == 2.0
-    assert BondType.TRIPLE.weight == 3.0
-    assert BondType.AROMATIC.weight == 1.5
+    for t, order in [(BondType.SINGLE, 1.0), (BondType.DOUBLE, 2.0), (BondType.TRIPLE, 3.0), (BondType.AROMATIC, 1.5)]:
+        assert bond_order_sums(3, [(0, 1, t)]) == [order, order, 0.0]
+    mixed = [(0, 1, BondType.DOUBLE), (1, 2, BondType.AROMATIC), (2, 3, BondType.TRIPLE), (1, 3, BondType.SINGLE)]
+    assert bond_order_sums(4, mixed) == [2.0, 4.5, 4.5, 4.0]
 
 
 # -- isomorphism ---------------------------------------------------------

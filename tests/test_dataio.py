@@ -50,11 +50,24 @@ def test_load_csv_skips_bad_rows(tmp_path):
         "CC,\n"
         "CC\n"
         f"{'C' * 30},30\n"
+        ",3\n"
         "\n"
+        " , \n"
     )
     ds = load_csv(p, max_atoms=20)
     assert len(ds) == 1
-    assert ds.skipped == {"parse_error": 1, "bad_property": 2, "oversize": 1}
+    # An empty SMILES cell does not parse; a row of blank cells is no row.
+    assert ds.skipped == {"parse_error": 2, "bad_property": 2, "oversize": 1}
+
+
+def test_load_csv_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"\xef\xbb\xbfsmiles,heavy_atoms\r\nCCO,3\r\n")
+    ds = load_csv(p)
+    assert [(r.smiles, r.properties) for r in ds.records] == [("CCO", {"heavy_atoms": 3.0})]
+    p.write_bytes(b"\xef\xbb\xbfsmiles,heavy_atoms\nC\xe9,1\n")
+    with pytest.raises(dataio.DataError, match="not UTF-8"):
+        load_csv(p)
 
 
 def test_load_csv_non_finite_property_is_bad_property(tmp_path):

@@ -95,9 +95,8 @@ def _public_api(tree: ast.Module) -> list[str]:
     return [name for name in names if not any(part.startswith("_") for part in name.split("."))]
 
 
-def _named(tree: ast.Module) -> set[str]:
-    """Every identifier a module's code reads, imports or spells in a string
-    that is not a docstring (molbench's tracer names what it wraps that way)."""
+def _strings(tree: ast.Module) -> list[str]:
+    """Every string constant of a module's code that is not a docstring."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -105,6 +104,16 @@ def _named(tree: ast.Module) -> set[str]:
         and node.body
         and isinstance(node.body[0], ast.Expr)
     }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every identifier a module's code reads, imports or spells in a string
+    that is not a docstring (molbench's tracer names what it wraps that way)."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -113,27 +122,42 @@ def _named(tree: ast.Module) -> set[str]:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.split(".")[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
-            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    for text in _strings(tree):
+        out.update(re.findall(r"[A-Za-z_]\w*", text))
+    return out
+
+
+def _read_as_methods(tree: ast.Module) -> set[str]:
+    """Every attribute name a module's code reads, and every "Class.method"
+    string it spells outside a docstring, as molbench's tracer names the
+    methods it wraps."""
+    out = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for text in _strings(tree):
+        out.update(re.findall(r"[A-Za-z_]\w*\.[A-Za-z_]\w*", text))
     return out
 
 
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
     """Code that no caller needs is deleted: each public function, class and
     method of the package is named in the package, the benchmark, the
-    scripts or the acceptance tests, not only in its own unit tests."""
+    scripts or the acceptance tests, not only in its own unit tests. A
+    method counts as called only where an attribute of its name is read or
+    its "Class.method" is spelled out, not where a local variable shares its
+    name."""
     root = SRC.parents[1]
     callers = [*MODULES.values()] + [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in [*sorted((root / "molbench").glob("*.py")), *sorted((root / "scripts").glob("*.py"))]
     ] + [ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]
     named = set().union(*map(_named, callers))
-    unused = [
-        f"{mod}.{name}"
-        for mod, tree in MODULES.items()
-        for name in _public_api(tree)
-        if name.split(".")[-1] not in named
-    ]
+    methods = set().union(*map(_read_as_methods, callers))
+
+    def called(name):
+        if "." in name:  # Class.method
+            return name in methods or name.split(".")[-1] in methods
+        return name in named
+
+    unused = [f"{mod}.{name}" for mod, tree in MODULES.items() for name in _public_api(tree) if not called(name)]
     assert unused == []
 
 
@@ -267,7 +291,6 @@ def _queries(store):
         "pooled_vectors": lambda: vaemodel.pooled_vectors([a, b], store),
         "decode_probs": lambda: vaemodel.decode_probs(a, store),
         "decoded_blocks": lambda: vaemodel.decoded_blocks([a, b], store),
-        "pair_probs": lambda: vaemodel.pair_probs([a, b], store),
         "predict": lambda: vaemodel.predict(a, store),
         "reconstruct": lambda: vaemodel.reconstruct(a, store),
         "latent_similarity": lambda: fingerprint.latent_similarity(a, b, store),
@@ -328,7 +351,7 @@ def test_only_vaemodel_queries_enter_the_tape_free_pass():
     assert {mod for mod, tree in MODULES.items() if mentions(tree, "_RECORDING")} == {"numkernel"}
     assert {mod for mod, tree in MODULES.items() if mentions(tree, "tape_free")} == {"numkernel", "vaemodel"}
     callers = {fn for fn, node in _functions(MODULES["vaemodel"]) if mentions(node, "tape_free")}
-    assert callers == {"pooled_vectors", "decoded_blocks", "pair_probs", "predict"}
+    assert callers == {"pooled_vectors", "decoded_blocks", "predict"}
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))

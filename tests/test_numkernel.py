@@ -144,11 +144,6 @@ def test_row_softmax_rows_sum_to_one():
     assert np.all(out > 0.0)
 
 
-def test_clip_value():
-    out = nk.clip(constant([[-2.0, 0.5, 9.0]]), 0.0, 1.0).data
-    assert np.array_equal(out, [[0.0, 0.5, 1.0]])
-
-
 def test_reduce_sum_totals_every_entry():
     cat = constant([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     assert nk.reduce_sum(cat).shape == ()

@@ -113,10 +113,12 @@ def test_decoded_blocks_monotone_in_alignment(monkeypatch):
     # Molecule 0's first two atoms are aligned and its third opposed; molecule
     # 1's pair is orthogonal. Padding molecule 1 to three rows changes nothing.
     _decoding(monkeypatch, np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]))
-    p, q = decoded_blocks([parse_smiles("CCC"), parse_smiles("CC")], init_model_params(seed=0))
+    blocks = decoded_blocks([parse_smiles("CCC"), parse_smiles("CC")], init_model_params(seed=0))
+    assert blocks.shape == (2, 3, 3)
+    p, q = blocks
     assert p[0, 1] > 0.5  # aligned pair
     assert p[0, 2] < 0.5  # opposed pair
-    assert q.shape == (2, 2) and q[0, 1] == 0.5
+    assert q[0, 1] == 0.5
 
 
 # -- KL term -------------------------------------------------------------
@@ -256,6 +258,35 @@ def test_recon_bce_logits_matches_probability_form():
     z = sample_latent(mu, log_std, noise).data
     probs = constant(1.0 / (1.0 + np.exp(-z @ z.T)))
     assert bd.recon == pytest.approx(recon_bce(probs, adjacency_tensor(mol)).item(), rel=1e-12)
+
+
+def _per_pair_bce(p, mol):
+    """Mean over pairs i < j of -(y ln q + (1 - y) ln(1 - q)), q = p[i, j]
+    clamped to [1e-12, 1 - 1e-12] and y whether any bond joins i and j."""
+    bonded = {frozenset((i, j)) for i, j, _ in mol.bonds}
+    terms = []
+    for i in range(mol.n_atoms):
+        for j in range(i + 1, mol.n_atoms):
+            q = min(max(float(p[i, j]), 1e-12), 1.0 - 1e-12)
+            terms.append(-math.log(q) if frozenset((i, j)) in bonded else -math.log(1.0 - q))
+    return sum(terms) / len(terms)
+
+
+@pytest.mark.parametrize("smiles", ["CCO", "CC(=O)Oc1ccccc1C(=O)O", "C#N"])
+def test_recon_bce_matches_the_per_pair_formula(smiles):
+    mol = parse_smiles(smiles)
+    n, a = mol.n_atoms, adjacency_tensor(mol)
+    bonded = a.sum(axis=2) > 0
+    rng = np.random.default_rng(n)
+    p = rng.random((n, n))
+    assert recon_bce(constant(p), a).item() == pytest.approx(_per_pair_bce(p, mol), rel=1e-12)
+    # Exactly 0 and 1 on bonded and on some unbonded pairs hit the clamp both
+    # ways; the other unbonded pairs keep their random values.
+    for on_bond, off_bond in [(0.0, 1.0), (1.0, 0.0)]:
+        q = p.copy()
+        q[bonded] = on_bond
+        q[~bonded & (rng.random((n, n)) < 0.5)] = off_bond
+        assert recon_bce(constant(q), a).item() == pytest.approx(_per_pair_bce(q, mol), rel=1e-12)
 
 
 def test_recon_bce_shape_mismatch():
@@ -474,7 +505,8 @@ def test_batch_forms_equal_each_molecule_alone_bit_for_bit():
     store = init_model_params(seed=4)
     pooled = pooled_vectors(mols, store)
     blocks = decoded_blocks(mols, store)
-    assert pooled.shape == (len(mols), 64) and len(blocks) == len(mols)
+    m = max(mol.n_atoms for mol in mols)
+    assert pooled.shape == (len(mols), 64) and blocks.shape == (len(mols), m, m)
     for mol, row, block in zip(mols, pooled, blocks):
         mu = _training_path_mu(mol, store)
         alone = encoder.pool(mu, store, np.array([mol.n_atoms])).data[0]
@@ -484,15 +516,18 @@ def test_batch_forms_equal_each_molecule_alone_bit_for_bit():
         assert vaemodel.decode_probs(mol, store).tobytes() == nk.logistic(constant(z @ z.T)).data.tobytes()
         # A batch pads its rows to its largest molecule, and the larger product
         # may round the last bit of an entry differently.
-        np.testing.assert_allclose(block, 1.0 / (1.0 + np.exp(-z @ z.T)), rtol=0, atol=1e-15)
+        n = mol.n_atoms
+        np.testing.assert_allclose(block[:n, :n], 1.0 / (1.0 + np.exp(-z @ z.T)), rtol=0, atol=1e-15)
 
 
-def test_pair_probs_are_each_molecules_upper_triangle_in_pair_target_order():
+def test_decoded_pairs_are_each_molecules_upper_triangle_in_pair_target_order():
     rng = np.random.default_rng(0)
     mols = [parse_smiles("C"), build([], []), random_molecule(rng, 20), parse_smiles("CO")]
     store = init_model_params(seed=1)
     mt = MolTensors.from_mols(mols)
-    probs = vaemodel.pair_probs(mols, store)
+    blocks = decoded_blocks(mols, store)
+    assert blocks.shape == (4, 20, 20)
+    probs = blocks.reshape(-1)[mt.layout.pairs]
     assert probs.shape == mt.pair_target.shape == (0 + 0 + 190 + 1,)
     want_p, want_y = [], []
     for mol in mols:
@@ -502,7 +537,7 @@ def test_pair_probs_are_each_molecules_upper_triangle_in_pair_target_order():
         want_y.append(adjacency_tensor(mol).sum(axis=2)[i, j])
     np.testing.assert_allclose(probs, np.concatenate(want_p), rtol=0, atol=1e-15)
     assert np.array_equal(mt.pair_target, np.concatenate(want_y))
-    assert vaemodel.pair_probs(mt, store).tobytes() == probs.tobytes()
+    assert decoded_blocks(mt, store).tobytes() == blocks.tobytes()
 
 
 def test_pooling_the_corpus_keeps_no_tape_in_memory():
@@ -526,7 +561,8 @@ def test_batch_pools_an_empty_molecule_to_a_zero_row():
     assert pooled.shape == (2, 64)
     assert pooled[0].sum() == pytest.approx(3.0) and not pooled[1].any()
     assert pooled_vectors([empty], store).shape == (1, 64)
-    assert [b.shape for b in decoded_blocks([empty, mol], store)] == [(0, 0), (3, 3)]
+    assert decoded_blocks([empty, mol], store).shape == (2, 3, 3)
+    assert vaemodel.decode_probs(empty, store).shape == (0, 0)
     with pytest.raises(ZeroVector):
         latent_similarity(mol, empty, store)
 
