@@ -1,17 +1,1 @@
 """Graph-VAE molecular toolkit: SMILES, autodiff, R-GCN VAE, fingerprints."""
-
-from .chem import Atom, BondType, MolGraph, build, check_valence, is_isomorphic
-from .smiles import parse_smiles, write_smiles
-
-__all__ = [
-    "Atom",
-    "BondType",
-    "MolGraph",
-    "build",
-    "check_valence",
-    "is_isomorphic",
-    "parse_smiles",
-    "write_smiles",
-]
-
-__version__ = "0.1.0"

@@ -214,26 +214,22 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     """Label-preserving graph isomorphism via backtracking with pruning."""
     if a.n_atoms != b.n_atoms or len(a.bonds) != len(b.bonds):
         return False
-    la = sorted(_atom_label(x) for x in a.atoms)
-    lb = sorted(_atom_label(x) for x in b.atoms)
-    if la != lb:
-        return False
     # Per atom, neighbour -> bond type.
     nb_a = [dict(pairs) for pairs in adjacency(a)]
     nb_b = [dict(pairs) for pairs in adjacency(b)]
-    if sorted(map(len, nb_a)) != sorted(map(len, nb_b)):
-        return False
-
-    n = a.n_atoms
-    # Candidate nodes of b per node of a, ascending: same label and degree.
+    # Each atom's kind, its label and degree: a match maps atoms of one kind.
     kind_a = [(_atom_label(x), len(nb)) for x, nb in zip(a.atoms, nb_a)]
     kind_b = [(_atom_label(x), len(nb)) for x, nb in zip(b.atoms, nb_b)]
+    if sorted(kind_a) != sorted(kind_b):
+        return False
+    n = a.n_atoms
+    if n == 0:  # two empty graphs
+        return True
+    # Candidate nodes of b per node of a, ascending: those of its kind.
     of_kind: dict[tuple, list[int]] = {}
     for j, kind in enumerate(kind_b):
         of_kind.setdefault(kind, []).append(j)
-    cands = [of_kind.get(kind, []) for kind in kind_a]
-    if any(not c for c in cands):
-        return False
+    cands = [of_kind[kind] for kind in kind_a]
 
     # Match nodes in order of fewest candidates first.
     order = sorted(range(n), key=lambda i: len(cands[i]))

@@ -160,7 +160,7 @@ def cmd_similar(args) -> int:
     a, b = (parse_smiles(s) for s in args.smiles)
     if args.metric == "latent":
         params, _ = dataio.load_checkpoint(args.ckpt)
-        value = fp.latent_similarity(a, b, params)
+        value = vaemodel.latent_similarity(a, b, params)
     else:
         cfg = fp.FpConfig()
         fa, fb = fp.path_fingerprint(a, cfg), fp.path_fingerprint(b, cfg)

@@ -107,7 +107,9 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
         raise BadHeader(f"{path}: empty file")
     if not header or header[0].strip().lower() != "smiles":
         raise BadHeader(f"{path}: header must begin with 'smiles'")
-    prop_names = [h.strip() for h in header[1:]]
+    # Column -> property name; a blank header cell names none, and its column is not read.
+    columns = {k: h.strip() for k, h in enumerate(header[1:], 1) if h.strip()}
+    prop_names = list(columns.values())
     repeated = sorted({name for name in prop_names if prop_names.count(name) > 1})
     if repeated:
         raise BadHeader(f"{path}: header repeats property {', '.join(map(repr, repeated))}")
@@ -125,7 +127,7 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
             skipped["oversize"] = skipped.get("oversize", 0) + 1
             continue
         try:
-            props = {name: float(row[k + 1]) for k, name in enumerate(prop_names)}
+            props = {name: float(row[k]) for k, name in columns.items()}
             if not all(map(math.isfinite, props.values())):
                 raise ValueError("non-finite property value")
         except (IndexError, ValueError):

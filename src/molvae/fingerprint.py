@@ -12,10 +12,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .chem import BOND_CHAR, MolGraph, aromatic_atoms
-from .vaemodel import ZeroVector, latent_similarity, pooled_vector  # noqa: F401
+from .vaemodel import latent_similarity, pooled_vector  # noqa: F401
 
 # Shortest length density folding may reach (RDKit's minSize).
 _MIN_FOLD_BITS = 64
+# Longest fingerprint FpConfig accepts, 512 times the default: hashing
+# allocates one byte per bit, and the hex is nbits / 4 characters.
+_MAX_NBITS = 2**20
 
 # 0-d uint64 arrays: in-place array arithmetic with them wraps mod 2**64
 # silently, and skips converting a Python int on every call.
@@ -40,8 +43,8 @@ class FpConfig:
     target_density: float = 0.3
 
     def __post_init__(self):
-        if self.nbits <= 0 or self.nbits % 8:
-            raise ValueError(f"nbits must be a positive multiple of 8, got {self.nbits}")
+        if not 0 < self.nbits <= _MAX_NBITS or self.nbits % 8:
+            raise ValueError(f"nbits must be a positive multiple of 8 up to {_MAX_NBITS}, got {self.nbits}")
         if not 1 <= self.min_path <= self.max_path:
             raise ValueError(
                 f"need 1 <= min_path <= max_path, got {self.min_path} and {self.max_path}"
@@ -267,8 +270,6 @@ def _fold_word(word: int, nbits: int, n: int) -> int:
 
     Raises LengthMismatch unless nbits is a power-of-two multiple of n.
     """
-    if nbits == n:
-        return word
     ratio, rest = divmod(nbits, n)
     if rest or ratio & (ratio - 1):
         raise LengthMismatch(f"fingerprint lengths {nbits} vs {n}")

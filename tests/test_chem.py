@@ -364,6 +364,22 @@ def test_isomorphism_hard_case_same_degree_sequence():
     assert not is_isomorphic(ring6, ring5_spur)
 
 
+def test_isomorphism_of_empty_graphs():
+    empty = build([], [])
+    assert is_isomorphic(empty, build([], []))
+    assert not is_isomorphic(empty, build([Atom("C", 0, 4)], []))
+    assert not is_isomorphic(build([Atom("C", 0, 4)], []), empty)
+
+
+def test_isomorphism_pairs_each_label_with_its_degree():
+    # Both have labels {C, C, O} and degrees {1, 1, 2}, but the oxygen ends
+    # the chain O-C-C and sits in the middle of C-O-C.
+    a = build([Atom("O"), Atom("C"), Atom("C")], [(0, 1, BondType.SINGLE), (1, 2, BondType.SINGLE)])
+    b = build([Atom("C"), Atom("O"), Atom("C")], [(0, 1, BondType.SINGLE), (1, 2, BondType.SINGLE)])
+    assert not is_isomorphic(a, b)
+    assert not is_isomorphic(b, a)
+
+
 @given(st.data())
 def test_isomorphism_invariant_under_random_permutation(data):
     seed = data.draw(st.integers(0, 10_000))

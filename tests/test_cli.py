@@ -448,6 +448,7 @@ def _reconstruct(*flags, ckpt_path=None):
 BAD_INPUTS = {
     "nbits-not-multiple-of-8": (_fingerprint("--nbits", "12"), EXIT_USAGE),
     "nbits-zero": (_fingerprint("--nbits", "0"), EXIT_USAGE),
+    "nbits-huge": (_fingerprint("--nbits", "80000000000000"), EXIT_USAGE),
     "min-path-above-max-path": (_fingerprint("--min-path", "5", "--max-path", "2"), EXIT_USAGE),
     "min-path-zero": (_fingerprint("--min-path", "0"), EXIT_USAGE),
     "bits-per-hash-zero": (_fingerprint("--bits-per-hash", "0"), EXIT_USAGE),

@@ -108,6 +108,17 @@ def test_load_csv_repeated_property_is_bad_header(tmp_path):
         load_csv(p)
 
 
+def test_load_csv_blank_header_cell_names_no_property(tmp_path):
+    # A blank header cell's column is not read, so blank cells under it do not
+    # make every row a bad property, and two blank header cells are no repeat.
+    p = tmp_path / "d.csv"
+    for text in ("smiles,y,\nCC,1,\nCCO,2,\n", "smiles, ,y\nCC,,1\nCCO,,2\n", "smiles,,y,\nCC,,1,\nCCO,x,2\n"):
+        p.write_text(text)
+        ds = load_csv(p)
+        assert [(r.smiles, r.properties) for r in ds.records] == [("CC", {"y": 1.0}), ("CCO", {"y": 2.0})], text
+        assert ds.skipped == {}, text
+
+
 def test_load_csv_row_the_csv_module_rejects_is_a_data_error_naming_its_line(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("smiles,y\nCC,2\n" + "C" * (csv.field_size_limit() + 1) + ",1\n")

@@ -15,7 +15,6 @@ from molvae.fingerprint import (
     Fingerprint,
     FpConfig,
     LengthMismatch,
-    ZeroVector,
     canonical_subgraph_key,
     cosine,
     dice,
@@ -274,6 +273,14 @@ def test_bits_per_hash_may_not_exceed_nbits():
     assert FpConfig(nbits=64, bits_per_hash=64).bits_per_hash == 64
     with pytest.raises(ValueError, match="bits_per_hash <= nbits, got 65 and 64"):
         FpConfig(nbits=64, bits_per_hash=65)
+
+
+def test_nbits_is_bounded():
+    """A huge nbits is refused up front rather than allocated while hashing."""
+    assert FpConfig(nbits=2**20).nbits == 2**20
+    for nbits in (2**20 + 8, 80_000_000_000_000):
+        with pytest.raises(ValueError, match=f"up to 1048576, got {nbits}$"):
+            FpConfig(nbits=nbits)
 
 
 def test_single_atom_fingerprint_is_empty():

@@ -137,6 +137,15 @@ def _read_as_methods(tree: ast.Module) -> set[str]:
     return out
 
 
+def _callers() -> dict[str, ast.Module]:
+    """The code that may call the package, by name: its own modules (by
+    stem), the benchmark, the scripts and the acceptance tests."""
+    root = SRC.parents[1]
+    outside = [*sorted((root / "molbench").glob("*.py")), *sorted((root / "scripts").glob("*.py"))]
+    outside.append(root / "tests" / "test_acceptance.py")
+    return {**MODULES, **{str(p.relative_to(root)): ast.parse(p.read_text(encoding="utf-8")) for p in outside}}
+
+
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
     """Code that no caller needs is deleted: each public function, class and
     method of the package is named in the package, the benchmark, the
@@ -144,11 +153,7 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     method counts as called only where an attribute of its name is read or
     its "Class.method" is spelled out, not where a local variable shares its
     name."""
-    root = SRC.parents[1]
-    callers = [*MODULES.values()] + [
-        ast.parse(path.read_text(encoding="utf-8"))
-        for path in [*sorted((root / "molbench").glob("*.py")), *sorted((root / "scripts").glob("*.py"))]
-    ] + [ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))]
+    callers = _callers().values()
     named = set().union(*map(_named, callers))
     methods = set().union(*map(_read_as_methods, callers))
 
@@ -159,6 +164,76 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
 
     unused = [f"{mod}.{name}" for mod, tree in MODULES.items() for name in _public_api(tree) if not called(name)]
     assert unused == []
+
+
+def _re_exports(tree: ast.Module) -> set[str]:
+    """Names a module imports from a sibling and never uses itself."""
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and ((node.level == 1 and node.module) or (node.module or "").startswith("molvae."))
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _reads_from_modules(caller: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module stem, name) for each name the caller reads from a package
+    module; the package itself is "__init__". A name is read by
+    `from molvae.M import name`, `from molvae import name`, `from .M import
+    name` inside the package, or `alias.name` where alias is bound to M."""
+    inside = caller in MODULES
+
+    def stem(dotted: str) -> str | None:  # "molvae" -> "__init__", "molvae.M" -> "M"
+        parts = dotted.split(".")
+        if parts[0] != "molvae" or len(parts) > 2:
+            return None
+        return parts[1] if len(parts) == 2 else "__init__"
+
+    bound: dict[str, str] = {}  # dotted name in the caller -> module stem
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if stem(alias.name) is None:
+                    continue
+                if alias.asname:
+                    bound[alias.asname] = stem(alias.name)
+                else:  # `import molvae.M` binds molvae and spells molvae.M
+                    bound["molvae"] = "__init__"
+                    bound[alias.name] = stem(alias.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                source = stem(node.module or "")
+            else:
+                source = (node.module or "__init__") if inside and node.level == 1 else None
+            if source is None:
+                continue
+            for alias in node.names:
+                if source == "__init__" and alias.name in MODULES:  # `from molvae import M` binds a module
+                    bound[alias.asname or alias.name] = alias.name
+                else:
+                    reads.add((source, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound:
+            reads.add((bound[ast.unparse(node.value)], node.attr))
+    return {(mod, name) for mod, name in reads if mod != caller}
+
+
+def test_every_re_export_is_read_from_its_module():
+    """A name a module imports from a sibling and never uses itself is there
+    only for callers to read from it, so some caller outside the unit tests
+    must: names that no caller reads through it are deleted, not kept as a
+    second way in."""
+    reads = set().union(*(_reads_from_modules(caller, tree) for caller, tree in _callers().items()))
+    unread = sorted(
+        f"{'molvae' if mod == '__init__' else mod}.{name}"
+        for mod, tree in MODULES.items()
+        for name in _re_exports(tree)
+        if (mod, name) not in reads
+    )
+    assert unread == []
 
 
 def test_only_main_and_the_parser_write_to_stderr():
