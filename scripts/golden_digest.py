@@ -12,15 +12,19 @@ drawn with 12-20 atoms: each one's written SMILES, or the writer's error, and
 its validity report. The `evaluation` line covers the `repr`s of the
 checkpoint's `evaluate_edge_auc` on the training and held-out parts of the
 corpus's `split(0.8, seed=0)`, its `evaluate_validity` on the held-out part
-and its `fit_probe` R^2 on the whole corpus. Two commits whose lines are
-equal produce the same bytes. To check that a change leaves every output as
-it was, run the same script, from the newer commit, in a checkout of each
-commit:
+and its `fit_probe` R^2 on the whole corpus. The `parsed` line covers the
+`repr` of `parse_smiles_ex`'s molecule and stripped count for every SMILES
+cell of the bundled corpus CSV, and the error type, message and position
+for BAD_SMILES, one input per error message of the parser. Two commits
+whose lines are equal produce the same bytes. To check that a change leaves
+every output as it was, run the same script, from the newer commit, in a
+checkout of each commit:
 
     python3 scripts/golden_digest.py
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -35,11 +39,37 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from molvae.cli import main  # noqa: E402
 from molvae.corpus import DRUG_SMILES, random_molecule  # noqa: E402
 from molvae.dataio import bundled_corpus_path, load_checkpoint, load_csv  # noqa: E402
-from molvae.smiles import SmilesError, write_smiles  # noqa: E402
+from molvae.smiles import SmilesError, parse_smiles_ex, write_smiles  # noqa: E402
 from molvae.train import evaluate_edge_auc, evaluate_validity, fit_probe  # noqa: E402
 from molvae.vaemodel import reconstruct  # noqa: E402
 
 QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
+
+# One input per error message of `smiles.parse_smiles_ex`, in the order the
+# parser's source raises them.
+BAD_SMILES = (
+    "",  # empty SMILES input
+    "C==C",  # two consecutive bond symbols
+    "1CC1",  # ring closure digit before any atom
+    "C=1CC-1",  # conflicting bond orders on ring closure
+    "C(1)1",  # ring bond closes onto its own atom
+    "C1C1",  # duplicate bond between the same atoms
+    "(C)C",  # branch opens before any atom
+    "C)C",  # unmatched ')'
+    "C.C",  # dot-disconnected (multi-fragment) input
+    "C[NH",  # unterminated bracket atom
+    "C%1CC%1",  # '%' ring closure needs two digits
+    "CXC",  # unexpected character
+    "/",  # no atoms in input
+    "C(C",  # unclosed '('
+    "C1CC",  # ring closure never closed
+    "CC=",  # dangling bond symbol at end of input
+    "C(C1)1",  # graph construction failed: a ring bond repeats a chain bond
+    "[Xe]",  # unknown bracket atom
+    "[Cx]",  # trailing characters in bracket atom
+    "[N+3]",  # formal charge outside supported range
+    "[CH5]",  # H count outside supported range
+)
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -67,6 +97,22 @@ def _reconstructions(ckpt: Path) -> bytes:
             except SmilesError as exc:
                 written = f"{type(exc).__name__}: {exc}"
             lines.append(f"{threshold} {written} {report.valid} {report.offending}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _parsed() -> bytes:
+    """One line per corpus SMILES and per bad input: the parsed molecule and
+    stripped count, or the error's type, message and position."""
+    with bundled_corpus_path().open(encoding="utf-8-sig", newline="") as f:
+        cells = [row[0] for row in itertools.islice(csv.reader(f), 1, None) if row]
+    lines = []
+    for smi in (*cells, *BAD_SMILES):
+        try:
+            res = parse_smiles_ex(smi)
+            found = (res.mol, res.stripped)
+        except SmilesError as exc:
+            found = (type(exc).__name__, str(exc), exc.position)
+        lines.append(f"{found!r}\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -108,6 +154,7 @@ def outputs() -> dict[str, bytes]:
             found[f"similar {metric} {a} {b}"] = _stdout([
                 "similar", "--metric", metric, "--smiles", sa, "--smiles", sb, "--json",
             ])
+    found["parsed"] = _parsed()
     return found
 
 

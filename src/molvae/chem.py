@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +70,9 @@ BOND_CHAR = {
 N_BOND_TYPES = len(BondType)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """An atom, equal to its (element, formal charge, implicit H) label."""
+
     element: str
     formal_charge: int = 0
     implicit_h: int = 0
@@ -116,10 +117,9 @@ def allowed_valences(element: str, formal_charge: int) -> tuple[int, ...]:
 def fill_implicit_h(element: str, charge: int, bond_order: float) -> int | None:
     """Smallest H count (0-4) that reaches an allowed valence; None if none does."""
     rounded = math.ceil(bond_order - 1e-9)
-    allowed = allowed_valences(element, charge)
-    for h in range(5):
-        if rounded + h in allowed:
-            return h
+    for v in allowed_valences(element, charge):  # ascending
+        if 0 <= v - rounded <= 4:
+            return v - rounded
     return None
 
 
@@ -157,27 +157,30 @@ def aromatic_atoms(mol: MolGraph) -> set[int]:
 
 def build(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]) -> MolGraph:
     """Validate and canonicalize a molecular graph."""
-    for a in atoms:
-        if a.element not in ELEMENT_INDEX:
-            raise UnknownElement(f"unknown element symbol {a.element!r}")
-        if not -2 <= a.formal_charge <= 2:
-            raise ChemError(f"formal charge {a.formal_charge} outside [-2, +2]")
-        if not 0 <= a.implicit_h <= 4:
-            raise ChemError(f"implicit hydrogen count {a.implicit_h} outside [0, 4]")
+    for element, charge, h in atoms:
+        if element not in ELEMENT_INDEX:
+            raise UnknownElement(f"unknown element symbol {element!r}")
+        if not -2 <= charge <= 2:
+            raise ChemError(f"formal charge {charge} outside [-2, +2]")
+        if not 0 <= h <= 4:
+            raise ChemError(f"implicit hydrogen count {h} outside [0, 4]")
     n = len(atoms)
-    canon: dict[tuple[int, int], BondType] = {}
+    seen: set[tuple[int, int]] = set()
+    ordered: list[tuple[int, int, BondType]] = []
     for i, j, t in bonds:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"bond ({i}, {j}) references a missing atom")
         if i == j:
             raise SelfLoop(f"self-bond on atom {i}")
-        key = (i, j) if i < j else (j, i)
-        if key in canon:
-            raise DuplicateBond(f"duplicate bond between atoms {key[0]} and {key[1]}")
-        canon[key] = t if isinstance(t, BondType) else BondType(t)
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise DuplicateBond(f"duplicate bond between atoms {i} and {j}")
+        seen.add((i, j))
+        ordered.append((i, j, t if isinstance(t, BondType) else BondType(t)))
     # The pairs are distinct, so the sort never compares two bond types.
-    ordered = tuple(sorted([(i, j, t) for (i, j), t in canon.items()]))
-    return MolGraph(atoms=tuple(atoms), bonds=ordered)
+    ordered.sort()
+    return MolGraph(atoms=tuple(atoms), bonds=tuple(ordered))
 
 
 def adjacency_tensor(mol: MolGraph) -> np.ndarray:
@@ -206,10 +209,6 @@ def check_valence(mol: MolGraph) -> ValidityReport:
     return ValidityReport(valid=not offending, offending=tuple(offending))
 
 
-def _atom_label(a: Atom) -> tuple[str, int, int]:
-    return (a.element, a.formal_charge, a.implicit_h)
-
-
 def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     """Label-preserving graph isomorphism via backtracking with pruning."""
     if a.n_atoms != b.n_atoms or len(a.bonds) != len(b.bonds):
@@ -217,9 +216,9 @@ def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
     # Per atom, neighbour -> bond type.
     nb_a = [dict(pairs) for pairs in adjacency(a)]
     nb_b = [dict(pairs) for pairs in adjacency(b)]
-    # Each atom's kind, its label and degree: a match maps atoms of one kind.
-    kind_a = [(_atom_label(x), len(nb)) for x, nb in zip(a.atoms, nb_a)]
-    kind_b = [(_atom_label(x), len(nb)) for x, nb in zip(b.atoms, nb_b)]
+    # Each atom's kind, its label (the atom itself) and degree: a match maps atoms of one kind.
+    kind_a = [(x, len(nb)) for x, nb in zip(a.atoms, nb_a)]
+    kind_b = [(x, len(nb)) for x, nb in zip(b.atoms, nb_b)]
     if sorted(kind_a) != sorted(kind_b):
         return False
     n = a.n_atoms

@@ -114,7 +114,7 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     if repeated:
         raise BadHeader(f"{path}: header repeats property {', '.join(map(repr, repeated))}")
     for row in rows:
-        if not any(cell.strip() for cell in row):
+        if not "".join(row).strip():  # every cell blank
             continue
         smi = row[0].strip()
         try:

@@ -19,6 +19,9 @@ _MIN_FOLD_BITS = 64
 # Longest fingerprint FpConfig accepts, 512 times the default: hashing
 # allocates one byte per bit, and the hex is nbits / 4 characters.
 _MAX_NBITS = 2**20
+# Most bits one key may set: hashing holds about 16 bytes per key per bit, so
+# 1,024 is about 5 MB for a drug's 300 keys, where 2**20 would be about 5 GB.
+_MAX_BITS_PER_HASH = 1024
 
 # 0-d uint64 arrays: in-place array arithmetic with them wraps mod 2**64
 # silently, and skips converting a Python int on every call.
@@ -49,9 +52,11 @@ class FpConfig:
             raise ValueError(
                 f"need 1 <= min_path <= max_path, got {self.min_path} and {self.max_path}"
             )
-        if not 1 <= self.bits_per_hash <= self.nbits:  # a key cannot set more bits than there are
+        # At most nbits: a key cannot set more bits than there are.
+        if not 1 <= self.bits_per_hash <= min(self.nbits, _MAX_BITS_PER_HASH):
             raise ValueError(
-                f"need 1 <= bits_per_hash <= nbits, got {self.bits_per_hash} and {self.nbits}"
+                f"need 1 <= bits_per_hash <= {_MAX_BITS_PER_HASH} and bits_per_hash <= nbits,"
+                f" got {self.bits_per_hash} and {self.nbits}"
             )
         if not 0.0 <= self.target_density <= 1.0:
             raise ValueError(f"target_density must lie in [0, 1], got {self.target_density}")

@@ -123,7 +123,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def reduce_sum(a: Tensor) -> Tensor:
     """Sum of every entry, as a scalar."""
-    return Tensor(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),), "reduce_sum")
+    return Tensor(a.data.sum(), (a,), lambda g: (np.full(a.shape, g),), "reduce_sum")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -77,14 +77,6 @@ class Disconnected(SmilesError):
 
 
 @dataclass
-class _PendingAtom:
-    element: str
-    aromatic: bool
-    charge: int = 0
-    explicit_h: int | None = None
-
-
-@dataclass
 class ParseResult:
     mol: MolGraph
     stripped: int = 0  # stereo / isotope annotations discarded
@@ -95,7 +87,8 @@ def parse_smiles_ex(text: str) -> ParseResult:
     s = "" if text is None else text.strip()
     if not s:
         raise EmptyInput("empty SMILES input")
-    atoms: list[_PendingAtom] = []
+    # Per atom, in parallel: element, aromatic flag, charge, and H count (None: implicit).
+    elements, aromatic, charges, explicit_h = [], [], [], []
     bonds: list[tuple[int, int, BondType]] = []
     bonded: set[tuple[int, int]] = set()  # (earlier atom, later atom) of every bond
     stack: list[int] = []
@@ -105,72 +98,76 @@ def parse_smiles_ex(text: str) -> ParseResult:
     open_rings: dict[int, tuple[int, BondType | None, int]] = {}
     stripped = 0
 
-    def add_bond(i: int, j: int, t: BondType | None) -> None:
-        # Compared with None: BondType.SINGLE is 0, so `t or ...` would make c-c aromatic.
-        if t is None:
-            t = BondType.AROMATIC if atoms[i].aromatic and atoms[j].aromatic else BondType.SINGLE
-        bonds.append((i, j, t))
-        bonded.add((i, j))
-
-    def add_atom(atom: _PendingAtom) -> None:
-        nonlocal prev, pending_bond
-        atoms.append(atom)
-        if prev is not None:
-            add_bond(prev, len(atoms) - 1, pending_bond)
-        prev = len(atoms) - 1
-        pending_bond = None
-
     for m in _TOKEN.finditer(s):
-        kind, tok, pos = m.lastgroup, m.group(), m.start()
-        if kind == "organic":
-            add_atom(_PendingAtom(tok, aromatic=False))
-        elif kind == "aromatic":
-            add_atom(_PendingAtom(tok.upper(), aromatic=True))
-        elif kind == "bracket":
-            atom, n = _parse_bracket(tok[1:-1], pos)
-            stripped += n
-            add_atom(atom)
+        kind, tok = m.lastgroup, m.group()
+        if kind == "organic" or kind == "aromatic" or kind == "bracket":
+            if kind == "organic":
+                element, arom, charge, h = tok, False, 0, None
+            elif kind == "aromatic":
+                element, arom, charge, h = tok.upper(), True, 0, None
+            else:
+                element, arom, charge, h, n = _parse_bracket(tok[1:-1], m.start())
+                stripped += n
+            k = len(elements)
+            elements.append(element)
+            aromatic.append(arom)
+            charges.append(charge)
+            explicit_h.append(h)
+            if prev is not None:
+                t = pending_bond
+                # Compared with None: BondType.SINGLE is 0, so `t or ...` would make c-c aromatic.
+                if t is None:
+                    t = BondType.AROMATIC if arom and aromatic[prev] else BondType.SINGLE
+                bonds.append((prev, k, t))
+                bonded.add((prev, k))
+            prev = k
+            pending_bond = None
         elif kind == "bond":
             if pending_bond is not None:
-                raise SmilesError("two consecutive bond symbols", pos)
+                raise SmilesError("two consecutive bond symbols", m.start())
             pending_bond = _BOND_CHARS[tok]
         elif kind == "stereo":
             stripped += 1  # stereo bond marker: treated as an unspecified bond
         elif kind == "ring":
             num = int(tok.lstrip("%"))
             if prev is None:
-                raise SmilesError("ring closure digit before any atom", pos)
+                raise SmilesError("ring closure digit before any atom", m.start())
             if num not in open_rings:
-                open_rings[num] = (prev, pending_bond, pos)
+                open_rings[num] = (prev, pending_bond, m.start())
             else:
-                other, t_open, _ = open_rings.pop(num)
-                if t_open is not None and pending_bond is not None and t_open != pending_bond:
-                    raise SmilesError(f"conflicting bond orders on ring closure {num}", pos)
+                other, t, _ = open_rings.pop(num)
+                if t is None:
+                    t = pending_bond
+                elif pending_bond is not None and t != pending_bond:
+                    raise SmilesError(f"conflicting bond orders on ring closure {num}", m.start())
                 # Only a ring closure can bond an atom to itself or repeat a bond.
                 if other == prev:
-                    raise SmilesError("ring bond closes onto its own atom", pos)
+                    raise SmilesError("ring bond closes onto its own atom", m.start())
                 if (other, prev) in bonded:
-                    raise SmilesError("duplicate bond between the same atoms", pos)
-                add_bond(other, prev, t_open if t_open is not None else pending_bond)
+                    raise SmilesError("duplicate bond between the same atoms", m.start())
+                if t is None:
+                    t = BondType.AROMATIC if aromatic[other] and aromatic[prev] else BondType.SINGLE
+                bonds.append((other, prev, t))
+                bonded.add((other, prev))
             pending_bond = None
         elif kind == "open":
             if prev is None:
-                raise UnbalancedParenthesis("branch opens before any atom", pos)
+                raise UnbalancedParenthesis("branch opens before any atom", m.start())
             stack.append(prev)
         elif kind == "close":
             if not stack:
-                raise UnbalancedParenthesis("unmatched ')'", pos)
+                raise UnbalancedParenthesis("unmatched ')'", m.start())
             prev = stack.pop()
         elif tok == ".":
-            raise DisconnectedInput("dot-disconnected (multi-fragment) input", pos)
+            raise DisconnectedInput("dot-disconnected (multi-fragment) input", m.start())
         elif tok == "[":
-            raise SmilesError("unterminated bracket atom", pos)
+            raise SmilesError("unterminated bracket atom", m.start())
         elif tok == "%":
-            raise SmilesError("'%' ring closure needs two digits", pos)
+            raise SmilesError("'%' ring closure needs two digits", m.start())
         else:
-            raise UnknownSymbol(f"unexpected character {tok!r}", pos)
+            raise UnknownSymbol(f"unexpected character {tok!r}", m.start())
 
-    if not atoms:
+    if not elements:
         raise EmptyInput("no atoms in input")
     if stack:
         raise UnbalancedParenthesis("unclosed '('", len(s))
@@ -180,21 +177,20 @@ def parse_smiles_ex(text: str) -> ParseResult:
     if pending_bond is not None:
         raise SmilesError("dangling bond symbol at end of input", len(s))
 
-    order = bond_order_sums(len(atoms), bonds)
-    final_atoms = [
-        Atom(pa.element, pa.charge, pa.explicit_h if pa.explicit_h is not None
-             else fill_implicit_h(pa.element, pa.charge, order[k]) or 0)
-        for k, pa in enumerate(atoms)
+    order = bond_order_sums(len(elements), bonds)
+    atoms = [
+        Atom(e, q, h if h is not None else fill_implicit_h(e, q, o) or 0)
+        for e, q, h, o in zip(elements, charges, explicit_h, order)
     ]
     try:
-        mol = build(final_atoms, bonds)
+        mol = build(atoms, bonds)
     except ChemError as exc:
         raise SmilesError(f"graph construction failed: {exc}") from exc
     return ParseResult(mol=mol, stripped=stripped)
 
 
-def _parse_bracket(body: str, pos: int) -> tuple[_PendingAtom, int]:
-    """The atom `[body]` at `pos`, and how many isotope and chirality characters it strips."""
+def _parse_bracket(body: str, pos: int) -> tuple[str, bool, int, int, int]:
+    """`[body]` at `pos` as element, aromatic flag, charge, H count and characters stripped."""
     m = _BRACKET.match(body)
     element = m["element"]
     if element is None:
@@ -210,7 +206,7 @@ def _parse_bracket(body: str, pos: int) -> tuple[_PendingAtom, int]:
     if explicit_h > 4:
         raise SmilesError(f"H count {explicit_h} outside supported range", pos)
     stripped = len(m["isotope"]) + len(m["chirality"])
-    return _PendingAtom(element.capitalize(), element.islower(), charge, explicit_h), stripped
+    return element.capitalize(), element.islower(), charge, explicit_h, stripped
 
 
 def parse_smiles(text: str) -> MolGraph:

@@ -3,6 +3,7 @@ fingerprint module, molecule tensors, the decoder's pair products and
 reconstruction."""
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,7 +24,6 @@ from molvae.chem import (
     aromatic_atoms,
     bond_order_sums,
     build,
-    fill_implicit_h,
 )
 from molvae.fingerprint import FpConfig, LengthMismatch
 from molvae.numkernel import Edges, PairLayout
@@ -219,6 +219,30 @@ def oracle_bond_order_sum(mol: MolGraph, i: int) -> float:
     return sum(BOND_ORDER[t] for a, b, t in mol.bonds if i in (a, b))
 
 
+# Each element's allowed total valences at zero charge, written out here
+# rather than read from chem. A charge shifts N's and O's, and leaves no
+# valence for any other element.
+VALENCES = {
+    "H": (1,), "C": (4,), "N": (3,), "O": (2,), "F": (1,),
+    "P": (3, 5), "S": (2, 4, 6), "Cl": (1,), "Br": (1,), "I": (1,),
+}
+
+
+def oracle_fill_implicit_h(element: str, charge: int, bond_order: float) -> int | None:
+    """The fewest hydrogens, 0 to 4, that bring the bond order (rounded up)
+    to an allowed valence, trying each count in turn; None if none does."""
+    if charge == 0:
+        allowed = VALENCES.get(element, ())
+    elif element in ("N", "O") and -2 <= charge <= 2:
+        allowed = tuple(v + charge for v in VALENCES[element] if v + charge > 0)
+    else:
+        allowed = ()
+    for h in range(5):
+        if math.ceil(bond_order - 1e-9) + h in allowed:
+            return h
+    return None
+
+
 def oracle_reconstruct_from_probs(
     mol: MolGraph, probs: np.ndarray, threshold: float
 ) -> tuple[MolGraph, ValidityReport]:
@@ -237,7 +261,7 @@ def oracle_reconstruct_from_probs(
     atoms, offending = [], []
     for i, atom in enumerate(mol.atoms):
         order = sum(BOND_ORDER[t] for a, b, t in bonds if i in (a, b))
-        h = fill_implicit_h(atom.element, atom.formal_charge, order)
+        h = oracle_fill_implicit_h(atom.element, atom.formal_charge, order)
         if h is None:
             offending.append(i)
         atoms.append(Atom(atom.element, atom.formal_charge, h or 0))
@@ -527,7 +551,7 @@ def oracle_parse_smiles(text: str) -> ParseResult:
         if pa.explicit_h is not None:
             h = pa.explicit_h
         else:
-            h = fill_implicit_h(pa.element, pa.charge, order[idx]) or 0
+            h = oracle_fill_implicit_h(pa.element, pa.charge, order[idx]) or 0
         final_atoms.append(
             Atom(element=pa.element, formal_charge=pa.charge, implicit_h=h)
         )

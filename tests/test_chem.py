@@ -23,6 +23,7 @@ from molvae.chem import (
     bond_order_sums,
     build,
     check_valence,
+    fill_implicit_h,
     is_isomorphic,
 )
 
@@ -30,7 +31,7 @@ from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import MolTensors, init_model_params, reconstruct, reconstruct_from_probs
 
-from helpers import oracle_bond_order_sum, oracle_degree, oracle_neighbors, permute
+from helpers import oracle_bond_order_sum, oracle_degree, oracle_fill_implicit_h, oracle_neighbors, permute
 
 
 def ethanol():
@@ -83,6 +84,18 @@ def test_build_converts_bond_type_values_and_keeps_members():
     assert [type(t) for _, _, t in mixed.bonds] == [BondType] * 4
     with pytest.raises(ValueError):
         build(atoms, [(0, 1, 4)])
+
+
+def test_atom_is_its_label():
+    """An atom equals and hashes as its (element, charge, H) tuple, keeps its
+    field names, defaults and repr, and cannot be changed."""
+    a = Atom("N", 1, 4)
+    assert a == ("N", 1, 4) and hash(a) == hash(("N", 1, 4))
+    assert (a.element, a.formal_charge, a.implicit_h) == ("N", 1, 4)
+    assert Atom("C") == Atom("C", 0, 0)
+    assert repr(a) == "Atom(element='N', formal_charge=1, implicit_h=4)"
+    with pytest.raises(AttributeError):
+        a.implicit_h = 3
 
 
 def test_unknown_element_rejected():
@@ -269,6 +282,15 @@ def test_allowed_valences_charge_shift_n_and_o_only():
     assert allowed_valences("O", -1) == (1,)
     assert allowed_valences("C", 1) == ()
     assert allowed_valences("N", 3) == ()
+
+
+def test_fill_implicit_h_agrees_with_trying_each_count():
+    """Every element and an unknown one, charges -2..2, bond orders 0..12 in halves."""
+    for element in (*ELEMENTS, "Xx"):
+        for charge in range(-2, 3):
+            for k in range(25):
+                got = fill_implicit_h(element, charge, k / 2)
+                assert got == oracle_fill_implicit_h(element, charge, k / 2), (element, charge, k / 2)
 
 
 def test_check_valence_accepts_ethanol_and_benzene():

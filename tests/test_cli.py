@@ -452,6 +452,7 @@ BAD_INPUTS = {
     "min-path-above-max-path": (_fingerprint("--min-path", "5", "--max-path", "2"), EXIT_USAGE),
     "min-path-zero": (_fingerprint("--min-path", "0"), EXIT_USAGE),
     "bits-per-hash-zero": (_fingerprint("--bits-per-hash", "0"), EXIT_USAGE),
+    "bits-per-hash-huge": (_fingerprint("--nbits", "1048576", "--bits-per-hash", "1048576"), EXIT_USAGE),
     "batch-zero": (_train("--batch", "0"), EXIT_USAGE),
     "epochs-negative": (_train("--epochs", "-1"), EXIT_USAGE),
     "lr-negative": (_train("--lr", "-1"), EXIT_USAGE),

@@ -283,6 +283,15 @@ def test_nbits_is_bounded():
             FpConfig(nbits=nbits)
 
 
+def test_bits_per_hash_is_bounded():
+    """A huge bits_per_hash is refused up front rather than allocated while
+    hashing, at about 16 bytes per key per bit."""
+    assert FpConfig(nbits=2**20, bits_per_hash=1024).bits_per_hash == 1024
+    for bits in (1025, 2**20):
+        with pytest.raises(ValueError, match=f"<= 1024 and bits_per_hash <= nbits, got {bits} and 1048576$"):
+            FpConfig(nbits=2**20, bits_per_hash=bits)
+
+
 def test_single_atom_fingerprint_is_empty():
     assert path_fingerprint(parse_smiles("C")).on_count == 0
 
