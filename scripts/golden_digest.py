@@ -14,8 +14,9 @@ checkpoint's `evaluate_edge_auc` on the training and held-out parts of the
 corpus's `split(0.8, seed=0)`, its `evaluate_validity` on the held-out part
 and its `fit_probe` R^2 on the whole corpus. The `parsed` line covers the
 `repr` of `parse_smiles_ex`'s molecule and stripped count for every SMILES
-cell of the bundled corpus CSV, and the error type, message and position
-for BAD_SMILES, one input per error message of the parser. Two commits
+cell of the bundled corpus CSV, the same and the written SMILES for each
+of BRACKET_SMILES, and the error type, message and position for
+BAD_SMILES, one input per error message of the parser. Two commits
 whose lines are equal produce the same bytes. To check that a change leaves
 every output as it was, run the same script, from the newer commit, in a
 checkout of each commit:
@@ -45,8 +46,25 @@ from molvae.vaemodel import reconstruct  # noqa: E402
 
 QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
 
+# Valid inputs that reach what the corpus does not: bracket atoms that parse
+# (charges, explicit H, isotopes, chirality), stripped annotations, and the
+# writer's bracket form.
+BRACKET_SMILES = (
+    "[NH4+]",
+    "C[N+](C)(C)C",
+    "CC(=O)[O-]",
+    "[13CH4]",
+    "F/C=C/F",
+    "C[C@H](N)O",
+    "c1cc[nH]c1",
+    "[H][H]",
+    "[O--]",
+    "[S+2]",
+)
+
 # One input per error message of `smiles.parse_smiles_ex`, in the order the
-# parser's source raises them.
+# parser's source raises them. No parsed input reaches "graph construction
+# failed": the parser rejects whatever `chem.build` would.
 BAD_SMILES = (
     "",  # empty SMILES input
     "C==C",  # two consecutive bond symbols
@@ -64,7 +82,7 @@ BAD_SMILES = (
     "C(C",  # unclosed '('
     "C1CC",  # ring closure never closed
     "CC=",  # dangling bond symbol at end of input
-    "C(C1)1",  # graph construction failed: a ring bond repeats a chain bond
+    "C(C1)1",  # duplicate bond, the ring bond (1, 0) repeating the chain bond (0, 1)
     "[Xe]",  # unknown bracket atom
     "[Cx]",  # trailing characters in bracket atom
     "[N+3]",  # formal charge outside supported range
@@ -101,8 +119,9 @@ def _reconstructions(ckpt: Path) -> bytes:
 
 
 def _parsed() -> bytes:
-    """One line per corpus SMILES and per bad input: the parsed molecule and
-    stripped count, or the error's type, message and position."""
+    """One line per corpus SMILES, bracket input and bad input: the parsed
+    molecule and stripped count (and, for a bracket input, its written
+    SMILES), or the error's type, message and position."""
     with bundled_corpus_path().open(encoding="utf-8-sig", newline="") as f:
         cells = [row[0] for row in itertools.islice(csv.reader(f), 1, None) if row]
     lines = []
@@ -113,6 +132,9 @@ def _parsed() -> bytes:
         except SmilesError as exc:
             found = (type(exc).__name__, str(exc), exc.position)
         lines.append(f"{found!r}\n")
+    for smi in BRACKET_SMILES:
+        res = parse_smiles_ex(smi)
+        lines.append(f"{(res.mol, res.stripped, write_smiles(res.mol))!r}\n")
     return "".join(lines).encode("utf-8")
 
 

@@ -34,22 +34,6 @@ class ChemError(ValueError):
     """Base class for molecular graph construction errors."""
 
 
-class UnknownElement(ChemError):
-    pass
-
-
-class SelfLoop(ChemError):
-    pass
-
-
-class DuplicateBond(ChemError):
-    pass
-
-
-class IndexOutOfRange(ChemError):
-    pass
-
-
 class BondType(IntEnum):
     SINGLE = 0
     DOUBLE = 1
@@ -159,7 +143,7 @@ def build(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]) -> 
     """Validate and canonicalize a molecular graph."""
     for element, charge, h in atoms:
         if element not in ELEMENT_INDEX:
-            raise UnknownElement(f"unknown element symbol {element!r}")
+            raise ChemError(f"unknown element symbol {element!r}")
         if not -2 <= charge <= 2:
             raise ChemError(f"formal charge {charge} outside [-2, +2]")
         if not 0 <= h <= 4:
@@ -169,13 +153,13 @@ def build(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]) -> 
     ordered: list[tuple[int, int, BondType]] = []
     for i, j, t in bonds:
         if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"bond ({i}, {j}) references a missing atom")
+            raise ChemError(f"bond ({i}, {j}) references a missing atom")
         if i == j:
-            raise SelfLoop(f"self-bond on atom {i}")
+            raise ChemError(f"self-bond on atom {i}")
         if i > j:
             i, j = j, i
         if (i, j) in seen:
-            raise DuplicateBond(f"duplicate bond between atoms {i} and {j}")
+            raise ChemError(f"duplicate bond between atoms {i} and {j}")
         seen.add((i, j))
         ordered.append((i, j, t if isinstance(t, BondType) else BondType(t)))
     # The pairs are distinct, so the sort never compares two bond types.

@@ -29,23 +29,7 @@ class DataError(ValueError):
     pass
 
 
-class BadHeader(DataError):
-    pass
-
-
-class EmptyAfterFiltering(DataError):
-    pass
-
-
 class CheckpointError(ValueError):
-    pass
-
-
-class VersionMismatch(CheckpointError):
-    pass
-
-
-class CorruptTensor(CheckpointError):
     pass
 
 
@@ -104,15 +88,15 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
     rows = _csv_rows(path, text)
     header = next(rows, None)
     if header is None:
-        raise BadHeader(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     if not header or header[0].strip().lower() != "smiles":
-        raise BadHeader(f"{path}: header must begin with 'smiles'")
+        raise DataError(f"{path}: header must begin with 'smiles'")
     # Column -> property name; a blank header cell names none, and its column is not read.
     columns = {k: h.strip() for k, h in enumerate(header[1:], 1) if h.strip()}
     prop_names = list(columns.values())
     repeated = sorted({name for name in prop_names if prop_names.count(name) > 1})
     if repeated:
-        raise BadHeader(f"{path}: header repeats property {', '.join(map(repr, repeated))}")
+        raise DataError(f"{path}: header repeats property {', '.join(map(repr, repeated))}")
     for row in rows:
         if not "".join(row).strip():  # every cell blank
             continue
@@ -136,7 +120,7 @@ def load_csv(path: str | Path, max_atoms: int = MAX_ATOMS) -> Dataset:
         records.append(Record(smiles=smi, mol=mol, properties=props))
         stripped += parsed.stripped
     if not records:
-        raise EmptyAfterFiltering(f"{path}: no usable rows")
+        raise DataError(f"{path}: no usable rows")
     return Dataset(records=records, skipped=skipped, stripped=stripped)
 
 
@@ -167,15 +151,15 @@ def _read_tensor(path: Path, name: str, obj, shape: tuple[int, ...]) -> np.ndarr
         stored = obj["shape"]
         raw = base64.b64decode(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptTensor(f"{path}: tensor {name!r} unreadable ({exc!r})") from exc
+        raise CheckpointError(f"{path}: tensor {name!r} unreadable ({exc!r})") from exc
     if stored != list(shape):
-        raise CorruptTensor(f"{path}: tensor {name!r} has shape {stored}, expected {list(shape)}")
+        raise CheckpointError(f"{path}: tensor {name!r} has shape {stored}, expected {list(shape)}")
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
-        raise CorruptTensor(f"{path}: tensor {name!r} has {len(raw)} bytes, expected {expected}")
+        raise CheckpointError(f"{path}: tensor {name!r} has {len(raw)} bytes, expected {expected}")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if not np.isfinite(arr).all():
-        raise CorruptTensor(f"{path}: tensor {name!r} holds a non-finite value")
+        raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
     return arr
 
 
@@ -192,13 +176,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers UnicodeDecodeError, JSONDecodeError and an integer of
+    # too many digits; RecursionError is arrays nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: top level is not a JSON object")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(
+        raise CheckpointError(
             f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
         )
     try:

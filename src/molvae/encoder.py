@@ -69,7 +69,7 @@ def encode(
     share each edge list's scatter positions.
     """
     if features.shape[1] != FEATURE_DIM:
-        raise nk.ShapeMismatch(f"feature width {features.shape[1]} != {FEATURE_DIM}")
+        raise nk.NumericError(f"feature width {features.shape[1]} != {FEATURE_DIM}")
     h = nk.constant(features, "H")
     h = rgcn_layer(h, aggregate(h, relations), store, "enc.l1", activate=True)
     h = rgcn_layer(h, aggregate(h, relations), store, "enc.l2", activate=True)

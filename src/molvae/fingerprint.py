@@ -31,10 +31,6 @@ _MIX1 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64)
 _MIX2 = np.array(0x94D049BB133111EB, dtype=np.uint64)
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FpConfig:
     min_path: int = 1
@@ -108,7 +104,7 @@ class Fingerprint:
         return {}
 
     def _folded(self, n: int) -> int:
-        """The word folded to n bits, folded once per n; a LengthMismatch stores nothing."""
+        """The word folded to n bits, folded once per n; a length that raises stores nothing."""
         word = self._folds.get(n)
         if word is None:
             word = self._folds[n] = _fold_word(self.word, self.nbits, n)
@@ -273,11 +269,11 @@ def path_fingerprint(mol: MolGraph, cfg: FpConfig = FpConfig()) -> Fingerprint:
 def _fold_word(word: int, nbits: int, n: int) -> int:
     """`word` of nbits bits with bit b moved to b mod n, by ORing halves together.
 
-    Raises LengthMismatch unless nbits is a power-of-two multiple of n.
+    Raises ValueError unless nbits is a power-of-two multiple of n.
     """
     ratio, rest = divmod(nbits, n)
     if rest or ratio & (ratio - 1):
-        raise LengthMismatch(f"fingerprint lengths {nbits} vs {n}")
+        raise ValueError(f"fingerprint lengths {nbits} vs {n}")
     while nbits > n:
         nbits //= 2
         word = (word >> nbits) | (word & ((1 << nbits) - 1))

@@ -13,14 +13,6 @@ class NumericError(ArithmeticError):
     """Base class for numeric failures."""
 
 
-class ShapeMismatch(NumericError):
-    pass
-
-
-class NotScalar(NumericError):
-    pass
-
-
 class NonFiniteValue(NumericError):
     pass
 
@@ -80,7 +72,7 @@ def constant(data, name: str | None = None) -> Tensor:
 
 def _require_2d(t: Tensor, op: str) -> None:
     if t.data.ndim != 2:
-        raise ShapeMismatch(f"{op} requires a 2-D tensor, got shape {t.shape}")
+        raise NumericError(f"{op} requires a 2-D tensor, got shape {t.shape}")
 
 
 # -- primitive operations ------------------------------------------------
@@ -88,7 +80,7 @@ def _require_2d(t: Tensor, op: str) -> None:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul shapes {a.shape} x {b.shape}")
+        raise NumericError(f"matmul shapes {a.shape} x {b.shape}")
 
     def grad_fn(g):
         return (g @ b.data.T, a.data.T @ g)
@@ -98,13 +90,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeMismatch(f"add shapes {a.shape} vs {b.shape}")
+        raise NumericError(f"add shapes {a.shape} vs {b.shape}")
     return Tensor(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeMismatch(f"sub shapes {a.shape} vs {b.shape}")
+        raise NumericError(f"sub shapes {a.shape} vs {b.shape}")
     return Tensor(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
@@ -115,7 +107,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeMismatch(f"hadamard shapes {a.shape} vs {b.shape}")
+        raise NumericError(f"hadamard shapes {a.shape} vs {b.shape}")
     return Tensor(
         a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "hadamard"
     )
@@ -265,7 +257,7 @@ class PairLayout:
     def pad(self, z: np.ndarray) -> np.ndarray:
         """The blocks of the rows of `z` as a (B, m, width) stack, padded with zero rows."""
         if z.ndim != 2 or len(z) != self.sizes.sum():
-            raise ShapeMismatch(f"{z.shape} array for blocks of {self.sizes.sum()} rows")
+            raise NumericError(f"{z.shape} array for blocks of {self.sizes.sum()} rows")
         if len(z) == self.sizes.size * self.m:  # no block is short, as when there is one
             return z.reshape(self.sizes.size, self.m, z.shape[1])
         zp = np.zeros((self.sizes.size, self.m, z.shape[1]))
@@ -398,7 +390,7 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
     non-finite loss raises NonFiniteValue (see `checked`).
     """
     if loss.data.size != 1:
-        raise NotScalar(f"backward requires a scalar, got shape {loss.shape}")
+        raise NumericError(f"backward requires a scalar, got shape {loss.shape}")
     checked(loss)
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_tape(loss)):

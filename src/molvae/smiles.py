@@ -52,26 +52,6 @@ class SmilesError(ValueError):
         self.position = position
 
 
-class EmptyInput(SmilesError):
-    pass
-
-
-class UnknownSymbol(SmilesError):
-    pass
-
-
-class UnbalancedParenthesis(SmilesError):
-    pass
-
-
-class UnclosedRing(SmilesError):
-    pass
-
-
-class DisconnectedInput(SmilesError):
-    pass
-
-
 class Disconnected(SmilesError):
     """Raised by the writer for multi-fragment graphs."""
 
@@ -86,7 +66,7 @@ def parse_smiles_ex(text: str) -> ParseResult:
     """Parse a SMILES string, also reporting how many annotations were stripped."""
     s = "" if text is None else text.strip()
     if not s:
-        raise EmptyInput("empty SMILES input")
+        raise SmilesError("empty SMILES input")
     # Per atom, in parallel: element, aromatic flag, charge, and H count (None: implicit).
     elements, aromatic, charges, explicit_h = [], [], [], []
     bonds: list[tuple[int, int, BondType]] = []
@@ -143,37 +123,38 @@ def parse_smiles_ex(text: str) -> ParseResult:
                 # Only a ring closure can bond an atom to itself or repeat a bond.
                 if other == prev:
                     raise SmilesError("ring bond closes onto its own atom", m.start())
-                if (other, prev) in bonded:
+                pair = (other, prev) if other < prev else (prev, other)
+                if pair in bonded:
                     raise SmilesError("duplicate bond between the same atoms", m.start())
                 if t is None:
                     t = BondType.AROMATIC if aromatic[other] and aromatic[prev] else BondType.SINGLE
                 bonds.append((other, prev, t))
-                bonded.add((other, prev))
+                bonded.add(pair)
             pending_bond = None
         elif kind == "open":
             if prev is None:
-                raise UnbalancedParenthesis("branch opens before any atom", m.start())
+                raise SmilesError("branch opens before any atom", m.start())
             stack.append(prev)
         elif kind == "close":
             if not stack:
-                raise UnbalancedParenthesis("unmatched ')'", m.start())
+                raise SmilesError("unmatched ')'", m.start())
             prev = stack.pop()
         elif tok == ".":
-            raise DisconnectedInput("dot-disconnected (multi-fragment) input", m.start())
+            raise SmilesError("dot-disconnected (multi-fragment) input", m.start())
         elif tok == "[":
             raise SmilesError("unterminated bracket atom", m.start())
         elif tok == "%":
             raise SmilesError("'%' ring closure needs two digits", m.start())
         else:
-            raise UnknownSymbol(f"unexpected character {tok!r}", m.start())
+            raise SmilesError(f"unexpected character {tok!r}", m.start())
 
     if not elements:
-        raise EmptyInput("no atoms in input")
+        raise SmilesError("no atoms in input")
     if stack:
-        raise UnbalancedParenthesis("unclosed '('", len(s))
+        raise SmilesError("unclosed '('", len(s))
     if open_rings:
         num, (_, _, pos) = next(iter(open_rings.items()))
-        raise UnclosedRing(f"ring closure {num} never closed", pos)
+        raise SmilesError(f"ring closure {num} never closed", pos)
     if pending_bond is not None:
         raise SmilesError("dangling bond symbol at end of input", len(s))
 
@@ -182,6 +163,8 @@ def parse_smiles_ex(text: str) -> ParseResult:
         Atom(e, q, h if h is not None else fill_implicit_h(e, q, o) or 0)
         for e, q, h, o in zip(elements, charges, explicit_h, order)
     ]
+    # The checks above leave `build` nothing to reject in a parsed input, but
+    # it stays the one validator of a graph, so its error still ends here.
     try:
         mol = build(atoms, bonds)
     except ChemError as exc:
@@ -194,9 +177,9 @@ def _parse_bracket(body: str, pos: int) -> tuple[str, bool, int, int, int]:
     m = _BRACKET.match(body)
     element = m["element"]
     if element is None:
-        raise UnknownSymbol(f"unknown bracket atom {body!r}", pos)
+        raise SmilesError(f"unknown bracket atom {body!r}", pos)
     if m["rest"]:
-        raise UnknownSymbol(f"trailing characters in bracket atom {body!r}", pos)
+        raise SmilesError(f"trailing characters in bracket atom {body!r}", pos)
     q = m["charge"] or ""  # "", "+", "--", "+2", ...
     charge = int(q) if q[1:].isdecimal() else q.count("+") - q.count("-")
     if not -2 <= charge <= 2:

@@ -9,15 +9,11 @@ import numpy as np
 
 from . import vaemodel
 from .encoder import LATENT_DIM
-from .numkernel import NonFiniteValue, ParamStore, ShapeMismatch, backward
+from .numkernel import NonFiniteValue, NumericError, ParamStore, backward
 from .vaemodel import LossBreakdown, MolTensors, init_model_params
 
 
 class TrainError(ValueError):
-    pass
-
-
-class EmptyDataset(TrainError):
     pass
 
 
@@ -80,7 +76,7 @@ def adam_step(
     items = params.items()
     for name, p in items:
         if grads[name].shape != p.data.shape:
-            raise ShapeMismatch(f"gradient shape for {name}: {grads[name].shape} vs {p.data.shape}")
+            raise NumericError(f"gradient shape for {name}: {grads[name].shape} vs {p.data.shape}")
     g = np.concatenate([grads[name].ravel() for name, _ in items])
     g *= scale
     if not np.isfinite(g).all():
@@ -124,7 +120,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
     """
     records = list(dataset.records)
     if not records:
-        raise EmptyDataset("no molecules to train on")
+        raise TrainError("no molecules to train on")
     labels = _labels(records, property_name)
     full = MolTensors.from_mols([rec.mol for rec in records])
 
@@ -164,7 +160,7 @@ def _labels(records, name: str) -> np.ndarray:
 def _molecules(dataset) -> list:
     mols = [rec.mol for rec in dataset.records]
     if not mols:
-        raise EmptyDataset("no molecules to evaluate")
+        raise TrainError("no molecules to evaluate")
     return mols
 
 

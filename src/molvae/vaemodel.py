@@ -52,7 +52,7 @@ class LossBreakdown:
 def sample_latent(mu: Tensor, log_std: Tensor, noise: np.ndarray) -> Tensor:
     """Reparameterized draw: Z = mu + exp(log_std) * noise."""
     if mu.shape != log_std.shape or mu.shape != noise.shape:
-        raise nk.ShapeMismatch(
+        raise nk.NumericError(
             f"latent shapes {mu.shape} / {log_std.shape} / {noise.shape}"
         )
     return nk.add(mu, nk.hadamard(nk.exp(log_std), nk.constant(noise, "noise")))
@@ -61,7 +61,7 @@ def sample_latent(mu: Tensor, log_std: Tensor, noise: np.ndarray) -> Tensor:
 def kl_term(mu: Tensor, log_std: Tensor) -> Tensor:
     """Closed-form KL of the diagonal Gaussian posterior to the standard normal."""
     if mu.shape != log_std.shape:
-        raise nk.ShapeMismatch(f"kl shapes {mu.shape} vs {log_std.shape}")
+        raise nk.NumericError(f"kl shapes {mu.shape} vs {log_std.shape}")
     var = nk.exp(nk.scale(log_std, 2.0))
     inner = nk.sub(nk.add(nk.square(mu), var), nk.scale(log_std, 2.0))
     total = nk.reduce_sum(inner)
@@ -78,7 +78,7 @@ def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
     """
     n = adjacency.shape[0]
     if p.shape != (n, n):
-        raise nk.ShapeMismatch(f"probability shape {p.shape} vs {n} atoms")
+        raise nk.NumericError(f"probability shape {p.shape} vs {n} atoms")
     i, j = np.triu_indices(n, 1)
     if i.size == 0:
         return nk.constant(np.array(0.0))
@@ -225,7 +225,7 @@ def joint_loss(
     mt = mol if isinstance(mol, MolTensors) else MolTensors.from_mol(mol)
     labels = np.asarray(label, dtype=np.float64).reshape(-1)
     if labels.shape != mt.sizes.shape:
-        raise nk.ShapeMismatch(f"{labels.size} labels for {mt.sizes.size} molecules")
+        raise nk.NumericError(f"{labels.size} labels for {mt.sizes.size} molecules")
     mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
     # BCE via softplus: no clamp, exact when saturated
@@ -291,17 +291,13 @@ def predict(mol: MolGraph, store: ParamStore) -> float:
     return float(nk.tape_free(lambda: side_predict(encoder.pool(_mu(mt, store), store, mt.sizes), store)).data[0])
 
 
-class ZeroVector(ArithmeticError):
-    pass
-
-
 def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> float:
     """Similarity 1/(1+d) from the distance between normalized pooled vectors."""
     units = []
     for g in pooled_vectors([mol1, mol2], store):
         norm = np.linalg.norm(g)
         if norm == 0.0:
-            raise ZeroVector("pooled vector has zero norm")
+            raise nk.NumericError("pooled vector has zero norm")
         units.append(g / norm)
     return 1.0 / (1.0 + float(np.linalg.norm(units[0] - units[1])))
 
@@ -326,7 +322,7 @@ def reconstruct_from_probs(
     """
     n = mol.n_atoms
     if np.shape(probs) != (n, n):
-        raise nk.ShapeMismatch(f"probability shape {np.shape(probs)} vs {n} atoms")
+        raise nk.NumericError(f"probability shape {np.shape(probs)} vs {n} atoms")
     types = np.zeros((n, n), dtype=np.int64)  # BondType.SINGLE is 0
     for i, j, t in mol.bonds:
         types[i, j] = types[j, i] = t  # a graph not made by `chem.build` may list a bond as (j, i)

@@ -25,17 +25,9 @@ from molvae.chem import (
     bond_order_sums,
     build,
 )
-from molvae.fingerprint import FpConfig, LengthMismatch
+from molvae.fingerprint import FpConfig
 from molvae.numkernel import Edges, PairLayout
-from molvae.smiles import (
-    DisconnectedInput,
-    EmptyInput,
-    ParseResult,
-    SmilesError,
-    UnbalancedParenthesis,
-    UnclosedRing,
-    UnknownSymbol,
-)
+from molvae.smiles import ParseResult, SmilesError
 from molvae.vaemodel import MolTensors
 
 
@@ -355,7 +347,7 @@ def oracle_fold(bits: frozenset[int], nbits: int, n: int) -> frozenset[int]:
     """Bit b -> b mod n, for nbits a power-of-two multiple of n."""
     ratio, rest = divmod(nbits, n)
     if rest or ratio & (ratio - 1):
-        raise LengthMismatch(f"fingerprint lengths {nbits} vs {n}")
+        raise ValueError(f"fingerprint lengths {nbits} vs {n}")
     return frozenset(b % n for b in bits)
 
 
@@ -417,11 +409,11 @@ class _Pending:
 def oracle_parse_smiles(text: str) -> ParseResult:
     """`parse_smiles_ex` as a character-by-character dispatch loop."""
     if text is None or text.strip() == "":
-        raise EmptyInput("empty SMILES input")
+        raise SmilesError("empty SMILES input")
     s = text.strip()
     atoms: list[_Pending] = []
     bonds: list[tuple[int, int, BondType]] = []
-    bonded: set[tuple[int, int]] = set()  # (earlier atom, later atom) of every bond
+    bonded: set[frozenset[int]] = set()  # the two atoms of every bond
     stack: list[int] = []
     prev: int | None = None
     pending_bond: BondType | None = None
@@ -447,7 +439,7 @@ def oracle_parse_smiles(text: str) -> ParseResult:
 
     def _add_bond(i: int, j: int, t: BondType) -> None:
         bonds.append((i, j, t))
-        bonded.add((i, j))
+        bonded.add(frozenset((i, j)))
 
     def close_ring(num: int, pos: int) -> None:
         nonlocal pending_bond
@@ -469,7 +461,7 @@ def oracle_parse_smiles(text: str) -> ParseResult:
             # Only a ring closure can bond an atom to itself or repeat a bond.
             if other == prev:
                 raise SmilesError("ring bond closes onto its own atom", pos)
-            if (other, prev) in bonded:
+            if frozenset((other, prev)) in bonded:
                 raise SmilesError("duplicate bond between the same atoms", pos)
             _add_bond(other, prev, t)
         else:
@@ -481,16 +473,16 @@ def oracle_parse_smiles(text: str) -> ParseResult:
     while i < n:
         c = s[i]
         if c == ".":
-            raise DisconnectedInput("dot-disconnected (multi-fragment) input", i)
+            raise SmilesError("dot-disconnected (multi-fragment) input", i)
         if c == "(":
             if prev is None:
-                raise UnbalancedParenthesis("branch opens before any atom", i)
+                raise SmilesError("branch opens before any atom", i)
             stack.append(prev)
             i += 1
             continue
         if c == ")":
             if not stack:
-                raise UnbalancedParenthesis("unmatched ')'", i)
+                raise SmilesError("unmatched ')'", i)
             prev = stack.pop()
             i += 1
             continue
@@ -533,15 +525,15 @@ def oracle_parse_smiles(text: str) -> ParseResult:
             add_atom(_Pending(element=_AROMATIC[c], aromatic=True), i)
             i += 1
             continue
-        raise UnknownSymbol(f"unexpected character {c!r}", i)
+        raise SmilesError(f"unexpected character {c!r}", i)
 
     if not atoms:
-        raise EmptyInput("no atoms in input")
+        raise SmilesError("no atoms in input")
     if stack:
-        raise UnbalancedParenthesis("unclosed '('", len(s))
+        raise SmilesError("unclosed '('", len(s))
     if open_rings:
         num, (_, _, pos) = next(iter(open_rings.items()))
-        raise UnclosedRing(f"ring closure {num} never closed", pos)
+        raise SmilesError(f"ring closure {num} never closed", pos)
     if pending_bond is not None:
         raise SmilesError("dangling bond symbol at end of input", len(s))
 
@@ -585,7 +577,7 @@ def _oracle_parse_bracket(s: str, start: int) -> tuple[_Pending, int, int]:
         aromatic = True
         i += 1
     if elem is None:
-        raise UnknownSymbol(f"unknown bracket atom {body!r}", start)
+        raise SmilesError(f"unknown bracket atom {body!r}", start)
     while i < len(body) and body[i] == "@":  # chirality, discarded
         i += 1
         stripped += 1
@@ -609,7 +601,7 @@ def _oracle_parse_bracket(s: str, start: int) -> tuple[_Pending, int, int]:
                 charge += sign
                 i += 1
     if i != len(body):
-        raise UnknownSymbol(f"trailing characters in bracket atom {body!r}", start)
+        raise SmilesError(f"trailing characters in bracket atom {body!r}", start)
     if not -2 <= charge <= 2:
         raise SmilesError(f"formal charge {charge:+d} outside supported range", start)
     if explicit_h > 4:

@@ -10,13 +10,9 @@ from molvae.chem import (
     Atom,
     BondType,
     ChemError,
-    DuplicateBond,
     ELEMENTS,
     FEATURE_DIM,
-    IndexOutOfRange,
     MolGraph,
-    SelfLoop,
-    UnknownElement,
     adjacency,
     adjacency_tensor,
     allowed_valences,
@@ -99,17 +95,17 @@ def test_atom_is_its_label():
 
 
 def test_unknown_element_rejected():
-    with pytest.raises(UnknownElement):
+    with pytest.raises(ChemError, match="^unknown element symbol 'Xx'$"):
         build([Atom("Xx")], [])
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoop):
+    with pytest.raises(ChemError, match="^self-bond on atom 1$"):
         build([Atom("C"), Atom("C")], [(1, 1, BondType.SINGLE)])
 
 
 def test_duplicate_bond_rejected_even_when_flipped():
-    with pytest.raises(DuplicateBond):
+    with pytest.raises(ChemError, match="^duplicate bond between atoms 0 and 1$"):
         build(
             [Atom("C"), Atom("C")],
             [(0, 1, BondType.SINGLE), (1, 0, BondType.DOUBLE)],
@@ -117,7 +113,7 @@ def test_duplicate_bond_rejected_even_when_flipped():
 
 
 def test_bond_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ChemError, match=r"^bond \(0, 1\) references a missing atom$"):
         build([Atom("C")], [(0, 1, BondType.SINGLE)])
 
 
@@ -126,16 +122,16 @@ def test_build_checks_each_bond_in_order_and_names_it():
     # check; the first bond that fails names the error.
     atoms = [Atom("C"), Atom("C"), Atom("C")]
     cases = [
-        ([(3, 3, 0)], IndexOutOfRange, "bond (3, 3) references a missing atom"),
-        ([(-1, 0, 0)], IndexOutOfRange, "bond (-1, 0) references a missing atom"),
-        ([(1, 1, 0), (1, 1, 0)], SelfLoop, "self-bond on atom 1"),
-        ([(0, 1, 0), (1, 1, 0), (0, 5, 0)], SelfLoop, "self-bond on atom 1"),
-        ([(0, 1, 0), (0, 1, 0), (2, 2, 0)], DuplicateBond, "duplicate bond between atoms 0 and 1"),
-        ([(2, 1, 0), (1, 2, 1)], DuplicateBond, "duplicate bond between atoms 1 and 2"),
-        ([(0, 2, 0), (2, 0, 3), (0, 9, 0)], DuplicateBond, "duplicate bond between atoms 0 and 2"),
+        ([(3, 3, 0)], "bond (3, 3) references a missing atom"),
+        ([(-1, 0, 0)], "bond (-1, 0) references a missing atom"),
+        ([(1, 1, 0), (1, 1, 0)], "self-bond on atom 1"),
+        ([(0, 1, 0), (1, 1, 0), (0, 5, 0)], "self-bond on atom 1"),
+        ([(0, 1, 0), (0, 1, 0), (2, 2, 0)], "duplicate bond between atoms 0 and 1"),
+        ([(2, 1, 0), (1, 2, 1)], "duplicate bond between atoms 1 and 2"),
+        ([(0, 2, 0), (2, 0, 3), (0, 9, 0)], "duplicate bond between atoms 0 and 2"),
     ]
-    for bonds, error, message in cases:
-        with pytest.raises(error) as info:
+    for bonds, message in cases:
+        with pytest.raises(ChemError) as info:
             build(atoms, bonds)
         assert str(info.value) == message
 

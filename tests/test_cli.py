@@ -435,6 +435,16 @@ def _encode_bytes(ckpt, tmp_path):
     return ["encode", "--ckpt", str(path), "--smiles", "CCO"]
 
 
+def _encode_text(text: str):
+    """`encode` with a checkpoint file that holds `text`."""
+    def make_argv(ckpt, tmp_path):
+        path = tmp_path / "edited.ckpt"
+        path.write_text(text, encoding="utf-8")
+        return ["encode", "--ckpt", str(path), "--smiles", "CCO"]
+
+    return make_argv
+
+
 def _encode_with(**config):
     return _encode_edited(lambda doc: {**doc, "config": {**doc["config"], **config}})
 
@@ -470,6 +480,8 @@ BAD_INPUTS = {
     "csv-is-a-directory": (lambda ckpt, tmp_path: _train()(dict(ckpt, data=tmp_path), tmp_path), EXIT_IO),
     "out-is-a-directory": (lambda ckpt, tmp_path: [*_train()(ckpt, tmp_path), "--out", str(tmp_path)], EXIT_IO),
     "checkpoint-not-utf8": (_encode_bytes, EXIT_IO),
+    "checkpoint-nested-too-deep": (_encode_text("[" * 200_000 + "]" * 200_000), EXIT_IO),
+    "checkpoint-version-too-many-digits": (_encode_text('{"version": ' + "9" * 5_000 + "}"), EXIT_IO),
     "checkpoint-is-a-directory": (
         lambda ckpt, tmp_path: ["encode", "--ckpt", str(tmp_path), "--smiles", "CCO"],
         EXIT_IO,

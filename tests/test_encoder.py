@@ -109,7 +109,7 @@ def test_encode_output_shapes():
 
 def test_encode_rejects_bad_feature_width():
     store = init_model_params(seed=0)
-    with pytest.raises(nk.ShapeMismatch):
+    with pytest.raises(nk.NumericError, match="^feature width 7 != 32$"):
         encode(np.zeros((3, 7)), [], store, "mu")
 
 

@@ -14,7 +14,6 @@ from molvae.corpus import DRUG_SMILES, random_molecule
 from molvae.fingerprint import (
     Fingerprint,
     FpConfig,
-    LengthMismatch,
     canonical_subgraph_key,
     cosine,
     dice,
@@ -322,9 +321,9 @@ def test_folded_density_reaches_target_unless_minimum_length():
 
 
 def test_fold_rejects_non_power_of_two_ratio():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^fingerprint lengths 192 vs 64$"):
         _fold_word(0b10, 192, 64)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="^fingerprint lengths 64 vs 128$"):
         _fold_word(0b10, 64, 128)
 
 
@@ -515,9 +514,9 @@ def test_metric_length_mismatch():
     short, odd = fp_of({1}, nbits=64), fp_of({1}, nbits=96)
     for _ in range(3):
         for m in (tanimoto, dice, cosine):
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(ValueError, match="^fingerprint lengths 96 vs 64$"):
                 m(short, odd)
-            with pytest.raises(LengthMismatch):
+            with pytest.raises(ValueError, match="^fingerprint lengths 96 vs 64$"):
                 m(odd, short)
     assert not vars(odd).get("_folds") and not vars(short).get("_folds")
 

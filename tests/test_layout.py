@@ -236,6 +236,43 @@ def test_every_re_export_is_read_from_its_module():
     assert unread == []
 
 
+def _named_outside_raise_and_import(tree: ast.Module) -> set[str]:
+    """Every identifier a module's code reads outside its `raise` statements
+    and imports: in an `except` clause, a table, a class's bases, a call."""
+    out = set()
+
+    def visit(node):
+        if isinstance(node, (ast.Raise, ast.Import, ast.ImportFrom)):
+            return
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def test_every_exception_class_is_handled_by_name():
+    """An exception class earns its place only where some code tells it apart
+    from its base: it is named outside a `raise` and an import somewhere in
+    the package, the benchmark, the scripts or the acceptance tests (an
+    `except` clause, the CLI's exit-code table, a subclass's base). A class
+    that is only raised says nothing its base and message do not."""
+    named = set().union(*map(_named_outside_raise_and_import, _callers().values()))
+    unhandled = sorted(
+        f"{mod}.{node.name}"
+        for mod, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(importlib.import_module(f"molvae.{mod}"), node.name), BaseException)
+        and node.name not in named
+    )
+    assert unhandled == []
+
+
 def test_only_main_and_the_parser_write_to_stderr():
     writers = sorted(
         name

@@ -1,21 +1,12 @@
 """Tests for SMILES parsing, implicit-hydrogen filling, and the writer."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from molvae.chem import Atom, BondType, build, check_valence, is_isomorphic
-from molvae.smiles import (
-    Disconnected,
-    DisconnectedInput,
-    EmptyInput,
-    SmilesError,
-    UnbalancedParenthesis,
-    UnclosedRing,
-    UnknownSymbol,
-    parse_smiles,
-    parse_smiles_ex,
-    write_smiles,
-)
+from molvae.smiles import Disconnected, SmilesError, parse_smiles, parse_smiles_ex, write_smiles
 
 from helpers import oracle_parse_smiles, permute
 
@@ -138,34 +129,35 @@ def test_isotope_and_stereo_stripped_and_counted():
 # -- parse errors --------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text,exc",
-    [
-        ("", EmptyInput),
-        ("   ", EmptyInput),
-        ("C.C", DisconnectedInput),
-        ("C(", UnbalancedParenthesis),
-        ("C)", UnbalancedParenthesis),
-        ("(CC)", UnbalancedParenthesis),
-        ("C1CC", UnclosedRing),
-        ("C11", SmilesError),
-        ("C12CC12", SmilesError),
-        ("CC==C", SmilesError),
-        ("C=", SmilesError),
-        ("Zz", UnknownSymbol),
-        ("[Xx]", UnknownSymbol),
-        ("[C", SmilesError),
-        ("1CC", SmilesError),
-        ("C%1C", SmilesError),
-    ],
-)
-def test_parse_errors(text, exc):
-    with pytest.raises(exc):
+PARSE_ERRORS = [
+    ("", "empty SMILES input"),
+    ("   ", "empty SMILES input"),
+    ("C.C", "dot-disconnected (multi-fragment) input (at position 1)"),
+    ("C(", "unclosed '(' (at position 2)"),
+    ("C)", "unmatched ')' (at position 1)"),
+    ("(CC)", "branch opens before any atom (at position 0)"),
+    ("C1CC", "ring closure 1 never closed (at position 1)"),
+    ("C11", "ring bond closes onto its own atom (at position 2)"),
+    ("C12CC12", "duplicate bond between the same atoms (at position 6)"),
+    ("CC==C", "two consecutive bond symbols (at position 3)"),
+    ("C=", "dangling bond symbol at end of input (at position 2)"),
+    ("Zz", "unexpected character 'Z' (at position 0)"),
+    ("[Xx]", "unknown bracket atom 'Xx' (at position 0)"),
+    ("[C", "unterminated bracket atom (at position 0)"),
+    ("1CC", "ring closure digit before any atom (at position 0)"),
+    ("C%1C", "'%' ring closure needs two digits (at position 1)"),
+]
+
+
+# Each id is the text and the class every parse error has.
+@pytest.mark.parametrize("text, message", PARSE_ERRORS, ids=[f"{text}-SmilesError" for text, _ in PARSE_ERRORS])
+def test_parse_errors(text, message):
+    with pytest.raises(SmilesError, match=f"^{re.escape(message)}$"):
         parse_smiles(text)
 
 
 def test_errors_report_position():
-    with pytest.raises(UnknownSymbol) as ei:
+    with pytest.raises(SmilesError, match="^unexpected character 'Z'") as ei:
         parse_smiles("CCZz")
     assert ei.value.position == 2
 
@@ -176,6 +168,7 @@ def test_errors_report_position():
         ("C11", "closes onto its own atom", 2),
         ("C12CC12", "duplicate bond", 6),
         ("C1C1", "duplicate bond", 3),
+        ("C(C1)1", "duplicate bond", 5),  # the ring bond is (1, 0), the chain bond (0, 1)
     ],
 )
 def test_ring_closure_errors_report_position(text, message, position):

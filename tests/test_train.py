@@ -13,7 +13,6 @@ from molvae.numkernel import NonFiniteValue, ParamStore, backward
 from molvae.smiles import parse_smiles
 from molvae.train import (
     AdamState,
-    EmptyDataset,
     TrainConfig,
     TrainError,
     adam_step,
@@ -121,10 +120,8 @@ def test_adam_names_the_first_non_finite_gradient_and_changes_nothing(warm):
 
 
 def test_adam_shape_mismatch():
-    from molvae.numkernel import ShapeMismatch
-
     store = ParamStore({"p": np.ones((2, 2))})
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(nk.NumericError, match=r"^gradient shape for p: \(3,\) vs \(2, 2\)$"):
         adam_step(store, {"p": np.ones(3)}, AdamState(), lr=0.1)
 
 
@@ -132,7 +129,7 @@ def test_adam_shape_mismatch():
 
 
 def test_train_empty_dataset_rejected():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(TrainError, match="^no molecules to train on$"):
         train(dataio.Dataset(records=[]), "heavy_atoms", TrainConfig(epochs=1))
 
 
@@ -338,7 +335,7 @@ def test_evaluators_encode_the_dataset_once(evaluate, monkeypatch):
 def test_evaluators_reject_an_empty_dataset(evaluate):
     _, held_out = tiny_dataset().split(1.0, seed=0)
     assert held_out.records == []
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(TrainError, match="^no molecules to evaluate$"):
         evaluate(init_model_params(seed=0), held_out)
 
 
