@@ -27,8 +27,6 @@ DEFAULT_VALENCES: dict[str, tuple[int, ...]] = {
     "I": (1,),
 }
 
-FEATURE_DIM = 32  # width of an atom's feature row (see `vaemodel.MolTensors.from_mols`)
-
 
 class ChemError(ValueError):
     """Base class for molecular graph construction errors."""

@@ -33,7 +33,6 @@ _EXIT_CODES = {
     _BadFlag: EXIT_USAGE,
     OSError: EXIT_IO,
     dataio.DataError: EXIT_IO,
-    dataio.CheckpointError: EXIT_IO,
     SmilesError: EXIT_IO,
     ChemError: EXIT_DOMAIN,
     tr.TrainError: EXIT_DOMAIN,
@@ -86,9 +85,9 @@ def cmd_train(args) -> int:
     dataio.save_checkpoint(params, config, out)
     with history_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "recon", "kl", "side", "total"])
+        writer.writerow(["epoch", *vaemodel.LossBreakdown._fields])
         for epoch, bd in enumerate(history, start=1):
-            writer.writerow([epoch, bd.recon, bd.kl, bd.side_mse, bd.total])
+            writer.writerow([epoch, *bd])
     payload = {
         "checkpoint": str(args.out),
         "history": str(history_path),
@@ -122,6 +121,8 @@ def cmd_reconstruct(args) -> int:
         raise _BadFlag(f"--threshold must be a number in [0, 1], got {args.threshold}")
     params, _ = dataio.load_checkpoint(args.ckpt)
     mol = parse_smiles(args.smiles)
+    if mol.n_atoms > vaemodel.RECONSTRUCT_MAX_ATOMS:
+        raise _BadFlag(f"reconstruct takes at most {vaemodel.RECONSTRUCT_MAX_ATOMS} atoms, got {mol.n_atoms}")
     probs = vaemodel.decode_probs(mol, params)
     out, report = vaemodel.reconstruct_from_probs(mol, probs, args.threshold)
     try:

@@ -26,11 +26,7 @@ MAX_ATOMS = 20
 
 
 class DataError(ValueError):
-    pass
-
-
-class CheckpointError(ValueError):
-    pass
+    """A CSV or checkpoint file is malformed; the message starts with the file's path."""
 
 
 @dataclass(frozen=True)
@@ -151,15 +147,15 @@ def _read_tensor(path: Path, name: str, obj, shape: tuple[int, ...]) -> np.ndarr
         stored = obj["shape"]
         raw = base64.b64decode(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: tensor {name!r} unreadable ({exc!r})") from exc
+        raise DataError(f"{path}: tensor {name!r} unreadable ({exc!r})") from exc
     if stored != list(shape):
-        raise CheckpointError(f"{path}: tensor {name!r} has shape {stored}, expected {list(shape)}")
+        raise DataError(f"{path}: tensor {name!r} has shape {stored}, expected {list(shape)}")
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
-        raise CheckpointError(f"{path}: tensor {name!r} has {len(raw)} bytes, expected {expected}")
+        raise DataError(f"{path}: tensor {name!r} has {len(raw)} bytes, expected {expected}")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
     if not np.isfinite(arr).all():
-        raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+        raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
     return arr
 
 
@@ -179,28 +175,28 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, TrainConfig]:
     # ValueError covers UnicodeDecodeError, JSONDecodeError and an integer of
     # too many digits; RecursionError is arrays nested too deep.
     except (ValueError, RecursionError) as exc:
-        raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: top level is not a JSON object")
+        raise DataError(f"{path}: top level is not a JSON object")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise DataError(
             f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
         )
     try:
         config = TrainConfig(**doc.get("config"))
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: bad training config ({exc})") from exc
+        raise DataError(f"{path}: bad training config ({exc})") from exc
     missing = sorted(asdict(config).keys() - doc["config"].keys())
     if missing:
-        raise CheckpointError(f"{path}: training config lacks {missing}")
+        raise DataError(f"{path}: training config lacks {missing}")
     tensors = doc.get("tensors")
     if not isinstance(tensors, dict):
-        raise CheckpointError(f"{path}: no 'tensors' object")
+        raise DataError(f"{path}: no 'tensors' object")
     missing = sorted(PARAM_SHAPES.keys() - tensors.keys())
     extra = sorted(tensors.keys() - PARAM_SHAPES.keys())
     if missing or extra:
-        raise CheckpointError(f"{path}: tensors missing {missing}, unexpected {extra}")
+        raise DataError(f"{path}: tensors missing {missing}, unexpected {extra}")
     return ParamStore({
         name: _read_tensor(path, name, tensors[name], shape) for name, shape in PARAM_SHAPES.items()
     }), config

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import numkernel as nk
-from .chem import FEATURE_DIM, N_BOND_TYPES
+from .chem import N_BOND_TYPES
 from .numkernel import ParamStore, Tensor
 
+FEATURE_DIM = 32  # width of an atom's feature row (see `vaemodel.MolTensors.from_mols`)
 LATENT_DIM = 16
 HIDDEN_DIM = 32
 POOL_DIM = 64

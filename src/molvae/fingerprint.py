@@ -22,6 +22,10 @@ _MAX_NBITS = 2**20
 # Most bits one key may set: hashing holds about 16 bytes per key per bit, so
 # 1,024 is about 5 MB for a drug's 300 keys, where 2**20 would be about 5 GB.
 _MAX_BITS_PER_HASH = 1024
+# Most bonds in one subgraph FpConfig accepts: the count of connected subgraphs
+# grows exponentially with it. A 42-atom comb alkane, C + C(C) x 20 + C, has
+# 74,225 of 1-16 bonds and 1,650,456 of 1-24.
+_MAX_PATH = 16
 
 # 0-d uint64 arrays: in-place array arithmetic with them wraps mod 2**64
 # silently, and skips converting a Python int on every call.
@@ -44,9 +48,9 @@ class FpConfig:
     def __post_init__(self):
         if not 0 < self.nbits <= _MAX_NBITS or self.nbits % 8:
             raise ValueError(f"nbits must be a positive multiple of 8 up to {_MAX_NBITS}, got {self.nbits}")
-        if not 1 <= self.min_path <= self.max_path:
+        if not 1 <= self.min_path <= self.max_path <= _MAX_PATH:
             raise ValueError(
-                f"need 1 <= min_path <= max_path, got {self.min_path} and {self.max_path}"
+                f"need 1 <= min_path <= max_path <= {_MAX_PATH}, got {self.min_path} and {self.max_path}"
             )
         # At most nbits: a key cannot set more bits than there are.
         if not 1 <= self.bits_per_hash <= min(self.nbits, _MAX_BITS_PER_HASH):

@@ -139,7 +139,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
             total, bd = vaemodel.joint_loss(
                 mt, labels[batch], params, noise, beta=config.beta, lam=config.lam
             )
-            sums += (bd.recon, bd.kl, bd.side_mse, bd.total)
+            sums += bd
             grads = backward(total, params)
             del total  # frees this batch's tape before the next one is built
             adam_step(params, grads, state, config.learning_rate, scale=1.0 / len(batch))

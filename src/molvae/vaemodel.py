@@ -6,18 +6,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chem, encoder, numkernel as nk
 from .chem import Atom, BondType, MolGraph, ValidityReport
-from .encoder import HIDDEN_DIM, LATENT_DIM, POOL_DIM
+from .encoder import FEATURE_DIM, HIDDEN_DIM, LATENT_DIM, POOL_DIM
 from .numkernel import ParamStore, Tensor
 
 _P_CLAMP = 1e-12
 
 # A pair is bonded in a reconstruction when its decoded probability exceeds this.
 EDGE_THRESHOLD = 0.5
+# Most atoms `molvae reconstruct` takes: it decodes and prints all n x n edge
+# probabilities, so 1,024 keeps them at 2^20, the cap of `--nbits`.
+RECONSTRUCT_MAX_ATOMS = 1024
 _BOND_TYPES = tuple(BondType)  # indexed by value
 
 # Every learnable tensor of the model, in the order `init_model_params` draws them.
@@ -41,11 +45,12 @@ def init_model_params(seed: int) -> ParamStore:
     })
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
+    """A loss's terms and total; its fields are the history CSV's columns after `epoch`."""
+
     recon: float
     kl: float
-    side_mse: float
+    side: float
     total: float
 
 
@@ -175,7 +180,7 @@ class MolTensors:
         cols[:, 3] = degree
         np.minimum(np.maximum(cols, _LOW, out=cols), _HIGH, out=cols)  # np.clip dispatches slower
         cols += _BASE
-        features = np.zeros((n, chem.FEATURE_DIM))
+        features = np.zeros((n, FEATURE_DIM))
         features[np.arange(n)[:, None], cols] = 1.0
         return cls(features, tuple(relations), nk.PairLayout(sizes))
 
@@ -240,7 +245,7 @@ def joint_loss(
     side = nk.reduce_sum(nk.square(err))
     total = nk.checked(nk.add(recon, nk.add(nk.scale(kl, beta), nk.scale(side, lam))))
     breakdown = LossBreakdown(
-        recon=recon.item(), kl=kl.item(), side_mse=side.item(), total=total.item()
+        recon=recon.item(), kl=kl.item(), side=side.item(), total=total.item()
     )
     return total, breakdown
 

@@ -13,7 +13,6 @@ import numpy as np
 from molvae.chem import (
     BOND_CHAR,
     ELEMENT_INDEX,
-    FEATURE_DIM,
     N_BOND_TYPES,
     Atom,
     BondType,
@@ -25,6 +24,7 @@ from molvae.chem import (
     bond_order_sums,
     build,
 )
+from molvae.encoder import FEATURE_DIM
 from molvae.fingerprint import FpConfig
 from molvae.numkernel import Edges, PairLayout
 from molvae.smiles import ParseResult, SmilesError

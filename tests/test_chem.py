@@ -11,7 +11,6 @@ from molvae.chem import (
     BondType,
     ChemError,
     ELEMENTS,
-    FEATURE_DIM,
     MolGraph,
     adjacency,
     adjacency_tensor,
@@ -24,6 +23,7 @@ from molvae.chem import (
 )
 
 from molvae.corpus import DRUG_SMILES, random_molecule
+from molvae.encoder import FEATURE_DIM
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import MolTensors, init_model_params, reconstruct, reconstruct_from_probs
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface: commands, JSON output, exit codes."""
 
 import base64
+import csv
+import io
 import inspect
 import json
 import os
@@ -54,6 +56,11 @@ def test_train_writes_checkpoint_and_history(ckpt):
     lines = history.read_text().splitlines()
     assert lines[0] == "epoch,recon,kl,side,total"
     assert len(lines) == 2  # header + one epoch
+
+
+def test_history_columns_are_the_loss_breakdown_fields(ckpt):
+    header = ckpt["ckpt"].with_suffix(".ckpt.history.csv").read_text().splitlines()[0]
+    assert header.split(",") == ["epoch", *vaemodel.LossBreakdown._fields]
 
 
 @pytest.mark.parametrize(
@@ -281,6 +288,14 @@ def test_reconstruct_encodes_once(ckpt, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_reconstruct_takes_molecules_up_to_the_atom_limit(ckpt, monkeypatch, capsys):
+    monkeypatch.setattr(vaemodel, "RECONSTRUCT_MAX_ATOMS", 3)
+    assert main(_reconstruct(smiles="CCC")(ckpt, None)) == 0
+    capsys.readouterr()
+    assert main(_reconstruct(smiles="CCCC")(ckpt, None)) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: reconstruct takes at most 3 atoms, got 4\n"
+
+
 def test_reconstruct_names_a_writer_error_other_than_disconnected(ckpt, monkeypatch, capsys):
     # All pairs bonded: the complete graph on 20 atoms needs more than 99 ring labels at once.
     monkeypatch.setattr(vaemodel, "decode_probs", lambda mol, params: np.ones((mol.n_atoms, mol.n_atoms)))
@@ -449,9 +464,9 @@ def _encode_with(**config):
     return _encode_edited(lambda doc: {**doc, "config": {**doc["config"], **config}})
 
 
-def _reconstruct(*flags, ckpt_path=None):
+def _reconstruct(*flags, ckpt_path=None, smiles="CCO"):
     return lambda ckpt, tmp_path: [
-        "reconstruct", "--ckpt", ckpt_path or str(ckpt["ckpt"]), "--smiles", "CCO", *flags
+        "reconstruct", "--ckpt", ckpt_path or str(ckpt["ckpt"]), "--smiles", smiles, *flags
     ]
 
 
@@ -461,6 +476,7 @@ BAD_INPUTS = {
     "nbits-huge": (_fingerprint("--nbits", "80000000000000"), EXIT_USAGE),
     "min-path-above-max-path": (_fingerprint("--min-path", "5", "--max-path", "2"), EXIT_USAGE),
     "min-path-zero": (_fingerprint("--min-path", "0"), EXIT_USAGE),
+    "max-path-above-16": (_fingerprint("--max-path", "17"), EXIT_USAGE),
     "bits-per-hash-zero": (_fingerprint("--bits-per-hash", "0"), EXIT_USAGE),
     "bits-per-hash-huge": (_fingerprint("--nbits", "1048576", "--bits-per-hash", "1048576"), EXIT_USAGE),
     "batch-zero": (_train("--batch", "0"), EXIT_USAGE),
@@ -535,6 +551,7 @@ BAD_INPUTS = {
         _reconstruct("--threshold", "nan", ckpt_path="/nonexistent.ckpt"),
         EXIT_USAGE,
     ),
+    "reconstruct-1025-atoms": (_reconstruct(smiles="C" * 1025), EXIT_USAGE),
 }
 
 
@@ -622,3 +639,51 @@ def test_mutated_checkpoint_exits_io_with_one_error_line(data, ckpt, tmp_path, c
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def _break_csv(draw) -> bytes:
+    """A small valid `smiles,y` CSV with one thing broken: a header cell, a
+    SMILES cell, a property cell, a row's cell count, a NUL byte or a byte that
+    is not UTF-8; `draw` makes the choices."""
+    rows = [["smiles", "y"], ["C", "1"], ["CC", "2"], ["CCO", "3"]]
+    kind = draw(st.sampled_from(["header", "smiles", "property", "cells", "nul", "not-utf8"]))
+    if kind == "header":
+        rows[0][draw(st.integers(0, 1))] = draw(st.one_of(
+            st.sampled_from(["", " ", "smiles", "y", "Y", "SMILES"]), st.text(max_size=6)
+        ))
+    elif kind == "smiles":
+        rows[draw(st.integers(1, 3))][0] = draw(st.text(max_size=8))
+    elif kind == "property":
+        row = rows[draw(st.integers(1, 3))]
+        value = draw(st.one_of(st.sampled_from(["nan", "-inf", "1e999", "", None]), st.text(max_size=6)))
+        if value is None:
+            del row[1]
+        else:
+            row[1] = value
+    elif kind == "cells":
+        row = rows[draw(st.integers(0, 3))]
+        row[draw(st.integers(0, 2)):] = draw(st.lists(st.sampled_from(["", "C", "4", "y"]), max_size=2))
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    data = buf.getvalue().encode("utf-8")
+    if kind in ("nul", "not-utf8"):
+        at = draw(st.integers(0, len(data)))
+        byte = b"\x00" if kind == "nul" else bytes([draw(st.integers(0x80, 0xFF))])
+        data = data[:at] + byte + data[at:]
+    return data
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_broken_csv_exits_cleanly_with_one_error_line(data, tmp_path, capsys):
+    csv_path, out = tmp_path / "broken.csv", tmp_path / "out.ckpt"
+    csv_path.write_bytes(_break_csv(data.draw))
+    capsys.readouterr()
+    rc = main(["train", "--data", str(csv_path), "--property", "y", "--epochs", "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc in (0, EXIT_IO, EXIT_DOMAIN)
+    if rc != 0:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -234,7 +234,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     doc = json.loads(path.read_text())
     doc["version"] = 99
     path.write_text(json.dumps(doc))
-    with pytest.raises(dataio.CheckpointError, match=f"^{path}: checkpoint version 99, this build reads 3$"):
+    with pytest.raises(dataio.DataError, match=f"^{path}: checkpoint version 99, this build reads 3$"):
         load_checkpoint(path)
 
 
@@ -247,7 +247,7 @@ def test_version_1_checkpoint_is_a_version_mismatch(tmp_path):
     doc["version"] = 1
     doc["config"]["threshold"] = 0.5
     path.write_text(json.dumps(doc))
-    with pytest.raises(dataio.CheckpointError, match=f"^{path}: checkpoint version 1, this build reads 3$"):
+    with pytest.raises(dataio.DataError, match=f"^{path}: checkpoint version 1, this build reads 3$"):
         load_checkpoint(path)
 
 
@@ -260,7 +260,7 @@ def test_version_2_checkpoint_is_a_version_mismatch(tmp_path):
     doc["version"] = 2
     doc["config"]["max_atoms"] = 20
     path.write_text(json.dumps(doc))
-    with pytest.raises(dataio.CheckpointError, match=f"^{path}: checkpoint version 2, this build reads 3$"):
+    with pytest.raises(dataio.DataError, match=f"^{path}: checkpoint version 2, this build reads 3$"):
         load_checkpoint(path)
 
 
@@ -271,14 +271,14 @@ def test_checkpoint_corrupt_tensor(tmp_path):
     tensor = doc["tensors"]["pool.wp"]
     tensor["data"] = base64.b64encode(base64.b64decode(tensor["data"])[:-8]).decode("ascii")
     path.write_text(json.dumps(doc))
-    with pytest.raises(dataio.CheckpointError, match=f"^{path}: tensor 'pool.wp' has .* bytes, expected "):
+    with pytest.raises(dataio.DataError, match=f"^{path}: tensor 'pool.wp' has .* bytes, expected "):
         load_checkpoint(path)
 
 
 def test_checkpoint_invalid_json(tmp_path):
     path = tmp_path / "m.ckpt"
     path.write_text("{not json")
-    with pytest.raises(dataio.CheckpointError):
+    with pytest.raises(dataio.DataError):
         load_checkpoint(path)
 
 

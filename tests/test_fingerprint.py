@@ -282,6 +282,14 @@ def test_nbits_is_bounded():
             FpConfig(nbits=nbits)
 
 
+def test_max_path_is_bounded():
+    """The count of connected subgraphs grows exponentially with max_path, so a
+    long one is refused up front rather than enumerated."""
+    assert FpConfig(max_path=16).max_path == 16
+    with pytest.raises(ValueError, match="max_path <= 16, got 1 and 17$"):
+        FpConfig(max_path=17)
+
+
 def test_bits_per_hash_is_bounded():
     """A huge bits_per_hash is refused up front rather than allocated while
     hashing, at about 16 bytes per key per bit."""

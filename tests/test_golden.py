@@ -50,7 +50,7 @@ def golden_outputs() -> dict:
     with contextlib.redirect_stdout(stdout):
         assert cli.main(["gradcheck", "--seed", "0", "--json"]) == 0
     return {
-        "history": [[bd.recon, bd.kl, bd.side_mse, bd.total] for bd in history],
+        "history": [list(bd) for bd in history],
         "flat_sha256": hashlib.sha256(params.flat.tobytes()).hexdigest(),
         "molecules": molecules,
         "gradcheck_seed0": json.loads(stdout.getvalue())["max_rel_error"],

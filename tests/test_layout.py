@@ -273,6 +273,33 @@ def test_every_exception_class_is_handled_by_name():
     assert unhandled == []
 
 
+def _named_in_except(tree: ast.Module) -> set[str]:
+    """Every identifier in the class lists of a module's `except` clauses."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for n in ast.walk(handler.type)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_module_has_two_uncaught_classes_for_one_exit_code():
+    """Two exception classes of one module that the CLI's exit-code table maps
+    to the same code, and that no `except` clause in the package, the
+    benchmark, the scripts or the acceptance tests names, are one failure
+    told twice: one class is raised for both."""
+    caught = set().union(*map(_named_in_except, _callers().values()))
+    by_code: dict[tuple[str, int], list[str]] = {}
+    for mod, tree in MODULES.items():
+        module = importlib.import_module(f"molvae.{mod}")
+        for node in tree.body:
+            cls = getattr(module, node.name) if isinstance(node, ast.ClassDef) else None
+            if cls in cli._EXIT_CODES and node.name not in caught:
+                by_code.setdefault((mod, cli._EXIT_CODES[cls]), []).append(f"{mod}.{node.name}")
+    assert [names for names in by_code.values() if len(names) > 1] == []
+
+
 def test_only_main_and_the_parser_write_to_stderr():
     writers = sorted(
         name

@@ -200,7 +200,7 @@ def test_union_loss_equals_the_sum_of_per_molecule_losses():
     mt = MolTensors.from_mols(mols)
     union, bd = joint_loss(mt, labels, params, np.concatenate(noises), beta=0.01, lam=0.5)
     assert union.item() == pytest.approx(sum(t.item() for t, _ in per), rel=0, abs=1e-12)
-    for field in ("recon", "kl", "side_mse", "total"):
+    for field in vaemodel.LossBreakdown._fields:
         want = sum(getattr(b, field) for _, b in per)
         assert getattr(bd, field) == pytest.approx(want, rel=0, abs=1e-12), field
     swept = backward(union, params)

@@ -322,10 +322,10 @@ def test_joint_loss_breakdown_adds_up():
     total, bd = joint_loss(mol, 4.0, store, noise, beta=beta, lam=lam)
     assert isinstance(bd, LossBreakdown)
     assert total.item() == pytest.approx(bd.total, rel=1e-12)
-    assert bd.total == pytest.approx(bd.recon + beta * bd.kl + lam * bd.side_mse, rel=1e-12)
+    assert bd.total == pytest.approx(bd.recon + beta * bd.kl + lam * bd.side, rel=1e-12)
     assert bd.kl >= 0.0
     assert bd.recon >= 0.0
-    assert bd.side_mse >= 0.0
+    assert bd.side >= 0.0
 
 
 def test_joint_loss_is_differentiable_everywhere_reached():
