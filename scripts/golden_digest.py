@@ -16,7 +16,11 @@ and its `fit_probe` R^2 on the whole corpus. The `parsed` line covers the
 `repr` of `parse_smiles_ex`'s molecule and stripped count for every SMILES
 cell of the bundled corpus CSV, the same and the written SMILES for each
 of BRACKET_SMILES, and the error type, message and position for
-BAD_SMILES, one input per error message of the parser. Two commits
+BAD_SMILES, one input per error message of the parser. The `gradients`
+line covers `numkernel.backward`'s gradients, in `PARAM_SHAPES` order, of
+one seed-0 `joint_loss` with seeded noise on GRADIENT_BATCH, a batch of all
+four bond types and a molecule with no bonds, so that a change to a
+gradient rule shows without a training run. Two commits
 whose lines are equal produce the same bytes. To check that a change leaves
 every output as it was, run the same script, from the newer commit, in a
 checkout of each commit:
@@ -40,11 +44,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from molvae.cli import main  # noqa: E402
 from molvae.corpus import DRUG_SMILES, random_molecule  # noqa: E402
 from molvae.dataio import bundled_corpus_path, load_checkpoint, load_csv  # noqa: E402
-from molvae.smiles import SmilesError, parse_smiles_ex, write_smiles  # noqa: E402
+from molvae.encoder import LATENT_DIM  # noqa: E402
+from molvae.numkernel import backward  # noqa: E402
+from molvae.smiles import SmilesError, parse_smiles, parse_smiles_ex, write_smiles  # noqa: E402
 from molvae.train import evaluate_edge_auc, evaluate_validity, fit_probe  # noqa: E402
-from molvae.vaemodel import reconstruct  # noqa: E402
+from molvae.vaemodel import PARAM_SHAPES, MolTensors, init_model_params, joint_loss, reconstruct  # noqa: E402
 
 QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
+
+# Single, double, triple and aromatic bonds, and one molecule with none.
+GRADIENT_BATCH = ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])
 
 # Valid inputs that reach what the corpus does not: bracket atoms that parse
 # (charges, explicit H, isotopes, chirality), stripped annotations, and the
@@ -152,6 +161,18 @@ def _evaluation(ckpt: Path) -> bytes:
     return "".join(f"{name} {value!r}\n" for name, value in found.items()).encode("utf-8")
 
 
+def _gradients() -> bytes:
+    """The bytes of each parameter's gradient, in PARAM_SHAPES order, of one
+    joint loss on GRADIENT_BATCH, labelled with heavy-atom counts."""
+    mols = [parse_smiles(smi) for smi in GRADIENT_BATCH]
+    mt = MolTensors.from_mols(mols)
+    noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
+    params = init_model_params(0)
+    total, _ = joint_loss(mt, [float(mol.n_atoms) for mol in mols], params, noise)
+    grads = backward(total, params)
+    return b"".join(grads[name].tobytes() for name in PARAM_SHAPES)
+
+
 def outputs() -> dict[str, bytes]:
     """Each output of the run by name."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -177,6 +198,7 @@ def outputs() -> dict[str, bytes]:
                 "similar", "--metric", metric, "--smiles", sa, "--smiles", sb, "--json",
             ])
     found["parsed"] = _parsed()
+    found["gradients"] = _gradients()
     return found
 
 

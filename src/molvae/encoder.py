@@ -32,25 +32,32 @@ for _head in ("mu", "sigma"):
 POOL_PARAM_SHAPES = {"pool.wp": (LATENT_DIM, POOL_DIM)}
 
 Relations = tuple[tuple[int, nk.Edges], ...]  # see `encode`
+Aggregate = tuple[tuple[int, ...], Tensor]  # bond types, and the (R, n, width) stack of neighbor means
 
 
-def aggregate(h: Tensor, relations: Relations) -> tuple[tuple[int, Tensor], ...]:
-    """(r, neighbor means of `h` over relation r) for each relation r in `relations`."""
-    return tuple((r, nk.seg_agg(h, e)) for r, e in relations)
+def rgcn_layer(h: Tensor, aggs: Aggregate, store: ParamStore, prefix: str, activate: bool) -> Tensor:
+    """One relational update of `h`, as one op: h W_self, plus slot k of the
+    stack of neighbor means of `h` times W_r for bond type r = types[k], added
+    in that order, then ELU-activated (alpha = 1) when `activate`."""
+    types, agg = aggs
+    w_self = store[f"{prefix}.self"]
+    w_rel = [store[f"{prefix}.rel{r}"] for r in types]
+    pre = h.data @ w_self.data
+    for a, w in zip(agg.data, w_rel):
+        pre = pre + a @ w.data
+    out, neg = pre, None
+    if activate:  # as `nk.elu`
+        neg = np.exp(np.minimum(pre, 0.0)) - 1.0
+        out = np.where(pre > 0.0, pre, neg)
 
+    def grad_fn(g):
+        if neg is not None:
+            g = g * np.where(pre > 0.0, 1.0, neg + 1.0)
+        w_stack = np.array([w.data for w in w_rel]).reshape(-1, *w_self.shape)
+        g_rel = agg.data.transpose(0, 2, 1) @ g
+        return (g @ w_self.data.T, g @ w_stack.transpose(0, 2, 1), h.data.T @ g, *g_rel)
 
-def rgcn_layer(
-    h: Tensor,
-    aggs: tuple[tuple[int, Tensor], ...],
-    store: ParamStore,
-    prefix: str,
-    activate: bool,
-) -> Tensor:
-    """One relational update of `h`, given its `aggregate`: neighbor terms plus a self term."""
-    out = nk.matmul(h, store[f"{prefix}.self"])
-    for r, agg in aggs:
-        out = nk.add(out, nk.matmul(agg, store[f"{prefix}.rel{r}"]))
-    return nk.elu(out) if activate else out
+    return nk.Tensor(out, (h, agg, w_self, *w_rel), grad_fn, "rgcn_layer")
 
 
 def encode(
@@ -66,15 +73,22 @@ def encode(
     weighted w = 1/deg_r(dst) so that each node averages over its
     r-neighbors; a bond type with no entry adds nothing. Layers 1 and 2 are
     shared and ELU-activated; each head is its own linear layer, and the
-    heads share one aggregation of layer 2's output. The three aggregations
-    share each edge list's scatter positions.
+    heads share one aggregation of layer 2's output. Each aggregation is one
+    op that stacks the neighbor means of every listed bond type; the three
+    share one edge list over that stack, and so its scatter positions.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.NumericError(f"feature width {features.shape[1]} != {FEATURE_DIM}")
+    types = tuple(r for r, _ in relations)
+    edges = nk.Edges.stacked([e for _, e in relations], len(features))
+
+    def aggregate(h: Tensor) -> Aggregate:
+        return types, nk.stack_agg(h, edges, len(types))
+
     h = nk.constant(features, "H")
-    h = rgcn_layer(h, aggregate(h, relations), store, "enc.l1", activate=True)
-    h = rgcn_layer(h, aggregate(h, relations), store, "enc.l2", activate=True)
-    aggs = aggregate(h, relations)
+    h = rgcn_layer(h, aggregate(h), store, "enc.l1", activate=True)
+    h = rgcn_layer(h, aggregate(h), store, "enc.l2", activate=True)
+    aggs = aggregate(h)
     return tuple(rgcn_layer(h, aggs, store, f"enc.{head}", activate=False) for head in heads)
 
 

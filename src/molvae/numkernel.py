@@ -139,16 +139,36 @@ def elu(a: Tensor) -> Tensor:
     return Tensor(out_data, (a,), lambda g: (g * np.where(a.data > 0.0, 1.0, neg + 1.0),), "elu")
 
 
+def add_bias(a: Tensor, b: Tensor) -> Tensor:
+    """The (1, width) row `b` added to every row of the (m, width) `a`."""
+    if a.data.ndim != 2 or b.shape != (1, a.shape[1]):
+        raise NumericError(f"add_bias shapes {a.shape} + {b.shape}")
+    return Tensor(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0, keepdims=True)), "add_bias")
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) without overflow for large |x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed without overflow; gradient is the logistic."""
-    out_data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    return Tensor(out_data, (a,), lambda g: (g * _sigmoid(a.data),), "softplus")
+def bce_with_logits(logits: Tensor, target: np.ndarray, weight: np.ndarray) -> Tensor:
+    """sum_k weight[k] * (softplus(x_k) - target[k] * x_k): the weighted
+    binary cross-entropy of logits x against 0/1 targets, as a scalar.
+
+    softplus(x) = log(1 + e^x) is computed without overflow and needs no
+    clamp; the gradient is weight * (logistic(x) - target).
+    """
+    x = logits.data
+    if x.ndim != 1 or target.shape != x.shape or weight.shape != x.shape:
+        raise NumericError(f"bce_with_logits shapes {x.shape} / {target.shape} / {weight.shape}")
+    per_entry = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - target * x
+    return Tensor(
+        (weight * per_entry).sum(),
+        (logits,),
+        lambda g: (g * (weight * (_sigmoid(x) - target)),),
+        "bce_with_logits",
+    )
 
 
 def logistic(a: Tensor) -> Tensor:
@@ -186,8 +206,8 @@ def _scatter_rows(vals: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
 
 
 class Edges:
-    """A directed edge list for `seg_agg`: edge k carries row `src[k]`,
-    weighted by `w[k]`, into row `dst[k]`.
+    """A directed edge list for `stack_agg`: edge k carries row `src[k]`,
+    weighted by `w[k]`, into row `dst[k]` of a stack's rows laid end to end.
 
     Each aggregation over the edges scatters at the flat positions of their
     rows' entries. These are built at the first use at each row width and
@@ -202,6 +222,16 @@ class Edges:
         self.dst, self.src, self.w = dst, src, w
         self._flat: dict[tuple[str, int], np.ndarray] = {}
 
+    @classmethod
+    def stacked(cls, lists: list["Edges"], n: int) -> "Edges":
+        """The edge lists `lists`, each over n rows, as one list into a stack
+        of len(lists) slots of n rows: list k's edges land in slot k."""
+        return cls(
+            np.concatenate([np.zeros(0, np.int64), *(e.dst + k * n for k, e in enumerate(lists))]),
+            np.concatenate([np.zeros(0, np.int64), *(e.src for e in lists)]),
+            np.concatenate([np.zeros(0), *(e.w for e in lists)]),
+        )
+
     def flat(self, ends: str, width: int) -> np.ndarray:
         """`_flat_positions` of the rows `ends` ("dst" or "src") name, `width` wide."""
         key = (ends, width)
@@ -210,17 +240,18 @@ class Edges:
         return self._flat[key]
 
 
-def seg_agg(h: Tensor, edges: Edges) -> Tensor:
-    """Weighted sum over an edge list: out[dst[k]] += w[k] * h[src[k]]."""
-    _require_2d(h, "seg_agg")
+def stack_agg(h: Tensor, edges: Edges, depth: int) -> Tensor:
+    """Weighted sums over an edge list into a (depth, n, width) stack, for the
+    n rows of `h`: slot dst[k] // n, row dst[k] % n gains w[k] * h[src[k]]."""
+    _require_2d(h, "stack_agg")
     n, width = h.shape
     wcol = edges.w[:, None]
-    out_data = _scatter_rows(wcol * h.data[edges.src], edges.flat("dst", width), n)
+    out_data = _scatter_rows(wcol * h.data[edges.src], edges.flat("dst", width), depth * n)
 
     def grad_fn(g):
-        return (_scatter_rows(wcol * g[edges.dst], edges.flat("src", width), n),)
+        return (_scatter_rows(wcol * g.reshape(-1, width)[edges.dst], edges.flat("src", width), n),)
 
-    return Tensor(out_data, (h,), grad_fn, "seg_agg")
+    return Tensor(out_data.reshape(depth, n, width), (h,), grad_fn, "stack_agg")
 
 
 def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:

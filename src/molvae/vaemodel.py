@@ -64,19 +64,20 @@ def sample_latent(mu: Tensor, log_std: Tensor, noise: np.ndarray) -> Tensor:
 
 
 def kl_term(mu: Tensor, log_std: Tensor) -> Tensor:
-    """Closed-form KL of the diagonal Gaussian posterior to the standard normal."""
+    """Closed-form KL of the diagonal Gaussian posterior to the standard
+    normal, as one op: 0.5 * sum(mu^2 + e^(2 log_std) - 2 log_std - 1)."""
     if mu.shape != log_std.shape:
         raise nk.NumericError(f"kl shapes {mu.shape} vs {log_std.shape}")
-    var = nk.exp(nk.scale(log_std, 2.0))
-    inner = nk.sub(nk.add(nk.square(mu), var), nk.scale(log_std, 2.0))
-    total = nk.reduce_sum(inner)
-    n = mu.data.size
-    return nk.scale(nk.add(total, nk.constant(np.array(-float(n)))), 0.5)
+    two_log_std = log_std.data * 2.0
+    var = np.exp(two_log_std)
+    total = (mu.data * mu.data + var - two_log_std).sum()
+    value = (total + -float(mu.data.size)) * 0.5
+    return nk.Tensor(value, (mu, log_std), lambda g: (g * mu.data, g * (var - 1.0)), "kl_term")
 
 
 def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over unordered atom pairs, as a constant: a
-    numpy reference for the loss's softplus form.
+    numpy reference for the loss's `bce_with_logits` form.
 
     The typed adjacency collapses to a binary target: a pair is positive when
     any bond connects it. Zero atom pairs (single-atom molecules) give 0.
@@ -96,9 +97,8 @@ def side_predict(g: Tensor, store: ParamStore) -> Tensor:
     """Two-layer MLP (ELU hidden, linear output): a pooled vector gives a
     scalar, a (B, 64) stack of them gives B outputs. Checked finite."""
     rows = nk.reshape(g, (1, POOL_DIM)) if g.data.ndim == 1 else g
-    ones = nk.constant(np.ones((rows.shape[0], 1)))
-    hidden = nk.elu(nk.add(nk.matmul(rows, store["side.m1"]), nk.matmul(ones, store["side.b1"])))
-    out = nk.add(nk.matmul(hidden, store["side.m2"]), nk.matmul(ones, store["side.b2"]))
+    hidden = nk.elu(nk.add_bias(nk.matmul(rows, store["side.m1"]), store["side.b1"]))
+    out = nk.add_bias(nk.matmul(hidden, store["side.m2"]), store["side.b2"])
     return nk.checked(nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],)))
 
 
@@ -233,12 +233,10 @@ def joint_loss(
         raise nk.NumericError(f"{labels.size} labels for {mt.sizes.size} molecules")
     mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
-    # BCE via softplus: no clamp, exact when saturated
     logits = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
-    per_pair = nk.sub(nk.softplus(logits), nk.hadamard(nk.constant(mt.pair_target), logits))
     counts = mt.layout.counts  # each molecule's recon term is its mean over its pairs
     weight = np.repeat(1.0 / np.maximum(counts, 1), counts)
-    recon = nk.reduce_sum(nk.hadamard(nk.constant(weight), per_pair))
+    recon = nk.bce_with_logits(logits, mt.pair_target, weight)
     kl = kl_term(mu, log_std)
     g = encoder.pool(mu, store, mt.sizes)
     err = nk.sub(side_predict(g, store), nk.constant(labels))

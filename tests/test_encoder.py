@@ -59,7 +59,7 @@ def neighbor_means(mol, r):
     matrix: zero when the molecule has no bond of type r."""
     edges = dict(MolTensors.from_mol(mol).relations).get(r)
     eye = np.eye(mol.n_atoms)
-    return np.zeros_like(eye) if edges is None else nk.seg_agg(nk.constant(eye), edges).data
+    return np.zeros_like(eye) if edges is None else nk.stack_agg(nk.constant(eye), edges, 1).data[0]
 
 
 def test_mean_mats_rows_average_neighbors():
@@ -162,6 +162,37 @@ def test_encode_accepts_precomputed_mean_mats():
     assert np.array_equal(ls1.data, ls2.data)
     (mu3,) = encode(mt.features, ((0, by_type[0]),), store, "mu")
     assert not np.array_equal(mu1.data, mu3.data)
+
+
+def test_rgcn_layer_is_one_op_that_adds_each_bond_type_in_order():
+    # Bond types 0 and 2 over 6 rows; the layer reads W_self, W_0 and W_2.
+    rng = np.random.default_rng(0)
+    n = 6
+    lists = [nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e)) for e in (8, 5)]
+    edges = nk.Edges.stacked(lists, n)
+    store = nk.ParamStore({
+        "h": rng.normal(size=(n, 4)),
+        "x.self": rng.normal(size=(4, 3)),
+        "x.rel0": rng.normal(size=(4, 3)),
+        "x.rel2": rng.normal(size=(4, 3)),
+    })
+    weights = nk.constant(rng.uniform(-1.0, 1.0, (n, 3)))
+
+    def layer(s, activate):
+        return encoder.rgcn_layer(s["h"], ((0, 2), nk.stack_agg(s["h"], edges, 2)), s, "x", activate)
+
+    agg = nk.stack_agg(store["h"], edges, 2).data
+    linear = store["h"].data @ store["x.self"].data + agg[0] @ store["x.rel0"].data + agg[1] @ store["x.rel2"].data
+    assert np.array_equal(layer(store, False).data, linear)
+    assert np.array_equal(layer(store, True).data, nk.elu(nk.constant(linear)).data)
+    assert layer(store, True).name == "rgcn_layer"
+    for activate in (False, True):
+        assert nk.grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, layer(s, activate))), store) < 1e-7
+    # With no bond types the stack is empty and the layer is its self term.
+    bare = encoder.rgcn_layer(store["h"], ((), nk.stack_agg(store["h"], nk.Edges.stacked([], n), 0)), store, "x", False)
+    assert np.array_equal(bare.data, store["h"].data @ store["x.self"].data)
+    grads = nk.backward(nk.reduce_sum(nk.hadamard(weights, bare)), store)
+    assert np.array_equal(grads["x.self"], store["h"].data.T @ weights.data) and not grads["x.rel0"].any()
 
 
 # -- pooling -------------------------------------------------------------

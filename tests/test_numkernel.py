@@ -128,12 +128,37 @@ def test_logistic_value_and_saturation():
     assert out[0, 2] == 0.0
 
 
-def test_softplus_matches_naive_and_saturates():
-    x = np.array([[-3.0, 0.0, 3.0]])
-    out = nk.softplus(constant(x)).data
-    assert np.allclose(out, np.log1p(np.exp(x)))
-    big = nk.softplus(constant([[800.0]])).data
-    assert big[0, 0] == 800.0  # linear regime, no overflow
+def test_bce_with_logits_matches_naive_and_saturates():
+    x = np.array([-3.0, 0.0, 3.0])
+    t = np.array([1.0, 0.0, 1.0])
+    w = np.array([0.5, 1.0, 2.0])
+    p = 1.0 / (1.0 + np.exp(-x))
+    naive = -(w * (t * np.log(p) + (1.0 - t) * np.log(1.0 - p))).sum()
+    assert nk.bce_with_logits(constant(x), t, w).item() == pytest.approx(naive, rel=1e-14)
+    # Linear regime, no overflow: each confidently wrong logit costs |x|.
+    assert nk.bce_with_logits(constant([800.0, -800.0]), np.array([0.0, 1.0]), np.ones(2)).item() == 1600.0
+    with pytest.raises(NumericError, match=r"^bce_with_logits shapes \(3,\) / \(2,\) / \(3,\)$"):
+        nk.bce_with_logits(constant(x), t[:2], w)
+
+
+def test_bce_with_logits_gradient_matches_central_differences():
+    rng = np.random.default_rng(0)
+    store = ParamStore({"x": rng.normal(size=7, scale=3.0)})
+    t = (rng.uniform(size=7) < 0.5).astype(float)
+    w = rng.uniform(0.1, 1.0, 7)
+    assert grad_check(lambda s: nk.bce_with_logits(s["x"], t, w), store) < 1e-7
+
+
+def test_add_bias_adds_the_row_to_every_row():
+    rng = np.random.default_rng(0)
+    store = ParamStore({"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))})
+    out = nk.add_bias(store["a"], store["b"])
+    assert np.array_equal(out.data, store["a"].data + store["b"].data)
+    weights = constant(rng.uniform(-1.0, 1.0, (4, 3)))
+    f = lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.add_bias(s["a"], s["b"]))))
+    assert grad_check(f, store) < 1e-7
+    with pytest.raises(NumericError, match=r"^add_bias shapes \(4, 3\) \+ \(4, 3\)$"):
+        nk.add_bias(store["a"], store["a"])
 
 
 def test_row_softmax_rows_sum_to_one():
@@ -157,12 +182,30 @@ def test_reshape_keeps_the_entries_in_order():
 def test_index_op_values():
     h = constant(np.arange(8.0).reshape(4, 2))
     # out[dst] += w * h[src]; row 1 receives two edges, rows 2 and 3 none.
-    agg = nk.seg_agg(h, nk.Edges(np.array([0, 1, 1]), np.array([1, 0, 3]), np.array([2.0, 0.5, 1.0])))
-    assert np.array_equal(agg.data, [[4.0, 6.0], [6.0, 7.5], [0.0, 0.0], [0.0, 0.0]])
+    first = nk.Edges(np.array([0, 1, 1]), np.array([1, 0, 3]), np.array([2.0, 0.5, 1.0]))
+    agg = nk.stack_agg(h, first, 1)
+    assert np.array_equal(agg.data, [[[4.0, 6.0], [6.0, 7.5], [0.0, 0.0], [0.0, 0.0]]])
+    # Stacked, a second list fills slot 1 alone: its edge carries row 2 into row 3.
+    second = nk.Edges(np.array([3]), np.array([2]), np.array([1.0]))
+    both = nk.stack_agg(h, nk.Edges.stacked([first, second], 4), 2)
+    assert np.array_equal(both.data, [agg.data[0], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 5.0]]])
     seg = nk.seg_sum(h, np.array([0, 0, 0, 1]), 2)
     assert np.array_equal(seg.data, [[6.0, 9.0], [6.0, 7.0]])
     empty = np.array([], dtype=np.int64)
-    assert np.array_equal(nk.seg_agg(h, nk.Edges(empty, empty, np.array([]))).data, np.zeros((4, 2)))
+    assert np.array_equal(nk.stack_agg(h, nk.Edges(empty, empty, np.array([])), 1).data, np.zeros((1, 4, 2)))
+    assert nk.stack_agg(h, nk.Edges.stacked([], 4), 0).shape == (0, 4, 2)
+
+
+def test_stack_agg_gradient_matches_central_differences():
+    # Three edge lists, one of them empty, over 5 rows; ends repeat freely.
+    rng = np.random.default_rng(0)
+    n = 5
+    store = ParamStore({"h": rng.normal(size=(n, 3))})
+    lists = [nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e)) for e in (6, 0, 4)]
+    edges = nk.Edges.stacked(lists, n)
+    weights = constant(rng.uniform(-1.0, 1.0, (3, n, 3)))
+    f = lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.stack_agg(s["h"], edges, 3))))
+    assert grad_check(f, store) < 1e-7
 
 
 def test_take_values_gradient_and_empty_positions():
@@ -248,7 +291,7 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
     pair_w = nk.constant(rng.uniform(-1.0, 1.0, int((sizes * (sizes - 1) // 2).sum())))
 
     def f(s):
-        agg = nk.seg_agg(s["h"], nk.Edges(dst, src, w))
+        agg = nk.reshape(nk.stack_agg(s["h"], nk.Edges(dst, src, w), 1), (n, 3))
         pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
         dots = nk.take(nk.block_products(nk.add(agg, s["h"]), layout), layout.pairs)
         return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.hadamard(pair_w, dots)))
@@ -331,7 +374,7 @@ def test_grad_check_on_random_composite_expressions(seed):
     def f(s):
         h = nk.elu(nk.matmul(s["x"], s["w"]))
         h = nk.row_softmax(h)
-        h = nk.softplus(nk.sub(h, nk.logistic(s["x"])))
+        h = nk.exp(nk.sub(h, nk.logistic(s["x"])))
         return nk.reduce_sum(nk.square(h))
 
     assert grad_check(f, store) < 1e-6

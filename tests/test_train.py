@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from molvae import dataio, encoder, numkernel as nk, vaemodel
+from molvae.chem import N_BOND_TYPES
 from molvae.corpus import DRUG_SMILES
 from molvae.encoder import LATENT_DIM
 from molvae.numkernel import NonFiniteValue, ParamStore, backward
@@ -229,7 +230,8 @@ def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
     n = len(mt.features)
     b, m = mt.sizes.size, int(mt.sizes.max())
     noise = np.random.default_rng(0).standard_normal((n, LATENT_DIM))
-    total, _ = joint_loss(mt, [r.properties["heavy_atoms"] for r in recs], init_model_params(0), noise)
+    store = init_model_params(0)
+    total, _ = joint_loss(mt, [r.properties["heavy_atoms"] for r in recs], store, noise)
     seen, stack, pair_ops = set(), [total], 0
     while stack:
         node = stack.pop()
@@ -244,9 +246,26 @@ def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
             pair_ops += 1
             assert max(arr.size for arr in _kept_arrays(node)) <= b * m * max(m, LATENT_DIM)
         stack.extend(node._parents)
-    assert len(seen) > 50
+    # The walk reached every parameter but the weights of bond types the batch lacks.
+    absent = tuple(f".rel{r}" for r in range(N_BOND_TYPES) if r not in dict(mt.relations))
+    assert [name for name, p in store.items() if id(p) in seen] == [
+        name for name in store.names() if not name.endswith(absent)
+    ]
     assert pair_ops == 1
     assert b * m * max(m, LATENT_DIM) < n * n
+
+
+def test_one_training_tape_holds_the_same_few_ops_whatever_bond_types_its_batch_holds():
+    corpus = [r.mol for r in dataio.load_bundled_corpus().records[:16]]
+    every_type = [parse_smiles(s) for s in ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])]
+    counts = []
+    for mols, n_types in ((every_type, 4), (corpus, 2)):
+        mt = MolTensors.from_mols(mols)
+        assert len(mt.relations) == n_types
+        noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
+        total, _ = joint_loss(mt, [1.0] * len(mols), init_model_params(0), noise)
+        counts.append(sum(node._grad_fn is not None for node in nk._tape(total)))  # ops with a gradient rule
+    assert counts[0] == counts[1] <= 35, counts
 
 
 def test_train_calls_joint_loss_once_per_minibatch(monkeypatch):

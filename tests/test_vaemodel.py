@@ -169,6 +169,13 @@ def test_kl_matches_monte_carlo_estimate():
     assert closed == pytest.approx(mc, abs=0.01)
 
 
+def test_kl_term_is_one_op_whose_gradient_matches_central_differences():
+    rng = np.random.default_rng(0)
+    store = nk.ParamStore({"mu": rng.normal(size=(5, 3)), "ls": rng.normal(size=(5, 3), scale=0.5)})
+    assert kl_term(store["mu"], store["ls"]).name == "kl_term"
+    assert nk.grad_check(lambda s: kl_term(s["mu"], s["ls"]), store) < 1e-7
+
+
 def test_kl_shape_mismatch():
     with pytest.raises(nk.NumericError, match=r"^kl shapes \(2, 2\) vs \(3, 2\)$"):
         kl_term(constant(np.zeros((2, 2))), constant(np.zeros((3, 2))))
@@ -205,23 +212,53 @@ def test_take_of_block_products_agrees_with_one_gather_per_pair_on_a_union():
     assert np.max(np.abs(grad - want_grad)) <= 1e-12
 
 
-def test_union_loss_aggregates_once_per_relation_per_layer_and_once_for_both_heads(monkeypatch):
+# C, CC#N, C=CO and aspirin: all four bond types, and a molecule with no bonds.
+FOUR_BOND_TYPES = ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])
+
+
+def test_union_loss_aggregates_once_per_layer_and_once_for_both_heads(monkeypatch):
     calls = []
-    real = nk.seg_agg
+    real = nk.stack_agg
 
-    def counting(h, edges):
-        calls.append(edges.dst.size)
-        return real(h, edges)
+    def counting(h, edges, depth):
+        calls.append((edges.dst.size, depth))
+        return real(h, edges, depth)
 
-    monkeypatch.setattr(nk, "seg_agg", counting)
-    mols = [parse_smiles(s) for s in ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])]
+    monkeypatch.setattr(nk, "stack_agg", counting)
+    mols = [parse_smiles(s) for s in FOUR_BOND_TYPES]
     mt = MolTensors.from_mols(mols)
-    with_edges = len(mt.relations)
-    assert with_edges == 4
+    assert len(mt.relations) == 4
+    edges = sum(e.dst.size for _, e in mt.relations)
     noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
     joint_loss(mt, [1.0] * len(mols), init_model_params(seed=0), noise)
-    assert len(calls) == 3 * with_edges  # layer 1, layer 2, and one for the mu and sigma heads
-    assert all(calls)
+    # Layer 1, layer 2, and one for the mu and sigma heads: each stacks all four bond types.
+    assert calls == [(edges, 4)] * 3
+
+
+def test_joint_loss_gradient_matches_central_differences_on_a_batch_of_every_bond_type():
+    mols = [parse_smiles(s) for s in FOUR_BOND_TYPES]
+    mt = MolTensors.from_mols(mols)
+    assert {r for r, _ in mt.relations} == {int(t) for t in BondType}
+    noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
+    labels = [float(m.n_atoms) for m in mols]
+    store = init_model_params(seed=0)
+
+    def loss(s):
+        return joint_loss(mt, labels, s, noise)[0]
+
+    assert nk.grad_check(loss, store) < 1e-7
+    # grad_check perturbs only the largest gradients; check the triple and
+    # aromatic weights of every layer at their largest entry too.
+    grads = nk.backward(loss(store), store)
+    for name in [f"enc.{layer}.rel{r}" for layer in ("l1", "l2", "mu", "sigma") for r in (2, 3)]:
+        w, i = store[name].data.reshape(-1), int(np.argmax(np.abs(grads[name])))
+        orig = w[i]
+        w[i] = orig + 1e-5
+        hi = loss(store).item()
+        w[i] = orig - 1e-5
+        lo = loss(store).item()
+        w[i] = orig
+        assert grads[name].reshape(-1)[i] == pytest.approx((hi - lo) / 2e-5, rel=1e-6, abs=1e-8), name
 
 
 def test_recon_bce_at_half_is_ln2():
@@ -471,8 +508,9 @@ def test_inference_raises_on_a_store_holding_1e200_weights(fn):
         "pooled_vectors": lambda: pooled_vectors(batch, store),
         "evaluate_edge_auc": lambda: train.evaluate_edge_auc(store, Dataset(records)),
     }[fn]
+    op = "matmul" if fn == "side_predict" else "rgcn_layer"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(nk.NonFiniteValue, match="produced by matmul$"):
+        with pytest.raises(nk.NonFiniteValue, match=f"produced by {op}$"):
             call()
 
 
