@@ -31,19 +31,25 @@ for _head in ("mu", "sigma"):
 
 POOL_PARAM_SHAPES = {"pool.wp": (LATENT_DIM, POOL_DIM)}
 
-Relations = tuple[tuple[int, nk.Edges], ...]  # see `encode`
-Aggregate = tuple[tuple[int, ...], Tensor]  # bond types, and the (R, n, width) stack of neighbor means
+# Bond types, and the (R, n, width) stack of neighbor means: a tensor, or a constant's plain array.
+Aggregate = tuple[tuple[int, ...], Tensor | np.ndarray]
 
 
-def rgcn_layer(h: Tensor, aggs: Aggregate, store: ParamStore, prefix: str, activate: bool) -> Tensor:
+def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefix: str, activate: bool) -> Tensor:
     """One relational update of `h`, as one op: h W_self, plus slot k of the
     stack of neighbor means of `h` times W_r for bond type r = types[k], added
-    in that order, then ELU-activated (alpha = 1) when `activate`."""
+    in that order, then ELU-activated (alpha = 1) when `activate`.
+
+    `h` and the stack are both tensors, or both plain arrays: constants, such
+    as layer 1's feature rows, whose op has only the weights as parents and
+    whose rule returns only their gradients."""
     types, agg = aggs
+    inputs = (h, agg) if isinstance(h, Tensor) else ()
+    x, stack = (h.data, agg.data) if inputs else (h, agg)
     w_self = store[f"{prefix}.self"]
     w_rel = [store[f"{prefix}.rel{r}"] for r in types]
-    pre = h.data @ w_self.data
-    for a, w in zip(agg.data, w_rel):
+    pre = x @ w_self.data
+    for a, w in zip(stack, w_rel):
         pre = pre + a @ w.data
     out, neg = pre, None
     if activate:  # as `nk.elu`
@@ -53,40 +59,42 @@ def rgcn_layer(h: Tensor, aggs: Aggregate, store: ParamStore, prefix: str, activ
     def grad_fn(g):
         if neg is not None:
             g = g * np.where(pre > 0.0, 1.0, neg + 1.0)
+        g_weights = (x.T @ g, *(stack.transpose(0, 2, 1) @ g))
+        if not inputs:
+            return g_weights
         w_stack = np.array([w.data for w in w_rel]).reshape(-1, *w_self.shape)
-        g_rel = agg.data.transpose(0, 2, 1) @ g
-        return (g @ w_self.data.T, g @ w_stack.transpose(0, 2, 1), h.data.T @ g, *g_rel)
+        return (g @ w_self.data.T, g @ w_stack.transpose(0, 2, 1), *g_weights)
 
-    return nk.Tensor(out, (h, agg, w_self, *w_rel), grad_fn, "rgcn_layer")
+    return nk.Tensor(out, (*inputs, w_self, *w_rel), grad_fn, "rgcn_layer")
 
 
 def encode(
     features: np.ndarray,
-    relations: Relations,
+    types: tuple[int, ...],
+    edges: nk.Edges,
     store: ParamStore,
     *heads: str,
 ) -> tuple[Tensor, ...]:
     """Run the three-layer encoder; returns the per-node output of each named
     head ("mu" the mean, "sigma" the log-std), building only those.
 
-    Each entry (r, edges) of `relations` lists bond type r's directed edges,
-    weighted w = 1/deg_r(dst) so that each node averages over its
-    r-neighbors; a bond type with no entry adds nothing. Layers 1 and 2 are
-    shared and ELU-activated; each head is its own linear layer, and the
-    heads share one aggregation of layer 2's output. Each aggregation is one
-    op that stacks the neighbor means of every listed bond type; the three
-    share one edge list over that stack, and so its scatter positions.
+    `edges` is the stacked edge list of `vaemodel.MolTensors`: slot k holds
+    bond type types[k]'s directed edges, weighted w = 1/deg_r(dst) so that
+    each node averages over its r-neighbors; a bond type not in `types` adds
+    nothing. Layers 1 and 2 are shared and ELU-activated; each head is its
+    own linear layer, and the heads share one aggregation of layer 2's
+    output. The three aggregations run over the one list, so they share its
+    scatter positions. Layer 1 reads the feature rows and their neighbor
+    means as plain arrays: they are constants, so its op records only its
+    weights.
     """
     if features.shape[1] != FEATURE_DIM:
         raise nk.NumericError(f"feature width {features.shape[1]} != {FEATURE_DIM}")
-    types = tuple(r for r, _ in relations)
-    edges = nk.Edges.stacked([e for _, e in relations], len(features))
 
-    def aggregate(h: Tensor) -> Aggregate:
+    def aggregate(h: Tensor | np.ndarray) -> Aggregate:
         return types, nk.stack_agg(h, edges, len(types))
 
-    h = nk.constant(features, "H")
-    h = rgcn_layer(h, aggregate(h), store, "enc.l1", activate=True)
+    h = rgcn_layer(features, aggregate(features), store, "enc.l1", activate=True)
     h = rgcn_layer(h, aggregate(h), store, "enc.l2", activate=True)
     aggs = aggregate(h)
     return tuple(rgcn_layer(h, aggs, store, f"enc.{head}", activate=False) for head in heads)

@@ -70,9 +70,9 @@ def constant(data, name: str | None = None) -> Tensor:
     return Tensor(data, name=name)
 
 
-def _require_2d(t: Tensor, op: str) -> None:
-    if t.data.ndim != 2:
-        raise NumericError(f"{op} requires a 2-D tensor, got shape {t.shape}")
+def _require_2d(x: np.ndarray, op: str) -> None:
+    if x.ndim != 2:
+        raise NumericError(f"{op} requires a 2-D tensor, got shape {x.shape}")
 
 
 # -- primitive operations ------------------------------------------------
@@ -178,7 +178,7 @@ def logistic(a: Tensor) -> Tensor:
 
 def row_softmax(a: Tensor) -> Tensor:
     """Row-wise softmax, computed with max subtraction for stability."""
-    _require_2d(a, "row_softmax")
+    _require_2d(a.data, "row_softmax")
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=1, keepdims=True)
@@ -222,16 +222,6 @@ class Edges:
         self.dst, self.src, self.w = dst, src, w
         self._flat: dict[tuple[str, int], np.ndarray] = {}
 
-    @classmethod
-    def stacked(cls, lists: list["Edges"], n: int) -> "Edges":
-        """The edge lists `lists`, each over n rows, as one list into a stack
-        of len(lists) slots of n rows: list k's edges land in slot k."""
-        return cls(
-            np.concatenate([np.zeros(0, np.int64), *(e.dst + k * n for k, e in enumerate(lists))]),
-            np.concatenate([np.zeros(0, np.int64), *(e.src for e in lists)]),
-            np.concatenate([np.zeros(0), *(e.w for e in lists)]),
-        )
-
     def flat(self, ends: str, width: int) -> np.ndarray:
         """`_flat_positions` of the rows `ends` ("dst" or "src") name, `width` wide."""
         key = (ends, width)
@@ -240,23 +230,27 @@ class Edges:
         return self._flat[key]
 
 
-def stack_agg(h: Tensor, edges: Edges, depth: int) -> Tensor:
+def stack_agg(h: Tensor | np.ndarray, edges: Edges, depth: int) -> Tensor | np.ndarray:
     """Weighted sums over an edge list into a (depth, n, width) stack, for the
-    n rows of `h`: slot dst[k] // n, row dst[k] % n gains w[k] * h[src[k]]."""
-    _require_2d(h, "stack_agg")
-    n, width = h.shape
+    n rows of `h`: slot dst[k] // n, row dst[k] % n gains w[k] * h[src[k]].
+    A plain array `h`, a constant, gives a plain array and records nothing."""
+    x = h.data if isinstance(h, Tensor) else h
+    _require_2d(x, "stack_agg")
+    n, width = x.shape
     wcol = edges.w[:, None]
-    out_data = _scatter_rows(wcol * h.data[edges.src], edges.flat("dst", width), depth * n)
+    out_data = _scatter_rows(wcol * x[edges.src], edges.flat("dst", width), depth * n).reshape(depth, n, width)
+    if not isinstance(h, Tensor):
+        return out_data
 
     def grad_fn(g):
         return (_scatter_rows(wcol * g.reshape(-1, width)[edges.dst], edges.flat("src", width), n),)
 
-    return Tensor(out_data.reshape(depth, n, width), (h,), grad_fn, "stack_agg")
+    return Tensor(out_data, (h,), grad_fn, "stack_agg")
 
 
 def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
     """Row sums per segment: row s of the result sums the rows i with seg[i] == s."""
-    _require_2d(a, "seg_sum")
+    _require_2d(a.data, "seg_sum")
     out_data = _scatter_rows(a.data, _flat_positions(seg, a.shape[1]), n_seg)
     return Tensor(out_data, (a,), lambda g: (g[seg],), "seg_sum")
 
@@ -356,19 +350,19 @@ class ParamStore:
 def _tape(root: Tensor) -> list[Tensor]:
     """Every node `root` depends on, itself last, each after its parents."""
     topo: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return topo
 
@@ -423,17 +417,13 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar, got shape {loss.shape}")
     checked(loss)
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(_tape(loss)):
         if node._grad_fn is None:
             continue
-        for parent, g in zip(node._parents, node._grad_fn(grads.pop(id(node)))):
-            key = id(parent)
-            grads[key] = grads[key] + g if key in grads else g
-    return {
-        name: grads[id(p)] if id(p) in grads else np.zeros_like(p.data)
-        for name, p in params.items()
-    }
+        for parent, g in zip(node._parents, node._grad_fn(grads.pop(node))):
+            grads[parent] = grads[parent] + g if parent in grads else g
+    return {name: grads[p] if p in grads else np.zeros_like(p.data) for name, p in params.items()}
 
 
 GRAD_CHECK_MAX_COORDS = 200

@@ -4,6 +4,7 @@ that records no tape."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -120,23 +121,26 @@ class MolTensors:
     """Encoder and loss constants of a batch of molecules, taken as one
     disjoint-union graph.
 
-    Molecule b's atoms are `sizes[b]` consecutive rows of `features`;
-    `relations` holds the directed edges of each bond type that has any (see
-    `encoder.encode`), molecule by molecule. `layout` orders each molecule's
-    atom pairs i < j, and `pair_target` marks, in that order, which of them
-    are bonded: it is read from the edge lists when it is first read.
+    Molecule b's atoms are `sizes[b]` consecutive rows of `features`. `types`
+    are the bond types the batch has, in increasing order, and `edges` is the
+    one edge list of `encoder.encode`: bond type types[k]'s directed edges,
+    molecule by molecule, in slot k, so an edge into atom i has dst
+    i + k * n for n atoms. `layout` orders each molecule's atom pairs i < j,
+    and `pair_target` marks, in that order, which of them are bonded: it is
+    read from the edge list when it is first read.
     """
 
     features: np.ndarray
-    relations: encoder.Relations
+    types: tuple[int, ...]
+    edges: nk.Edges
     layout: nk.PairLayout
 
     @cached_property
     def pair_target(self) -> np.ndarray:
         rows, m = self.layout.rows, self.layout.m
         dense = np.zeros(self.sizes.size * m * m)  # the (B, m, m) padded blocks
-        for _, e in self.relations:
-            dense[rows[e.dst] * m + rows[e.src] % m] = 1.0
+        e = self.edges
+        dense[rows[e.dst % len(self.features)] * m + rows[e.src] % m] = 1.0
         return dense[self.layout.pairs]
 
     @property
@@ -168,46 +172,57 @@ class MolTensors:
                 srcs[t] += (j + off, i + off)
             off += n
         n = off
-        relations, degree = [], 0
-        for r, (dst, src) in enumerate(zip(dsts, srcs)):
-            if dst:
-                dst = np.fromiter(dst, np.int64, len(dst))
-                deg = np.bincount(dst, minlength=n)
-                degree = degree + deg
-                src = np.fromiter(src, np.int64, len(src))
-                relations.append((r, nk.Edges(dst, src, 1.0 / deg[dst])))
+        types = tuple(r for r, dst in enumerate(dsts) if dst)
+        dst = np.fromiter(itertools.chain(*(dsts[r] for r in types)), np.int64)
+        src = np.fromiter(itertools.chain(*(srcs[r] for r in types)), np.int64, dst.size)
+        end = 0
+        for k, r in enumerate(types):  # bond type types[k] fills slot k
+            dst[end : end + len(dsts[r])] += k * n
+            end += len(dsts[r])
+        deg = np.bincount(dst, minlength=len(types) * n)
         cols = np.fromiter(cols, np.int64, len(cols)).reshape(n, 4)
-        cols[:, 3] = degree
+        cols[:, 3] = np.bincount(src, minlength=n)
         np.minimum(np.maximum(cols, _LOW, out=cols), _HIGH, out=cols)  # np.clip dispatches slower
         cols += _BASE
         features = np.zeros((n, FEATURE_DIM))
         features[np.arange(n)[:, None], cols] = 1.0
-        return cls(features, tuple(relations), nk.PairLayout(sizes))
+        return cls(features, types, nk.Edges(dst, src, 1.0 / deg[dst]), nk.PairLayout(sizes))
 
     @classmethod
     def from_mol(cls, mol: MolGraph) -> "MolTensors":
         return cls.from_mols([mol])
 
+    @cached_property
+    def _where(self) -> np.ndarray:
+        """A (2R + 2, B) table of each molecule's atom count and first row,
+        then where its edges start in each of the R slots of `edges`, then
+        how many there are."""
+        lo = np.cumsum(self.sizes) - self.sizes
+        # `dst` runs slot by slot and, in a slot, molecule by molecule, so the
+        # atoms of a molecule bound its edges in each slot even though `dst`
+        # is not sorted within one.
+        starts = np.arange(len(self.types))[:, None] * len(self.features) + lo
+        first, last = np.searchsorted(self.edges.dst, (starts, starts + self.sizes))
+        return np.vstack([self.sizes, lo, first, last - first])
+
     def select(self, idx) -> "MolTensors":
         """The tensors of molecules `idx`, in that order, as `from_mols` of
         them would build them: each one's rows and edges, renumbered."""
         idx = np.asarray(idx, dtype=np.int64)
-        ends = np.cumsum(self.sizes)
-        lo, sizes = (ends - self.sizes)[idx], self.sizes[idx]
+        depth, where = len(self.types), self._where[:, idx]
+        sizes, lo, first, counts = where[0], where[1], where[2 : 2 + depth], where[2 + depth :]
         shift = np.cumsum(sizes) - sizes - lo  # each chosen molecule's move
-        relations = []
-        for r, e in self.relations:
-            # `dst` runs molecule by molecule, so the atoms of a molecule
-            # bound its edges even though `dst` is not sorted within one.
-            first = np.searchsorted(e.dst, lo)
-            counts = np.searchsorted(e.dst, lo + sizes) - first
-            k = _ranges(first, counts)
-            if k.size:
-                moved = np.repeat(shift, counts)
-                relations.append((r, nk.Edges(e.dst[k] + moved, e.src[k] + moved, e.w[k])))
+        per_slot = counts.sum(axis=1).tolist()
+        kept = [s for s, c in enumerate(per_slot) if c]  # the slots that keep edges
+        m, n, e = int(sizes.sum()), len(self.features), self.edges
+        k = _ranges(first.ravel(), counts.ravel())
+        moved = np.repeat(np.tile(shift, depth), counts.ravel())
+        reslot = np.array([j * m - s * n for j, s in enumerate(kept)], np.int64)  # slot s becomes slot j
+        dst = e.dst[k] + moved + np.repeat(reslot, [per_slot[s] for s in kept])
         return MolTensors(
             features=self.features[_ranges(lo, sizes)],
-            relations=tuple(relations),
+            types=tuple(self.types[s] for s in kept),
+            edges=nk.Edges(dst, e.src[k] + moved, e.w[k]),
             layout=nk.PairLayout(sizes),
         )
 
@@ -231,7 +246,7 @@ def joint_loss(
     labels = np.asarray(label, dtype=np.float64).reshape(-1)
     if labels.shape != mt.sizes.shape:
         raise nk.NumericError(f"{labels.size} labels for {mt.sizes.size} molecules")
-    mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
+    mu, log_std = encoder.encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
     logits = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
     counts = mt.layout.counts  # each molecule's recon term is its mean over its pairs
@@ -251,7 +266,7 @@ def joint_loss(
 def _mu(mt: MolTensors, store: ParamStore) -> Tensor:
     """Mu of a batch from one encoder pass over its union that builds only
     the mu head: the deterministic latent code of inference."""
-    return encoder.encode(mt.features, mt.relations, store, "mu")[0]
+    return encoder.encode(mt.features, mt.types, mt.edges, store, "mu")[0]
 
 
 def _built(mols: list[MolGraph] | MolTensors) -> MolTensors:

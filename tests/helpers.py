@@ -19,7 +19,6 @@ from molvae.chem import (
     ChemError,
     MolGraph,
     ValidityReport,
-    adjacency,
     aromatic_atoms,
     bond_order_sums,
     build,
@@ -86,54 +85,53 @@ def enumerate_paths(mol: MolGraph, min_len: int = 1, max_len: int = 7) -> set[tu
 
 
 def _oracle_features(mol: MolGraph) -> np.ndarray:
-    """One feature row per atom, filled one atom at a time."""
+    """One feature row per atom, filled one atom at a time; an atom's degree
+    counts the bonds that list it."""
+    degree = Counter(end for i, j, _ in mol.bonds for end in (i, j))
     h = np.zeros((mol.n_atoms, FEATURE_DIM))
-    for i, (atom, nbrs) in enumerate(zip(mol.atoms, adjacency(mol))):
+    for i, atom in enumerate(mol.atoms):
         h[i, ELEMENT_INDEX[atom.element]] = 1.0
         charge = max(-1, min(1, atom.formal_charge))
         h[i, 10 + charge + 1] = 1.0
         h[i, 13 + min(atom.implicit_h, 4)] = 1.0
-        h[i, 18 + min(len(nbrs), 4)] = 1.0
+        h[i, 18 + min(degree[i], 4)] = 1.0
     return h
 
 
-def _oracle_one(mol: MolGraph) -> MolTensors:
-    """One molecule's tensors, bond by bond."""
-    n = mol.n_atoms
-    ends = [([], []) for _ in range(N_BOND_TYPES)]
-    for i, j, t in mol.bonds:
-        dst, src = ends[t]
-        dst += (i, j)
-        src += (j, i)
-    relations = []
-    for r, (dst, src) in enumerate(ends):
-        if dst:
-            dst, src = np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64)
-            relations.append((r, Edges(dst, src, 1.0 / np.bincount(dst, minlength=n)[dst])))
-    return MolTensors(_oracle_features(mol), tuple(relations), PairLayout([n]))
+def stack_edges(lists: Sequence[Edges], n: int) -> Edges:
+    """The edge lists `lists`, each over n rows, as one list into a stack of
+    len(lists) slots of n rows: list k's edges land in slot k."""
+    return Edges(
+        np.concatenate([np.zeros(0, np.int64), *(e.dst + k * n for k, e in enumerate(lists))]),
+        np.concatenate([np.zeros(0, np.int64), *(e.src for e in lists)]),
+        np.concatenate([np.zeros(0), *(e.w for e in lists)]),
+    )
 
 
 def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:
-    """`MolTensors.from_mols`: each molecule built alone, then the parts
-    concatenated, atom indices shifted past the atoms before them."""
-    parts = [_oracle_one(mol) for mol in mols]
-    if len(parts) == 1:
-        return parts[0]
-    offsets = np.cumsum([0] + [len(p.features) for p in parts[:-1]])
-    relations = []
-    for r in range(N_BOND_TYPES):
-        # bond type r's edge lists of the parts that have one, shifted
-        got = [(off, e) for off, p in zip(offsets, parts) for t, e in p.relations if t == r]
-        if got:
-            relations.append((r, Edges(
-                np.concatenate([e.dst + off for off, e in got]),
-                np.concatenate([e.src + off for off, e in got]),
-                np.concatenate([e.w for _, e in got]),
-            )))
+    """`MolTensors.from_mols`, bond by bond: each bond type's directed edges,
+    molecule after molecule with atom indices shifted past the atoms before,
+    the bond types present filling slots 0, 1, ... of one stacked list."""
+    n = sum(mol.n_atoms for mol in mols)
+    by_type = [[] for _ in range(N_BOND_TYPES)]  # (dst, src) of each directed edge
+    off = 0
+    for mol in mols:
+        for i, j, t in mol.bonds:
+            by_type[t] += [(i + off, j + off), (j + off, i + off)]
+        off += mol.n_atoms
+    types = tuple(r for r in range(N_BOND_TYPES) if by_type[r])
+    dst, src, w = [], [], []
+    for k, r in enumerate(types):
+        degree = Counter(d for d, _ in by_type[r])
+        for d, s in by_type[r]:
+            dst.append(d + k * n)
+            src.append(s)
+            w.append(1.0 / degree[d])
     return MolTensors(
-        features=np.concatenate([p.features for p in parts]),
-        relations=tuple(relations),
-        layout=PairLayout(np.concatenate([p.sizes for p in parts])),
+        features=np.concatenate([np.zeros((0, FEATURE_DIM)), *(_oracle_features(mol) for mol in mols)]),
+        types=types,
+        edges=Edges(np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64), np.array(w, dtype=np.float64)),
+        layout=PairLayout([mol.n_atoms for mol in mols]),
     )
 
 
@@ -154,9 +152,8 @@ def assert_same_tensors(got: MolTensors, want: MolTensors, target: np.ndarray) -
     targets equal to `target`."""
     pairs = [(got.features, want.features), (got.pair_target, target)]
     pairs += [(got.sizes, want.sizes), (got.layout.counts, want.layout.counts)]
-    assert [r for r, _ in got.relations] == [r for r, _ in want.relations]
-    for (_, g), (_, w) in zip(got.relations, want.relations):
-        pairs += [(g.dst, w.dst), (g.src, w.src), (g.w, w.w)]
+    assert got.types == want.types
+    pairs += [(got.edges.dst, want.edges.dst), (got.edges.src, want.edges.src), (got.edges.w, want.edges.w)]
     for g, w in pairs:
         assert g.dtype == w.dtype
         assert g.shape == w.shape

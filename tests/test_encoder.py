@@ -17,14 +17,14 @@ from molvae.encoder import (
     pool,
 )
 from molvae.smiles import parse_smiles
-from molvae.vaemodel import MolTensors, init_model_params
+from molvae.vaemodel import MolTensors, decoded_blocks, init_model_params, pooled_vectors
 
-from helpers import permute
+from helpers import permute, stack_edges
 
 
 def encode_mol(mol, store):
     mt = MolTensors.from_mol(mol)
-    return encode(mt.features, mt.relations, store, "mu", "sigma")
+    return encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
 
 
 # -- parameter inventory -------------------------------------------------
@@ -57,9 +57,11 @@ def test_glorot_bound():
 def neighbor_means(mol, r):
     """Relation r's neighbor-mean operator applied to the identity, as a dense
     matrix: zero when the molecule has no bond of type r."""
-    edges = dict(MolTensors.from_mol(mol).relations).get(r)
+    mt = MolTensors.from_mol(mol)
     eye = np.eye(mol.n_atoms)
-    return np.zeros_like(eye) if edges is None else nk.stack_agg(nk.constant(eye), edges, 1).data[0]
+    if r not in mt.types:
+        return np.zeros_like(eye)
+    return nk.stack_agg(nk.constant(eye), mt.edges, len(mt.types)).data[mt.types.index(r)]
 
 
 def test_mean_mats_rows_average_neighbors():
@@ -70,15 +72,16 @@ def test_mean_mats_rows_average_neighbors():
 
 
 def test_mean_mats_skip_empty_relations():
-    # Bond types the molecule lacks have no entry, so the encoder skips them.
-    mol = parse_smiles("C=C")
-    sizes = {r: e.dst.size for r, e in MolTensors.from_mol(mol).relations}
-    assert sizes == {1: 2}
+    # Bond types the molecule lacks have no slot, so the encoder skips them.
+    mt = MolTensors.from_mol(parse_smiles("C=C"))
+    assert mt.types == (1,)
+    assert mt.edges.dst.tolist() == [0, 1]
 
 
 def test_mean_mats_isolated_node_row_is_zero():
     mol = parse_smiles("C")
-    assert MolTensors.from_mol(mol).relations == ()
+    mt = MolTensors.from_mol(mol)
+    assert mt.types == () and mt.edges.dst.size == 0
     assert np.array_equal(neighbor_means(mol, 0), [[0.0]])
 
 
@@ -110,7 +113,7 @@ def test_encode_output_shapes():
 def test_encode_rejects_bad_feature_width():
     store = init_model_params(seed=0)
     with pytest.raises(nk.NumericError, match="^feature width 7 != 32$"):
-        encode(np.zeros((3, 7)), [], store, "mu")
+        encode(np.zeros((3, 7)), (), stack_edges([], 3), store, "mu")
 
 
 def test_heads_share_the_first_two_layers():
@@ -147,35 +150,63 @@ def test_encoder_is_permutation_equivariant(seed):
 
 
 def test_encode_accepts_precomputed_mean_mats():
-    # Precomputed edge lists by bond type: an entry with no edges adds
-    # nothing; dropping an entry with edges changes the output.
+    # A precomputed stacked edge list: a slot with no edges adds nothing;
+    # dropping a slot with edges changes the output.
     store = init_model_params(seed=0)
     mol = parse_smiles("CC=O")
     mt = MolTensors.from_mol(mol)
-    by_type = dict(mt.relations)
-    assert {r: e.dst.size for r, e in by_type.items()} == {0: 2, 1: 2}
+    assert mt.types == (0, 1)
+    assert mt.edges.dst.tolist() == [0, 1, 3 + 1, 3 + 2]  # C-C in slot 0, C=O in slot 1
+    n, half = mol.n_atoms, mt.edges.dst.size // 2
+    single, double = (nk.Edges(mt.edges.dst[s] % n, mt.edges.src[s], mt.edges.w[s]) for s in (slice(half), slice(half, None)))
     empty = np.zeros(0, dtype=np.int64)
-    padded = ((0, by_type[0]), (3, nk.Edges(empty, empty, np.zeros(0))), (1, by_type[1]))
-    mu1, ls1 = encode(mt.features, mt.relations, store, "mu", "sigma")
-    mu2, ls2 = encode(mt.features, padded, store, "mu", "sigma")
+    padded = stack_edges([single, nk.Edges(empty, empty, np.zeros(0)), double], n)
+    mu1, ls1 = encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
+    mu2, ls2 = encode(mt.features, (0, 3, 1), padded, store, "mu", "sigma")
     assert np.array_equal(mu1.data, mu2.data)
     assert np.array_equal(ls1.data, ls2.data)
-    (mu3,) = encode(mt.features, ((0, by_type[0]),), store, "mu")
+    (mu3,) = encode(mt.features, (0,), stack_edges([single], n), store, "mu")
     assert not np.array_equal(mu1.data, mu3.data)
 
 
-def test_rgcn_layer_is_one_op_that_adds_each_bond_type_in_order():
-    # Bond types 0 and 2 over 6 rows; the layer reads W_self, W_0 and W_2.
-    rng = np.random.default_rng(0)
-    n = 6
+def test_encode_builds_no_edge_list(monkeypatch):
+    # A MolTensors holds its stacked edge list: encoding it, for pooled
+    # vectors or decoded blocks, makes no `nk.Edges` of its own.
+    mt = MolTensors.from_mols([parse_smiles(s) for s in ("CC=O", "C#N", "c1ccccc1", "C")])
+    made = []
+    real = nk.Edges.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(nk.Edges, "__init__", counting)
+    store = init_model_params(seed=0)
+    pooled_vectors(mt, store)
+    decoded_blocks(mt, store)
+    assert made == []
+    mt.select([1, 0])  # the count sees the Edges a selection makes
+    assert len(made) == 1
+
+
+def _layer_inputs(rng, n):
+    """A (n, 4) input and its neighbor means over bond types 0 and 2, and the
+    store of a layer "x" that reads them."""
     lists = [nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e)) for e in (8, 5)]
-    edges = nk.Edges.stacked(lists, n)
     store = nk.ParamStore({
         "h": rng.normal(size=(n, 4)),
         "x.self": rng.normal(size=(4, 3)),
         "x.rel0": rng.normal(size=(4, 3)),
         "x.rel2": rng.normal(size=(4, 3)),
     })
+    return stack_edges(lists, n), store
+
+
+def test_rgcn_layer_is_one_op_that_adds_each_bond_type_in_order():
+    # Bond types 0 and 2 over 6 rows; the layer reads W_self, W_0 and W_2.
+    rng = np.random.default_rng(0)
+    n = 6
+    edges, store = _layer_inputs(rng, n)
     weights = nk.constant(rng.uniform(-1.0, 1.0, (n, 3)))
 
     def layer(s, activate):
@@ -189,10 +220,38 @@ def test_rgcn_layer_is_one_op_that_adds_each_bond_type_in_order():
     for activate in (False, True):
         assert nk.grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, layer(s, activate))), store) < 1e-7
     # With no bond types the stack is empty and the layer is its self term.
-    bare = encoder.rgcn_layer(store["h"], ((), nk.stack_agg(store["h"], nk.Edges.stacked([], n), 0)), store, "x", False)
+    bare = encoder.rgcn_layer(store["h"], ((), nk.stack_agg(store["h"], stack_edges([], n), 0)), store, "x", False)
     assert np.array_equal(bare.data, store["h"].data @ store["x.self"].data)
     grads = nk.backward(nk.reduce_sum(nk.hadamard(weights, bare)), store)
     assert np.array_equal(grads["x.self"], store["h"].data.T @ weights.data) and not grads["x.rel0"].any()
+
+
+def test_rgcn_layer_on_plain_arrays_records_only_its_weights():
+    # Plain-array inputs are constants: the op's parents are its weights, and
+    # its value and weight gradients equal those of the same layer on tensors.
+    # A parameter input, which has no parents either, keeps its gradient.
+    rng = np.random.default_rng(1)
+    n = 6
+    edges, store = _layer_inputs(rng, n)
+    weights = nk.constant(rng.uniform(-1.0, 1.0, (n, 3)))
+    x = store["h"].data.copy()
+    plain = encoder.rgcn_layer(x, ((0, 2), nk.stack_agg(x, edges, 2)), store, "x", True)
+    assert isinstance(nk.stack_agg(x, edges, 2), np.ndarray)
+    assert plain._parents == (store["x.self"], store["x.rel0"], store["x.rel2"])
+    taped = encoder.rgcn_layer(store["h"], ((0, 2), nk.stack_agg(store["h"], edges, 2)), store, "x", True)
+    assert np.array_equal(plain.data, taped.data)
+    g_plain = nk.backward(nk.reduce_sum(nk.hadamard(weights, plain)), store)
+    g_taped = nk.backward(nk.reduce_sum(nk.hadamard(weights, taped)), store)
+    assert not g_plain["h"].any() and g_taped["h"].any()
+    for name in ("x.self", "x.rel0", "x.rel2"):
+        assert np.array_equal(g_plain[name], g_taped[name]), name
+
+    def f(s):  # the layer's input `h` is a parameter, a leaf like a constant
+        out = encoder.rgcn_layer(s["h"], ((0, 2), nk.stack_agg(s["h"], edges, 2)), s, "x", True)
+        return nk.reduce_sum(nk.hadamard(weights, out))
+
+    assert store["h"]._parents == () and len(store.flat) <= nk.GRAD_CHECK_MAX_COORDS  # h's entries are checked
+    assert nk.grad_check(f, store) < 1e-7
 
 
 # -- pooling -------------------------------------------------------------

@@ -611,7 +611,7 @@ def test_trained_parameters_are_views_of_one_buffer():
 
 def test_pooled_vector_checks_finiteness_once_not_per_op(monkeypatch):
     """Only leaves and the result are checked: a per-op check would call
-    `np.isfinite` once for each of the tape's 9 ops."""
+    `np.isfinite` once for each of the tape's 8 ops."""
     mol = random_molecule(np.random.default_rng(0), 20)
     store = vaemodel.init_model_params(seed=0)
     calls = []

@@ -15,6 +15,8 @@ from molvae.numkernel import (
     grad_check,
 )
 
+from helpers import stack_edges
+
 
 def loss_of(t):
     return nk.reduce_sum(t)
@@ -185,15 +187,18 @@ def test_index_op_values():
     first = nk.Edges(np.array([0, 1, 1]), np.array([1, 0, 3]), np.array([2.0, 0.5, 1.0]))
     agg = nk.stack_agg(h, first, 1)
     assert np.array_equal(agg.data, [[[4.0, 6.0], [6.0, 7.5], [0.0, 0.0], [0.0, 0.0]]])
+    # A plain array, a constant, gives the same values, as a plain array.
+    plain = nk.stack_agg(h.data, first, 1)
+    assert type(plain) is np.ndarray and np.array_equal(plain, agg.data)
     # Stacked, a second list fills slot 1 alone: its edge carries row 2 into row 3.
     second = nk.Edges(np.array([3]), np.array([2]), np.array([1.0]))
-    both = nk.stack_agg(h, nk.Edges.stacked([first, second], 4), 2)
+    both = nk.stack_agg(h, stack_edges([first, second], 4), 2)
     assert np.array_equal(both.data, [agg.data[0], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 5.0]]])
     seg = nk.seg_sum(h, np.array([0, 0, 0, 1]), 2)
     assert np.array_equal(seg.data, [[6.0, 9.0], [6.0, 7.0]])
     empty = np.array([], dtype=np.int64)
     assert np.array_equal(nk.stack_agg(h, nk.Edges(empty, empty, np.array([])), 1).data, np.zeros((1, 4, 2)))
-    assert nk.stack_agg(h, nk.Edges.stacked([], 4), 0).shape == (0, 4, 2)
+    assert nk.stack_agg(h, stack_edges([], 4), 0).shape == (0, 4, 2)
 
 
 def test_stack_agg_gradient_matches_central_differences():
@@ -202,7 +207,7 @@ def test_stack_agg_gradient_matches_central_differences():
     n = 5
     store = ParamStore({"h": rng.normal(size=(n, 3))})
     lists = [nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e)) for e in (6, 0, 4)]
-    edges = nk.Edges.stacked(lists, n)
+    edges = stack_edges(lists, n)
     weights = constant(rng.uniform(-1.0, 1.0, (3, n, 3)))
     f = lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.stack_agg(s["h"], edges, 3))))
     assert grad_check(f, store) < 1e-7

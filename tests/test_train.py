@@ -247,7 +247,7 @@ def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
             assert max(arr.size for arr in _kept_arrays(node)) <= b * m * max(m, LATENT_DIM)
         stack.extend(node._parents)
     # The walk reached every parameter but the weights of bond types the batch lacks.
-    absent = tuple(f".rel{r}" for r in range(N_BOND_TYPES) if r not in dict(mt.relations))
+    absent = tuple(f".rel{r}" for r in range(N_BOND_TYPES) if r not in mt.types)
     assert [name for name, p in store.items() if id(p) in seen] == [
         name for name in store.names() if not name.endswith(absent)
     ]
@@ -261,11 +261,41 @@ def test_one_training_tape_holds_the_same_few_ops_whatever_bond_types_its_batch_
     counts = []
     for mols, n_types in ((every_type, 4), (corpus, 2)):
         mt = MolTensors.from_mols(mols)
-        assert len(mt.relations) == n_types
+        assert len(mt.types) == n_types
         noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
         total, _ = joint_loss(mt, [1.0] * len(mols), init_model_params(0), noise)
         counts.append(sum(node._grad_fn is not None for node in nk._tape(total)))  # ops with a gradient rule
-    assert counts[0] == counts[1] <= 35, counts
+    assert counts[0] == counts[1] <= 29, counts
+
+
+def test_layer_one_puts_no_gradient_rule_on_the_tape():
+    # Layer 1 reads the constant feature rows and their neighbor means, so
+    # backward runs the aggregation rule only for layer 2 and for the heads,
+    # and layer 1's op has only its own weights as parents.
+    recs = dataio.load_bundled_corpus().records[:16]
+    mt = MolTensors.from_mols([r.mol for r in recs])
+    store = init_model_params(0)
+    noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
+    total, _ = joint_loss(mt, [r.properties["heavy_atoms"] for r in recs], store, noise)
+    tape = nk._tape(total)
+    runs = []
+
+    def counted(rule):
+        def run(g):
+            runs.append(g.shape)
+            return rule(g)
+
+        return run
+
+    for node in tape:
+        if node.name == "stack_agg":
+            node._grad_fn = counted(node._grad_fn)
+    backward(total, store)
+    assert len(runs) == 2, runs
+    # A parameter's name is its store name; an op's is the op's.
+    layers = [[p.name for p in node._parents] for node in tape if node.name == "rgcn_layer"]
+    l1 = [names for names in layers if any(name.startswith("enc.l1.") for name in names)]
+    assert l1 == [["enc.l1.self"] + [f"enc.l1.rel{r}" for r in mt.types]], layers
 
 
 def test_train_calls_joint_loss_once_per_minibatch(monkeypatch):

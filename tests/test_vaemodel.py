@@ -227,18 +227,19 @@ def test_union_loss_aggregates_once_per_layer_and_once_for_both_heads(monkeypatc
     monkeypatch.setattr(nk, "stack_agg", counting)
     mols = [parse_smiles(s) for s in FOUR_BOND_TYPES]
     mt = MolTensors.from_mols(mols)
-    assert len(mt.relations) == 4
-    edges = sum(e.dst.size for _, e in mt.relations)
+    assert mt.types == (0, 1, 2, 3)
+    edges = mt.edges.dst.size
     noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
     joint_loss(mt, [1.0] * len(mols), init_model_params(seed=0), noise)
-    # Layer 1, layer 2, and one for the mu and sigma heads: each stacks all four bond types.
+    # Layer 1 (on plain arrays), layer 2, and one for the mu and sigma heads:
+    # each stacks all four bond types.
     assert calls == [(edges, 4)] * 3
 
 
 def test_joint_loss_gradient_matches_central_differences_on_a_batch_of_every_bond_type():
     mols = [parse_smiles(s) for s in FOUR_BOND_TYPES]
     mt = MolTensors.from_mols(mols)
-    assert {r for r, _ in mt.relations} == {int(t) for t in BondType}
+    assert mt.types == tuple(int(t) for t in BondType)
     noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
     labels = [float(m.n_atoms) for m in mols]
     store = init_model_params(seed=0)
@@ -291,7 +292,7 @@ def test_recon_bce_logits_matches_probability_form():
     noise = np.random.default_rng(0).standard_normal((4, LATENT_DIM))
     _, bd = joint_loss(mol, 4.0, store, noise)
     mt = MolTensors.from_mol(mol)
-    mu, log_std = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
+    mu, log_std = encoder.encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise).data
     probs = constant(1.0 / (1.0 + np.exp(-z @ z.T)))
     assert bd.recon == pytest.approx(recon_bce(probs, adjacency_tensor(mol)).item(), rel=1e-12)
@@ -532,7 +533,7 @@ def test_predict_names_the_side_predictor_op_that_overflows():
 def _training_path_mu(mol, store):
     """Mu as training computes it: both heads built, on the molecule alone."""
     mt = MolTensors.from_mol(mol)
-    mu, _ = encoder.encode(mt.features, mt.relations, store, "mu", "sigma")
+    mu, _ = encoder.encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
     return mu
 
 
@@ -633,6 +634,7 @@ _SPECIAL = {
         atoms=(Atom("C", 0, 3), Atom("C", 0, 1), Atom("O", 0, 0)),
         bonds=((1, 0, BondType.SINGLE), (2, 1, BondType.DOUBLE)),
     ),
+    "no single bond": parse_smiles("O=C=O"),
 }
 # Double and triple bonds each in only one molecule, and a 1- and a 0-atom one.
 _MIXED = [_SPECIAL[k] for k in ("double bond listed (j, i)", "single atom", "triple bond", "no atoms")]
@@ -676,17 +678,29 @@ def test_select_with_repeated_molecules_reads_each_copys_targets():
     assert part.sizes.tolist() == [3, 3, 3, 1, 0, 3]
     # CC#N: (0, 1), (1, 2) bonded; the (j, i)-listed chain C-C=O likewise.
     assert part.pair_target.tolist() == [1.0, 0.0, 1.0] * 4
-    assert [r for r, _ in part.relations] == [0, 1, 2]
+    assert part.types == (0, 1, 2)
     chosen = [_MIXED[i] for i in idx]
     assert_same_tensors(part, MolTensors.from_mols(chosen), oracle_pair_target(chosen))
 
 
+def test_select_moves_each_kept_bond_type_to_its_slot_in_the_selection():
+    # The batch has slots for bond types (0, 1, 2); O=C=O alone keeps only
+    # bond type 1, which moves from slot 1 to slot 0.
+    mols = [parse_smiles(s) for s in ("CC#N", "O=C=O", "C=C", "C")]
+    full = MolTensors.from_mols(mols)
+    assert full.types == (0, 1, 2)
+    for idx in ([1], [2, 1], [3, 1, 3], [0, 1], [2, 0]):
+        chosen = [mols[i] for i in idx]
+        assert_same_tensors(full.select(idx), oracle_mol_tensors(chosen), oracle_pair_target(chosen))
+    assert full.select([1]).types == (1,) and full.select([1]).edges.dst.tolist() == [0, 1, 1, 2]
+
+
 def test_a_bond_type_without_edges_has_no_entry():
-    assert [r for r, _ in MolTensors.from_mol(parse_smiles("CC=O")).relations] == [0, 1]
-    assert MolTensors.from_mol(parse_smiles("C")).relations == ()
+    assert MolTensors.from_mol(parse_smiles("CC=O")).types == (0, 1)
+    assert MolTensors.from_mol(parse_smiles("C")).types == ()
     both = MolTensors.from_mols([parse_smiles("C=C"), _SPECIAL["bondless"]])
-    assert [r for r, _ in both.relations] == [1]
-    assert both.select([1]).relations == ()
+    assert both.types == (1,)
+    assert both.select([1]).types == () and both.select([1]).edges.dst.size == 0
     # A batch of single atoms has no edges and no pairs, and still runs.
     atoms = MolTensors.from_mols([parse_smiles(s) for s in ("C", "O", "N")])
     store = init_model_params(seed=0)
