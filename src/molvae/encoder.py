@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import numkernel as nk
@@ -35,6 +37,13 @@ POOL_PARAM_SHAPES = {"pool.wp": (LATENT_DIM, POOL_DIM)}
 Aggregate = tuple[tuple[int, ...], Tensor | np.ndarray]
 
 
+def elu(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The exponential linear unit (alpha = 1) of `x`, and the rule that
+    carries a gradient back through it."""
+    neg = np.exp(np.minimum(x, 0.0)) - 1.0
+    return np.where(x > 0.0, x, neg), lambda g: g * np.where(x > 0.0, 1.0, neg + 1.0)
+
+
 def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefix: str, activate: bool) -> Tensor:
     """One relational update of `h`, as one op: h W_self, plus slot k of the
     stack of neighbor means of `h` times W_r for bond type r = types[k], added
@@ -51,14 +60,11 @@ def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefi
     pre = x @ w_self.data
     for a, w in zip(stack, w_rel):
         pre = pre + a @ w.data
-    out, neg = pre, None
-    if activate:  # as `nk.elu`
-        neg = np.exp(np.minimum(pre, 0.0)) - 1.0
-        out = np.where(pre > 0.0, pre, neg)
+    out, back = elu(pre) if activate else (pre, None)
 
     def grad_fn(g):
-        if neg is not None:
-            g = g * np.where(pre > 0.0, 1.0, neg + 1.0)
+        if back is not None:
+            g = back(g)
         g_weights = (x.T @ g, *(stack.transpose(0, 2, 1) @ g))
         if not inputs:
             return g_weights
@@ -101,10 +107,22 @@ def encode(
 
 
 def pool(node_vectors: Tensor, store: ParamStore, sizes: np.ndarray) -> Tensor:
-    """Order-invariant molecule vectors: per molecule, the sum of its nodes'
-    softmax rows over 64 slots, so a row's entries sum to its atom count.
+    """Order-invariant molecule vectors, as one op: per molecule, the sum of
+    its nodes' softmax rows over 64 slots, so a row's entries sum to its atom
+    count. Each row of `node_vectors` Wp is softmaxed after subtracting its
+    largest entry.
 
     Molecule b's nodes are `sizes[b]` consecutive rows of `node_vectors`.
     """
-    soft = nk.row_softmax(nk.matmul(node_vectors, store["pool.wp"]))
-    return nk.seg_sum(soft, np.repeat(np.arange(sizes.size), sizes), sizes.size)
+    x, wp = node_vectors.data, store["pool.wp"]
+    logits = x @ wp.data
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+
+    def grad_fn(g):
+        g = g[seg]
+        g_logits = soft * (g - (g * soft).sum(axis=1, keepdims=True))
+        return (g_logits @ wp.data.T, x.T @ g_logits)
+
+    return nk.Tensor(nk.segment_sums(soft, seg, sizes.size), (node_vectors, wp), grad_fn, "pool")

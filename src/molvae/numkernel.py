@@ -78,74 +78,6 @@ def _require_2d(x: np.ndarray, op: str) -> None:
 # -- primitive operations ------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise NumericError(f"matmul shapes {a.shape} x {b.shape}")
-
-    def grad_fn(g):
-        return (g @ b.data.T, a.data.T @ g)
-
-    return Tensor(a.data @ b.data, (a, b), grad_fn, "matmul")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise NumericError(f"add shapes {a.shape} vs {b.shape}")
-    return Tensor(a.data + b.data, (a, b), lambda g: (g, g), "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise NumericError(f"sub shapes {a.shape} vs {b.shape}")
-    return Tensor(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return Tensor(a.data * c, (a,), lambda g: (g * c,), "scale")
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise NumericError(f"hadamard shapes {a.shape} vs {b.shape}")
-    return Tensor(
-        a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "hadamard"
-    )
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    """Sum of every entry, as a scalar."""
-    return Tensor(a.data.sum(), (a,), lambda g: (np.full(a.shape, g),), "reduce_sum")
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out_data = a.data.reshape(shape)
-    return Tensor(out_data, (a,), lambda g: (g.reshape(a.shape),), "reshape")
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    return Tensor(out_data, (a,), lambda g: (g * out_data,), "exp")
-
-
-def square(a: Tensor) -> Tensor:
-    return Tensor(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,), "square")
-
-
-def elu(a: Tensor) -> Tensor:
-    """Exponential linear unit with alpha = 1."""
-    neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
-    out_data = np.where(a.data > 0.0, a.data, neg)
-    return Tensor(out_data, (a,), lambda g: (g * np.where(a.data > 0.0, 1.0, neg + 1.0),), "elu")
-
-
-def add_bias(a: Tensor, b: Tensor) -> Tensor:
-    """The (1, width) row `b` added to every row of the (m, width) `a`."""
-    if a.data.ndim != 2 or b.shape != (1, a.shape[1]):
-        raise NumericError(f"add_bias shapes {a.shape} + {b.shape}")
-    return Tensor(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0, keepdims=True)), "add_bias")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) without overflow for large |x|."""
     e = np.exp(-np.abs(x))
@@ -171,23 +103,18 @@ def bce_with_logits(logits: Tensor, target: np.ndarray, weight: np.ndarray) -> T
     )
 
 
+def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
+    """sum_k (pred_k - target_k)^2 over every entry, as a scalar; the
+    gradient is 2 (pred - target)."""
+    if pred.shape != target.shape:
+        raise NumericError(f"squared_error shapes {pred.shape} vs {target.shape}")
+    err = pred.data - target
+    return Tensor((err * err).sum(), (pred,), lambda g: (2.0 * g * err,), "squared_error")
+
+
 def logistic(a: Tensor) -> Tensor:
     out_data = _sigmoid(a.data)
     return Tensor(out_data, (a,), lambda g: (g * (out_data * (1.0 - out_data)),), "logistic")
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    """Row-wise softmax, computed with max subtraction for stability."""
-    _require_2d(a.data, "row_softmax")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        return (out_data * (g - dot),)
-
-    return Tensor(out_data, (a,), grad_fn, "row_softmax")
 
 
 # -- index operations over a disjoint union of graphs --------------------
@@ -248,11 +175,10 @@ def stack_agg(h: Tensor | np.ndarray, edges: Edges, depth: int) -> Tensor | np.n
     return Tensor(out_data, (h,), grad_fn, "stack_agg")
 
 
-def seg_sum(a: Tensor, seg: np.ndarray, n_seg: int) -> Tensor:
-    """Row sums per segment: row s of the result sums the rows i with seg[i] == s."""
-    _require_2d(a.data, "seg_sum")
-    out_data = _scatter_rows(a.data, _flat_positions(seg, a.shape[1]), n_seg)
-    return Tensor(out_data, (a,), lambda g: (g[seg],), "seg_sum")
+def segment_sums(x: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
+    """Row sums per segment of a plain array, added in row order: row s of
+    the result sums the rows i of `x` with seg[i] == s."""
+    return _scatter_rows(x, _flat_positions(seg, x.shape[1]), n_seg)
 
 
 class PairLayout:

@@ -56,12 +56,13 @@ class LossBreakdown(NamedTuple):
 
 
 def sample_latent(mu: Tensor, log_std: Tensor, noise: np.ndarray) -> Tensor:
-    """Reparameterized draw: Z = mu + exp(log_std) * noise."""
+    """Reparameterized draw, as one op: Z = mu + exp(log_std) * noise."""
     if mu.shape != log_std.shape or mu.shape != noise.shape:
         raise nk.NumericError(
             f"latent shapes {mu.shape} / {log_std.shape} / {noise.shape}"
         )
-    return nk.add(mu, nk.hadamard(nk.exp(log_std), nk.constant(noise, "noise")))
+    std = np.exp(log_std.data)
+    return nk.Tensor(mu.data + std * noise, (mu, log_std), lambda g: (g, g * noise * std), "sample_latent")
 
 
 def kl_term(mu: Tensor, log_std: Tensor) -> Tensor:
@@ -95,12 +96,34 @@ def recon_bce(p: Tensor, adjacency: np.ndarray) -> Tensor:
 
 
 def side_predict(g: Tensor, store: ParamStore) -> Tensor:
-    """Two-layer MLP (ELU hidden, linear output): a pooled vector gives a
-    scalar, a (B, 64) stack of them gives B outputs. Checked finite."""
-    rows = nk.reshape(g, (1, POOL_DIM)) if g.data.ndim == 1 else g
-    hidden = nk.elu(nk.add_bias(nk.matmul(rows, store["side.m1"]), store["side.b1"]))
-    out = nk.add_bias(nk.matmul(hidden, store["side.m2"]), store["side.b2"])
-    return nk.checked(nk.reshape(out, () if g.data.ndim == 1 else (rows.shape[0],)))
+    """Two-layer MLP (ELU hidden, linear output), as one op: a pooled vector
+    gives a scalar, a (B, 64) stack of them gives B outputs. Checked finite."""
+    if g.data.ndim not in (1, 2) or g.shape[-1] != POOL_DIM:
+        raise nk.NumericError(f"side predictor input shape {g.shape}, not (64,) or (B, 64)")
+    m1, b1, m2, b2 = (store[f"side.{name}"] for name in ("m1", "b1", "m2", "b2"))
+    rows = g.data.reshape(-1, POOL_DIM)
+    hidden, back = encoder.elu(rows @ m1.data + b1.data)
+
+    def grad_fn(g_out):
+        g_out = g_out.reshape(-1, 1)
+        g_hidden = back(g_out @ m2.data.T)
+        return (
+            (g_hidden @ m1.data.T).reshape(g.shape),
+            rows.T @ g_hidden,
+            g_hidden.sum(axis=0, keepdims=True),
+            hidden.T @ g_out,
+            g_out.sum(axis=0, keepdims=True),
+        )
+
+    out = (hidden @ m2.data + b2.data).reshape(g.shape[:-1])
+    return nk.checked(nk.Tensor(out, (g, m1, b1, m2, b2), grad_fn, "side_predict"))
+
+
+def total_loss(recon: Tensor, kl: Tensor, side: Tensor, beta: float, lam: float) -> Tensor:
+    """The joint loss recon + (beta kl + lam side) of its three scalar terms, as one op."""
+    beta, lam = float(beta), float(lam)
+    value = recon.data + (kl.data * beta + side.data * lam)
+    return nk.Tensor(value, (recon, kl, side), lambda g: (g, g * beta, g * lam), "total_loss")
 
 
 # An atom's (element index, charge, H count, heavy degree), clamped to
@@ -254,9 +277,8 @@ def joint_loss(
     recon = nk.bce_with_logits(logits, mt.pair_target, weight)
     kl = kl_term(mu, log_std)
     g = encoder.pool(mu, store, mt.sizes)
-    err = nk.sub(side_predict(g, store), nk.constant(labels))
-    side = nk.reduce_sum(nk.square(err))
-    total = nk.checked(nk.add(recon, nk.add(nk.scale(kl, beta), nk.scale(side, lam))))
+    side = nk.squared_error(side_predict(g, store), labels)
+    total = nk.checked(total_loss(recon, kl, side, beta, lam))
     breakdown = LossBreakdown(
         recon=recon.item(), kl=kl.item(), side=side.item(), total=total.item()
     )

@@ -25,7 +25,7 @@ from molvae.chem import (
 )
 from molvae.encoder import FEATURE_DIM
 from molvae.fingerprint import FpConfig
-from molvae.numkernel import Edges, PairLayout
+from molvae.numkernel import Edges, PairLayout, Tensor
 from molvae.smiles import ParseResult, SmilesError
 from molvae.vaemodel import MolTensors
 
@@ -106,6 +106,18 @@ def stack_edges(lists: Sequence[Edges], n: int) -> Edges:
         np.concatenate([np.zeros(0, np.int64), *(e.src for e in lists)]),
         np.concatenate([np.zeros(0), *(e.w for e in lists)]),
     )
+
+
+def weighted_sum(t: Tensor, w=1.0) -> Tensor:
+    """sum_k w_k t_k over every entry of `t`, as a one-op scalar whose
+    gradient toward `t` is w: a test loss that sends any upstream gradient."""
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), t.shape)
+    return Tensor((w * t.data).sum(), (t,), lambda g: (g * w,), "weighted_sum")
+
+
+def summed(*terms: Tensor) -> Tensor:
+    """The sum of scalar tensors, as one op: the library has no generic add."""
+    return Tensor(sum(t.data for t in terms), terms, lambda g: (g,) * len(terms), "summed")
 
 
 def oracle_mol_tensors(mols: Sequence[MolGraph]) -> MolTensors:

@@ -125,7 +125,7 @@ def test_train_overflowing_label_exits_numeric_with_one_error_line(tmp_path, cap
         rc = main(argv)
     captured = capsys.readouterr()
     assert rc == EXIT_NUMERIC
-    assert captured.err.splitlines() == ["error: non-finite value produced by square"]
+    assert captured.err.splitlines() == ["error: non-finite value produced by squared_error"]
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
 
@@ -143,7 +143,7 @@ def test_train_overflowing_label_prints_one_stderr_line_in_a_fresh_process(tmp_p
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == EXIT_NUMERIC
-    assert proc.stderr == "error: non-finite value produced by square\n"
+    assert proc.stderr == "error: non-finite value produced by squared_error\n"
 
 
 def test_train_skips_a_non_finite_label(tmp_path, capsys):

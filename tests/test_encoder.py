@@ -19,7 +19,7 @@ from molvae.encoder import (
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import MolTensors, decoded_blocks, init_model_params, pooled_vectors
 
-from helpers import permute, stack_edges
+from helpers import permute, stack_edges, weighted_sum
 
 
 def encode_mol(mol, store):
@@ -207,7 +207,7 @@ def test_rgcn_layer_is_one_op_that_adds_each_bond_type_in_order():
     rng = np.random.default_rng(0)
     n = 6
     edges, store = _layer_inputs(rng, n)
-    weights = nk.constant(rng.uniform(-1.0, 1.0, (n, 3)))
+    weights = rng.uniform(-1.0, 1.0, (n, 3))
 
     def layer(s, activate):
         return encoder.rgcn_layer(s["h"], ((0, 2), nk.stack_agg(s["h"], edges, 2)), s, "x", activate)
@@ -215,15 +215,15 @@ def test_rgcn_layer_is_one_op_that_adds_each_bond_type_in_order():
     agg = nk.stack_agg(store["h"], edges, 2).data
     linear = store["h"].data @ store["x.self"].data + agg[0] @ store["x.rel0"].data + agg[1] @ store["x.rel2"].data
     assert np.array_equal(layer(store, False).data, linear)
-    assert np.array_equal(layer(store, True).data, nk.elu(nk.constant(linear)).data)
+    assert np.array_equal(layer(store, True).data, encoder.elu(linear)[0])
     assert layer(store, True).name == "rgcn_layer"
     for activate in (False, True):
-        assert nk.grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, layer(s, activate))), store) < 1e-7
+        assert nk.grad_check(lambda s: weighted_sum(layer(s, activate), weights), store) < 1e-7
     # With no bond types the stack is empty and the layer is its self term.
     bare = encoder.rgcn_layer(store["h"], ((), nk.stack_agg(store["h"], stack_edges([], n), 0)), store, "x", False)
     assert np.array_equal(bare.data, store["h"].data @ store["x.self"].data)
-    grads = nk.backward(nk.reduce_sum(nk.hadamard(weights, bare)), store)
-    assert np.array_equal(grads["x.self"], store["h"].data.T @ weights.data) and not grads["x.rel0"].any()
+    grads = nk.backward(weighted_sum(bare, weights), store)
+    assert np.array_equal(grads["x.self"], store["h"].data.T @ weights) and not grads["x.rel0"].any()
 
 
 def test_rgcn_layer_on_plain_arrays_records_only_its_weights():
@@ -233,22 +233,22 @@ def test_rgcn_layer_on_plain_arrays_records_only_its_weights():
     rng = np.random.default_rng(1)
     n = 6
     edges, store = _layer_inputs(rng, n)
-    weights = nk.constant(rng.uniform(-1.0, 1.0, (n, 3)))
+    weights = rng.uniform(-1.0, 1.0, (n, 3))
     x = store["h"].data.copy()
     plain = encoder.rgcn_layer(x, ((0, 2), nk.stack_agg(x, edges, 2)), store, "x", True)
     assert isinstance(nk.stack_agg(x, edges, 2), np.ndarray)
     assert plain._parents == (store["x.self"], store["x.rel0"], store["x.rel2"])
     taped = encoder.rgcn_layer(store["h"], ((0, 2), nk.stack_agg(store["h"], edges, 2)), store, "x", True)
     assert np.array_equal(plain.data, taped.data)
-    g_plain = nk.backward(nk.reduce_sum(nk.hadamard(weights, plain)), store)
-    g_taped = nk.backward(nk.reduce_sum(nk.hadamard(weights, taped)), store)
+    g_plain = nk.backward(weighted_sum(plain, weights), store)
+    g_taped = nk.backward(weighted_sum(taped, weights), store)
     assert not g_plain["h"].any() and g_taped["h"].any()
     for name in ("x.self", "x.rel0", "x.rel2"):
         assert np.array_equal(g_plain[name], g_taped[name]), name
 
     def f(s):  # the layer's input `h` is a parameter, a leaf like a constant
         out = encoder.rgcn_layer(s["h"], ((0, 2), nk.stack_agg(s["h"], edges, 2)), s, "x", True)
-        return nk.reduce_sum(nk.hadamard(weights, out))
+        return weighted_sum(out, weights)
 
     assert store["h"]._parents == () and len(store.flat) <= nk.GRAD_CHECK_MAX_COORDS  # h's entries are checked
     assert nk.grad_check(f, store) < 1e-7
@@ -287,5 +287,44 @@ def test_pool_gradient_flows_to_wp():
     store = init_model_params(seed=0)
     mol = parse_smiles("CCO")
     mu, _ = encode_mol(mol, store)
-    grads = nk.backward(nk.reduce_sum(nk.square(pool(mu, store, np.array([3])))), store)
+    grads = nk.backward(nk.squared_error(pool(mu, store, np.array([3])), np.zeros((1, POOL_DIM))), store)
     assert np.any(grads["pool.wp"] != 0.0)
+
+
+def test_pool_is_one_op_equal_bit_for_bit_to_softmax_then_row_sums():
+    # Molecules of 3, 1 and 4 atoms. The reference is the old composition,
+    # x Wp, a max-subtracted row softmax and per-molecule sums row by row,
+    # and its rules in reverse: g[seg], the softmax rule, the product rule.
+    rng = np.random.default_rng(0)
+    sizes = np.array([3, 1, 4])
+    n = int(sizes.sum())
+    store = nk.ParamStore({"x": rng.normal(size=(n, LATENT_DIM)), "pool.wp": rng.normal(size=(LATENT_DIM, POOL_DIM))})
+    w = rng.uniform(-1.0, 1.0, (sizes.size, POOL_DIM))
+    x, wp = store["x"].data, store["pool.wp"].data
+    logits = x @ wp
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    want = np.zeros((sizes.size, POOL_DIM))
+    for i, s in enumerate(seg):
+        want[s] = want[s] + soft[i]
+    g = w[seg]
+    g_logits = soft * (g - (g * soft).sum(axis=1, keepdims=True))
+
+    out = pool(store["x"], store, sizes)
+    assert out.name == "pool" and out._parents == (store["x"], store["pool.wp"])
+    assert out.data.tobytes() == want.tobytes()
+    assert out.data[1].sum() == pytest.approx(1.0)  # the 1-atom molecule's one row
+    grads = nk.backward(weighted_sum(out, w), store)
+    assert grads["x"].tobytes() == (g_logits @ wp.T).tobytes()
+    assert grads["pool.wp"].tobytes() == (x.T @ g_logits).tobytes()
+    assert nk.grad_check(lambda s: weighted_sum(pool(s["x"], s, sizes), w), store) < 1e-7
+
+
+def test_elu_value_and_gradient_rule():
+    x = np.array([[-1.0, 0.0, 2.0]])
+    out, back = encoder.elu(x)
+    assert out[0, 0] == pytest.approx(np.exp(-1.0) - 1.0)
+    assert out[0, 1] == 0.0 and out[0, 2] == 2.0
+    # The slope is e^x for x <= 0 and 1 above.
+    assert np.allclose(back(np.full((1, 3), 3.0)), [[3.0 * np.exp(-1.0), 3.0, 3.0]], rtol=1e-15, atol=0.0)

@@ -95,45 +95,48 @@ def _public_api(tree: ast.Module) -> list[str]:
     return [name for name in names if not any(part.startswith("_") for part in name.split("."))]
 
 
-def _strings(tree: ast.Module) -> list[str]:
-    """Every string constant of a module's code that is not a docstring."""
-    docstrings = {
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of a module's docstring constants."""
+    return {
         id(node.body[0].value)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
         and node.body
         and isinstance(node.body[0], ast.Expr)
     }
-    return [
-        node.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
-    ]
 
 
-def _named(tree: ast.Module) -> set[str]:
-    """Every identifier a module's code reads, imports or spells in a string
-    that is not a docstring (molbench's tracer names what it wraps that way)."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.split(".")[-1])
-    for text in _strings(tree):
-        out.update(re.findall(r"[A-Za-z_]\w*", text))
-    return out
+def _by_body(tree: ast.Module) -> dict[str | None, list[ast.AST]]:
+    """A module's nodes by where they stand: in the body of each function at
+    module or class level, keyed by its qualified name, or elsewhere, keyed
+    None."""
+    bodies = {name: list(ast.walk(fn)) for name, fn in _functions(tree)}
+    inside = {id(node) for nodes in bodies.values() for node in nodes}
+    return {**bodies, None: [node for node in ast.walk(tree) if id(node) not in inside]}
 
 
-def _read_as_methods(tree: ast.Module) -> set[str]:
-    """Every attribute name a module's code reads, and every "Class.method"
-    string it spells outside a docstring, as molbench's tracer names the
-    methods it wraps."""
-    out = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    for text in _strings(tree):
-        out.update(re.findall(r"[A-Za-z_]\w*\.[A-Za-z_]\w*", text))
+def _uses(tree: ast.Module) -> dict[str | None, tuple[set[str], set[str]]]:
+    """Per `_by_body` part of a module, the names its code may call things by:
+    every identifier it reads, imports or spells in a string that is not a
+    docstring (molbench's tracer names what it wraps that way), and every
+    attribute name it reads or "Class.method" it spells in such a string, as
+    the tracer names the methods it wraps."""
+    docs = _docstrings(tree)
+    out = {}
+    for body, nodes in _by_body(tree).items():
+        named, methods = set(), set()
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+                methods.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+                named.update(re.findall(r"[A-Za-z_]\w*", node.value))
+                methods.update(re.findall(r"[A-Za-z_]\w*\.[A-Za-z_]\w*", node.value))
+        out[body] = (named, methods)
     return out
 
 
@@ -146,24 +149,52 @@ def _callers() -> dict[str, ast.Module]:
     return {**MODULES, **{str(p.relative_to(root)): ast.parse(p.read_text(encoding="utf-8")) for p in outside}}
 
 
+def _uncalled(modules: dict[str, ast.Module], callers: dict[str, ast.Module]) -> list[str]:
+    """"module.name" of each public name of `modules` that no code of
+    `callers` names outside the name's own body (a class's own body is its
+    methods). A method counts as called only where an attribute of its name
+    is read or its "Class.method" is spelled out, not where a local variable
+    shares its name."""
+    uses = [(caller, body, named, methods) for caller, tree in callers.items() for body, (named, methods) in _uses(tree).items()]
+
+    def called(mod: str, name: str) -> bool:
+        for caller, body, named, methods in uses:
+            if caller == mod and body is not None and (body == name or body.startswith(name + ".")):
+                continue  # its own body
+            if "." in name:  # Class.method
+                if name in methods or name.split(".")[-1] in methods:
+                    return True
+            elif name in named:
+                return True
+        return False
+
+    return [f"{mod}.{name}" for mod, tree in modules.items() for name in _public_api(tree) if not called(mod, name)]
+
+
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
     """Code that no caller needs is deleted: each public function, class and
     method of the package is named in the package, the benchmark, the
-    scripts or the acceptance tests, not only in its own unit tests. A
-    method counts as called only where an attribute of its name is read or
-    its "Class.method" is spelled out, not where a local variable shares its
-    name."""
-    callers = _callers().values()
-    named = set().union(*map(_named, callers))
-    methods = set().union(*map(_read_as_methods, callers))
+    scripts or the acceptance tests, not only in its own unit tests or its
+    own body."""
+    assert _uncalled(MODULES, _callers()) == []
 
-    def called(name):
-        if "." in name:  # Class.method
-            return name in methods or name.split(".")[-1] in methods
-        return name in named
 
-    unused = [f"{mod}.{name}" for mod, tree in MODULES.items() for name in _public_api(tree) if not called(name)]
-    assert unused == []
+def test_an_op_that_only_names_itself_has_no_caller():
+    """An op's tape label and error message spell its name inside its own
+    body; neither is a call."""
+    source = ast.parse(
+        "def square(a):\n"
+        "    if a.ndim > 2:\n"
+        "        raise ValueError(f'square of shape {a.shape}')\n"
+        "    return Tensor(a * a, 'square')\n"
+        "def cube(a):\n"
+        "    return square(a) * a\n"
+    )
+    caller = ast.parse("from m import cube\ncube(2)\n")
+    assert _uncalled({"m": source}, {"m": source, "run.py": caller}) == []
+    assert _uncalled({"m": source}, {"m": source}) == ["m.cube"]
+    alone = ast.parse(ast.unparse(source.body[0]))  # square without cube
+    assert _uncalled({"m": alone}, {"m": alone}) == ["m.square"]
 
 
 def _re_exports(tree: ast.Module) -> set[str]:
@@ -611,7 +642,7 @@ def test_trained_parameters_are_views_of_one_buffer():
 
 def test_pooled_vector_checks_finiteness_once_not_per_op(monkeypatch):
     """Only leaves and the result are checked: a per-op check would call
-    `np.isfinite` once for each of the tape's 8 ops."""
+    `np.isfinite` once for each of the tape's 6 ops."""
     mol = random_molecule(np.random.default_rng(0), 20)
     store = vaemodel.init_model_params(seed=0)
     calls = []

@@ -15,11 +15,7 @@ from molvae.numkernel import (
     grad_check,
 )
 
-from helpers import stack_edges
-
-
-def loss_of(t):
-    return nk.reduce_sum(t)
+from helpers import stack_edges, summed, weighted_sum
 
 
 def finite_diff(f, store, name, idx, eps=1e-6):
@@ -49,35 +45,34 @@ def test_non_finite_creation_rejected():
 
 
 def test_overflowing_op_names_itself():
-    big = constant([[1e200]])
     with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteValue, match="produced by matmul$"):
-            nk.checked(nk.matmul(big, big))
-        with pytest.raises(NonFiniteValue, match="produced by exp$"):
-            nk.checked(nk.exp(constant([[800.0]])))
+        with pytest.raises(NonFiniteValue, match="produced by block_products$"):
+            nk.checked(nk.block_products(constant([[1e200]]), nk.PairLayout([1])))
+        with pytest.raises(NonFiniteValue, match="produced by squared_error$"):
+            nk.checked(nk.squared_error(constant([1e200, 1.0]), np.zeros(2)))
 
 
 def test_checked_names_the_first_bad_op_on_a_multi_op_tape():
-    x = constant([[1.0, -2.0]])
-    big = nk.scale(x, 1e200)
+    x = constant([[1e200], [-1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        over = nk.square(big)  # inf: the first non-finite node
-        nan = nk.sub(over, over)  # inf - inf: non-finite, but so are its inputs
-        loss = nk.reduce_sum(nk.add(nk.exp(x), nan))
-    for op in (over, nan, loss):
-        with pytest.raises(NonFiniteValue, match="produced by square$"):
+        over = nk.block_products(x, nk.PairLayout([2]))  # inf: the first non-finite node
+        taken = nk.take(over, np.array([0, 1]))  # [inf, -1e200]: non-finite, but so is its input
+        loss = nk.bce_with_logits(taken, np.zeros(2), np.ones(2))  # inf - 0 * inf is NaN
+    assert np.isnan(loss.item())
+    for op in (over, taken, loss):
+        with pytest.raises(NonFiniteValue, match="produced by block_products$"):
             nk.checked(op)
-    with pytest.raises(NonFiniteValue, match="produced by square$"):
+    with pytest.raises(NonFiniteValue, match="produced by block_products$"):
         backward(loss, ParamStore({}))
-    assert nk.checked(big) is big
+    assert nk.checked(x) is x
 
 
 def test_saturating_overflow_returns_its_finite_result():
-    # exp overflows to inf, but the logistic of inf is exactly 1: a result that
-    # is finite is returned, whatever its intermediates held.
+    # The products overflow to +-inf, but the logistic of +-inf is exactly 1
+    # or 0: a result that is finite is returned, whatever its intermediates held.
     with np.errstate(over="ignore"):
-        out = nk.checked(nk.logistic(nk.exp(constant([[1000.0, -1000.0]]))))
-    assert np.array_equal(out.data, [[1.0, 0.5]])
+        out = nk.checked(nk.logistic(nk.block_products(constant([[1e200], [-1e200]]), nk.PairLayout([2]))))
+    assert np.array_equal(out.data, [[[1.0, 0.0], [0.0, 1.0]]])
 
 
 def test_backward_requires_scalar():
@@ -85,41 +80,33 @@ def test_backward_requires_scalar():
         backward(constant([1.0, 2.0]), ParamStore({}))
 
 
-def test_shape_mismatch_add():
-    with pytest.raises(NumericError, match=r"^add shapes \(2, 2\) vs \(2, 3\)$"):
-        nk.add(constant(np.ones((2, 2))), constant(np.ones((2, 3))))
-
-
-def test_shape_mismatch_matmul():
-    with pytest.raises(NumericError, match=r"^matmul shapes \(2, 3\) x \(2, 3\)$"):
-        nk.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
-
-
 # -- forward values ------------------------------------------------------
 
 
-def test_matmul_value():
-    a = constant([[1.0, 2.0], [3.0, 4.0]])
-    b = constant([[5.0], [6.0]])
-    assert np.array_equal(nk.matmul(a, b).data, [[17.0], [39.0]])
+def test_shape_mismatch_add():
+    # The one elementwise loss left checks that its two operands agree.
+    with pytest.raises(NumericError, match=r"^squared_error shapes \(1, 2\) vs \(2,\)$"):
+        nk.squared_error(constant([[1.0, -2.0]]), np.zeros(2))
+    with pytest.raises(NumericError, match=r"^squared_error shapes \(2, 2\) vs \(2, 3\)$"):
+        nk.squared_error(constant(np.ones((2, 2))), np.ones((2, 3)))
 
 
 def test_elementwise_values():
-    a = constant([[1.0, -2.0]])
-    b = constant([[3.0, 4.0]])
-    assert np.array_equal(nk.add(a, b).data, [[4.0, 2.0]])
-    assert np.array_equal(nk.sub(a, b).data, [[-2.0, -6.0]])
-    assert np.array_equal(nk.hadamard(a, b).data, [[3.0, -8.0]])
-    assert np.array_equal(nk.scale(a, -1.0).data, [[-1.0, 2.0]])
-    assert np.array_equal(nk.square(a).data, [[1.0, 4.0]])
+    # (1 - 3)^2 + (-2 - 4)^2 = 40; the gradient is 2 (pred - target), entry by entry.
+    store = ParamStore({"p": [[1.0, -2.0]]})
+    loss = nk.squared_error(store["p"], np.array([[3.0, 4.0]]))
+    assert loss.item() == 40.0
+    assert np.array_equal(backward(loss, store)["p"], [[-4.0, -12.0]])
 
 
-def test_elu_value():
-    x = constant([[-1.0, 0.0, 2.0]])
-    out = nk.elu(x).data
-    assert out[0, 0] == pytest.approx(np.exp(-1.0) - 1.0)
-    assert out[0, 1] == 0.0
-    assert out[0, 2] == 2.0
+def test_reduce_sum_totals_every_entry():
+    # squared_error sums every entry, in any shape, to a scalar.
+    ones = np.ones((3, 3))
+    ones[2] = 2.0
+    assert nk.squared_error(constant(ones), np.zeros((3, 3))).shape == ()
+    assert nk.squared_error(constant(ones), np.zeros((3, 3))).item() == 18.0
+    assert nk.squared_error(constant(ones.reshape(-1)), np.zeros(9)).item() == 18.0
+    assert nk.squared_error(constant(np.zeros(0)), np.zeros(0)).item() == 0.0
 
 
 def test_logistic_value_and_saturation():
@@ -151,34 +138,11 @@ def test_bce_with_logits_gradient_matches_central_differences():
     assert grad_check(lambda s: nk.bce_with_logits(s["x"], t, w), store) < 1e-7
 
 
-def test_add_bias_adds_the_row_to_every_row():
+def test_squared_error_gradient_matches_central_differences():
     rng = np.random.default_rng(0)
-    store = ParamStore({"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))})
-    out = nk.add_bias(store["a"], store["b"])
-    assert np.array_equal(out.data, store["a"].data + store["b"].data)
-    weights = constant(rng.uniform(-1.0, 1.0, (4, 3)))
-    f = lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.add_bias(s["a"], s["b"]))))
-    assert grad_check(f, store) < 1e-7
-    with pytest.raises(NumericError, match=r"^add_bias shapes \(4, 3\) \+ \(4, 3\)$"):
-        nk.add_bias(store["a"], store["a"])
-
-
-def test_row_softmax_rows_sum_to_one():
-    x = constant([[1.0, 2.0, 3.0], [1000.0, 1000.0, 999.0]])
-    out = nk.row_softmax(x).data
-    assert np.allclose(out.sum(axis=1), 1.0)
-    assert np.all(out > 0.0)
-
-
-def test_reduce_sum_totals_every_entry():
-    cat = constant([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    assert nk.reduce_sum(cat).shape == ()
-    assert nk.reduce_sum(cat).item() == 12.0
-
-
-def test_reshape_keeps_the_entries_in_order():
-    a = constant(np.arange(6.0).reshape(2, 3))
-    assert np.array_equal(nk.reshape(a, (6,)).data, np.arange(6.0))
+    store = ParamStore({"p": rng.normal(size=(3, 4))})
+    target = rng.normal(size=(3, 4))
+    assert grad_check(lambda s: nk.squared_error(s["p"], target), store) < 1e-7
 
 
 def test_index_op_values():
@@ -194,8 +158,8 @@ def test_index_op_values():
     second = nk.Edges(np.array([3]), np.array([2]), np.array([1.0]))
     both = nk.stack_agg(h, stack_edges([first, second], 4), 2)
     assert np.array_equal(both.data, [agg.data[0], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [4.0, 5.0]]])
-    seg = nk.seg_sum(h, np.array([0, 0, 0, 1]), 2)
-    assert np.array_equal(seg.data, [[6.0, 9.0], [6.0, 7.0]])
+    seg = nk.segment_sums(h.data, np.array([0, 0, 0, 1]), 2)
+    assert np.array_equal(seg, [[6.0, 9.0], [6.0, 7.0]])
     empty = np.array([], dtype=np.int64)
     assert np.array_equal(nk.stack_agg(h, nk.Edges(empty, empty, np.array([])), 1).data, np.zeros((1, 4, 2)))
     assert nk.stack_agg(h, stack_edges([], 4), 0).shape == (0, 4, 2)
@@ -208,9 +172,8 @@ def test_stack_agg_gradient_matches_central_differences():
     store = ParamStore({"h": rng.normal(size=(n, 3))})
     lists = [nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e)) for e in (6, 0, 4)]
     edges = stack_edges(lists, n)
-    weights = constant(rng.uniform(-1.0, 1.0, (3, n, 3)))
-    f = lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.stack_agg(s["h"], edges, 3))))
-    assert grad_check(f, store) < 1e-7
+    target = rng.uniform(-1.0, 1.0, (3, n, 3))
+    assert grad_check(lambda s: nk.squared_error(nk.stack_agg(s["h"], edges, 3), target), store) < 1e-7
 
 
 def test_take_values_gradient_and_empty_positions():
@@ -219,13 +182,13 @@ def test_take_values_gradient_and_empty_positions():
     taken = nk.take(store["a"], flat)
     assert np.array_equal(taken.data, [5.0, 0.0, 3.0])
     # The gradient scatters each output's gradient to its position, zeros elsewhere.
-    grads = backward(nk.reduce_sum(nk.hadamard(constant([1.0, 2.0, 3.0]), taken)), store)
+    grads = backward(weighted_sum(taken, [1.0, 2.0, 3.0]), store)
     assert np.array_equal(grads["a"], [[2.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
-    weights = constant(np.random.default_rng(0).uniform(-1.0, 1.0, 3))
-    assert grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, nk.square(nk.take(s["a"], flat)))), store) < 1e-7
+    target = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
+    assert grad_check(lambda s: nk.squared_error(nk.take(s["a"], flat), target), store) < 1e-7
     none = nk.take(store["a"], np.zeros(0, dtype=np.int64))
     assert none.shape == (0,)
-    assert np.array_equal(backward(nk.reduce_sum(none), store)["a"], np.zeros((2, 3)))
+    assert np.array_equal(backward(weighted_sum(none), store)["a"], np.zeros((2, 3)))
 
 
 def test_take_of_block_products_values_and_gradient_on_a_two_molecule_union():
@@ -239,8 +202,7 @@ def test_take_of_block_products_values_and_gradient_on_a_two_molecule_union():
     union = dots(nk.PairLayout([2, 3]))
     assert np.array_equal(union.data, [2.0, 1.0, -1.0, 2.0])
     # d/dz of sum_k g_k dot_k: each row gains g_k times its partner in pair k.
-    g = nk.constant([1.0, 2.0, 3.0, 4.0])
-    grads = backward(nk.reduce_sum(nk.hadamard(g, union)), store)
+    grads = backward(weighted_sum(union, [1.0, 2.0, 3.0, 4.0]), store)
     assert np.array_equal(grads["z"], [[2.0, 1.0], [1.0, 0.0], [11.0, -1.0], [12.0, -2.0], [4.0, 7.0]])
     assert dots(nk.PairLayout([1, 1, 1, 1, 1])).shape == (0,)
     with pytest.raises(NumericError, match=r"^\(5, 2\) array for blocks of 4 rows$"):
@@ -274,8 +236,8 @@ def test_block_products_values_and_gradient():
     assert prod.shape == (3, 3, 3)
     assert np.allclose(prod.data[0, :2, :2], z[:2] @ z[:2].T) and np.allclose(prod.data[2], z[2:] @ z[2:].T)
     assert not prod.data[1].any() and not prod.data[0, 2].any() and not prod.data[0, :, 2].any()
-    weights = nk.constant(rng.uniform(-1.0, 1.0, (3, 3, 3)))
-    assert grad_check(lambda s: nk.reduce_sum(nk.hadamard(weights, nk.block_products(s["z"], layout))), store) < 1e-7
+    weights = rng.uniform(-1.0, 1.0, (3, 3, 3))
+    assert grad_check(lambda s: weighted_sum(nk.block_products(s["z"], layout), weights), store) < 1e-7
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,17 +251,15 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
     sizes = np.array(sizes)
     n, e = int(sizes.sum()), int(rng.integers(0, 12))
     store = ParamStore({"h": rng.normal(size=(n, 3))})
-    dst, src = rng.integers(0, n, e), rng.integers(0, n, e)
-    w = rng.uniform(0.1, 1.0, e)
-    seg = np.sort(rng.integers(0, 3, n))
+    edges = nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e))
+    target = rng.uniform(-1.0, 1.0, (1, n, 3))
     layout = nk.PairLayout(sizes)
-    pair_w = nk.constant(rng.uniform(-1.0, 1.0, int((sizes * (sizes - 1) // 2).sum())))
+    pair_w = rng.uniform(-1.0, 1.0, int((sizes * (sizes - 1) // 2).sum()))
 
-    def f(s):
-        agg = nk.reshape(nk.stack_agg(s["h"], nk.Edges(dst, src, w), 1), (n, 3))
-        pooled = nk.seg_sum(nk.add(agg, s["h"]), seg, 3)
-        dots = nk.take(nk.block_products(nk.add(agg, s["h"]), layout), layout.pairs)
-        return nk.add(nk.reduce_sum(nk.square(pooled)), nk.reduce_sum(nk.hadamard(pair_w, dots)))
+    def f(s):  # h feeds both ops, so its gradient is a sum of two
+        agg = nk.stack_agg(s["h"], edges, 1)
+        dots = nk.take(nk.block_products(s["h"], layout), layout.pairs)
+        return summed(nk.squared_error(agg, target), weighted_sum(dots, pair_w))
 
     assert grad_check(f, store) < 1e-7
 
@@ -310,50 +270,40 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
 def test_grad_of_sum_is_ones():
     store = ParamStore({"p": np.arange(4.0).reshape(2, 2)})
     p = store["p"]
-    grads = backward(loss_of(p), store)
+    grads = backward(weighted_sum(p), store)
     assert np.array_equal(grads["p"], np.ones((2, 2)))
 
 
-def test_matmul_gradients_match_finite_differences():
-    rng = np.random.default_rng(0)
-    store = ParamStore({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))})
-
-    def f(s):
-        return loss_of(nk.square(nk.matmul(s["a"], s["b"])))
-
-    assert grad_check(f, store) < 1e-7
-
-
 def test_reused_node_accumulates_gradient():
-    # loss = sum(p * p + p): d/dp = 2p + 1.
+    # loss = (p - 1)^2 + p: d/dp = 2(p - 1) + 1.
     store = ParamStore({"p": np.array([[3.0]])})
     p = store["p"]
-    loss = nk.reduce_sum(nk.add(nk.hadamard(p, p), p))
+    loss = summed(nk.squared_error(p, np.ones((1, 1))), weighted_sum(p))
     grads = backward(loss, store)
-    assert grads["p"][0, 0] == 7.0
+    assert grads["p"][0, 0] == 5.0
 
 
 def test_diamond_graph_gradient():
-    # y = (p + p)^2 = 4p^2: dy/dp = 8p.
+    # y = (q - 1)^2 + 3q for q = p . p: dy/dp = 2p (2(q - 1) + 3), the
+    # gradient of q reaching backward as the sum of two rules' outputs.
     store = ParamStore({"p": np.array([[2.0]])})
-    p = store["p"]
-    s = nk.add(p, p)
-    grads = backward(nk.reduce_sum(nk.square(s)), store)
-    assert grads["p"][0, 0] == 16.0
+    q = nk.block_products(store["p"], nk.PairLayout([1]))
+    grads = backward(summed(nk.squared_error(q, np.ones((1, 1, 1))), weighted_sum(q, 3.0)), store)
+    assert grads["p"][0, 0] == 36.0
 
 
 def test_off_tape_parameter_gets_zero_gradient():
     store = ParamStore({"a": np.ones((1, 1)), "unused": np.ones((2, 2))})
     a = store["a"]
-    grads = backward(loss_of(a), store)
+    grads = backward(weighted_sum(a), store)
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
 
 
 def test_stale_gradient_cleared_between_backward_calls():
     store = ParamStore({"a": np.ones((1, 1)), "b": np.ones((1, 1))})
     a, b = store["a"], store["b"]
-    backward(loss_of(nk.add(a, b)), store)
-    grads = backward(loss_of(nk.scale(a, 3.0)), store)
+    backward(summed(weighted_sum(a), weighted_sum(b)), store)
+    grads = backward(weighted_sum(a, 3.0), store)
     assert grads["b"][0, 0] == 0.0
     assert grads["a"][0, 0] == 3.0
 
@@ -362,8 +312,8 @@ def test_deep_chain_does_not_hit_recursion_limit():
     store = ParamStore({"p": np.ones((1, 1))})
     x = store["p"]
     for _ in range(5000):
-        x = nk.scale(x, 1.0)
-    grads = backward(nk.reduce_sum(x), store)
+        x = nk.take(x, np.array([0]))
+    grads = backward(weighted_sum(x), store)
     assert grads["p"][0, 0] == 1.0
 
 
@@ -371,16 +321,29 @@ def test_deep_chain_does_not_hit_recursion_limit():
 @given(st.integers(0, 10_000))
 def test_grad_check_on_random_composite_expressions(seed):
     rng = np.random.default_rng(seed)
-    store = ParamStore({
-        "w": rng.normal(size=(4, 4), scale=0.5),
-        "x": rng.normal(size=(3, 4), scale=0.5),
-    })
+    sizes = rng.integers(1, 5, int(rng.integers(1, 4)))
+    n, e = int(sizes.sum()), int(rng.integers(0, 10))
+    store = ParamStore({"x": rng.normal(size=(n, 3)), "y": rng.normal(size=(n, 3))})
+    edges = nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e))
+    layout = nk.PairLayout(sizes)
+    n_pairs = int(layout.counts.sum())
+    target = (rng.uniform(size=n_pairs) < 0.5).astype(float)
+    weight = rng.uniform(0.1, 1.0, n_pairs)
+    mix = rng.uniform(-1.0, 1.0, n)
 
     def f(s):
-        h = nk.elu(nk.matmul(s["x"], s["w"]))
-        h = nk.row_softmax(h)
-        h = nk.exp(nk.sub(h, nk.logistic(s["x"])))
-        return nk.reduce_sum(nk.square(h))
+        # h reaches the loss by three paths, y by two; x is also read directly.
+        h = nk.logistic(s["x"])
+        agg = nk.stack_agg(h, edges, 1)
+        logits = nk.take(nk.block_products(h, layout), layout.pairs)
+        return summed(
+            nk.bce_with_logits(logits, target, weight),
+            nk.squared_error(agg, np.zeros((1, n, 3))),
+            weighted_sum(nk.take(h, np.arange(0, 3 * n, 3)), mix),
+            nk.squared_error(nk.logistic(nk.stack_agg(s["y"], edges, 1)), np.full((1, n, 3), 0.5)),
+            weighted_sum(s["y"]),
+            nk.squared_error(s["x"], np.zeros((n, 3))),
+        )
 
     assert grad_check(f, store) < 1e-6
 
@@ -393,7 +356,7 @@ def test_grad_check_catches_a_wrong_gradient():
         return Tensor(t.data * t.data, (t,), lambda g: (g * t.data,), "bad")
 
     def f(s):
-        return nk.reduce_sum(wrong_square(s["p"]))
+        return weighted_sum(wrong_square(s["p"]))
 
     assert grad_check(f, store) > 0.4
 
@@ -404,12 +367,12 @@ def test_grad_check_perturbs_the_largest_gradients_ties_in_table_order():
     # falls inside a tie.
     coef = (np.arange(270.0) % 7) - 3
     store = ParamStore({"a": np.zeros((10, 15)), "b": np.zeros((12, 10))})
-    ca, cb = constant(coef[:150].reshape(10, 15)), constant(coef[150:].reshape(12, 10))
+    ca, cb = coef[:150].reshape(10, 15), coef[150:].reshape(12, 10)
     touched = []
 
     def f(s):
         touched.append(np.flatnonzero(s.flat).tolist())
-        return nk.add(nk.reduce_sum(nk.hadamard(s["a"], ca)), nk.reduce_sum(nk.hadamard(s["b"], cb)))
+        return summed(weighted_sum(s["a"], ca), weighted_sum(s["b"], cb))
 
     assert grad_check(f, store) < 1e-7
     assert touched[0] == [] and all(len(t) == 1 for t in touched[1:])
@@ -424,7 +387,7 @@ def test_grad_check_perturbs_the_largest_gradients_ties_in_table_order():
 def test_grad_check_eps_bounds():
     store = ParamStore({"p": np.ones((1, 1))})
     with pytest.raises(ValueError):
-        grad_check(lambda s: loss_of(s["p"]), store, eps=1.0)
+        grad_check(lambda s: weighted_sum(s["p"]), store, eps=1.0)
 
 
 # -- ParamStore ----------------------------------------------------------

@@ -42,6 +42,7 @@ from helpers import (
     oracle_pair_target,
     oracle_reconstruct_from_probs,
     union_pairs,
+    weighted_sum,
 )
 
 
@@ -80,6 +81,22 @@ def test_sample_latent_applies_std():
 def test_sample_latent_shape_mismatch():
     with pytest.raises(nk.NumericError, match=r"^latent shapes \(2, 2\) / \(2, 2\) / \(3, 2\)$"):
         sample_latent(constant(np.zeros((2, 2))), constant(np.zeros((2, 2))), np.zeros((3, 2)))
+
+
+def test_sample_latent_is_one_op_equal_bit_for_bit_to_exp_times_noise_plus_mu():
+    # The reference is the old composition mu + exp(log_std) * noise, and its
+    # rules in reverse: (g, g * noise), then exp's, times std.
+    rng = np.random.default_rng(0)
+    store = nk.ParamStore({"mu": rng.normal(size=(5, 4)), "ls": rng.normal(size=(5, 4), scale=0.5)})
+    noise, w = rng.standard_normal((5, 4)), rng.uniform(-1.0, 1.0, (5, 4))
+    std = np.exp(store["ls"].data)
+    z = sample_latent(store["mu"], store["ls"], noise)
+    assert z.name == "sample_latent" and z._parents == (store["mu"], store["ls"])  # noise is no leaf
+    assert z.data.tobytes() == (store["mu"].data + std * noise).tobytes()
+    grads = nk.backward(weighted_sum(z, w), store)
+    assert grads["mu"].tobytes() == w.tobytes()
+    assert grads["ls"].tobytes() == ((w * noise) * std).tobytes()
+    assert nk.grad_check(lambda s: weighted_sum(sample_latent(s["mu"], s["ls"], noise), w), store) < 1e-7
 
 
 def test_sample_latent_moments():
@@ -206,7 +223,7 @@ def test_take_of_block_products_agrees_with_one_gather_per_pair_on_a_union():
     g = rng.standard_normal(mt.pair_target.size)
     want, want_grad = oracle_pair_dot(z.data, *union_pairs(mt.sizes), g)
     dots = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
-    grad = nk.backward(nk.reduce_sum(nk.hadamard(constant(g), dots)), store)["z"]
+    grad = nk.backward(weighted_sum(dots, g), store)["z"]
     assert dots.shape == want.shape
     assert np.max(np.abs(dots.data - want)) <= 1e-12
     assert np.max(np.abs(grad - want_grad)) <= 1e-12
@@ -347,6 +364,70 @@ def test_side_predict_zero_bias_at_zero_input():
     store = init_model_params(seed=0)
     # ELU(0) = 0 and both biases start at zero, so a zero pooled vector maps to 0.
     assert side_predict(constant(np.zeros(64)), store).item() == 0.0
+
+
+def _side_reference(g, m1, b1, m2, b2, g_out):
+    """The old composition of the side MLP, reshape, matmul, add_bias, elu,
+    matmul, add_bias and reshape, and its rules in reverse, for upstream
+    gradient `g_out`: the output and the gradients of (g, m1, b1, m2, b2)."""
+    rows = g.reshape(1, 64) if g.ndim == 1 else g
+    pre = rows @ m1 + b1
+    neg = np.exp(np.minimum(pre, 0.0)) - 1.0
+    hidden = np.where(pre > 0.0, pre, neg)
+    out = (hidden @ m2 + b2).reshape(() if g.ndim == 1 else (rows.shape[0],))
+    go = g_out.reshape(-1, 1)
+    gh = (go @ m2.T) * np.where(pre > 0.0, 1.0, neg + 1.0)
+    grads = ((gh @ m1.T).reshape(g.shape), rows.T @ gh, gh.sum(axis=0, keepdims=True), hidden.T @ go, go.sum(axis=0, keepdims=True))
+    return out, grads
+
+
+@pytest.mark.parametrize("shape", [(64,), (5, 64)], ids=["vector", "batch"])
+def test_side_predict_is_one_op_equal_bit_for_bit_to_its_layers(shape):
+    rng = np.random.default_rng(len(shape))
+    names = ("g", "side.m1", "side.b1", "side.m2", "side.b2")
+    shapes = (shape, (64, 32), (1, 32), (32, 1), (1, 1))
+    store = nk.ParamStore({name: rng.normal(size=sh, scale=0.3) for name, sh in zip(names, shapes)})
+    w = rng.uniform(-1.0, 1.0, shape[:-1])
+    out = side_predict(store["g"], store)
+    assert out.name == "side_predict" and out._parents == tuple(store[name] for name in names)
+    want, want_grads = _side_reference(*(store[name].data for name in names), np.asarray(w))
+    assert out.shape == shape[:-1] and out.data.tobytes() == want.tobytes()
+    grads = nk.backward(weighted_sum(out, w), store)
+    for name, want_grad in zip(names, want_grads):
+        assert grads[name].tobytes() == want_grad.tobytes(), name
+    assert nk.grad_check(lambda s: weighted_sum(side_predict(s["g"], s), w), store) < 1e-7
+
+
+@pytest.mark.parametrize("shape", [(10,), (3, 10), (3, 2, 64), ()], ids=["short-vector", "short-batch", "3-d", "scalar"])
+def test_side_predict_checks_its_input_width(shape):
+    store = init_model_params(seed=0)
+    with pytest.raises(nk.NumericError, match=re.escape(f"side predictor input shape {shape}, not (64,) or (B, 64)")):
+        side_predict(constant(np.zeros(shape)), store)
+
+
+def test_side_loss_is_one_op_equal_bit_for_bit_to_sub_square_sum():
+    rng = np.random.default_rng(0)
+    store = nk.ParamStore({"pred": rng.normal(size=7)})
+    labels = rng.normal(size=7)
+    err = store["pred"].data - labels
+    side = nk.squared_error(store["pred"], labels)
+    assert side.name == "squared_error" and side._parents == (store["pred"],)  # the labels are no leaf
+    assert side.data.tobytes() == (err * err).sum().tobytes()
+    grads = nk.backward(weighted_sum(side, 0.3), store)
+    assert grads["pred"].tobytes() == (2.0 * np.full(7, 0.3) * err).tobytes()
+    assert nk.grad_check(lambda s: nk.squared_error(s["pred"], labels), store) < 1e-7
+
+
+def test_total_loss_is_one_op_equal_bit_for_bit_to_scale_and_add():
+    store = nk.ParamStore({"recon": np.array(0.75), "kl": np.array(3.1), "side": np.array(1.9)})
+    beta, lam = 0.37, 2.5
+    total = vaemodel.total_loss(store["recon"], store["kl"], store["side"], beta, lam)
+    assert total.name == "total_loss" and total._parents == (store["recon"], store["kl"], store["side"])
+    assert total.item() == 0.75 + (3.1 * beta + 1.9 * lam)
+    grads = nk.backward(weighted_sum(total, 0.3), store)
+    assert [grads[name].item() for name in ("recon", "kl", "side")] == [0.3, 0.3 * beta, 0.3 * lam]
+    f = lambda s: vaemodel.total_loss(s["recon"], s["kl"], s["side"], beta, lam)
+    assert nk.grad_check(f, store) < 1e-7
 
 
 # -- joint loss ----------------------------------------------------------
@@ -509,21 +590,21 @@ def test_inference_raises_on_a_store_holding_1e200_weights(fn):
         "pooled_vectors": lambda: pooled_vectors(batch, store),
         "evaluate_edge_auc": lambda: train.evaluate_edge_auc(store, Dataset(records)),
     }[fn]
-    op = "matmul" if fn == "side_predict" else "rgcn_layer"
+    op = "side_predict" if fn == "side_predict" else "rgcn_layer"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(nk.NonFiniteValue, match=f"produced by {op}$"):
             call()
 
 
 def test_predict_names_the_side_predictor_op_that_overflows():
-    # The encoder stays finite; the side predictor's second matmul overflows.
-    # Its own `checked` sees a result with no tape, so the pass must re-run
-    # with recording on to name the op.
+    # The encoder stays finite; the side predictor's output overflows. Its
+    # own `checked` sees a result with no tape, so the pass must re-run with
+    # recording on to name the op.
     store = init_model_params(seed=0)
     for name in ("side.m1", "side.m2"):
         store[name].data[...] = 1e200
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(nk.NonFiniteValue, match="produced by matmul$"):
+        with pytest.raises(nk.NonFiniteValue, match="produced by side_predict$"):
             predict(parse_smiles("CCO"), store)
 
 
