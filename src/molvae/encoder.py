@@ -39,9 +39,12 @@ Aggregate = tuple[tuple[int, ...], Tensor | np.ndarray]
 
 def elu(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """The exponential linear unit (alpha = 1) of `x`, and the rule that
-    carries a gradient back through it."""
+    carries a gradient back through it.
+
+    `neg` is e^x - 1 below 0 and exactly 0.0 above, so adding it to
+    max(x, 0) needs no select, and the slope is neg + 1 everywhere."""
     neg = np.exp(np.minimum(x, 0.0)) - 1.0
-    return np.where(x > 0.0, x, neg), lambda g: g * np.where(x > 0.0, 1.0, neg + 1.0)
+    return np.maximum(x, 0.0) + neg, lambda g: g * (neg + 1.0)
 
 
 def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefix: str, activate: bool) -> Tensor:

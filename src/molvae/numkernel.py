@@ -79,9 +79,10 @@ def _require_2d(x: np.ndarray, op: str) -> None:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) without overflow for large |x|."""
+    """1 / (1 + e^-x) without overflow for large |x|: with e = e^-|x| <= 1,
+    the numerator max(e, [x >= 0]) is 1 for x >= 0 and e below."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
 def bce_with_logits(logits: Tensor, target: np.ndarray, weight: np.ndarray) -> Tensor:

@@ -366,7 +366,9 @@ def reconstruct_from_probs(
     types = np.zeros((n, n), dtype=np.int64)  # BondType.SINGLE is 0
     for i, j, t in mol.bonds:
         types[i, j] = types[j, i] = t  # a graph not made by `chem.build` may list a bond as (j, i)
-    rows, cols = np.nonzero(np.triu(probs > threshold, 1))  # the pairs i < j, row by row
+    rows, cols = np.nonzero(probs > threshold)  # row by row
+    upper = rows < cols  # the pairs i < j
+    rows, cols = rows[upper], cols[upper]
     kinds = map(_BOND_TYPES.__getitem__, types[rows, cols].tolist())
     bonds = list(zip(rows.tolist(), cols.tolist(), kinds))
     order = chem.bond_order_sums(n, bonds)

@@ -8,7 +8,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
+from hypothesis import strategies as st
 
 from molvae.chem import (
     BOND_CHAR,
@@ -28,6 +30,27 @@ from molvae.fingerprint import FpConfig
 from molvae.numkernel import Edges, PairLayout, Tensor
 from molvae.smiles import ParseResult, SmilesError
 from molvae.vaemodel import MolTensors
+
+
+# One of each kind of float64: signed zeros, infinities, quiet and signaling
+# NaNs of both signs, subnormals, the edges of e^x's range (|x| near 709.8
+# and 745.1) and ordinary values.
+SPECIAL_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0, 36.8, -36.8],
+    [709.78, -709.78, 710.0, -710.0, 745.2, -745.2, 1e308, -1e308],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000000], np.uint64).view(np.float64),
+])
+
+# float64 arrays of one or two dimensions whose entries are any float, a
+# special one, or one with |x| >= 710, where e^|x| overflows.
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+    elements=st.floats(width=64)
+    | st.sampled_from(SPECIAL_FLOATS.tolist())
+    | st.floats(710.0, 1e308)
+    | st.floats(-1e308, -710.0),
+)
 
 
 def permute(mol: MolGraph, perm: Sequence[int]) -> MolGraph:

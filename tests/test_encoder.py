@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from molvae import encoder, numkernel as nk
 from molvae.chem import adjacency_tensor
@@ -19,7 +19,7 @@ from molvae.encoder import (
 from molvae.smiles import parse_smiles
 from molvae.vaemodel import MolTensors, decoded_blocks, init_model_params, pooled_vectors
 
-from helpers import permute, stack_edges, weighted_sum
+from helpers import FLOAT_ARRAYS, SPECIAL_FLOATS, permute, stack_edges, weighted_sum
 
 
 def encode_mol(mol, store):
@@ -328,3 +328,22 @@ def test_elu_value_and_gradient_rule():
     assert out[0, 1] == 0.0 and out[0, 2] == 2.0
     # The slope is e^x for x <= 0 and 1 above.
     assert np.allclose(back(np.full((1, 3), 3.0)), [[3.0 * np.exp(-1.0), 3.0, 3.0]], rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_ARRAYS)
+@example(SPECIAL_FLOATS)
+@example(SPECIAL_FLOATS.reshape(4, -1))
+def test_elu_keeps_the_bits_of_its_select_form(x):
+    """max(x, 0) + neg and g (neg + 1) give the bits of the np.where form for
+    every float: neg is exactly 0.0 above 0, so neg + 1 is exactly 1.0. The
+    gradient g is `x` reversed. A signaling NaN raises numpy's invalid flag
+    in the new sum but keeps its bits, so flags are ignored on both sides."""
+    g = x.ravel()[::-1].reshape(x.shape)
+    with np.errstate(all="ignore"):
+        neg = np.exp(np.minimum(x, 0.0)) - 1.0
+        want_out, want_g = np.where(x > 0.0, x, neg), g * np.where(x > 0.0, 1.0, neg + 1.0)
+        out, back = encoder.elu(x)
+        got_g = back(g)
+    assert out.tobytes() == want_out.tobytes()
+    assert got_g.tobytes() == want_g.tobytes()

@@ -547,6 +547,45 @@ def test_only_chem_weighs_bonds(name):
     assert found == []
 
 
+# The functions that may pick elements with `np.where` or `np.triu`: the loss's
+# numpy reference, which the acceptance suite imports. A select in a hot path
+# is slower than arithmetic that gives the same bits, so each is a choice.
+SELECTS_ALLOWED = {"vaemodel.recon_bce"}
+
+
+def _selects(modules: dict[str, ast.Module]) -> set[str]:
+    """"module.function" of each function at module or class level that calls
+    `np.where` or `np.triu`; "module:line" of such a call outside them."""
+    out = set()
+    for mod, tree in modules.items():
+        for body, nodes in _by_body(tree).items():
+            for node in nodes:
+                func = node.func if isinstance(node, ast.Call) else None
+                if isinstance(func, ast.Attribute) and func.attr in ("where", "triu"):
+                    if isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"):
+                        out.add(f"{mod}.{body}" if body else f"{mod}:{node.lineno}")
+    return out
+
+
+def test_only_the_allowed_functions_select_with_where_or_triu():
+    assert _selects(MODULES) == SELECTS_ALLOWED
+
+
+def test_a_select_is_found_in_a_function_a_method_and_at_module_level():
+    source = ast.parse(
+        "import numpy as np\n"
+        "def f(x):\n"
+        "    return np.where(x > 0, x, 0)\n"
+        "class C:\n"
+        "    def m(self, p):\n"
+        "        return np.triu(p, 1)\n"
+        "MASK = numpy.triu(np.ones((2, 2)))\n"
+        "def g(x):\n"
+        "    return np.triu_indices(3) + x.where\n"
+    )
+    assert _selects({"m": source}) == {"m.f", "m.C.m", "m:7"}
+
+
 def test_every_benchmark_span_resolves_against_the_library():
     """molbench's tracer wraps SPANS by name; a refactor must not strand one."""
     path = SRC.parents[1] / "molbench" / "tracing.py"

@@ -15,7 +15,7 @@ from molvae.numkernel import (
     grad_check,
 )
 
-from helpers import stack_edges, summed, weighted_sum
+from helpers import FLOAT_ARRAYS, SPECIAL_FLOATS, stack_edges, summed, weighted_sum
 
 
 def finite_diff(f, store, name, idx, eps=1e-6):
@@ -115,6 +115,21 @@ def test_logistic_value_and_saturation():
     assert out[0, 0] == 0.5
     assert out[0, 1] == 1.0
     assert out[0, 2] == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_ARRAYS)
+@example(SPECIAL_FLOATS)
+@example(SPECIAL_FLOATS.reshape(4, -1))
+def test_sigmoid_keeps_the_bits_of_its_select_form(x):
+    """max(e, [x >= 0]) / (1 + e) gives the bits of the np.where form for
+    every float: e = e^-|x| <= 1, so the numerator is exactly 1.0 for
+    x >= 0 and exactly e below."""
+    with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = nk._sigmoid(x)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_bce_with_logits_matches_naive_and_saturates():

@@ -846,6 +846,22 @@ def test_reconstruct_from_probs_matches_a_per_pair_loop(mol, seed, threshold, ti
     assert all(type(t) is BondType for _, _, t in got[0].bonds)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 6, 13, 20])
+def test_reconstruct_from_probs_bonds_the_pairs_of_the_triu_form(size):
+    # Asymmetric, with ties at the threshold and NaN entries: the bonded
+    # pairs, in order, are the nonzero entries of np.triu(probs > t, 1).
+    rng = np.random.default_rng(size)
+    mol = random_molecule(rng, size) if size else build([], [])
+    n = mol.n_atoms
+    for _ in range(5):
+        probs = rng.uniform(-0.2, 1.2, (n, n))
+        probs[rng.random((n, n)) < 0.2] = 0.5
+        probs[rng.random((n, n)) < 0.1] = np.nan
+        got, _ = reconstruct_from_probs(mol, probs, 0.5)
+        rows, cols = np.nonzero(np.triu(probs > 0.5, 1))
+        assert [(i, j) for i, j, _ in got.bonds] == list(zip(rows.tolist(), cols.tolist()))
+
+
 def test_reconstruct_from_probs_keeps_the_type_of_a_bond_listed_as_j_i():
     ethene = (Atom("C", 0, 2), Atom("C", 0, 2))
     for bonds in (((1, 0, BondType.DOUBLE),), ((0, 1, BondType.DOUBLE),)):
