@@ -21,7 +21,13 @@ line covers `numkernel.backward`'s gradients, in `PARAM_SHAPES` order, of
 one seed-0 `joint_loss` with seeded noise on GRADIENT_BATCH, a batch of all
 four bond types and a molecule with no bonds, so that a change to a
 gradient rule shows without a training run. Two commits
-whose lines are equal produce the same bytes. To check that a change leaves
+whose lines are equal produce the same bytes.
+
+A first line, starting with `#`, names the CPU path the run took: the
+float64 `exp` and `log1p` loops numpy dispatched to and OpenBLAS's core,
+each `unknown` where it cannot be read. The hashes depend on it, and
+NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE each change it, so compare
+only runs whose first lines agree. To check that a change leaves
 every output as it was, run the same script, from the newer commit, in a
 checkout of each commit:
 
@@ -30,6 +36,7 @@ checkout of each commit:
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import itertools
@@ -38,6 +45,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy.lib.introspect import opt_func_info  # numpy 2.0 and later
+except ImportError:
+    opt_func_info = None
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -173,6 +185,23 @@ def _gradients() -> bytes:
     return b"".join(grads[name].tobytes() for name in PARAM_SHAPES)
 
 
+def cpu_path() -> str:
+    """The header line: numpy's float64 `exp` and `log1p` loops and the core
+    of numpy's bundled OpenBLAS, or `unknown` for each one it cannot read."""
+    exp = log1p = core = "unknown"
+    if opt_func_info is not None:
+        loops = opt_func_info(func_name="^(exp|log1p)$", signature="float64")
+        exp, log1p = (loops.get(name, {}).get("dd", {}).get("current", "unknown") for name in ("exp", "log1p"))
+    for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode("ascii")
+    return f"# exp {exp}, log1p {log1p}, OpenBLAS {core}"
+
+
 def outputs() -> dict[str, bytes]:
     """Each output of the run by name."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -203,5 +232,6 @@ def outputs() -> dict[str, bytes]:
 
 
 if __name__ == "__main__":
+    print(cpu_path())
     for name, data in outputs().items():
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")

@@ -23,7 +23,9 @@ DRUG_SMILES = {
 
 
 def random_molecule(rng: np.random.Generator, n_atoms: int) -> MolGraph:
-    """Grow a random connected, valence-valid molecule with n_atoms heavy atoms."""
+    """Grow a random connected, valence-valid molecule of at most n_atoms
+    heavy atoms: it stops short when no atom has an open valence left, so
+    `random_molecule(np.random.default_rng(13), 13)` has 2 atoms."""
     elements = []
     capacity = []
     for k in range(n_atoms):

@@ -77,26 +77,22 @@ def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefi
     return nk.Tensor(out, (*inputs, w_self, *w_rel), grad_fn, "rgcn_layer")
 
 
-def encode(
-    features: np.ndarray,
-    types: tuple[int, ...],
-    edges: nk.Edges,
-    store: ParamStore,
-    *heads: str,
-) -> tuple[Tensor, ...]:
-    """Run the three-layer encoder; returns the per-node output of each named
-    head ("mu" the mean, "sigma" the log-std), building only those.
+def encode(batch, store: ParamStore, *heads: str) -> tuple[Tensor, ...]:
+    """Run the three-layer encoder over a built `vaemodel.MolTensors` batch;
+    returns the per-node output of each named head ("mu" the mean, "sigma"
+    the log-std), building only those.
 
-    `edges` is the stacked edge list of `vaemodel.MolTensors`: slot k holds
-    bond type types[k]'s directed edges, weighted w = 1/deg_r(dst) so that
-    each node averages over its r-neighbors; a bond type not in `types` adds
-    nothing. Layers 1 and 2 are shared and ELU-activated; each head is its
-    own linear layer, and the heads share one aggregation of layer 2's
-    output. The three aggregations run over the one list, so they share its
-    scatter positions. Layer 1 reads the feature rows and their neighbor
-    means as plain arrays: they are constants, so its op records only its
-    weights.
+    The batch's `features` are its atoms' feature rows, and its `edges` are
+    one stacked edge list: slot k holds bond type types[k]'s directed edges,
+    weighted w = 1/deg_r(dst) so that each node averages over its
+    r-neighbors; a bond type not in `types` adds nothing. Layers 1 and 2 are
+    shared and ELU-activated; each head is its own linear layer, and the
+    heads share one aggregation of layer 2's output. The three aggregations
+    run over the one list, so they share its scatter positions. Layer 1
+    reads the feature rows and their neighbor means as plain arrays: they
+    are constants, so its op records only its weights.
     """
+    features, types, edges = batch.features, batch.types, batch.edges
     if features.shape[1] != FEATURE_DIM:
         raise nk.NumericError(f"feature width {features.shape[1]} != {FEATURE_DIM}")
 

@@ -70,8 +70,9 @@ def adam_step(
     """Standard Adam update with bias correction on `scale` times `grads`, in
     place, over the store's flat buffer.
 
-    A non-finite gradient raises NonFiniteValue naming the first parameter
-    that has one, before the parameters or the state change.
+    NonFiniteValue names the first parameter with a non-finite gradient,
+    before the parameters or the state change, or else the first whose
+    updated value is not finite, before the parameters change.
     """
     items = params.items()
     for name, p in items:
@@ -105,7 +106,12 @@ def adam_step(
     g += ADAM_EPS
     np.multiply(lr, step, out=step)
     step /= g
-    params.flat -= step
+    np.subtract(params.flat, step, out=step)
+    if not np.isfinite(step).all():
+        ends = np.cumsum([p.data.size for _, p in items])
+        bad = items[int(np.searchsorted(ends, np.argmin(np.isfinite(step)), side="right"))][0]
+        raise NonFiniteValue(f"non-finite update for {bad} at learning rate {lr:g}")
+    params.flat[:] = step
 
 
 def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore, list[LossBreakdown]]:
@@ -170,7 +176,7 @@ def evaluate_validity(params: ParamStore, dataset) -> float:
     mols = _molecules(dataset)
     reports = [
         vaemodel.reconstruct_from_probs(mol, block[:mol.n_atoms, :mol.n_atoms])[1]
-        for mol, block in zip(mols, vaemodel.decoded_blocks(mols, params))
+        for mol, block in zip(mols, vaemodel.decoded_blocks(MolTensors.from_mols(mols), params))
     ]
     return sum(r.valid for r in reports) / len(mols)
 
@@ -213,7 +219,7 @@ def fit_probe(
     """
     mols = _molecules(dataset)
     ys = _labels(dataset.records, target_column)
-    xs = vaemodel.pooled_vectors(mols, params)
+    xs = vaemodel.pooled_vectors(MolTensors.from_mols(mols), params)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ys))
     cut = max(1, int(0.8 * len(ys)))

@@ -260,16 +260,16 @@ def joint_loss(
 ) -> tuple[Tensor, LossBreakdown]:
     """Full forward pass; returns the scalar loss node and its breakdown.
 
-    `mol` is one molecule, or the MolTensors of a batch of molecules, with one
-    `label` per molecule and one `noise` row per atom. A batch's loss and
-    breakdown are the sums over its molecules, built on one tape. The loss is
-    checked finite.
+    `mol` is the MolTensors of a batch, with one `label` per molecule and one
+    `noise` row per atom, or one molecule, as the gradient checks and the
+    acceptance tests pass it. A batch's loss and breakdown are the sums over
+    its molecules, built on one tape. The loss is checked finite.
     """
     mt = mol if isinstance(mol, MolTensors) else MolTensors.from_mol(mol)
     labels = np.asarray(label, dtype=np.float64).reshape(-1)
     if labels.shape != mt.sizes.shape:
         raise nk.NumericError(f"{labels.size} labels for {mt.sizes.size} molecules")
-    mu, log_std = encoder.encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
+    mu, log_std = encoder.encode(mt, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
     logits = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
     counts = mt.layout.counts  # each molecule's recon term is its mean over its pairs
@@ -288,28 +288,21 @@ def joint_loss(
 def _mu(mt: MolTensors, store: ParamStore) -> Tensor:
     """Mu of a batch from one encoder pass over its union that builds only
     the mu head: the deterministic latent code of inference."""
-    return encoder.encode(mt.features, mt.types, mt.edges, store, "mu")[0]
+    return encoder.encode(mt, store, "mu")[0]
 
 
-def _built(mols: list[MolGraph] | MolTensors) -> MolTensors:
-    return mols if isinstance(mols, MolTensors) else MolTensors.from_mols(mols)
-
-
-def pooled_vectors(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
-    """(B, 64) pooled vectors of a batch (its molecules, or their built
-    MolTensors): softmax pooling over Mu, from one tape-free pass, checked
-    finite."""
-    mt = _built(mols)
+def pooled_vectors(mt: MolTensors, store: ParamStore) -> np.ndarray:
+    """(B, 64) pooled vectors of a built batch: softmax pooling over Mu, from
+    one tape-free pass, checked finite."""
     return nk.tape_free(lambda: encoder.pool(_mu(mt, store), store, mt.sizes)).data
 
 
-def decoded_blocks(mols: list[MolGraph] | MolTensors, store: ParamStore) -> np.ndarray:
-    """Deterministic edge probabilities (Z = Mu, no sampling) of a batch: the
-    padded (B, m, m) stack of logistic(z zᵀ), one block per molecule, from
-    one tape-free pass, checked finite. Molecule b's n x n probabilities are
-    `[b, :n, :n]`; its pairs i < j, in `pair_target` order, are
-    `.reshape(-1)[layout.pairs]`."""
-    mt = _built(mols)
+def decoded_blocks(mt: MolTensors, store: ParamStore) -> np.ndarray:
+    """Deterministic edge probabilities (Z = Mu, no sampling) of a built
+    batch: the padded (B, m, m) stack of logistic(z zᵀ), one block per
+    molecule, from one tape-free pass, checked finite. Molecule b's n x n
+    probabilities are `[b, :n, :n]`; its pairs i < j, in `pair_target`
+    order, are `.reshape(-1)[layout.pairs]`."""
     return nk.tape_free(lambda: nk.logistic(nk.block_products(_mu(mt, store), mt.layout))).data
 
 
@@ -334,7 +327,7 @@ def predict(mol: MolGraph, store: ParamStore) -> float:
 def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> float:
     """Similarity 1/(1+d) from the distance between normalized pooled vectors."""
     units = []
-    for g in pooled_vectors([mol1, mol2], store):
+    for g in pooled_vectors(MolTensors.from_mols([mol1, mol2]), store):
         norm = np.linalg.norm(g)
         if norm == 0.0:
             raise nk.NumericError("pooled vector has zero norm")

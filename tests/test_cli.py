@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, seed, settings, strategies as st
 
 from molvae import dataio, encoder, train as tr, vaemodel
 from molvae.cli import EXIT_DOMAIN, EXIT_IO, EXIT_NUMERIC, EXIT_USAGE, _config, build_parser, main
@@ -552,6 +552,10 @@ BAD_INPUTS = {
         EXIT_USAGE,
     ),
     "reconstruct-1025-atoms": (_reconstruct(smiles="C" * 1025), EXIT_USAGE),
+    "lr-overflows-an-update": (
+        lambda ckpt, tmp_path: [*_train_on(b"smiles,heavy_atoms\nCCO,1\nCC,2\n")(ckpt, tmp_path), "--lr", "1e308"],
+        EXIT_NUMERIC,
+    ),
 }
 
 
@@ -593,6 +597,12 @@ def test_csv_the_reader_rejects_is_named_in_the_error(name, ckpt, tmp_path, caps
     make_argv, _ = BAD_INPUTS[name]
     main(make_argv(ckpt, tmp_path))
     assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'bad.csv'}: ")
+
+
+def test_an_update_that_overflows_names_its_parameter(ckpt, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS["lr-overflows-an-update"]
+    main(make_argv(ckpt, tmp_path))
+    assert capsys.readouterr().err == "error: non-finite update for enc.l1.rel0 at learning rate 1e+308\n"
 
 
 def _mutate(doc, draw):
@@ -687,3 +697,79 @@ def test_broken_csv_exits_cleanly_with_one_error_line(data, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+# The documented exit codes of `cli.main`.
+EXIT_CODES = (0, EXIT_USAGE, EXIT_IO, EXIT_DOMAIN, EXIT_NUMERIC)
+
+# Ways to break one flag value: a wrong type, a huge or negative number, or a
+# non-finite one.
+BROKEN_VALUES = {
+    "type": st.sampled_from(["x", "", "1.5", "0x10", "True", "1,5", "--"]),
+    "huge": st.one_of(st.sampled_from(["1e308", "1.7976931348623157e308"]), st.integers(2**31, 10**40).map(str)),
+    "negative": st.one_of(st.integers(-(10**40), -1).map(str), st.floats(-1e308, -1e-300).map(repr)),
+    "non-finite": st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "NaN", "Infinity"]),
+}
+
+
+# Each command's flags as (flag, value) pairs, each of which may be broken;
+# the paths (`--data`, `--out`, `--ckpt`) are set apart, in `_argv`.
+FLAG_SETS = {
+    "train": [("--property", "y"), ("--epochs", "1"), ("--seed", "0"), ("--lr", "0.001"),
+              ("--batch", "2"), ("--beta", "1"), ("--lambda", "1"), ("--max-atoms", "20")],
+    "fingerprint": [("--smiles", "CCO"), ("--nbits", "64"), ("--min-path", "1"), ("--max-path", "4"),
+                    ("--bits-per-hash", "2")],
+    "reconstruct": [("--smiles", "CCO"), ("--threshold", "0.5")],
+    "similar": [("--smiles", "CCO"), ("--smiles", "CC"), ("--metric", "latent")],
+    "gradcheck": [("--seed", "0")],
+}
+
+
+def _broken(command, k, value):
+    """`command` and its flag set with flag k's value replaced by `value`."""
+    return command, [(flag, value if i == k else v) for i, (flag, v) in enumerate(FLAG_SETS[command])]
+
+
+@st.composite
+def broken_flag_sets(draw):
+    command, k = draw(st.sampled_from([(c, k) for c, flags in FLAG_SETS.items() for k in range(len(flags))]))
+    # A huge epoch count is a valid request for a run that long.
+    kinds = [kind for kind in BROKEN_VALUES if not (FLAG_SETS[command][k][0] == "--epochs" and kind == "huge")]
+    return _broken(command, k, draw(BROKEN_VALUES[draw(st.sampled_from(kinds))]))
+
+
+def _argv(command, flags, ckpt, tmp_path):
+    paths = {
+        "train": ["--data", str(tmp_path / "tiny.csv"), "--out", str(tmp_path / "out.ckpt")],
+        "reconstruct": ["--ckpt", str(ckpt["ckpt"])],
+        "similar": ["--ckpt", str(ckpt["ckpt"])],
+    }
+    return [command, *paths.get(command, []), *(part for pair in flags for part in pair)]
+
+
+@seed(0)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(case=_broken("train", 3, "1e308"))  # an --lr whose first update overflows
+@given(case=broken_flag_sets())
+def test_a_broken_flag_exits_with_a_documented_code_and_one_error_line(case, ckpt, tmp_path, capsys):
+    command, flags = case
+    (tmp_path / "tiny.csv").write_text("smiles,y\nCCO,1\nCC,2\n")
+    out = tmp_path / "out.ckpt"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    try:
+        rc = main(_argv(command, flags, ckpt, tmp_path))
+    except SystemExit as exc:  # the parser's usage errors
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc in EXIT_CODES
+    if rc != 0:
+        lines = captured.err.splitlines()
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert captured.out == ""
+    if command == "train":
+        if rc == 0:
+            dataio.load_checkpoint(out)
+        else:
+            assert not out.exists()

@@ -1,5 +1,7 @@
 """Tests for the relational encoder and softmax pooling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,8 +25,7 @@ from helpers import FLOAT_ARRAYS, SPECIAL_FLOATS, permute, stack_edges, weighted
 
 
 def encode_mol(mol, store):
-    mt = MolTensors.from_mol(mol)
-    return encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
+    return encode(MolTensors.from_mol(mol), store, "mu", "sigma")
 
 
 # -- parameter inventory -------------------------------------------------
@@ -113,7 +114,7 @@ def test_encode_output_shapes():
 def test_encode_rejects_bad_feature_width():
     store = init_model_params(seed=0)
     with pytest.raises(nk.NumericError, match="^feature width 7 != 32$"):
-        encode(np.zeros((3, 7)), (), stack_edges([], 3), store, "mu")
+        encode(MolTensors(np.zeros((3, 7)), (), stack_edges([], 3), nk.PairLayout([3])), store, "mu")
 
 
 def test_heads_share_the_first_two_layers():
@@ -161,11 +162,11 @@ def test_encode_accepts_precomputed_mean_mats():
     single, double = (nk.Edges(mt.edges.dst[s] % n, mt.edges.src[s], mt.edges.w[s]) for s in (slice(half), slice(half, None)))
     empty = np.zeros(0, dtype=np.int64)
     padded = stack_edges([single, nk.Edges(empty, empty, np.zeros(0)), double], n)
-    mu1, ls1 = encode(mt.features, mt.types, mt.edges, store, "mu", "sigma")
-    mu2, ls2 = encode(mt.features, (0, 3, 1), padded, store, "mu", "sigma")
+    mu1, ls1 = encode(mt, store, "mu", "sigma")
+    mu2, ls2 = encode(replace(mt, types=(0, 3, 1), edges=padded), store, "mu", "sigma")
     assert np.array_equal(mu1.data, mu2.data)
     assert np.array_equal(ls1.data, ls2.data)
-    (mu3,) = encode(mt.features, (0,), stack_edges([single], n), store, "mu")
+    (mu3,) = encode(replace(mt, types=(0,), edges=stack_edges([single], n)), store, "mu")
     assert not np.array_equal(mu1.data, mu3.data)
 
 

@@ -458,9 +458,9 @@ def _queries(store):
     records = [Record(s, parse_smiles(s), {"y": float(len(s))}) for s in smiles]
     return {
         "pooled_vector": lambda: vaemodel.pooled_vector(a, store),
-        "pooled_vectors": lambda: vaemodel.pooled_vectors([a, b], store),
+        "pooled_vectors": lambda: vaemodel.pooled_vectors(vaemodel.MolTensors.from_mols([a, b]), store),
         "decode_probs": lambda: vaemodel.decode_probs(a, store),
-        "decoded_blocks": lambda: vaemodel.decoded_blocks([a, b], store),
+        "decoded_blocks": lambda: vaemodel.decoded_blocks(vaemodel.MolTensors.from_mols([a, b]), store),
         "predict": lambda: vaemodel.predict(a, store),
         "reconstruct": lambda: vaemodel.reconstruct(a, store),
         "latent_similarity": lambda: fingerprint.latent_similarity(a, b, store),

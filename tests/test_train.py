@@ -122,6 +122,20 @@ def test_adam_names_the_first_non_finite_gradient_and_changes_nothing(warm):
         assert (got is None and want is None) or np.array_equal(got, want)
 
 
+def test_adam_names_the_first_parameter_an_update_makes_non_finite_and_changes_nothing():
+    # The first step moves each entry by about lr against its gradient's
+    # sign: at lr 1e308, a and c stay finite, while b's second entry and d
+    # overflow to -inf.
+    store = ParamStore({
+        "a": np.array([[1.0]]), "b": np.array([[0.0, -1e308]]), "c": np.array([[1e308]]), "d": np.array([[-1e308]]),
+    })
+    grads = {name: np.ones(p.shape) for name, p in store.items()}
+    before = store.flat.copy()
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValue, match=r"^non-finite update for b at learning rate 1e\+308$"):
+        adam_step(store, grads, AdamState(), lr=1e308)
+    assert np.array_equal(store.flat, before)
+
+
 def test_adam_shape_mismatch():
     store = ParamStore({"p": np.ones((2, 2))})
     with pytest.raises(nk.NumericError, match=r"^gradient shape for p: \(3,\) vs \(2, 2\)$"):
@@ -376,7 +390,7 @@ def test_evaluators_encode_the_dataset_once(evaluate, monkeypatch):
     monkeypatch.setattr(encoder, "encode", counting)
     evaluate(params, tiny_dataset())
     assert len(calls) == 1
-    assert calls[0][0].shape[0] == sum(rec.mol.n_atoms for rec in tiny_dataset().records)
+    assert len(calls[0][0].features) == sum(rec.mol.n_atoms for rec in tiny_dataset().records)
 
 
 @EVALUATORS
