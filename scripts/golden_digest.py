@@ -20,16 +20,22 @@ BAD_SMILES, one input per error message of the parser. The `gradients`
 line covers `numkernel.backward`'s gradients, in `PARAM_SHAPES` order, of
 one seed-0 `joint_loss` with seeded noise on GRADIENT_BATCH, a batch of all
 four bond types and a molecule with no bonds, so that a change to a
-gradient rule shows without a training run. Two commits
+gradient rule shows without a training run. The last line, `gradcheck`,
+covers the `--json` output of `molvae gradcheck --seed 0`. Two commits
 whose lines are equal produce the same bytes.
 
 A first line, starting with `#`, names the CPU path the run took: the
 float64 `exp` and `log1p` loops numpy dispatched to and OpenBLAS's core,
 each `unknown` where it cannot be read. The hashes depend on it, and
 NPY_DISABLE_CPU_FEATURES and OPENBLAS_CORETYPE each change it, so compare
-only runs whose first lines agree. To check that a change leaves
-every output as it was, run the same script, from the newer commit, in a
-checkout of each commit:
+only runs whose first lines agree.
+
+These lines are the golden record. tests/golden_digest.txt holds one block
+of them per CPU path, under its first line, and tests/test_golden.py runs
+this script on each path and compares every line with its block, so tier-1
+checks that a change leaves every output as it was. A change that means to
+move them rewrites the blocks with `python3 tests/test_golden.py`. To see
+one run's lines:
 
     python3 scripts/golden_digest.py
 """
@@ -228,6 +234,7 @@ def outputs() -> dict[str, bytes]:
             ])
     found["parsed"] = _parsed()
     found["gradients"] = _gradients()
+    found["gradcheck"] = _stdout(["gradcheck", "--seed", "0", "--json"])
     return found
 
 

@@ -325,9 +325,9 @@ def predict(mol: MolGraph, store: ParamStore) -> float:
 
 
 def latent_similarity(mol1: MolGraph, mol2: MolGraph, store: ParamStore) -> float:
-    """Similarity 1/(1+d) from the distance between normalized pooled vectors."""
+    """Similarity 1/(1+d) between normalized pooled vectors, each molecule pooled alone."""
     units = []
-    for g in pooled_vectors(MolTensors.from_mols([mol1, mol2]), store):
+    for g in (pooled_vector(mol1, store), pooled_vector(mol2, store)):
         norm = np.linalg.norm(g)
         if norm == 0.0:
             raise nk.NumericError("pooled vector has zero norm")

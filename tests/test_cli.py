@@ -605,11 +605,16 @@ def test_an_update_that_overflows_names_its_parameter(ckpt, tmp_path, capsys):
     assert capsys.readouterr().err == "error: non-finite update for enc.l1.rel0 at learning rate 1e+308\n"
 
 
+# A value of each JSON type, the last one ten lists deep, for a field that
+# never takes that type.
+WRONG_TYPES = ("checkpoint", [1.0], {"a": 1}, True, None, json.loads("[" * 10 + "]" * 10))
+
+
 def _mutate(doc, draw):
     """`doc`, a valid checkpoint document, with one key dropped or renamed, a
-    shape changed, base64 data cut short, a value set to NaN, or the top
-    level replaced; `draw` makes the choices."""
-    kind = draw(st.sampled_from(["drop", "rename", "shape", "truncate", "nan", "top"]))
+    shape changed, base64 data cut short, a value set to NaN or to a type its
+    field never takes, or the top level replaced; `draw` makes the choices."""
+    kind = draw(st.sampled_from(["drop", "rename", "shape", "truncate", "nan", "type", "top"]))
     if kind == "top":
         return draw(st.sampled_from([[], [1], "checkpoint", 1, None, float("nan")]))
     tensor = doc["tensors"][draw(st.sampled_from(sorted(doc["tensors"])))]
@@ -631,12 +636,16 @@ def _mutate(doc, draw):
             del target[key]
         elif kind == "rename":
             target[key + draw(st.sampled_from(["_", "x", " "]))] = target.pop(key)
-        else:
+        elif kind == "nan":
             target[key] = float("nan")
+        else:
+            target[key] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(target[key])]))
     return doc
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(0)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_checkpoint_exits_io_with_one_error_line(data, ckpt, tmp_path, capsys):
     doc = _mutate(json.loads(ckpt["ckpt"].read_text()), data.draw)

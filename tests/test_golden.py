@@ -1,75 +1,65 @@
-"""Golden outputs of the 3-epoch corpus run: a change that claims to leave the
-trained model and its queries unchanged must pass this unchanged.
+"""The golden record: `scripts/golden_digest.py`'s 28 hash lines for the
+3-epoch corpus run, its queries, the parser, one gradient and `molvae
+gradcheck`, checked exactly on each committed CPU path. A change that claims
+to leave the trained model and its outputs unchanged must pass this
+unchanged.
 
-Run `PYTHONPATH=src python tests/test_golden.py` to rewrite tests/golden_outputs.json; a
-change that does so says in CHANGES.md what moved and why.
+tests/golden_digest.txt holds one block per CPU path, each under the `#`
+header line the script prints for it. Run `python3 tests/test_golden.py` to
+rewrite both blocks; a change that does so says in CHANGES.md what moved and
+why.
 """
 
-import contextlib
-import hashlib
-import io
-import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
+import pytest
 
-from molvae import cli, dataio, train, vaemodel
-from molvae.corpus import DRUG_SMILES
-from molvae.smiles import Disconnected, parse_smiles, write_smiles
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST = ROOT / "tests" / "golden_digest.txt"
 
-GOLDEN = Path(__file__).parent / "golden_outputs.json"
-CONFIG = train.TrainConfig(epochs=3, batch_size=16, seed=0)
-QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
-RTOL = 1e-9
-
-
-def _written(mol):
-    """The SMILES of `mol`, or None when it is disconnected, as `molvae reconstruct` reports it."""
-    try:
-        return write_smiles(mol)
-    except Disconnected:
-        return None
+# numpy's AVX2 loops and OpenBLAS's Haswell core, which a CPU without AVX-512
+# takes, and the settings that make a process on an AVX-512 CPU take them too.
+AVX2_PATH = "# exp X86_V3, log1p baseline(X86_V2), OpenBLAS Haswell"
+AVX2_SETTINGS = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell"}
 
 
-def golden_outputs() -> dict:
-    """The history, weight digest and query outputs of the 3-epoch corpus
-    run, and `molvae gradcheck`'s error at seed 0."""
-    params, history = train.train(dataio.load_bundled_corpus(), "heavy_atoms", CONFIG)
-    molecules = {}
-    for name, smi in QUERIES.items():
-        mol = parse_smiles(smi)
-        out, report = vaemodel.reconstruct(mol, params)
-        molecules[name] = {
-            "pooled": vaemodel.pooled_vector(mol, params).tolist(),
-            "prediction": vaemodel.predict(mol, params),
-            "decode_probs": vaemodel.decode_probs(mol, params).tolist(),
-            "reconstructed": _written(out),
-            "valid": report.valid,
-        }
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert cli.main(["gradcheck", "--seed", "0", "--json"]) == 0
-    return {
-        "history": [list(bd) for bd in history],
-        "flat_sha256": hashlib.sha256(params.flat.tobytes()).hexdigest(),
-        "molecules": molecules,
-        "gradcheck_seed0": json.loads(stdout.getvalue())["max_rel_error"],
-    }
+def digest(settings: dict[str, str]) -> tuple[str, list[str]]:
+    """The header and hash lines of `golden_digest.py`, run in a process that
+    has `settings` and no other value of the variables they name."""
+    env = {k: v for k, v in os.environ.items() if k not in AVX2_SETTINGS} | settings
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "golden_digest.py")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    return header, lines
+
+
+def golden() -> dict[str, list[str]]:
+    """The committed hash lines, by header."""
+    blocks = (block.splitlines() for block in DIGEST.read_text(encoding="utf-8").split("\n\n"))
+    return {header: lines for header, *lines in blocks}
 
 
 def test_the_3_epoch_corpus_run_matches_its_golden_outputs():
-    got, want = golden_outputs(), json.loads(GOLDEN.read_text())
-    np.testing.assert_allclose(got["history"], want["history"], rtol=RTOL, atol=0)
-    assert got["flat_sha256"] == want["flat_sha256"]
-    assert list(got["molecules"]) == list(want["molecules"])
-    for name, g in got["molecules"].items():
-        w = want["molecules"][name]
-        for key in ("pooled", "prediction", "decode_probs"):
-            np.testing.assert_allclose(g[key], w[key], rtol=RTOL, atol=0, err_msg=f"{name} {key}")
-        assert (g["reconstructed"], g["valid"]) == (w["reconstructed"], w["valid"]), name
-    np.testing.assert_allclose(got["gradcheck_seed0"], want["gradcheck_seed0"], rtol=RTOL, atol=0)
+    header, lines = digest({})
+    want = golden()
+    assert header in want, f"no golden block for this CPU path: {header}"
+    assert lines == want[header]
+
+
+def test_the_avx2_path_matches_its_golden_outputs():
+    header, lines = digest(AVX2_SETTINGS)
+    if header != AVX2_PATH:
+        pytest.skip(f"this machine cannot take the AVX2 path: {header}")
+    assert lines == golden()[AVX2_PATH]
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(golden_outputs(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    blocks = dict(digest(settings) for settings in ({}, AVX2_SETTINGS))
+    DIGEST.write_text("\n\n".join("\n".join([h, *lines]) for h, lines in blocks.items()) + "\n", encoding="utf-8")
+    print(f"wrote {DIGEST}")
