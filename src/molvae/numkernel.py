@@ -85,23 +85,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
-def bce_with_logits(logits: Tensor, target: np.ndarray, weight: np.ndarray) -> Tensor:
-    """sum_k weight[k] * (softplus(x_k) - target[k] * x_k): the weighted
-    binary cross-entropy of logits x against 0/1 targets, as a scalar.
+def bce_with_logits(scores: Tensor, at: np.ndarray, target: np.ndarray, weight: np.ndarray) -> Tensor:
+    """sum_k weight[k] * (softplus(x_k) - target[k] * x_k) for the logits x,
+    the entries of `scores` at the distinct row-major positions `at`: the
+    weighted binary cross-entropy of x against 0/1 targets, as a scalar.
 
     softplus(x) = log(1 + e^x) is computed without overflow and needs no
-    clamp; the gradient is weight * (logistic(x) - target).
+    clamp; the gradient is weight * (logistic(x) - target) at `at` and zero
+    at every other entry of `scores`.
     """
-    x = logits.data
+    x = scores.data.reshape(-1)[at]
     if x.ndim != 1 or target.shape != x.shape or weight.shape != x.shape:
         raise NumericError(f"bce_with_logits shapes {x.shape} / {target.shape} / {weight.shape}")
     per_entry = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - target * x
-    return Tensor(
-        (weight * per_entry).sum(),
-        (logits,),
-        lambda g: (g * (weight * (_sigmoid(x) - target)),),
-        "bce_with_logits",
-    )
+
+    def grad_fn(g):
+        gs = np.zeros(scores.shape)
+        gs.reshape(-1)[at] = g * (weight * (_sigmoid(x) - target))
+        return (gs,)
+
+    return Tensor((weight * per_entry).sum(), (scores,), grad_fn, "bce_with_logits")
 
 
 def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -226,18 +229,6 @@ def block_products(z: Tensor, layout: PairLayout) -> Tensor:
         return (((g + g.transpose(0, 2, 1)) @ zp).reshape(-1, zp.shape[2])[layout.rows],)
 
     return Tensor(zp @ zp.transpose(0, 2, 1), (z,), grad_fn, "block_products")
-
-
-def take(a: Tensor, flat: np.ndarray) -> Tensor:
-    """The entries of `a` at the distinct row-major positions `flat`, as a
-    vector; the gradient scatters back into zeros of `a`'s shape."""
-
-    def grad_fn(g):
-        ga = np.zeros(a.shape)
-        ga.reshape(-1)[flat] = g
-        return (ga,)
-
-    return Tensor(a.data.reshape(-1)[flat], (a,), grad_fn, "take")
 
 
 # -- parameter store and gradient checking -------------------------------

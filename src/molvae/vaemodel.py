@@ -271,10 +271,9 @@ def joint_loss(
         raise nk.NumericError(f"{labels.size} labels for {mt.sizes.size} molecules")
     mu, log_std = encoder.encode(mt, store, "mu", "sigma")
     z = sample_latent(mu, log_std, noise)
-    logits = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
     counts = mt.layout.counts  # each molecule's recon term is its mean over its pairs
     weight = np.repeat(1.0 / np.maximum(counts, 1), counts)
-    recon = nk.bce_with_logits(logits, mt.pair_target, weight)
+    recon = nk.bce_with_logits(nk.block_products(z, mt.layout), mt.layout.pairs, mt.pair_target, weight)
     kl = kl_term(mu, log_std)
     g = encoder.pool(mu, store, mt.sizes)
     side = nk.squared_error(side_predict(g, store), labels)

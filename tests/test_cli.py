@@ -662,10 +662,11 @@ def test_mutated_checkpoint_exits_io_with_one_error_line(data, ckpt, tmp_path, c
 
 def _break_csv(draw) -> bytes:
     """A small valid `smiles,y` CSV with one thing broken: a header cell, a
-    SMILES cell, a property cell, a row's cell count, a NUL byte or a byte that
-    is not UTF-8; `draw` makes the choices."""
+    SMILES cell, a property cell, a row's cell count, a NUL byte, a byte that
+    is not UTF-8, or a raw quote, comma, CR or LF byte that no CSV writer
+    would put there; `draw` makes the choices."""
     rows = [["smiles", "y"], ["C", "1"], ["CC", "2"], ["CCO", "3"]]
-    kind = draw(st.sampled_from(["header", "smiles", "property", "cells", "nul", "not-utf8"]))
+    kind = draw(st.sampled_from(["header", "smiles", "property", "cells", "nul", "not-utf8", "syntax"]))
     if kind == "header":
         rows[0][draw(st.integers(0, 1))] = draw(st.one_of(
             st.sampled_from(["", " ", "smiles", "y", "Y", "SMILES"]), st.text(max_size=6)
@@ -685,14 +686,19 @@ def _break_csv(draw) -> bytes:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     data = buf.getvalue().encode("utf-8")
-    if kind in ("nul", "not-utf8"):
+    if kind in ("nul", "not-utf8", "syntax"):
         at = draw(st.integers(0, len(data)))
-        byte = b"\x00" if kind == "nul" else bytes([draw(st.integers(0x80, 0xFF))])
+        if kind == "nul":
+            byte = b"\x00"
+        elif kind == "not-utf8":
+            byte = bytes([draw(st.integers(0x80, 0xFF))])
+        else:
+            byte = draw(st.sampled_from([b'"', b",", b"\r", b"\n"]))
         data = data[:at] + byte + data[at:]
     return data
 
 
-@settings(max_examples=200, derandomize=True, deadline=None,
+@settings(max_examples=240, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_broken_csv_exits_cleanly_with_one_error_line(data, tmp_path, capsys):

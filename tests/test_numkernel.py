@@ -56,10 +56,10 @@ def test_checked_names_the_first_bad_op_on_a_multi_op_tape():
     x = constant([[1e200], [-1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         over = nk.block_products(x, nk.PairLayout([2]))  # inf: the first non-finite node
-        taken = nk.take(over, np.array([0, 1]))  # [inf, -1e200]: non-finite, but so is its input
-        loss = nk.bce_with_logits(taken, np.zeros(2), np.ones(2))  # inf - 0 * inf is NaN
+        # Its logits at positions 0 and 1 are [inf, -1e200], and inf - 0 * inf is NaN.
+        loss = nk.bce_with_logits(over, np.array([0, 1]), np.zeros(2), np.ones(2))
     assert np.isnan(loss.item())
-    for op in (over, taken, loss):
+    for op in (over, loss):
         with pytest.raises(NonFiniteValue, match="produced by block_products$"):
             nk.checked(op)
     with pytest.raises(NonFiniteValue, match="produced by block_products$"):
@@ -138,19 +138,54 @@ def test_bce_with_logits_matches_naive_and_saturates():
     w = np.array([0.5, 1.0, 2.0])
     p = 1.0 / (1.0 + np.exp(-x))
     naive = -(w * (t * np.log(p) + (1.0 - t) * np.log(1.0 - p))).sum()
-    assert nk.bce_with_logits(constant(x), t, w).item() == pytest.approx(naive, rel=1e-14)
+    # The logits are read at the positions given, in their order.
+    scores = constant([[x[1], 0.0], [x[2], x[0]]])
+    assert nk.bce_with_logits(scores, np.array([3, 0, 2]), t, w).item() == pytest.approx(naive, rel=1e-14)
     # Linear regime, no overflow: each confidently wrong logit costs |x|.
-    assert nk.bce_with_logits(constant([800.0, -800.0]), np.array([0.0, 1.0]), np.ones(2)).item() == 1600.0
+    both = np.arange(2)
+    assert nk.bce_with_logits(constant([800.0, -800.0]), both, np.array([0.0, 1.0]), np.ones(2)).item() == 1600.0
     with pytest.raises(NumericError, match=r"^bce_with_logits shapes \(3,\) / \(2,\) / \(3,\)$"):
-        nk.bce_with_logits(constant(x), t[:2], w)
+        nk.bce_with_logits(constant(x), np.arange(3), t[:2], w)
 
 
 def test_bce_with_logits_gradient_matches_central_differences():
+    # Seven of a 3 x 3 stack's nine entries are logits; the other two get no gradient.
     rng = np.random.default_rng(0)
-    store = ParamStore({"x": rng.normal(size=7, scale=3.0)})
+    store = ParamStore({"x": rng.normal(size=(3, 3), scale=3.0)})
+    at = rng.permutation(9)[:7]
     t = (rng.uniform(size=7) < 0.5).astype(float)
     w = rng.uniform(0.1, 1.0, 7)
-    assert grad_check(lambda s: nk.bce_with_logits(s["x"], t, w), store) < 1e-7
+    assert grad_check(lambda s: nk.bce_with_logits(s["x"], at, t, w), store) < 1e-7
+
+
+def test_bce_with_logits_reads_and_writes_only_the_pairs_of_a_padded_batch():
+    # A 3-atom and a 2-atom molecule: a (2, 3, 3) stack whose second block is
+    # padded. The pairs are (0, 0, 1), (0, 0, 2), (0, 1, 2) and (1, 0, 1).
+    layout = nk.PairLayout([3, 2])
+    assert layout.pairs.tolist() == [1, 2, 5, 10]
+    b, i, j = [0, 0, 0, 1], [0, 0, 1, 0], [1, 2, 2, 1]
+    rng = np.random.default_rng(0)
+    store = ParamStore({"s": rng.normal(size=(2, 3, 3), scale=3.0)})
+    t = np.array([1.0, 0.0, 0.0, 1.0])
+    w = rng.uniform(0.1, 1.0, 4)
+    loss = nk.bce_with_logits(store["s"], layout.pairs, t, w)
+    x = store["s"].data[b, i, j]
+    assert loss.item() == (w * (np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))) - t * x)).sum()
+    grad = backward(loss, store)["s"]
+    on_pairs = np.zeros((2, 3, 3), dtype=bool)
+    on_pairs[b, i, j] = True
+    assert np.array_equal(grad[on_pairs], w * (nk._sigmoid(x) - t))
+    # The diagonal, the lower triangle and the padding get exactly 0.0.
+    assert (grad[~on_pairs] == 0.0).all()
+    assert grad_check(lambda s: nk.bce_with_logits(s["s"], layout.pairs, t, w), store) < 1e-7
+    # Single atoms have no pairs: no loss and no gradient.
+    singles = nk.PairLayout([1, 1, 1])
+    alone = ParamStore({"s": rng.normal(size=(3, 1, 1))})
+    none = nk.bce_with_logits(alone["s"], singles.pairs, np.zeros(0), np.zeros(0))
+    assert none.item() == 0.0
+    assert np.array_equal(backward(none, alone)["s"], np.zeros((3, 1, 1)))
+    with pytest.raises(NumericError, match=r"^bce_with_logits shapes \(4,\) / \(3,\) / \(4,\)$"):
+        nk.bce_with_logits(store["s"], layout.pairs, t[:3], w)
 
 
 def test_squared_error_gradient_matches_central_differences():
@@ -189,39 +224,6 @@ def test_stack_agg_gradient_matches_central_differences():
     edges = stack_edges(lists, n)
     target = rng.uniform(-1.0, 1.0, (3, n, 3))
     assert grad_check(lambda s: nk.squared_error(nk.stack_agg(s["h"], edges, 3), target), store) < 1e-7
-
-
-def test_take_values_gradient_and_empty_positions():
-    store = ParamStore({"a": np.arange(6.0).reshape(2, 3)})
-    flat = np.array([5, 0, 3])
-    taken = nk.take(store["a"], flat)
-    assert np.array_equal(taken.data, [5.0, 0.0, 3.0])
-    # The gradient scatters each output's gradient to its position, zeros elsewhere.
-    grads = backward(weighted_sum(taken, [1.0, 2.0, 3.0]), store)
-    assert np.array_equal(grads["a"], [[2.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
-    target = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
-    assert grad_check(lambda s: nk.squared_error(nk.take(s["a"], flat), target), store) < 1e-7
-    none = nk.take(store["a"], np.zeros(0, dtype=np.int64))
-    assert none.shape == (0,)
-    assert np.array_equal(backward(weighted_sum(none), store)["a"], np.zeros((2, 3)))
-
-
-def test_take_of_block_products_values_and_gradient_on_a_two_molecule_union():
-    # Molecule 0 is rows 0-1, molecule 1 rows 2-4; its pairs (0,1), (0,2), (1,2).
-    store = ParamStore({"z": [[1.0, 0.0], [2.0, 1.0], [0.0, 1.0], [1.0, 1.0], [3.0, -1.0]]})
-    z = store["z"]
-
-    def dots(layout):
-        return nk.take(nk.block_products(z, layout), layout.pairs)
-
-    union = dots(nk.PairLayout([2, 3]))
-    assert np.array_equal(union.data, [2.0, 1.0, -1.0, 2.0])
-    # d/dz of sum_k g_k dot_k: each row gains g_k times its partner in pair k.
-    grads = backward(weighted_sum(union, [1.0, 2.0, 3.0, 4.0]), store)
-    assert np.array_equal(grads["z"], [[2.0, 1.0], [1.0, 0.0], [11.0, -1.0], [12.0, -2.0], [4.0, 7.0]])
-    assert dots(nk.PairLayout([1, 1, 1, 1, 1])).shape == (0,)
-    with pytest.raises(NumericError, match=r"^\(5, 2\) array for blocks of 4 rows$"):
-        dots(nk.PairLayout([2, 2]))
 
 
 def test_pair_layout_lists_each_blocks_pairs_row_by_row_block_after_block():
@@ -269,12 +271,14 @@ def test_index_op_gradients_match_finite_differences(sizes, seed):
     edges = nk.Edges(rng.integers(0, n, e), rng.integers(0, n, e), rng.uniform(0.1, 1.0, e))
     target = rng.uniform(-1.0, 1.0, (1, n, 3))
     layout = nk.PairLayout(sizes)
-    pair_w = rng.uniform(-1.0, 1.0, int((sizes * (sizes - 1) // 2).sum()))
+    # The pair products are weighted, and every other entry of their stack is not.
+    pair_w = np.zeros(sizes.size * layout.m**2)
+    pair_w[layout.pairs] = rng.uniform(-1.0, 1.0, int((sizes * (sizes - 1) // 2).sum()))
+    pair_w = pair_w.reshape(sizes.size, layout.m, layout.m)
 
     def f(s):  # h feeds both ops, so its gradient is a sum of two
         agg = nk.stack_agg(s["h"], edges, 1)
-        dots = nk.take(nk.block_products(s["h"], layout), layout.pairs)
-        return summed(nk.squared_error(agg, target), weighted_sum(dots, pair_w))
+        return summed(nk.squared_error(agg, target), weighted_sum(nk.block_products(s["h"], layout), pair_w))
 
     assert grad_check(f, store) < 1e-7
 
@@ -327,8 +331,8 @@ def test_deep_chain_does_not_hit_recursion_limit():
     store = ParamStore({"p": np.ones((1, 1))})
     x = store["p"]
     for _ in range(5000):
-        x = nk.take(x, np.array([0]))
-    grads = backward(weighted_sum(x), store)
+        x = weighted_sum(x)
+    grads = backward(x, store)
     assert grads["p"][0, 0] == 1.0
 
 
@@ -344,17 +348,17 @@ def test_grad_check_on_random_composite_expressions(seed):
     n_pairs = int(layout.counts.sum())
     target = (rng.uniform(size=n_pairs) < 0.5).astype(float)
     weight = rng.uniform(0.1, 1.0, n_pairs)
-    mix = rng.uniform(-1.0, 1.0, n)
+    mix = np.zeros((n, 3))
+    mix[:, 0] = rng.uniform(-1.0, 1.0, n)  # h's first column alone
 
     def f(s):
         # h reaches the loss by three paths, y by two; x is also read directly.
         h = nk.logistic(s["x"])
         agg = nk.stack_agg(h, edges, 1)
-        logits = nk.take(nk.block_products(h, layout), layout.pairs)
         return summed(
-            nk.bce_with_logits(logits, target, weight),
+            nk.bce_with_logits(nk.block_products(h, layout), layout.pairs, target, weight),
             nk.squared_error(agg, np.zeros((1, n, 3))),
-            weighted_sum(nk.take(h, np.arange(0, 3 * n, 3)), mix),
+            weighted_sum(h, mix),
             nk.squared_error(nk.logistic(nk.stack_agg(s["y"], edges, 1)), np.full((1, n, 3), 0.5)),
             weighted_sum(s["y"]),
             nk.squared_error(s["x"], np.zeros((n, 3))),

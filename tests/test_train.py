@@ -271,14 +271,16 @@ def test_union_tape_holds_no_array_as_large_as_all_atom_pairs():
 def test_one_training_tape_holds_the_same_few_ops_whatever_bond_types_its_batch_holds():
     corpus = [r.mol for r in dataio.load_bundled_corpus().records[:16]]
     every_type = [parse_smiles(s) for s in ("C", "CC#N", "C=CO", DRUG_SMILES["aspirin"])]
-    counts = []
+    # The ops with a gradient rule, by name: a glue op that creeps in shows up here.
+    want = sorted(["bce_with_logits", "block_products", "kl_term", "pool", *["rgcn_layer"] * 4, "sample_latent",
+                   "side_predict", "squared_error", *["stack_agg"] * 2, "total_loss"])
+    assert len(want) == 14
     for mols, n_types in ((every_type, 4), (corpus, 2)):
         mt = MolTensors.from_mols(mols)
         assert len(mt.types) == n_types
         noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
         total, _ = joint_loss(mt, [1.0] * len(mols), init_model_params(0), noise)
-        counts.append(sum(node._grad_fn is not None for node in nk._tape(total)))  # ops with a gradient rule
-    assert counts == [15, 15], counts
+        assert sorted(node.name for node in nk._tape(total) if node._grad_fn is not None) == want
 
 
 def test_layer_one_puts_no_gradient_rule_on_the_tape():

@@ -212,21 +212,25 @@ def test_pair_mask_counts():
     assert np.array_equal(mt.pair_target, a[i, j])
 
 
-def test_take_of_block_products_agrees_with_one_gather_per_pair_on_a_union():
-    # The decoder's pair products over a 12-20-atom minibatch, against the
-    # gather/scatter formula applied to a list of the union's pairs.
+def test_block_products_at_the_pairs_agree_with_one_gather_per_pair_on_a_union():
+    # The decoder's pair products over a 12-20-atom minibatch, and the
+    # gradient of the loss's BCE over them, against the gather/scatter
+    # formula applied to a list of the union's pairs.
     rng = np.random.default_rng(5)
     mols = [random_molecule(rng, int(rng.integers(12, 21))) for _ in range(16)]
     mt = MolTensors.from_mols(mols)
     store = nk.ParamStore({"z": rng.standard_normal((len(mt.features), LATENT_DIM))})
     z = store["z"]
-    g = rng.standard_normal(mt.pair_target.size)
-    want, want_grad = oracle_pair_dot(z.data, *union_pairs(mt.sizes), g)
-    dots = nk.take(nk.block_products(z, mt.layout), mt.layout.pairs)
-    grad = nk.backward(weighted_sum(dots, g), store)["z"]
+    pairs = union_pairs(mt.sizes)
+    want, _ = oracle_pair_dot(z.data, *pairs, np.zeros(mt.pair_target.size))
+    dots = nk.block_products(z, mt.layout).data.reshape(-1)[mt.layout.pairs]
     assert dots.shape == want.shape
-    assert np.max(np.abs(dots.data - want)) <= 1e-12
-    assert np.max(np.abs(grad - want_grad)) <= 1e-12
+    assert np.max(np.abs(dots - want)) <= 1e-12
+    # The BCE sends g_k = w_k (logistic(x_k) - t_k) to pair k's product.
+    w = rng.uniform(0.1, 1.0, want.size)
+    _, want_grad = oracle_pair_dot(z.data, *pairs, w * (1.0 / (1.0 + np.exp(-want)) - mt.pair_target))
+    grad = nk.backward(nk.bce_with_logits(nk.block_products(z, mt.layout), mt.layout.pairs, mt.pair_target, w), store)
+    assert np.max(np.abs(grad["z"] - want_grad)) <= 1e-12
 
 
 # C, CC#N, C=CO and aspirin: all four bond types, and a molecule with no bonds.
