@@ -43,8 +43,12 @@ def elu(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
 
     `neg` is e^x - 1 below 0 and exactly 0.0 above, so adding it to
     max(x, 0) needs no select, and the slope is neg + 1 everywhere."""
-    neg = np.exp(np.minimum(x, 0.0)) - 1.0
-    return np.maximum(x, 0.0) + neg, lambda g: g * (neg + 1.0)
+    neg = np.minimum(x, 0.0)
+    np.exp(neg, out=neg)
+    neg -= 1.0
+    out = np.maximum(x, 0.0)
+    out += neg
+    return out, lambda g: g * (neg + 1.0)
 
 
 def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefix: str, activate: bool) -> Tensor:
@@ -62,7 +66,7 @@ def rgcn_layer(h: Tensor | np.ndarray, aggs: Aggregate, store: ParamStore, prefi
     w_rel = [store[f"{prefix}.rel{r}"] for r in types]
     pre = x @ w_self.data
     for a, w in zip(stack, w_rel):
-        pre = pre + a @ w.data
+        pre += a @ w.data
     out, back = elu(pre) if activate else (pre, None)
 
     def grad_fn(g):
@@ -114,14 +118,16 @@ def pool(node_vectors: Tensor, store: ParamStore, sizes: np.ndarray) -> Tensor:
     Molecule b's nodes are `sizes[b]` consecutive rows of `node_vectors`.
     """
     x, wp = node_vectors.data, store["pool.wp"]
-    logits = x @ wp.data
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    soft = e / e.sum(axis=1, keepdims=True)
+    soft = x @ wp.data
+    soft -= soft.max(axis=1, keepdims=True)
+    np.exp(soft, out=soft)
+    soft /= soft.sum(axis=1, keepdims=True)
     seg = np.repeat(np.arange(sizes.size), sizes)
 
     def grad_fn(g):
-        g = g[seg]
-        g_logits = soft * (g - (g * soft).sum(axis=1, keepdims=True))
+        g_logits = g[seg]
+        g_logits -= (g_logits * soft).sum(axis=1, keepdims=True)
+        g_logits *= soft
         return (g_logits @ wp.data.T, x.T @ g_logits)
 
     return nk.Tensor(nk.segment_sums(soft, seg, sizes.size), (node_vectors, wp), grad_fn, "pool")

@@ -169,12 +169,16 @@ def stack_agg(h: Tensor | np.ndarray, edges: Edges, depth: int) -> Tensor | np.n
     _require_2d(x, "stack_agg")
     n, width = x.shape
     wcol = edges.w[:, None]
-    out_data = _scatter_rows(wcol * x[edges.src], edges.flat("dst", width), depth * n).reshape(depth, n, width)
+    v = x[edges.src]
+    v *= wcol
+    out_data = _scatter_rows(v, edges.flat("dst", width), depth * n).reshape(depth, n, width)
     if not isinstance(h, Tensor):
         return out_data
 
     def grad_fn(g):
-        return (_scatter_rows(wcol * g.reshape(-1, width)[edges.dst], edges.flat("src", width), n),)
+        v = g.reshape(-1, width)[edges.dst]
+        v *= wcol
+        return (_scatter_rows(v, edges.flat("src", width), n),)
 
     return Tensor(out_data, (h,), grad_fn, "stack_agg")
 

