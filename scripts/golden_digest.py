@@ -66,7 +66,7 @@ from molvae.encoder import LATENT_DIM  # noqa: E402
 from molvae.numkernel import backward  # noqa: E402
 from molvae.smiles import SmilesError, parse_smiles, parse_smiles_ex, write_smiles  # noqa: E402
 from molvae.train import evaluate_edge_auc, evaluate_validity, fit_probe  # noqa: E402
-from molvae.vaemodel import PARAM_SHAPES, MolTensors, init_model_params, joint_loss, reconstruct  # noqa: E402
+from molvae.vaemodel import MolTensors, init_model_params, joint_loss, reconstruct  # noqa: E402
 
 QUERIES = {"aspirin": DRUG_SMILES["aspirin"], "caffeine": DRUG_SMILES["caffeine"], "ethanol": "CCO"}
 
@@ -180,15 +180,14 @@ def _evaluation(ckpt: Path) -> bytes:
 
 
 def _gradients() -> bytes:
-    """The bytes of each parameter's gradient, in PARAM_SHAPES order, of one
-    joint loss on GRADIENT_BATCH, labelled with heavy-atom counts."""
+    """The bytes of `backward`'s flat gradient, each parameter's in PARAM_SHAPES
+    order, of one joint loss on GRADIENT_BATCH, labelled with heavy-atom counts."""
     mols = [parse_smiles(smi) for smi in GRADIENT_BATCH]
     mt = MolTensors.from_mols(mols)
     noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
     params = init_model_params(0)
     total, _ = joint_loss(mt, [float(mol.n_atoms) for mol in mols], params, noise)
-    grads = backward(total, params)
-    return b"".join(grads[name].tobytes() for name in PARAM_SHAPES)
+    return backward(total, params).flat.tobytes()
 
 
 def cpu_path() -> str:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from contextvars import ContextVar
 from functools import cached_property
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -244,16 +244,16 @@ class ParamStore:
 
     Every parameter's data is a view of one contiguous float64 buffer,
     `flat`, in the mapping's order, so an optimizer can update them all at
-    once.
+    once. Each name's slice of `flat` is worked out here, once.
     """
 
     def __init__(self, arrays: Mapping[str, object]):
         leaves = [Tensor(data, name=name) for name, data in arrays.items()]
         self.flat = np.concatenate([t.data.ravel() for t in leaves]) if leaves else np.zeros(0)
-        start = 0
+        ends = np.cumsum([t.data.size for t in leaves], dtype=np.int64).tolist()
+        self._slices = {t.name: slice(end - t.data.size, end) for t, end in zip(leaves, ends)}
         for t in leaves:
-            t.data = self.flat[start : start + t.data.size].reshape(t.data.shape)
-            start += t.data.size
+            t.data = self.flat[self._slices[t.name]].reshape(t.data.shape)
         self._params = {t.name: t for t in leaves}
 
     def __getitem__(self, name: str) -> Tensor:
@@ -267,6 +267,27 @@ class ParamStore:
 
     def items(self) -> list[tuple[str, Tensor]]:
         return list(self._params.items())
+
+    def name_at(self, i: int) -> str:
+        """The name of the parameter whose slice of `flat` holds index `i`."""
+        return next(name for name, sl in self._slices.items() if i < sl.stop)
+
+
+class Gradients(Mapping):
+    """Gradients by parameter name, read-only, over one array `flat` laid out like
+    a store's `flat`: a name's view of it is made only when it is read."""
+
+    def __init__(self, flat: np.ndarray, params: ParamStore):
+        self.flat, self._params = flat, params
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.flat[self._params._slices[name]].reshape(self._params[name].shape)
+
+    def __iter__(self):
+        return iter(self._params._slices)
+
+    def __len__(self) -> int:
+        return len(self._params)
 
 
 def _tape(root: Tensor) -> list[Tensor]:
@@ -328,13 +349,14 @@ def tape_free(run: Callable[[], Tensor]) -> Tensor:
         _RECORDING.reset(token)
 
 
-def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
-    """Gradients of the scalar `loss` by parameter name.
+def backward(loss: Tensor, params: ParamStore) -> Gradients:
+    """Gradients of the scalar `loss` by parameter name, over one fresh flat array.
 
     One reverse sweep over the tape in topological order. Gradients live in a
     dict local to the call; an entry is dropped once its node's rule has run,
-    so the tape is left unchanged. Parameters off the tape get zeros. A
-    non-finite loss raises NonFiniteValue (see `checked`).
+    so the tape is left unchanged. Each parameter on the tape is copied once
+    into its slice; those off the tape keep zeros. A non-finite loss raises
+    NonFiniteValue (see `checked`).
     """
     if loss.data.size != 1:
         raise NumericError(f"backward requires a scalar, got shape {loss.shape}")
@@ -345,7 +367,11 @@ def backward(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
             continue
         for parent, g in zip(node._parents, node._grad_fn(grads.pop(node))):
             grads[parent] = grads[parent] + g if parent in grads else g
-    return {name: grads[p] if p in grads else np.zeros_like(p.data) for name, p in params.items()}
+    flat = np.zeros(params.flat.size)
+    for name, p in params.items():
+        if p in grads:
+            flat[params._slices[name]] = grads[p].ravel()
+    return Gradients(flat, params)
 
 
 GRAD_CHECK_MAX_COORDS = 200
@@ -372,8 +398,7 @@ def grad_check(f: Callable[[ParamStore], Tensor], params: ParamStore, eps: float
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
-    analytic = backward(f(params), params)
-    a = np.concatenate([analytic[name].ravel() for name in params.names()])
+    a = backward(f(params), params).flat
     worst_diff = 0.0
     scale = 1e-8
     for i in np.argsort(-np.abs(a), kind="stable")[:GRAD_CHECK_MAX_COORDS]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -48,10 +49,12 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moments over a ParamStore's flat buffer."""
+    """First and second moments over a ParamStore's flat buffer, and two scratch buffers of its size."""
 
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scaled: np.ndarray | None = None
+    work: np.ndarray | None = None
     step: int = 0
 
 
@@ -62,54 +65,47 @@ ADAM_EPS = 1e-8
 
 def adam_step(
     params: ParamStore,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     scale: float = 1.0,
 ) -> None:
-    """Standard Adam update with bias correction on `scale` times `grads`, in
-    place, over the store's flat buffer.
+    """Adam with bias correction on `scale` times `grad`, laid out like the
+    store's flat buffer (as `backward(...).flat` is), in place over that buffer.
+    In Kingma & Ba's cheaper ordering (arXiv 1412.6980, §2, after Algorithm
+    1), α_t = lr·√(1−β₂ᵗ)/(1−β₁ᵗ), ε̂ = ε·√(1−β₂ᵗ), θ ← θ − α_t·m/(√v + ε̂).
 
     NonFiniteValue names the first parameter with a non-finite gradient,
-    before the parameters or the state change, or else the first whose
+    before the parameters or the moments change, or else the first whose
     updated value is not finite, before the parameters change.
     """
-    items = params.items()
-    for name, p in items:
-        if grads[name].shape != p.data.shape:
-            raise NumericError(f"gradient shape for {name}: {grads[name].shape} vs {p.data.shape}")
-    g = np.concatenate([grads[name].ravel() for name, _ in items])
-    g *= scale
+    if grad.shape != params.flat.shape:
+        raise NumericError(f"gradient shape {grad.shape} vs {params.flat.shape}")
+    g = np.multiply(grad, scale, out=state.scaled)
     if not np.isfinite(g).all():
-        bad = next(name for name, _ in items if not np.isfinite(grads[name] * scale).all())
-        raise NonFiniteValue(f"non-finite gradient for {bad}")
+        raise NonFiniteValue(f"non-finite gradient for {params.name_at(np.argmin(np.isfinite(g)))}")
     if state.m is None:
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
+        state.m, state.v, state.scaled, state.work = np.zeros_like(g), np.zeros_like(g), g, np.empty_like(g)
     state.step += 1
-    t = state.step
-    # m = β₁m + (1-β₁)g;  v = β₂v + (1-β₂)g·g;  p -= lr·m̂ / (√v̂ + ε), with
-    # m̂ = m/(1-β₁ᵗ) and v̂ = v/(1-β₂ᵗ): each float operation as written, in
-    # that order, into two buffers (the buffer-sized temporaries of the
-    # plain expressions cost as much as the arithmetic).
-    m, v = state.m, state.v
+    # m = β₁m + (1-β₁)g, v = β₂v + (1-β₂)g·g, then the update: each float operation
+    # as written, into the kept buffers (the buffer-sized temporaries of the
+    # plain expressions, and their page faults, cost as much as the arithmetic).
+    m, v, step = state.m, state.v, state.work
     m *= ADAM_BETA1
-    step = (1.0 - ADAM_BETA1) * g
+    np.multiply(1.0 - ADAM_BETA1, g, out=step)
     m += step
     v *= ADAM_BETA2
     np.multiply(1.0 - ADAM_BETA2, g, out=step)
     step *= g
     v += step
-    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-    np.divide(v, 1.0 - ADAM_BETA2**t, out=g)
-    np.sqrt(g, out=g)
-    g += ADAM_EPS
-    np.multiply(lr, step, out=step)
+    root = math.sqrt(1.0 - ADAM_BETA2**state.step)
+    np.sqrt(v, out=g)
+    g += ADAM_EPS * root
+    np.multiply(lr * root / (1.0 - ADAM_BETA1**state.step), m, out=step)
     step /= g
     np.subtract(params.flat, step, out=step)
     if not np.isfinite(step).all():
-        ends = np.cumsum([p.data.size for _, p in items])
-        bad = items[int(np.searchsorted(ends, np.argmin(np.isfinite(step)), side="right"))][0]
+        bad = params.name_at(np.argmin(np.isfinite(step)))
         raise NonFiniteValue(f"non-finite update for {bad} at learning rate {lr:g}")
     params.flat[:] = step
 
@@ -151,8 +147,7 @@ def train(dataset, property_name: str, config: TrainConfig) -> tuple[ParamStore,
                 mt, labels[batch], params, noise, beta=config.beta, lam=config.lam
             )
             sums += bd
-            grads = backward(total, params)
-            adam_step(params, grads, state, config.learning_rate, scale=1.0 / len(batch))
+            adam_step(params, backward(total, params).flat, state, config.learning_rate, scale=1.0 / len(batch))
         means = sums / len(records)
         history.append(LossBreakdown(*means))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from molvae import numkernel as nk
+from molvae.encoder import LATENT_DIM
 from molvae.numkernel import (
     NonFiniteValue,
     NumericError,
@@ -14,6 +15,8 @@ from molvae.numkernel import (
     constant,
     grad_check,
 )
+from molvae.smiles import parse_smiles
+from molvae.vaemodel import MolTensors, init_model_params, joint_loss
 
 from helpers import FLOAT_ARRAYS, SPECIAL_FLOATS, stack_edges, summed, weighted_sum
 
@@ -344,6 +347,48 @@ def test_off_tape_parameter_gets_zero_gradient():
     a = store["a"]
     grads = backward(weighted_sum(a), store)
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
+
+
+def test_backward_gives_one_flat_array_and_views_of_it_by_name():
+    store = ParamStore({"a": np.ones((2, 3)), "unused": np.ones((1, 2)), "b": np.ones((3, 1))})
+    grads = backward(summed(weighted_sum(store["a"], 2.0), weighted_sum(store["b"], -1.0)), store)
+    assert grads.flat.shape == store.flat.shape
+    assert np.array_equal(grads.flat, np.concatenate([grads[name].ravel() for name in store.names()]))
+    assert list(grads) == store.names() and len(grads) == len(store)
+    assert [grads[name].shape for name in grads] == [store[name].shape for name in store.names()]
+    assert np.all(grads["unused"] == 0.0) and np.all(grads["a"] == 2.0) and np.all(grads["b"] == -1.0)
+    assert all(np.shares_memory(grads[name], grads.flat) for name in grads)
+    with pytest.raises(KeyError):
+        grads["missing"]
+    with pytest.raises(TypeError):
+        grads["a"] = np.zeros((2, 3))
+
+
+def _gradients_by_name(loss, params):
+    """Gradients of `loss` as a fresh array per parameter name, zeros off the
+    tape: the sweep `backward` makes, with the dict it returned before it
+    wrote one flat array."""
+    grads = {loss: np.ones_like(loss.data)}
+    for node in reversed(nk._tape(loss)):
+        if node._grad_fn is not None:
+            for parent, g in zip(node._parents, node._grad_fn(grads.pop(node))):
+                grads[parent] = grads[parent] + g if parent in grads else g
+    return {name: grads[p] if p in grads else np.zeros_like(p.data) for name, p in params.items()}
+
+
+def test_backward_views_hold_the_by_name_gradients_bit_for_bit():
+    # A two-molecule union with single and double bonds only, so some relation
+    # weights are off the tape and read zero.
+    mt = MolTensors.from_mols([parse_smiles("CC=O"), parse_smiles("C1CC1N")])
+    params = init_model_params(seed=0)
+    noise = np.random.default_rng(0).standard_normal((len(mt.features), LATENT_DIM))
+    total, _ = joint_loss(mt, [3.0, 4.0], params, noise, beta=0.5)
+    want = _gradients_by_name(total, params)
+    grads = backward(total, params)
+    assert not want["enc.l1.rel2"].any() and want["enc.l1.rel0"].any()
+    for name in params.names():
+        assert grads[name].shape == want[name].shape, name
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 def test_stale_gradient_cleared_between_backward_calls():
